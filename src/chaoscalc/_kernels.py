@@ -1,35 +1,27 @@
-"""Numeric hot kernels: batched term accumulation and a cyclic Jacobi eigensolver.
+"""Numeric float kernels: batched term accumulation and the symmetric eigensolve.
 
-Both kernels ship in two implementations with identical operation order:
-
-* a numba ``@njit`` build (default when numba imports cleanly), and
-* a pure-numpy/Python fallback.
-
-Set ``CHAOSCALC_DISABLE_NUMBA=1`` to force the fallback.  The exact-rational
-algebra never routes through this module; only float paths (sampling,
-eigensolves) do.  ``benchmarks/bench_kernels.py`` compares the two backends.
+``accumulate_terms`` evaluates a sampler's term table over a block of draws;
+``jacobi_eigh`` is LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
+The exact-rational algebra never routes through this module; only float paths
+(sampling, eigensolves) do.  Callers that need a solver-independent
+eigenvector (see ``influence._top_eigenpair``) canonicalize it themselves.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("CHAOSCALC_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in {"1", "true", "yes", "on"}
 
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-
-def _accumulate_terms_py(values, coeffs, term_ptr, term_slots):
+def accumulate_terms(values, coeffs, term_ptr, term_slots):
     """out[i] = sum_t coeffs[t] * prod_{s in term t} values[s, i].
 
     ``values`` has one row per distinct (variable, level) factor; ``term_slots``
     flattens the factor lists of all terms and ``term_ptr`` delimits them.
     """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    term_ptr = np.ascontiguousarray(term_ptr, dtype=np.int64)
+    term_slots = np.ascontiguousarray(term_slots, dtype=np.int64)
     n = values.shape[1] if values.ndim == 2 else 0
     out = np.zeros(n, dtype=np.float64)
     for t in range(coeffs.shape[0]):
@@ -40,158 +32,9 @@ def _accumulate_terms_py(values, coeffs, term_ptr, term_slots):
     return out
 
 
-def _jacobi_eigh_py(matrix, off_tol, max_sweeps):
-    """Cyclic Jacobi on a symmetric matrix.  Returns (eigenvalues, column eigenvectors)."""
-    a = matrix.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), v
-    scale = math.sqrt(float(np.sum(a * a)))
-    tol = off_tol * (1.0 + scale)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * a[p, q] * a[p, q]
-        if math.sqrt(off) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = 0.5 * (a[q, q] - a[p, p])
-                if abs(diff) > 1e150 * abs(apq):
-                    # rotation angle below representable resolution
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                theta = diff / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    akp = a[p, k]
-                    akq = a[q, k]
-                    a[p, k] = c * akp - s * akq
-                    a[q, k] = s * akp + c * akq
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return np.diag(a).copy(), v
-
-
-accumulate_terms_numpy = _accumulate_terms_py
-jacobi_eigh_numpy = _jacobi_eigh_py
-
-accumulate_terms_jit = None
-jacobi_eigh_jit = None
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-
-        @njit(cache=True)
-        def _accumulate_terms_nb(values, coeffs, term_ptr, term_slots):  # pragma: no cover
-            n = values.shape[1]
-            out = np.zeros(n, dtype=np.float64)
-            prod = np.empty(n, dtype=np.float64)
-            for t in range(coeffs.shape[0]):
-                for i in range(n):
-                    prod[i] = coeffs[t]
-                for j in range(term_ptr[t], term_ptr[t + 1]):
-                    row = term_slots[j]
-                    for i in range(n):
-                        prod[i] *= values[row, i]
-                for i in range(n):
-                    out[i] += prod[i]
-            return out
-
-        @njit(cache=True)
-        def _jacobi_eigh_nb(matrix, off_tol, max_sweeps):  # pragma: no cover
-            a = matrix.copy()
-            n = a.shape[0]
-            v = np.eye(n)
-            if n < 2:
-                return np.diag(a).copy(), v
-            scale = math.sqrt(np.sum(a * a))
-            tol = off_tol * (1.0 + scale)
-            for _ in range(max_sweeps):
-                off = 0.0
-                for p in range(n - 1):
-                    for q in range(p + 1, n):
-                        off += 2.0 * a[p, q] * a[p, q]
-                if math.sqrt(off) <= tol:
-                    break
-                for p in range(n - 1):
-                    for q in range(p + 1, n):
-                        apq = a[p, q]
-                        if apq == 0.0:
-                            continue
-                        diff = 0.5 * (a[q, q] - a[p, p])
-                        if abs(diff) > 1e150 * abs(apq):
-                            # rotation angle below representable resolution
-                            a[p, q] = 0.0
-                            a[q, p] = 0.0
-                            continue
-                        theta = diff / apq
-                        t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                        c = 1.0 / math.sqrt(1.0 + t * t)
-                        s = t * c
-                        for k in range(n):
-                            akp = a[k, p]
-                            akq = a[k, q]
-                            a[k, p] = c * akp - s * akq
-                            a[k, q] = s * akp + c * akq
-                        for k in range(n):
-                            akp = a[p, k]
-                            akq = a[q, k]
-                            a[p, k] = c * akp - s * akq
-                            a[q, k] = s * akp + c * akq
-                        for k in range(n):
-                            vkp = v[k, p]
-                            vkq = v[k, q]
-                            v[k, p] = c * vkp - s * vkq
-                            v[k, q] = s * vkp + c * vkq
-            return np.diag(a).copy(), v
-
-        accumulate_terms_jit = _accumulate_terms_nb
-        jacobi_eigh_jit = _jacobi_eigh_nb
-
-
-def backend_name() -> str:
-    return "numba" if accumulate_terms_jit is not None else "numpy"
-
-
-def accumulate_terms(values, coeffs, term_ptr, term_slots):
-    fn = accumulate_terms_jit or accumulate_terms_numpy
-    return fn(
-        np.ascontiguousarray(values, dtype=np.float64),
-        np.ascontiguousarray(coeffs, dtype=np.float64),
-        np.ascontiguousarray(term_ptr, dtype=np.int64),
-        np.ascontiguousarray(term_slots, dtype=np.int64),
-    )
-
-
-def jacobi_eigh(matrix, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Deterministic and dependency-free on the fallback path; adequate for the
-    desk-scale forms this package assembles (dimension up to a few hundred).
-    """
+def jacobi_eigh(matrix):
+    """Eigenvalues (ascending) and column eigenvectors of a symmetric matrix (LAPACK)."""
     a = np.ascontiguousarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    fn = jacobi_eigh_jit or jacobi_eigh_numpy
-    return fn(a, float(off_tol), int(max_sweeps))
+    return np.linalg.eigh(a)

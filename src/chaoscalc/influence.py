@@ -7,6 +7,12 @@ basis of the degree-``q`` stratum this is a symmetric eigenproblem: assemble
 and take the square root of the top eigenvalue.  The test space is spanned by
 the monomials over the variables of ``f`` plus a configurable number of fresh
 variables (fresh coordinates can genuinely enlarge the supremum for q >= 2).
+
+Every entry of ``Q`` is an exact rational rounded once to a float; only the
+eigensolve (LAPACK ``eigh``) runs in floats.  The reported direction does not
+depend on the solver: it is the normalized projection of the first standard
+basis vector onto the top eigenspace (see ``_top_eigenpair``), so degenerate
+top eigenspaces still give a defined direction.
 """
 
 from __future__ import annotations
@@ -28,15 +34,14 @@ from .algebra import (
     fresh_variables,
     hermite_monomial,
     homogeneous_degree,
-    inner_product,
     partial_derivative,
     poly_to_json_dict,
 )
 from .errors import BasisSizeError, PreconditionError
-from .malliavin import gamma_gradient
 
 DEFAULT_BASIS_CAP = 512
 BASIS_CAP_ENV = "CHAOSCALC_MAX_BASIS_DIM"
+TOP_CLUSTER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class InfluenceResult:
     direction: ChaosPoly
     basis_dimension: int
     extra_variables_used: int
+    # top eigenvalue of the form (a squared influence) minus the largest one
+    # outside the top cluster; None when every eigenvalue is in the cluster
+    eigengap: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -54,6 +62,7 @@ class InfluenceResult:
             "direction": poly_to_json_dict(self.direction),
             "basis_dimension": self.basis_dimension,
             "extra_variables_used": self.extra_variables_used,
+            "eigengap": self.eigengap,
         }
 
     def to_json(self) -> str:
@@ -113,18 +122,75 @@ def degree_monomials(variables: Sequence[int], degree: int) -> list[MultiIndex]:
     return out
 
 
-def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray, float | None]:
+    """Top eigenvalue, its canonical unit direction, and the eigengap.
+
+    The top eigenspace holds the eigenvalues within
+    ``TOP_CLUSTER_RTOL * max(1, max |lambda|)`` of the largest.  Its projector
+    ``U U^T`` does not depend on the basis ``U`` the solver returns, so the
+    direction -- the normalized projection of the first standard basis vector
+    ``e_i`` whose projection is nonzero (norm above ``TOP_CLUSTER_RTOL``) -- is
+    defined on degenerate spaces too.  ``||U U^T e_i||`` is the norm of row
+    ``i`` of ``U``.
+    """
     vals, vecs = jacobi_eigh(matrix)
-    top = int(np.argmax(vals))
-    vec = vecs[:, top].copy()
-    # deterministic sign: first nonzero coordinate positive
-    threshold = 1e-12 * max(1.0, float(np.max(np.abs(vec))))
-    for entry in vec:
-        if abs(entry) > threshold:
-            if entry < 0:
-                vec = -vec
-            break
-    return float(vals[top]), vec
+    top = float(vals[-1])
+    inside = vals >= top - TOP_CLUSTER_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    span = vecs[:, inside]
+    row_norms = np.linalg.norm(span, axis=1)
+    first = int(np.argmax(row_norms > TOP_CLUSTER_RTOL))
+    vec = span @ (span[first] / row_norms[first])
+    outside = vals[~inside]
+    gap = top - float(outside[-1]) if outside.size else None
+    return top, vec, gap
+
+
+def _gram_matrix(polys: Sequence[ChaosPoly], weights: Sequence[int]) -> np.ndarray:
+    """``G[a, b] = <p_a, p_b> / sqrt(w_a w_b)`` with each inner product exact, rounded once.
+
+    An inverted index maps each monomial to the (slot, integer numerator over
+    the common denominator ``D``) pairs that hold it, so one pass over the
+    monomials accumulates every pairing in Python ints; ``total / D**2`` is
+    the correctly rounded float of the exact inner product.
+    """
+    denom = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
+    index: dict[MultiIndex, list[tuple[int, int]]] = {}
+    for a, p in enumerate(polys):
+        for idx, c in p._terms.items():
+            index.setdefault(idx, []).append((a, c.numerator * (denom // c.denominator)))
+    dim = len(polys)
+    totals = [[0] * dim for _ in range(dim)]
+    for idx, entries in index.items():
+        weight = idx.weight
+        for i, (a, num_a) in enumerate(entries):
+            row, scaled = totals[a], weight * num_a
+            for b, num_b in entries[i:]:
+                row[b] += scaled * num_b
+    denom_sq = denom * denom
+    gram = np.zeros((dim, dim))
+    for a in range(dim):
+        for b in range(a, dim):
+            if totals[a][b]:
+                inner = totals[a][b] / denom_sq
+                gram[a, b] = gram[b, a] = inner / math.sqrt(weights[a] * weights[b])
+    return gram
+
+
+def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
+    """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
+
+    ``Gamma(f, e_a) = sum_v d_v f * d_v e_a``, with each ``d_v f`` computed once.
+    """
+    grads = {v: partial_derivative(f, v) for v in f.variables()}
+    gammas = []
+    for idx in basis:
+        e_a = hermite_monomial(idx)
+        gamma = ChaosPoly.zero()
+        for v in idx.variables():
+            if v in grads:
+                gamma = gamma + grads[v] * partial_derivative(e_a, v)
+        gammas.append(gamma)
+    return _gram_matrix(gammas, [idx.weight for idx in basis])
 
 
 def rho_1(f: ChaosPoly) -> InfluenceResult:
@@ -140,11 +206,7 @@ def rho_1(f: ChaosPoly) -> InfluenceResult:
         )
     grads = [partial_derivative(f, v) for v in variables]
     n = len(variables)
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = float(inner_product(grads[i], grads[j]))
-    top, vec = _top_eigenpair(m)
+    top, vec, gap = _top_eigenpair(_gram_matrix(grads, [1] * n))
     direction = ChaosPoly.zero()
     for v, a in zip(variables, vec):
         direction = direction + hermite_monomial({v: 1}, as_fraction(float(a)))
@@ -154,6 +216,7 @@ def rho_1(f: ChaosPoly) -> InfluenceResult:
         direction=direction,
         basis_dimension=n,
         extra_variables_used=0,
+        eigengap=gap,
     )
 
 
@@ -187,19 +250,11 @@ def rho_q(
             q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0,
             extra_variables_used=extra_vars,
         )
-    gammas = [gamma_gradient(f, hermite_monomial(idx)) for idx in basis]
-    weights = [idx.weight for idx in basis]
-    qmat = np.zeros((dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            exact = inner_product(gammas[a], gammas[b])
-            if exact:
-                qmat[a, b] = qmat[b, a] = float(exact) / math.sqrt(weights[a] * weights[b])
-    top, vec = _top_eigenpair(qmat)
+    top, vec, gap = _top_eigenpair(_influence_form(f, basis))
     direction = ChaosPoly.zero()
-    for idx, w, entry in zip(basis, weights, vec):
+    for idx, entry in zip(basis, vec):
         if entry != 0.0:
-            coeff = as_fraction(float(entry) / math.sqrt(w))
+            coeff = as_fraction(float(entry) / math.sqrt(idx.weight))
             direction = direction + hermite_monomial(idx, coeff)
     return InfluenceResult(
         q=q,
@@ -207,6 +262,7 @@ def rho_q(
         direction=direction,
         basis_dimension=dim,
         extra_variables_used=extra_vars,
+        eigengap=gap,
     )
 
 

@@ -18,7 +18,6 @@ from .algebra import (
     expectation,
     homogeneous_degree,
     inner_product,
-    mul,
     partial_derivative,
 )
 

@@ -9,9 +9,8 @@ pure function
     key(seed, stream, b) = ((seed mod 2**64) << 64) | ((stream mod 2**32) << 32) | b
 
 and the blocks are concatenated in block order.  Workers only parallelize
-block evaluation, so output is bit-identical for every worker count and every
-backend, and regenerating with equal (seed, stream) reproduces the values
-exactly.  The Gaussian reference used by diagnostics owns the reserved stream
+block evaluation, so output is bit-identical for every worker count, and
+regenerating with equal (seed, stream) reproduces the values exactly.  The Gaussian reference used by diagnostics owns the reserved stream
 ``GAUSSIAN_REFERENCE_STREAM``.
 """
 

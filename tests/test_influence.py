@@ -22,6 +22,8 @@ from chaoscalc import (
     rho_q,
     strongest_influence,
 )
+from chaoscalc.algebra import fresh_variables
+from chaoscalc.influence import _influence_form, degree_monomials
 
 from _oracles import oracle_quadratic_form, random_homogeneous, random_search_max
 
@@ -198,5 +200,57 @@ def test_multilinear_influences_examples():
 def test_influence_result_json_round_trip_fields():
     result = rho_q(HE2_1, 1, 0)
     data = result.to_json_dict()
-    assert set(data) == {"q", "value", "direction", "basis_dimension", "extra_variables_used"}
+    assert set(data) == {
+        "q", "value", "direction", "basis_dimension", "extra_variables_used", "eigengap"
+    }
     assert data["q"] == 1 and data["extra_variables_used"] == 0
+    assert data["eigengap"] is None  # one-dimensional basis: nothing outside the top cluster
+
+
+def test_assembled_form_is_bit_identical_to_the_oracle():
+    # both routes round the exact inner product once and divide by sqrt(w_a w_b)
+    rng = random.Random(23)
+    for _ in range(8):
+        f = random_homogeneous(rng, rng.choice([3, 4]), max_vars=3)
+        for q in (2, 3):
+            for extra in (0, 1):
+                variables = list(f.variables()) + list(fresh_variables([f], extra))
+                basis = degree_monomials(variables, q)
+                oracle_basis, oracle = oracle_quadratic_form(f, q, variables)
+                assert basis == oracle_basis
+                assert np.array_equal(_influence_form(f, basis), oracle)
+
+
+def clt_family(n: int) -> ChaosPoly:
+    f = ChaosPoly.zero()
+    for k in range(1, n + 1):
+        f = f + hermite_monomial({k: 2})
+    return f * Fraction(1.0 / math.sqrt(2 * n))
+
+
+def test_eigengap_on_a_generic_input():
+    f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + G2 * gaussian(3) * G1
+    for q in (1, 2):
+        result = rho_q(f, q)
+        variables = list(f.variables()) + list(fresh_variables([f], result.extra_variables_used))
+        _, qmat = oracle_quadratic_form(f, q, variables)
+        vals = np.linalg.eigvalsh(qmat)
+        assert result.eigengap > 0
+        assert result.eigengap == pytest.approx(vals[-1] - vals[-2], abs=1e-9 * vals[-1])
+
+
+def test_eigengap_on_the_clt_family():
+    for n in (1, 2, 4, 6):
+        f = clt_family(n)
+        # the gradient Gram matrix is (2/n) I: one cluster, no gap, first coordinate
+        result = rho_1(f)
+        assert result.eigengap is None and result.to_json_dict()["eigengap"] is None
+        assert result.direction == G1
+        # q = 2: the symmetric sum of He_2's is the unique top direction for n >= 2
+        result = rho_q(f, 2, 0)
+        if n == 1:
+            assert result.eigengap is None
+        else:
+            assert result.eigengap == pytest.approx(4.0, abs=1e-9)
+            coeffs = [float(c) for c in result.direction.terms.values() if abs(c) > 1e-12]
+            assert len(coeffs) == n and max(coeffs) - min(coeffs) <= 1e-12

@@ -1,14 +1,14 @@
-"""Backend agreement: the numba kernels and the numpy/Python fallbacks must
-produce bit-identical floats, and the Jacobi eigensolver must match LAPACK."""
+"""Float kernels: term accumulation, the LAPACK eigensolve, and the canonical
+top direction that makes influence output independent of the solver."""
 
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from chaoscalc import _kernels
+from chaoscalc import _kernels, gaussian, hermite_monomial, poly_to_json
+from chaoscalc.influence import _top_eigenpair
 
 
 def _random_encoding(rng, n_slots=7, n_terms=12, n_samples=513):
@@ -21,17 +21,6 @@ def _random_encoding(rng, n_slots=7, n_terms=12, n_samples=513):
         slots.extend(int(s) for s in rng.integers(0, n_slots, size=k))
         ptr.append(len(slots))
     return values, coeffs, np.array(ptr, dtype=np.int64), np.array(slots, dtype=np.int64)
-
-
-def test_accumulate_backends_bit_identical():
-    if _kernels.accumulate_terms_jit is None:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        values, coeffs, ptr, slots = _random_encoding(rng)
-        a = _kernels.accumulate_terms_jit(values, coeffs, ptr, slots)
-        b = _kernels.accumulate_terms_numpy(values, coeffs, ptr, slots)
-        assert np.array_equal(a, b)
 
 
 def test_accumulate_matches_direct_evaluation():
@@ -54,21 +43,10 @@ def test_jacobi_matches_lapack():
         m = rng.standard_normal((n, n))
         sym = (m + m.T) / 2
         vals, vecs = _kernels.jacobi_eigh(sym)
-        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(sym), atol=1e-10)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.allclose(vals, np.linalg.eigvalsh(sym), atol=1e-10)
         assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-10)
         assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
-
-
-def test_jacobi_backends_bit_identical():
-    if _kernels.jacobi_eigh_jit is None:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((17, 17))
-    sym = np.ascontiguousarray((m + m.T) / 2)
-    vals_a, vecs_a = _kernels.jacobi_eigh_jit(sym, 1e-12, 100)
-    vals_b, vecs_b = _kernels.jacobi_eigh_numpy(sym, 1e-12, 100)
-    assert np.array_equal(vals_a, vals_b)
-    assert np.array_equal(vecs_a, vecs_b)
 
 
 def test_jacobi_rejects_non_square():
@@ -76,30 +54,42 @@ def test_jacobi_rejects_non_square():
         _kernels.jacobi_eigh(np.zeros((2, 3)))
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, CHAOSCALC_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from chaoscalc._kernels import backend_name; print(backend_name())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_degenerate_top_direction_is_the_projection_of_e1():
+    rng = np.random.default_rng(4)
+    spectrum = np.array([5.0, 5.0, 2.0, 1.0, -3.0])
+    for _ in range(10):
+        rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        sym = rotation @ np.diag(spectrum) @ rotation.T
+        sym = (sym + sym.T) / 2
+        top_space = rotation[:, :2]
+        expected = top_space @ top_space[0]
+        expected /= np.linalg.norm(expected)
+        value, direction, gap = _top_eigenpair(sym)
+        assert value == pytest.approx(5.0, abs=1e-12)
+        assert gap == pytest.approx(3.0, abs=1e-12)
+        assert np.max(np.abs(direction - expected)) <= 1e-12
 
 
-def test_sampling_identical_across_backends():
-    env = dict(os.environ, CHAOSCALC_DISABLE_NUMBA="1")
-    script = (
-        "import chaoscalc as cc, hashlib, numpy as np\n"
-        "f = cc.hermite_monomial({1: 2}) + 3 * cc.gaussian(2)\n"
-        "s = cc.sample(f, 70000, seed=5)\n"
-        "print(hashlib.sha256(s.values.tobytes()).hexdigest())\n"
-    )
-    with_numba = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    )
-    without = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert with_numba.stdout == without.stdout
+def test_top_direction_skips_basis_vectors_orthogonal_to_the_top_space():
+    # top eigenvector (0, 1, 1)/sqrt(2): e_1 projects to zero, e_2 gives the direction
+    sym = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    value, direction, gap = _top_eigenpair(sym)
+    assert value == pytest.approx(3.0, abs=1e-12)
+    assert gap == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(direction, [0.0, 2**-0.5, 2**-0.5], atol=1e-15)
+    _, _, gap = _top_eigenpair(np.eye(3))
+    assert gap is None
+
+
+def test_influence_stdout_is_identical_across_processes(tmp_path):
+    poly = (hermite_monomial({1: 2}) + hermite_monomial({2: 2})) / 2 + gaussian(1) * gaussian(3)
+    path = tmp_path / "f.json"
+    path.write_text(poly_to_json(poly))
+    for argv in (["rho", str(path), "--q", "2"], ["strongest", str(path), "--threshold", "0.1"]):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "chaoscalc.cli", *argv], capture_output=True, check=True
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outs[0] and outs[0] == outs[1]
