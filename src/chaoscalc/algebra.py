@@ -10,6 +10,12 @@ so expectations, inner products and moments reduce to exact combinatorial sums.
 Degree-``p`` homogeneous polynomials (all monomials of total degree ``p``) span
 the order-``p`` stratum of this algebra; strata for different ``p`` are
 mutually orthogonal.
+
+Products run on integer numerators.  ``ChaosPoly.__mul__`` scales each operand
+to integers over the lcm of its own denominators, expands every pairwise
+monomial product in Python ints (``_expand_product``, also the expansion loop
+of ``decompose.rotate_basis``) and normalises once, building one ``Fraction``
+per output term.  Sums, scalings and inner products stay on ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import MissingVariableError, ParseError, PreconditionError
 
@@ -35,7 +41,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational coefficient")
 
 
-@lru_cache(maxsize=None)
+_WEIGHT_CACHE_SIZE = 1 << 14
+_HERMITE_PRODUCT_CACHE_SIZE = 1 << 10
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _weight(entries: tuple[tuple[int, int], ...]) -> int:
     w = 1
     for _, deg in entries:
@@ -104,7 +114,7 @@ class MultiIndex:
 EMPTY_INDEX = MultiIndex()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_HERMITE_PRODUCT_CACHE_SIZE)
 def hermite_product_1d(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """Linearization ``He_m * He_n = sum_r C(m,r) C(n,r) r! He_{m+n-2r}``.
 
@@ -116,25 +126,63 @@ def hermite_product_1d(m: int, n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _index_product(a: MultiIndex, b: MultiIndex) -> Iterator[tuple[MultiIndex, int]]:
-    """Expand the product of two Hermite monomials back onto the Hermite basis."""
-    da = dict(a.entries)
-    db = dict(b.entries)
-    shared = sorted(set(da) & set(db))
-    base = {v: d for v, d in da.items() if v not in db}
-    base.update((v, d) for v, d in db.items() if v not in da)
+Entries = tuple[tuple[int, int], ...]
+
+
+def _index_product(a: Entries, b: Entries) -> list[tuple[Entries, int]]:
+    """Expand the product of two Hermite monomials, given as sorted
+    ``(variable, degree)`` entries, back onto the Hermite basis."""
+    db = dict(b)
+    base = [(v, d) for v, d in a if v not in db]
+    shared = [(v, d, db.pop(v)) for v, d in a if v in db]
+    base.extend(db.items())
     if not shared:
-        yield MultiIndex._from_sorted(tuple(sorted(base.items()))), 1
-        return
-    choices = [hermite_product_1d(da[v], db[v]) for v in shared]
-    for combo in itertools.product(*choices):
-        idx = dict(base)
+        return [(tuple(sorted(base)), 1)]
+    out = []
+    for combo in itertools.product(*(hermite_product_1d(m, n) for _, m, n in shared)):
+        entries = list(base)
         mult = 1
-        for v, (deg, coeff) in zip(shared, combo):
+        for (v, _, _), (deg, coeff) in zip(shared, combo):
             if deg:
-                idx[v] = deg
+                entries.append((v, deg))
             mult *= coeff
-        yield MultiIndex._from_sorted(tuple(sorted(idx.items()))), mult
+        entries.sort()
+        out.append((tuple(entries), mult))
+    return out
+
+
+def _expand_product(
+    a: Mapping[Entries, int],
+    b: Mapping[Entries, int],
+    memo: dict[tuple[Entries, Entries], list[tuple[Entries, int]]] | None = None,
+) -> dict[Entries, int]:
+    """Product of two polynomials held as integer numerators, back on the Hermite basis.
+
+    Monomials are keyed by their entries tuples.  The result's denominator is
+    the product of the operands' denominators; the caller divides once.  Zero
+    totals are dropped.  ``memo`` caches monomial products across calls that
+    share it.
+    """
+    out: dict[Entries, int] = {}
+    get = out.get
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            if memo is None:
+                pairs = _index_product(e1, e2)
+            else:
+                pairs = memo.get((e1, e2))
+                if pairs is None:
+                    pairs = memo[e1, e2] = _index_product(e1, e2)
+            n = n1 * n2
+            for entries, mult in pairs:
+                out[entries] = get(entries, 0) + n * mult
+    return {entries: t for entries, t in out.items() if t}
+
+
+def _numerators(terms: Mapping[MultiIndex, Fraction]) -> tuple[int, dict[Entries, int]]:
+    """``(D, {entries: c * D})`` with ``D`` the lcm of the coefficients' denominators."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return denom, {idx.entries: c.numerator * (denom // c.denominator) for idx, c in terms.items()}
 
 
 class ChaosPoly:
@@ -165,6 +213,13 @@ class ChaosPoly:
         obj = object.__new__(cls)
         obj._terms = terms
         return obj
+
+    @classmethod
+    def _from_numerators(cls, totals: Mapping[Entries, int], denom: int) -> "ChaosPoly":
+        """``sum totals[e] / denom * He_e``, one normalised ``Fraction`` per nonzero total."""
+        return cls._from_clean(
+            {MultiIndex._from_sorted(e): Fraction(t, denom) for e, t in totals.items() if t}
+        )
 
     @classmethod
     def zero(cls) -> "ChaosPoly":
@@ -236,17 +291,9 @@ class ChaosPoly:
             if not c:
                 return ChaosPoly.zero()
             return ChaosPoly._from_clean({i: c * v for i, v in self._terms.items()})
-        out: dict[MultiIndex, Fraction] = {}
-        for i1, c1 in self._terms.items():
-            for i2, c2 in other._terms.items():
-                c = c1 * c2
-                for idx, mult in _index_product(i1, i2):
-                    s = out.get(idx, 0) + c * mult
-                    if s:
-                        out[idx] = s
-                    else:
-                        out.pop(idx, None)
-        return ChaosPoly._from_clean(out)
+        da, na = _numerators(self._terms)
+        db, nb = _numerators(other._terms)
+        return ChaosPoly._from_numerators(_expand_product(na, nb), da * db)
 
     def __rmul__(self, other) -> "ChaosPoly":
         return self.__mul__(other)

@@ -20,6 +20,7 @@ from .errors import BasisSizeError, ChaosCalcError, ParseError, PreconditionErro
 from .influence import multilinear_influences, rho_q, strongest_influence
 from .malliavin import carre_du_champ, ou_generator
 from .montecarlo import (
+    format_sample_file,
     invariance_gap,
     normality_report,
     read_sample_file,
@@ -99,11 +100,7 @@ def _cmd_diagnose(args) -> str:
 def _cmd_sample(args) -> str:
     f = _load_poly(args.f)
     result = sample(f, args.samples, args.seed, stream=args.stream, workers=args.workers)
-    lines = [
-        f"# seed={result.seed} stream={result.stream} generator={result.generator_id}"
-    ]
-    lines.extend(f"{float(v)!r}" for v in result.values)
-    return "\n".join(lines) + "\n"
+    return format_sample_file(result)
 
 
 def _cmd_w2(args) -> str:
@@ -126,6 +123,13 @@ def _cmd_influences(args) -> str:
     )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaoscalc",
@@ -139,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         if samples or mc:
             p.add_argument("--samples", type=int, default=100_000)
             p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=positive_int, default=1)
 
     p = sub.add_parser("gamma", help="carre du champ of two polynomial files")
     p.add_argument("f")

@@ -24,8 +24,11 @@ import numpy as np
 from ._kernels import jacobi_eigh
 from .algebra import (
     ChaosPoly,
+    Entries,
     MultiIndex,
     RationalLike,
+    _expand_product,
+    _numerators,
     as_fraction,
     compose_hermite,
     hermite_monomial,
@@ -141,17 +144,6 @@ def _to_fraction_matrix(rotation) -> list[list[Fraction]]:
     return rows
 
 
-def _orthogonality_deviation(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    dev = Fraction(0)
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(rows[i][k] * rows[j][k] for k in range(n))
-            target = 1 if i == j else 0
-            dev = max(dev, abs(dot - target))
-    return dev
-
-
 def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     """Substitute an orthogonal change of coordinates over the listed variables.
 
@@ -160,6 +152,15 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     ``G_{variables[j]} -> sum_i rotation[i][j] H_i`` is expanded exactly on the
     Hermite basis (new coordinates reuse the listed ids).  Variables of ``f``
     outside the list pass through untouched.
+
+    The arithmetic runs on integer numerators.  The rows are scaled to integers
+    over ``d``, the lcm of their denominators, so the substituted linear form
+    of column ``j`` is ``N_x / d``.  ``He_k`` of it is ``N_k / d**k`` with
+    ``N_{k+1} = N_x N_k - k d**2 N_{k-1}``, the Hermite recurrence itself, so
+    rows that are orthogonal only to float precision expand just as exactly.
+    Each term's factors are multiplied in ints and accumulated over
+    ``L d**top`` (``L`` the lcm of the coefficients' denominators, ``top`` the
+    largest listed degree of a term); every output term is normalised once.
     """
     rows = _to_fraction_matrix(rotation)
     variables = list(variables)
@@ -169,36 +170,56 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
         )
     if len(set(variables)) != len(variables):
         raise PreconditionError("listed variable ids must be distinct")
-    dev = _orthogonality_deviation(rows)
-    if dev != 0 and float(dev) > ORTHOGONALITY_TOL:
+    d = math.lcm(*(entry.denominator for row in rows for entry in row))
+    m = [[entry.numerator * (d // entry.denominator) for entry in row] for row in rows]
+    d_sq = d * d
+    n = len(m)
+    dev = max(
+        (
+            abs(sum(a * b for a, b in zip(m[i], m[j])) - (d_sq if i == j else 0))
+            for i in range(n)
+            for j in range(i, n)
+        ),
+        default=0,
+    )
+    if dev != 0 and dev / d_sq > ORTHOGONALITY_TOL:
         raise PreconditionError(
-            f"rotation is not orthogonal: max deviation {float(dev):.3e}"
+            f"rotation is not orthogonal: max deviation {dev / d_sq:.3e}"
         )
     col_of = {var: j for j, var in enumerate(variables)}
-    # substitution polynomial for each old variable
-    lin: dict[int, ChaosPoly] = {}
-    for var, j in col_of.items():
-        poly = ChaosPoly.zero()
-        for i, row in enumerate(rows):
-            if row[j]:
-                poly = poly + hermite_monomial({variables[i]: 1}, row[j])
-        lin[var] = poly
-    factor_cache: dict[tuple[int, int], ChaosPoly] = {}
-    out = ChaosPoly.zero()
-    for idx, coeff in f._terms.items():
-        acc = ChaosPoly.constant(coeff)
-        for var, deg in idx.entries:
+    memo: dict = {}
+    # hermite[var][k] = N_k, the numerators of He_k(substituted G_var) over d**k
+    hermite: dict[int, list[dict[Entries, int]]] = {}
+
+    def hermite_numerators(var: int, deg: int) -> dict[Entries, int]:
+        levels = hermite.get(var)
+        if levels is None:
+            j = col_of[var]
+            lin = {((variables[i], 1),): m[i][j] for i in range(n) if m[i][j]}
+            levels = hermite[var] = [{(): 1}, lin]
+        while len(levels) <= deg:
+            k = len(levels) - 1
+            nxt = _expand_product(levels[1], levels[k], memo)
+            for e, c in levels[k - 1].items():
+                nxt[e] = nxt.get(e, 0) - k * d_sq * c
+            levels.append({e: c for e, c in nxt.items() if c})
+        return levels[deg]
+
+    denom, numerators = _numerators(f._terms)
+    listed = {e: sum(deg for var, deg in e if var in col_of) for e in numerators}
+    top = max(listed.values(), default=0)
+    out: dict[Entries, int] = {}
+    for entries, num in numerators.items():
+        acc = {(): num * d ** (top - listed[entries])}
+        for var, deg in entries:
             if var in col_of:
-                key = (var, deg)
-                factor = factor_cache.get(key)
-                if factor is None:
-                    factor = compose_hermite(deg, lin[var])
-                    factor_cache[key] = factor
+                factor = hermite_numerators(var, deg)
             else:
-                factor = hermite_monomial({var: deg})
-            acc = acc * factor
-        out = out + acc
-    return out
+                factor = {((var, deg),): 1}
+            acc = _expand_product(acc, factor, memo)
+        for e, c in acc.items():
+            out[e] = out.get(e, 0) + c
+    return ChaosPoly._from_numerators(out, denom * d**top)
 
 
 def householder_rows(a: Sequence[Fraction]) -> list[list[Fraction]]:

@@ -9,8 +9,9 @@ pure function
     key(seed, stream, b) = ((seed mod 2**64) << 64) | ((stream mod 2**32) << 32) | b
 
 and the blocks are concatenated in block order.  Workers only parallelize
-block evaluation, so output is bit-identical for every worker count, and
-regenerating with equal (seed, stream) reproduces the values exactly.  The Gaussian reference used by diagnostics owns the reserved stream
+block evaluation, on at most ``min(workers, blocks, os.cpu_count())`` threads,
+so output is bit-identical for every worker count, and regenerating with
+equal (seed, stream) reproduces the values exactly.  The Gaussian reference used by diagnostics owns the reserved stream
 ``GAUSSIAN_REFERENCE_STREAM``.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,8 +188,9 @@ def _run_blocks(sampler, n: int, seed: int, stream: int, workers: int) -> np.nda
         rng = _block_rng(seed, stream, block)
         return offset, size, sampler.evaluate_block(rng, size)
 
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, len(spans), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(job, spans))
     else:
         results = [job(span) for span in spans]
@@ -247,14 +250,18 @@ def _gaussian_reference(n: int, seed: int, scale: float, workers: int = 1) -> Sa
 # -- sample files ---------------------------------------------------------------
 
 
+def format_sample_file(sample_set: SampleSet) -> str:
+    """Sample-file text: a ``# seed=.. stream=.. generator=..`` header, then one ``repr`` per line."""
+    header = (
+        f"# seed={sample_set.seed} stream={sample_set.stream} "
+        f"generator={sample_set.generator_id}"
+    )
+    return "\n".join([header, *map(repr, sample_set.values.tolist())]) + "\n"
+
+
 def write_sample_file(sample_set: SampleSet, path) -> None:
     with open(path, "w") as handle:
-        handle.write(
-            f"# seed={sample_set.seed} stream={sample_set.stream} "
-            f"generator={sample_set.generator_id}\n"
-        )
-        for value in sample_set.values:
-            handle.write(f"{float(value)!r}\n")
+        handle.write(format_sample_file(sample_set))
 
 
 def read_sample_file(path) -> SampleSet:

@@ -10,8 +10,10 @@ code path with the package's Hermite-basis algebra:
 * derivatives follow the power rule.
 
 Also provides exact rational orthogonal matrices (compositions of Pythagorean
-plane rotations), random polynomial generators, and a random-search plus
-power-iteration maximizer used as the influence oracle.
+plane rotations), random polynomial generators, a random-search plus
+power-iteration maximizer used as the influence oracle, and the change of
+coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly`` products, the
+independent route for ``rotate_basis``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from chaoscalc import ChaosPoly, hermite_monomial
+from chaoscalc import ChaosPoly, compose_hermite, hermite_monomial
 from chaoscalc.algebra import MultiIndex
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
@@ -171,6 +173,35 @@ def raw_from_chaos(f: ChaosPoly) -> RawPoly:
             term = raw_mul(term, factor)
         total = raw_add(total, raw_scale(term, coeff))
     return total
+
+
+def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:
+    """``G_{variables[j]} -> sum_i rotation[i][j] G_{variables[i]}`` substituted into ``f``.
+
+    Each substituted linear form is built as a ``ChaosPoly``, raised to
+    ``He_k`` by ``compose_hermite`` and multiplied out term by term with
+    ``ChaosPoly`` products; variables outside ``variables`` pass through.
+    No orthogonality is checked or assumed.
+    """
+    variables = list(variables)
+    rows = [[Fraction(entry) for entry in row] for row in rotation]
+    lin = {}
+    for j, var in enumerate(variables):
+        poly = ChaosPoly.zero()
+        for i, row in enumerate(rows):
+            if row[j]:
+                poly = poly + hermite_monomial({variables[i]: 1}, row[j])
+        lin[var] = poly
+    out = ChaosPoly.zero()
+    for idx, coeff in f.terms.items():
+        acc = ChaosPoly.constant(coeff)
+        for var, deg in idx.entries:
+            if var in lin:
+                acc = acc * compose_hermite(deg, lin[var])
+            else:
+                acc = acc * hermite_monomial({var: deg})
+        out = out + acc
+    return out
 
 
 # -- random generators ---------------------------------------------------------

@@ -23,7 +23,7 @@ from chaoscalc import (
     poly_to_json,
     project_chaos,
 )
-from chaoscalc.algebra import fresh_variables, homogeneous_degree
+from chaoscalc.algebra import _weight, fresh_variables, hermite_product_1d, homogeneous_degree
 
 from _oracles import (
     raw_eval,
@@ -57,6 +57,53 @@ def test_mul_matches_raw_expansion_oracle():
         f = random_poly(rng, max_vars=4, max_degree=3)
         g = random_poly(rng, max_vars=4, max_degree=3)
         assert raw_from_chaos(f * g) == raw_mul(raw_from_chaos(f), raw_from_chaos(g))
+
+
+def _mixed_poly(rng: random.Random) -> ChaosPoly:
+    """Degrees 0-4, denominators 1-4, 3, 7 or 9, and a float-derived (dyadic) scale."""
+    f = random_poly(rng, max_vars=4, max_degree=4, max_terms=4) * Fraction(rng.uniform(0.1, 2.0))
+    g = random_poly(rng, max_vars=4, max_degree=2, max_terms=3) * Fraction(1, rng.choice([3, 7, 9]))
+    return f + g
+
+
+def test_mul_matches_raw_oracle_on_mixed_denominators_and_degrees():
+    rng = random.Random(43)
+    for _ in range(20):
+        f, g = _mixed_poly(rng), _mixed_poly(rng)
+        product = f * g
+        assert raw_from_chaos(product) == raw_mul(raw_from_chaos(f), raw_from_chaos(g))
+        assert all(c != 0 for c in product.terms.values())
+
+
+def test_mul_cancellation_stores_no_zero_coefficient():
+    product = (G1 + G2) * (G1 - G2)
+    assert product == HE2_1 - hermite_monomial({2: 2})
+    assert len(product.terms) == 2  # the constants +1 and -1 and the G1 G2 terms cancel
+    a = Fraction(0.1)  # dyadic, 55-bit denominator
+    product = (a * G1 + a * G2) * (a * G1 - a * G2)
+    assert product == a * a * (HE2_1 - hermite_monomial({2: 2}))
+    assert all(c != 0 for c in product.terms.values()) and len(product.terms) == 2
+
+
+def test_mul_by_zero_and_by_constants():
+    rng = random.Random(47)
+    zero = ChaosPoly.zero()
+    for _ in range(10):
+        f = _mixed_poly(rng)
+        assert (f * zero).is_zero() and (zero * f).is_zero()
+        assert f * ChaosPoly.constant(1) == f
+        c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) * Fraction(rng.uniform(0.5, 2.0))
+        assert f * ChaosPoly.constant(c) == f * c == ChaosPoly.constant(c) * f
+        assert (f * ChaosPoly.constant(c)).terms == {idx: v * c for idx, v in f.terms.items()}
+    assert (zero * zero).is_zero()
+    assert ChaosPoly.constant(2) * ChaosPoly.constant(Fraction(1, 3)) == ChaosPoly.constant(
+        Fraction(2, 3)
+    )
+
+
+def test_algebra_caches_are_bounded():
+    assert _weight.cache_info().maxsize is not None
+    assert hermite_product_1d.cache_info().maxsize is not None
 
 
 def test_partial_derivative_examples():

@@ -1,11 +1,25 @@
 """Command-line behavior: JSON on stdout only, exit codes, byte-determinism."""
 
+import hashlib
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from chaoscalc import ChaosPoly, InputLaw, MultilinearPoly, gaussian, hermite_monomial, poly_to_json
+from chaoscalc import (
+    ChaosPoly,
+    InputLaw,
+    MultilinearPoly,
+    gaussian,
+    hermite_monomial,
+    poly_to_json,
+    read_sample_file,
+    sample,
+    write_sample_file,
+)
+from chaoscalc import montecarlo
 from chaoscalc.cli import main
 
 G1 = gaussian(1)
@@ -172,3 +186,114 @@ def test_invariance_and_influences_commands(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "gamma", "/nonexistent/a.json", "/nonexistent/b.json")
     assert code == 2 and "cannot read" in err
+
+
+# (index, coefficient) pairs; F is scaled to unit norm by a float factor, as
+# inputs built from float data are, which gives dyadic coefficients
+PINNED_F = [
+    ({1: 4}, Fraction(1, 2)),
+    ({1: 2, 2: 2}, Fraction(3)),
+    ({1: 3, 3: 1}, Fraction(-5, 3)),
+    ({1: 1, 2: 1, 3: 2}, Fraction(-2)),
+    ({2: 1, 3: 3}, Fraction(7, 4)),
+    ({2: 2, 3: 2}, Fraction(1, 6)),
+]
+PINNED_G = [
+    ({1: 1, 2: 2}, Fraction(2, 3)),
+    ({3: 3}, Fraction(-1, 2)),
+    ({1: 1, 2: 1, 3: 1}, Fraction(5)),
+]
+PINNED_DIGESTS = {
+    "decompose": "2d184a79ce47edb30dbeb464ae6721ea4e893d3df0fe2a8603639311ab957a6c",
+    "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
+}
+
+
+def _pinned_json(terms, unit_norm: bool) -> str:
+    scale = Fraction(1)
+    if unit_norm:
+        norm_sq = sum(c * c * math.prod(math.factorial(d) for d in idx.values()) for idx, c in terms)
+        scale = Fraction(1.0 / math.sqrt(float(norm_sq)))
+    payload = [{"coeff": str(c * scale), "index": {str(v): d for v, d in idx.items()}} for idx, c in terms]
+    return json.dumps({"terms": payload})
+
+
+def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
+    """sha256 of stdout for ``decompose F --threshold 0.05 --max-steps 1`` and
+    ``gamma F G``, recorded before the integer-numerator product kernels.
+
+    ``gamma`` is exact arithmetic only.  The decompose digest also depends on
+    the last bits of the eigenvector that numpy's LAPACK returns for the
+    degree-1 influence, so a different LAPACK build may change it.
+    """
+    f_path = tmp_path / "f.json"
+    g_path = tmp_path / "g.json"
+    f_path.write_text(_pinned_json(PINNED_F, unit_norm=True))
+    g_path.write_text(_pinned_json(PINNED_G, unit_norm=False))
+    requests = {
+        "decompose": ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "1"],
+        "gamma": ["gamma", str(f_path), str(g_path)],
+    }
+    for name, argv in requests.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name], name
+
+
+def test_sample_output_file_matches_write_sample_file(capsys, poly_file, tmp_path):
+    f = HE2_1 * Fraction(1, 3) + gaussian(2) * gaussian(3)
+    path = poly_file("f.json", f)
+    cli_out = tmp_path / "cli.samples"
+    code, _, _ = run_cli(
+        capsys, "sample", path, "--samples", "70000", "--seed", "5", "--stream", "2",
+        "--output", str(cli_out),
+    )
+    assert code == 0
+    lib_out = tmp_path / "lib.samples"
+    write_sample_file(sample(f, 70000, seed=5, stream=2), lib_out)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+    assert np.array_equal(read_sample_file(cli_out).values, sample(f, 70000, seed=5, stream=2).values)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(capsys, poly_file, workers):
+    path = poly_file("g1.json", G1)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", path, "--samples", "10", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs jobs serially."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return [fn(item) for item in iterable]
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, [2]), (8, [3]), (None, [])])
+def test_sampler_threads_are_capped(capsys, poly_file, tmp_path, monkeypatch, cpus, expected):
+    # three blocks at --workers 64: min(64, 3, cpu count) threads, or none
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    path = poly_file("f.json", HE2_1 + gaussian(2))
+    n = str(3 * montecarlo.BLOCK_SIZE - 7)
+    wide, serial = tmp_path / "wide.samples", tmp_path / "serial.samples"
+    for workers, out in (("64", wide), ("1", serial)):
+        code, _, _ = run_cli(capsys, "sample", path, "--samples", n, "--seed", "3",
+                             "--workers", workers, "--output", str(out))
+        assert code == 0
+    assert _RecordingPool.created == expected
+    assert wide.read_bytes() == serial.read_bytes()

@@ -23,6 +23,7 @@ from chaoscalc import (
     moment,
     rotate_basis,
 )
+from chaoscalc.decompose import householder_rows
 
 from _oracles import (
     random_homogeneous,
@@ -31,6 +32,7 @@ from _oracles import (
     random_rational_unit,
     raw_from_chaos,
     raw_inner,
+    substitute_rotation,
 )
 
 G1, G2 = gaussian(1), gaussian(2)
@@ -68,6 +70,44 @@ def test_rotate_preserves_moments_up_to_four():
         g = rotate_basis(f, rotation, [1, 2, 3])
         for k in range(1, 5):
             assert moment(f, k) == moment(g, k)
+
+
+def _float_unit(rng: random.Random, size: int) -> list[Fraction]:
+    vec = [rng.uniform(-1.0, 1.0) for _ in range(size)]
+    norm = math.sqrt(sum(v * v for v in vec))
+    return [Fraction(v / norm) for v in vec]
+
+
+def test_rotate_matches_substitution_oracle_on_exact_rows():
+    # Householder rows of exact and of float-derived unit vectors, and products
+    # of Pythagorean rotations; listed ids in any order, some of f's unlisted
+    rng = random.Random(41)
+    for _ in range(12):
+        f = random_poly(rng, max_vars=5, max_degree=4, max_terms=4) * Fraction(rng.uniform(0.5, 2.0))
+        size = rng.randint(1, 4)
+        variables = rng.sample(range(1, 6), size)
+        for rows in (
+            householder_rows(random_rational_unit(rng, size)),
+            householder_rows(_float_unit(rng, size)),
+            random_rational_rotation(rng, size),
+        ):
+            assert rotate_basis(f, rows, variables) == substitute_rotation(f, rows, variables)
+
+
+def test_rotate_matches_substitution_oracle_on_float_rows():
+    # canonical_quadratic's rows are orthogonal only to float precision; the
+    # substitution must still be expanded exactly
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(20):
+        form = canonical_quadratic(random_poly(rng, max_vars=3, max_degree=2, max_terms=4))
+        if len(form.variables) < 2:
+            continue
+        f = random_poly(rng, max_vars=4, max_degree=3, max_terms=4)
+        expected = substitute_rotation(f, form.rotation, form.variables)
+        assert rotate_basis(f, form.rotation, form.variables) == expected
+        checked += 1
+    assert checked >= 8
 
 
 def test_rotate_rejects_non_orthogonal():
