@@ -15,7 +15,9 @@ Products run on integer numerators.  ``ChaosPoly.__mul__`` scales each operand
 to integers over the lcm of its own denominators, expands every pairwise
 monomial product in Python ints (``_expand_product``, also the expansion loop
 of ``decompose.rotate_basis``) and normalises once, building one ``Fraction``
-per output term.  Sums, scalings and inner products stay on ``Fraction``.
+per output term.  ``inner_product`` likewise sums the shared terms' integer
+numerators and builds one ``Fraction``.  Sums and scalings stay on
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -418,15 +420,25 @@ def expectation(f: ChaosPoly) -> Fraction:
 
 
 def inner_product(f: ChaosPoly, g: ChaosPoly) -> Fraction:
-    """L2 pairing ``E[f g] = sum over shared indices of c_f c_g prod_i k_i!``. Exact."""
+    """L2 pairing ``E[f g] = sum over shared indices of c_f c_g prod_i k_i!``. Exact.
+
+    Each side's shared coefficients are scaled to integers over the lcm of
+    their own denominators; the weighted products are summed in ints and
+    divided once.
+    """
     if len(f._terms) > len(g._terms):
         f, g = g, f
-    total = Fraction(0)
-    for idx, cf in f._terms.items():
-        cg = g._terms.get(idx)
-        if cg is not None:
-            total += cf * cg * idx.weight
-    return total
+    g_terms = g._terms
+    shared = [(idx.entries, cf, g_terms[idx]) for idx, cf in f._terms.items() if idx in g_terms]
+    if not shared:
+        return Fraction(0)
+    df = math.lcm(*(cf.denominator for _, cf, _ in shared))
+    dg = math.lcm(*(cg.denominator for _, _, cg in shared))
+    total = sum(
+        cf.numerator * (df // cf.denominator) * cg.numerator * (dg // cg.denominator) * _weight(e)
+        for e, cf, cg in shared
+    )
+    return Fraction(total, df * dg)
 
 
 def norm_sq(f: ChaosPoly) -> Fraction:

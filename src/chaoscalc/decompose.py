@@ -3,9 +3,12 @@
 The key exact construction: to split ``f`` along a unit linear direction
 ``x = sum_i a_i G_i``, complete ``a`` to an exactly orthogonal rational matrix
 by a Householder reflector, rotate, group by the Hermite degree of the pivot
-coordinate, and rotate the coefficients back.  Every step is rational, so the
-reassembly ``sum_l A_l He_l(x) + A_0 == f`` and the decoupling
-``carre_du_champ(A_l, x) == 0`` hold exactly, not to tolerance.
+coordinate, and rotate the coefficients back (all level groups through one
+shared back-rotation).  Every step is rational, so the reassembly
+``sum_l A_l He_l(x) + A_0 == f`` and the decoupling
+``carre_du_champ(A_l, x) == 0`` hold exactly, not to tolerance; iterated
+decomposition therefore reads ``A_0`` off the split instead of subtracting
+the other levels from ``f``.
 
 For directions of degree q >= 2 no rotation exists; that path is a documented
 least-squares surrogate (see ``decompose_along``) with residual diagnostics.
@@ -17,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,7 +154,14 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     ``H_i = sum_j rotation[i][j] G_{variables[j]}`` and the substitution
     ``G_{variables[j]} -> sum_i rotation[i][j] H_i`` is expanded exactly on the
     Hermite basis (new coordinates reuse the listed ids).  Variables of ``f``
-    outside the list pass through untouched.
+    outside the list pass through untouched.  One-shot form of ``_rotation``,
+    which holds the integer arithmetic.
+    """
+    return _rotation(rotation, variables)(f)
+
+
+def _rotation(rotation, variables: Sequence[int]) -> Callable[[ChaosPoly], ChaosPoly]:
+    """The substitution of ``rotate_basis``, checked and set up once for many polynomials.
 
     The arithmetic runs on integer numerators.  The rows are scaled to integers
     over ``d``, the lcm of their denominators, so the substituted linear form
@@ -161,6 +171,8 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     Each term's factors are multiplied in ints and accumulated over
     ``L d**top`` (``L`` the lcm of the coefficients' denominators, ``top`` the
     largest listed degree of a term); every output term is normalised once.
+    The ``N_k`` table and the monomial-product memo live as long as the
+    returned function, so polynomials rotated by it share them.
     """
     rows = _to_fraction_matrix(rotation)
     variables = list(variables)
@@ -205,21 +217,24 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
             levels.append({e: c for e, c in nxt.items() if c})
         return levels[deg]
 
-    denom, numerators = _numerators(f._terms)
-    listed = {e: sum(deg for var, deg in e if var in col_of) for e in numerators}
-    top = max(listed.values(), default=0)
-    out: dict[Entries, int] = {}
-    for entries, num in numerators.items():
-        acc = {(): num * d ** (top - listed[entries])}
-        for var, deg in entries:
-            if var in col_of:
-                factor = hermite_numerators(var, deg)
-            else:
-                factor = {((var, deg),): 1}
-            acc = _expand_product(acc, factor, memo)
-        for e, c in acc.items():
-            out[e] = out.get(e, 0) + c
-    return ChaosPoly._from_numerators(out, denom * d**top)
+    def apply(f: ChaosPoly) -> ChaosPoly:
+        denom, numerators = _numerators(f._terms)
+        listed = {e: sum(deg for var, deg in e if var in col_of) for e in numerators}
+        top = max(listed.values(), default=0)
+        out: dict[Entries, int] = {}
+        for entries, num in numerators.items():
+            acc = {(): num * d ** (top - listed[entries])}
+            for var, deg in entries:
+                if var in col_of:
+                    factor = hermite_numerators(var, deg)
+                else:
+                    factor = {((var, deg),): 1}
+                acc = _expand_product(acc, factor, memo)
+            for e, c in acc.items():
+                out[e] = out.get(e, 0) + c
+        return ChaosPoly._from_numerators(out, denom * d**top)
+
+    return apply
 
 
 def householder_rows(a: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -262,9 +277,11 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
 
     The direction is completed to an exactly orthogonal rational basis, ``f``
     is rotated, grouped by the Hermite degree of the pivot coordinate, and the
-    group coefficients are rotated back to the original coordinates.  The
-    reported direction is the first rotation row (exactly unit-norm; equal to
-    ``a`` up to the 1e-12 slack the precondition allows).
+    group coefficients are rotated back to the original coordinates through
+    one ``_rotation`` of the transposed rows, so every group shares its
+    ``He_k`` table and product memo.  The reported direction is the first
+    rotation row (exactly unit-norm; equal to ``a`` up to the 1e-12 slack the
+    precondition allows).
     """
     coeffs = {int(v): as_fraction(c) for v, c in a.items() if as_fraction(c) != 0}
     if not coeffs:
@@ -286,15 +303,11 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
         bucket = levels.setdefault(level, {})
         rest_idx = MultiIndex(rest)
         bucket[rest_idx] = bucket.get(rest_idx, Fraction(0)) + coeff
-    back = _transpose(rows)
-    top = f.degree or 0
+    back = _rotation(_transpose(rows), variables)
     coefficients = []
-    for level in range(top + 1):
+    for level in range((f.degree or 0) + 1):
         bucket = levels.get(level)
-        if bucket:
-            coefficients.append(rotate_basis(ChaosPoly(bucket), back, variables))
-        else:
-            coefficients.append(ChaosPoly.zero())
+        coefficients.append(back(ChaosPoly(bucket)) if bucket else ChaosPoly.zero())
     direction = ChaosPoly.zero()
     for var, entry in zip(variables, rows[0]):
         if entry:
@@ -392,7 +405,10 @@ def iterate_decomposition(
     Each pass finds the least degree q whose influence on the current
     remainder clears ``threshold``, splits along that direction, keeps the
     degree-p part of the level-0 coefficient as the new remainder and books the
-    rest as that step's contribution.  Stops when every influence up to
+    rest as that step's contribution.  On the exact q = 1 path the level-0
+    coefficient is ``A_0`` itself, since the split reassembles the remainder
+    exactly; for q >= 2 it is the remainder minus the fitted levels
+    ``sum_{l>=1} A_l He_l(x)``.  Stops when every influence up to
     floor(p/2) falls below ``threshold``, the remainder norm drops below
     ``threshold``, or ``max_steps`` is reached.  By construction the input
     always equals the sum of contributions plus the final remainder.
@@ -418,10 +434,12 @@ def iterate_decomposition(
             if scan.q_star is None:
                 break
             step = decompose_along(remainder, scan.direction)
-            fitted = ChaosPoly.zero()
-            for level in range(1, len(step.coefficients)):
-                fitted = fitted + step.coefficients[level] * compose_hermite(level, step.direction)
-            level0 = remainder - fitted
+            if step.exact:
+                level0 = step.coefficients[0]
+            else:
+                level0 = remainder
+                for level in range(1, len(step.coefficients)):
+                    level0 = level0 - step.coefficients[level] * compose_hermite(level, step.direction)
             new_remainder = project_chaos(level0, p)
             contribution = remainder - new_remainder
             steps.append(step)

@@ -265,25 +265,39 @@ def write_sample_file(sample_set: SampleSet, path) -> None:
 
 
 def read_sample_file(path) -> SampleSet:
+    """Read a sample file: an optional ``#`` header line, then one value per line.
+
+    Blank lines after the first line are skipped.  The body is converted in one
+    ``map(float, ...)``; when that fails, the lines are parsed one by one so
+    that the ``ParseError`` names the first bad line.
+    """
     seed = stream = 0
     generator = "unknown"
-    values = []
     with open(path) as handle:
-        first = handle.readline()
-        if first.startswith("#"):
-            for token in first[1:].split():
-                key, _, value = token.partition("=")
-                if key == "seed":
-                    seed = int(value)
-                elif key == "stream":
-                    stream = int(value)
-                elif key == "generator":
-                    generator = value
-        else:
-            values.append(_parse_sample_line(first, 1))
-        for lineno, line in enumerate(handle, start=2):
-            if line.strip():
-                values.append(_parse_sample_line(line, lineno))
+        text = handle.read()
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    start = 1
+    if lines[0].startswith("#"):
+        for token in lines[0][1:].split():
+            key, _, value = token.partition("=")
+            if key == "seed":
+                seed = int(value)
+            elif key == "stream":
+                stream = int(value)
+            elif key == "generator":
+                generator = value
+        start = 2
+    body = lines[start - 1 :]
+    try:
+        values = list(map(float, body))
+    except ValueError:
+        values = [
+            _parse_sample_line(line, lineno)
+            for lineno, line in enumerate(body, start=start)
+            if lineno == 1 or line.strip()
+        ]
     return SampleSet(
         values=np.array(values, dtype=np.float64),
         seed=seed,

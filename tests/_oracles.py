@@ -11,9 +11,12 @@ code path with the package's Hermite-basis algebra:
 
 Also provides exact rational orthogonal matrices (compositions of Pythagorean
 plane rotations), random polynomial generators, a random-search plus
-power-iteration maximizer used as the influence oracle, and the change of
+power-iteration maximizer used as the influence oracle, the change of
 coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly`` products, the
-independent route for ``rotate_basis``.
+independent route for ``rotate_basis``, and the routes that
+``inner_product``, ``decompose_along_w1`` and ``iterate_decomposition`` took
+before they were specialised: a ``Fraction`` sum, one back-rotation call per
+level bucket, and the level-0 part rebuilt by subtracting the fitted levels.
 """
 
 from __future__ import annotations
@@ -25,8 +28,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from chaoscalc import ChaosPoly, compose_hermite, hermite_monomial
+from chaoscalc import (
+    ChaosPoly,
+    IterationTrace,
+    compose_hermite,
+    decompose_along,
+    hermite_monomial,
+    homogeneous_degree,
+    project_chaos,
+    rotate_basis,
+    strongest_influence,
+)
 from chaoscalc.algebra import MultiIndex
+from chaoscalc.decompose import householder_rows
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
 RawPoly = dict
@@ -202,6 +216,62 @@ def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:
                 acc = acc * hermite_monomial({var: deg})
         out = out + acc
     return out
+
+
+def fraction_inner(f: ChaosPoly, g: ChaosPoly) -> Fraction:
+    """``E[f g]`` as a plain ``Fraction`` sum of ``c_f c_g prod_i k_i!`` over ``f``'s terms."""
+    total = Fraction(0)
+    for idx, coeff in f.terms.items():
+        total += coeff * g.coefficient(idx) * idx.weight
+    return total
+
+
+def split_by_bucket_rotation(f: ChaosPoly, a: dict) -> list[ChaosPoly]:
+    """``decompose_along_w1``'s coefficients, each level bucket rotated back by
+    its own ``rotate_basis`` call on the transposed Householder rows."""
+    variables = sorted(a)
+    rows = householder_rows([Fraction(a[v]) for v in variables])
+    pivot = variables[0]
+    rotated = rotate_basis(f, rows, variables)
+    buckets: dict[int, ChaosPoly] = {}
+    for idx, coeff in rotated.terms.items():
+        level = idx.degree_of(pivot)
+        rest = {v: d for v, d in idx.entries if v != pivot}
+        buckets[level] = buckets.get(level, ChaosPoly.zero()) + hermite_monomial(rest, coeff)
+    back = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows))]
+    return [
+        rotate_basis(buckets[level], back, variables) if level in buckets else ChaosPoly.zero()
+        for level in range((f.degree or 0) + 1)
+    ]
+
+
+def iterate_by_reconstruction(f: ChaosPoly, threshold: float, max_steps: int) -> IterationTrace:
+    """``iterate_decomposition`` with every step's level-0 part rebuilt as
+    ``remainder - sum_{l>=1} A_l He_l(x)``, on the exact path as on the fitted one."""
+    p = homogeneous_degree(f, "input")
+    steps, contributions = [], []
+    remainder = f
+    while len(steps) < max_steps and not remainder.is_zero():
+        if math.sqrt(float(fraction_inner(remainder, remainder))) < threshold:
+            break
+        scan = strongest_influence(remainder, threshold)
+        if scan.q_star is None:
+            break
+        step = decompose_along(remainder, scan.direction)
+        fitted = ChaosPoly.zero()
+        for level in range(1, len(step.coefficients)):
+            fitted = fitted + step.coefficients[level] * compose_hermite(level, step.direction)
+        new_remainder = project_chaos(remainder - fitted, p)
+        steps.append(step)
+        contributions.append(remainder - new_remainder)
+        remainder = new_remainder
+    return IterationTrace(
+        steps=tuple(steps),
+        contributions=tuple(contributions),
+        residual=remainder,
+        residual_norm=math.sqrt(float(fraction_inner(remainder, remainder))),
+        per_step_norms=tuple(math.sqrt(float(fraction_inner(c, c))) for c in contributions),
+    )
 
 
 # -- random generators ---------------------------------------------------------

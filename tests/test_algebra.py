@@ -26,6 +26,7 @@ from chaoscalc import (
 from chaoscalc.algebra import _weight, fresh_variables, hermite_product_1d, homogeneous_degree
 
 from _oracles import (
+    fraction_inner,
     raw_eval,
     raw_expectation,
     raw_from_chaos,
@@ -153,6 +154,44 @@ def test_inner_product_equals_expectation_of_product():
         f = random_poly(rng)
         g = random_poly(rng)
         assert inner_product(f, g) == expectation(f * g)
+
+
+def _assert_inner_matches_oracle(f, g):
+    value = inner_product(f, g)
+    assert isinstance(value, Fraction)
+    assert value == fraction_inner(f, g)
+    assert inner_product(g, f) == value
+
+
+def test_inner_product_matches_fraction_sum_on_mixed_denominators():
+    rng = random.Random(53)
+    for _ in range(40):
+        f = random_poly(rng, max_vars=3, max_degree=3, max_terms=8)
+        f = f * Fraction(rng.randint(1, 9), rng.randint(1, 12))
+        g = random_poly(rng, max_vars=3, max_degree=3, max_terms=3)
+        g = g * Fraction(rng.randint(-9, 9), rng.randint(1, 35))
+        _assert_inner_matches_oracle(f, g)
+        _assert_inner_matches_oracle(f, f)
+
+
+def test_inner_product_matches_fraction_sum_on_dyadic_coefficients():
+    # float-derived scalings give coefficients with denominators up to 2**60
+    rng = random.Random(59)
+    for _ in range(40):
+        f = random_poly(rng, max_vars=3, max_degree=4) * Fraction(rng.uniform(-2.0, 2.0))
+        g = random_poly(rng, max_vars=3, max_degree=4) * Fraction(rng.uniform(-2.0, 2.0))
+        _assert_inner_matches_oracle(f, g)
+        _assert_inner_matches_oracle(f, g * Fraction(1, 3))
+
+
+def test_inner_product_of_disjoint_supports_and_zero():
+    f = G1 * G2 + HE2_1 * Fraction(2, 3) + ChaosPoly.constant(Fraction(1, 7))
+    g = gaussian(3) + hermite_monomial({1: 1, 4: 3}, Fraction(5, 2))
+    zero = ChaosPoly.zero()
+    for a, b in ((f, g), (g, f), (f, zero), (zero, g), (zero, zero)):
+        value = inner_product(a, b)
+        assert value == 0 and isinstance(value, Fraction)
+        assert value == fraction_inner(a, b)
 
 
 def test_chaos_projection_examples():

@@ -167,6 +167,16 @@ def test_sample_and_w2_commands(capsys, poly_file, tmp_path):
     assert data["n_a"] == 5000 and data["w2"] < 0.1
 
 
+def test_w2_on_malformed_sample_file_exits_2_and_names_line(capsys, tmp_path):
+    good = tmp_path / "good.samples"
+    bad = tmp_path / "bad.samples"
+    good.write_text("# seed=1 stream=0 generator=g\n0.5\n1.5\n")
+    bad.write_text("# seed=1 stream=0 generator=g\n0.5\n\nnot-a-number\n1.5\n")
+    code, out, err = run_cli(capsys, "w2", str(good), str(bad))
+    assert code == 2 and out == ""
+    assert "line 4" in err and "not-a-number" in err
+
+
 def test_invariance_and_influences_commands(capsys, tmp_path):
     p = MultilinearPoly(
         InputLaw.rademacher(),
@@ -205,6 +215,7 @@ PINNED_G = [
 ]
 PINNED_DIGESTS = {
     "decompose": "2d184a79ce47edb30dbeb464ae6721ea4e893d3df0fe2a8603639311ab957a6c",
+    "decompose_3": "2ffbecf956e8d20367448488f75733a9be326039937d4f10eeab9eec747f111c",
     "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
 }
 
@@ -220,11 +231,13 @@ def _pinned_json(terms, unit_norm: bool) -> str:
 
 def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
     """sha256 of stdout for ``decompose F --threshold 0.05 --max-steps 1`` and
-    ``gamma F G``, recorded before the integer-numerator product kernels.
+    ``gamma F G``, recorded before the integer-numerator product kernels, and
+    for ``--max-steps 3`` (two steps are taken), recorded before the exact
+    path read ``A_0`` off the split and shared one back-rotation.
 
-    ``gamma`` is exact arithmetic only.  The decompose digest also depends on
-    the last bits of the eigenvector that numpy's LAPACK returns for the
-    degree-1 influence, so a different LAPACK build may change it.
+    ``gamma`` is exact arithmetic only.  The decompose digests also depend on
+    the last bits of the eigenvectors that numpy's LAPACK returns for the
+    degree-1 influences, so a different LAPACK build may change them.
     """
     f_path = tmp_path / "f.json"
     g_path = tmp_path / "g.json"
@@ -232,6 +245,7 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
     g_path.write_text(_pinned_json(PINNED_G, unit_norm=False))
     requests = {
         "decompose": ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "1"],
+        "decompose_3": ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "3"],
         "gamma": ["gamma", str(f_path), str(g_path)],
     }
     for name, argv in requests.items():

@@ -26,12 +26,14 @@ from chaoscalc import (
 from chaoscalc.decompose import householder_rows
 
 from _oracles import (
+    iterate_by_reconstruction,
     random_homogeneous,
     random_poly,
     random_rational_rotation,
     random_rational_unit,
     raw_from_chaos,
     raw_inner,
+    split_by_bucket_rotation,
     substitute_rotation,
 )
 
@@ -170,6 +172,20 @@ def test_split_exactness_on_random_inputs():
             assert carre_du_champ(coeff, step.direction).is_zero()
 
 
+def test_split_coefficients_match_per_bucket_rotation():
+    # one shared back-rotation gives what a rotate_basis call per bucket gives
+    rng = random.Random(47)
+    for _ in range(12):
+        f = random_poly(rng, max_vars=4, max_degree=4, max_terms=5)
+        if rng.random() < 0.5:
+            f = f * Fraction(rng.uniform(0.5, 2.0))
+        size = rng.randint(1, 4)
+        unit = random_rational_unit(rng, size) if rng.random() < 0.5 else _float_unit(rng, size)
+        direction = {v + 1: c for v, c in enumerate(unit) if c}
+        step = decompose_along_w1(f, direction)
+        assert list(step.coefficients) == split_by_bucket_rotation(f, direction)
+
+
 def test_split_parseval_bookkeeping():
     # single-step energy identity: <f,f> = sum_l ||A_l He_l(X)||^2 + ||A_0||^2
     rng = random.Random(13)
@@ -281,6 +297,51 @@ def test_iterate_parseval_on_orthogonal_family():
         for i, a in enumerate(trace.contributions):
             for b in trace.contributions[i + 1 :]:
                 assert inner_product(a, b) == 0
+
+
+def _exact_unit_input(rng: random.Random, degree: int) -> ChaosPoly:
+    # (3/5) G1..Gp + (4/5) G2..G(p+1) has squared norm exactly 1, and so does
+    # its image under an exactly orthogonal rational rotation
+    first = hermite_monomial({v: 1 for v in range(1, degree + 1)}, Fraction(3, 5))
+    second = hermite_monomial({v: 1 for v in range(2, degree + 2)}, Fraction(4, 5))
+    variables = list(range(1, degree + 2))
+    rotation = random_rational_rotation(rng, len(variables), moves=3)
+    f = rotate_basis(first + second, rotation, variables)
+    assert inner_product(f, f) == 1
+    return f
+
+
+def _float_unit_input(rng: random.Random, degree: int) -> ChaosPoly:
+    f = random_homogeneous(rng, degree, max_vars=4, max_terms=6)
+    return f * Fraction(1.0 / math.sqrt(float(inner_product(f, f))))
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("build", [_exact_unit_input, _float_unit_input])
+def test_iterate_matches_reconstruction_oracle(degree, build):
+    # reading A_0 off the exact split gives the trace that subtracting the
+    # rebuilt levels from the remainder gives
+    rng = random.Random(100 * degree + len(build.__name__))
+    step_counts = []
+    for _ in range(4):
+        f = build(rng, degree)
+        max_steps = rng.randint(3, 4)
+        trace = iterate_decomposition(f, threshold=1e-3, max_steps=max_steps)
+        assert all(step.exact for step in trace.steps)
+        assert trace.to_json() == iterate_by_reconstruction(f, 1e-3, max_steps).to_json()
+        step_counts.append(len(trace.steps))
+    # every input takes a step, and at least one takes a second
+    assert min(step_counts) >= 1 and max(step_counts) >= 2
+
+
+def test_iterate_matches_reconstruction_oracle_on_a_quadratic_direction():
+    # rho_1 = 4/5 < 0.9 <= rho_2, so the first step fits along a degree-2 direction
+    f = hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1}, Fraction(3, 5)) + hermite_monomial(
+        {5: 1, 6: 1, 7: 1, 8: 1}, Fraction(4, 5)
+    )
+    trace = iterate_decomposition(f, threshold=0.9, max_steps=3)
+    assert trace.steps[0].q == 2 and not trace.steps[0].exact
+    assert trace.to_json() == iterate_by_reconstruction(f, 0.9, 3).to_json()
 
 
 def test_rotate_leaves_unlisted_variables_alone():

@@ -12,6 +12,7 @@ from chaoscalc import (
     ChaosPoly,
     InputLaw,
     MultilinearPoly,
+    ParseError,
     PreconditionError,
     excess_kurtosis,
     gaussian,
@@ -206,6 +207,50 @@ def test_sample_file_round_trip(tmp_path):
     assert loaded.generator_id == s.generator_id
     header = path.read_text().splitlines()[0]
     assert header == f"# seed=24 stream=0 generator={s.generator_id}"
+
+
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("bad_line", [1, 3, 6])
+def test_sample_file_bad_value_names_its_line(tmp_path, header, bad_line):
+    lines = ["0.5", "-1.25", "", "2e-3", "7.0", "3.5"]
+    lines[bad_line - 1] = "0.1x"
+    if header:
+        lines.insert(0, "# seed=4 stream=1 generator=g")
+    path = tmp_path / "bad.samples"
+    path.write_text("\n".join(lines) + "\n")
+    lineno = bad_line + 1 if header else bad_line
+    with pytest.raises(ParseError, match=rf"line {lineno}: bad value '0.1x'$"):
+        read_sample_file(path)
+
+
+def test_sample_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "blanks.samples"
+    path.write_text("# seed=3 stream=2 generator=g\n1.5\n\n  \n-2.0\n3.25\n\n\n")
+    loaded = read_sample_file(path)
+    assert loaded.values.tolist() == [1.5, -2.0, 3.25]
+    assert (loaded.seed, loaded.stream, loaded.generator_id) == (3, 2, "g")
+
+
+def test_sample_file_without_header(tmp_path):
+    path = tmp_path / "plain.samples"
+    path.write_text("0.25\n-4.0\n1e-3")
+    loaded = read_sample_file(path)
+    assert loaded.values.tolist() == [0.25, -4.0, 1e-3]
+    assert (loaded.seed, loaded.stream, loaded.generator_id) == (0, 0, "unknown")
+    # without a header the first line must hold a value; later blanks are skipped
+    path.write_text("\n0.25\n")
+    with pytest.raises(ParseError, match="line 1: bad value ''"):
+        read_sample_file(path)
+
+
+def test_sample_file_with_crlf_line_endings(tmp_path):
+    s = sample(HE2_1, 3_000, seed=25, stream=4)
+    path = tmp_path / "crlf.samples"
+    write_sample_file(s, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = read_sample_file(path)
+    assert np.array_equal(loaded.values, s.values)
+    assert (loaded.seed, loaded.stream, loaded.generator_id) == (25, 4, s.generator_id)
 
 
 def test_invariance_gap_examples():
