@@ -37,6 +37,7 @@ from .ensembles import (
     OrthonormalEnsemble,
     TruncationResult,
     build_ensemble,
+    multilinear_influences,
     substitute_gaussian,
     truncate_by_influence,
 )
@@ -50,14 +51,12 @@ from .errors import (
 from .influence import (
     InfluenceResult,
     StrongestInfluence,
-    multilinear_influences,
     rho_1,
     rho_q,
     strongest_influence,
 )
 from .malliavin import (
     IdentityReport,
-    carre_du_champ,
     check_algebraic_identity,
     check_ipp,
     check_spectral_inequality,

@@ -326,7 +326,7 @@ class ChaosPoly:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point: Mapping[int, float | Fraction]):
-        """Evaluate at a point via the recurrence ``He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)``.
+        """Evaluate at a point via ``hermite_values``.
 
         The result type follows the point values: exact rationals in, exact
         rational out; floats in, float out.
@@ -334,25 +334,29 @@ class ChaosPoly:
         missing = set(self.variables()) - set(point)
         if missing:
             raise MissingVariableError(missing)
-        cache: dict[int, list] = {}
-
-        def hermite_values(var: int, upto: int) -> list:
-            vals = cache.get(var)
-            if vals is None:
-                vals = [1, point[var]]
-                cache[var] = vals
-            while len(vals) <= upto:
-                k = len(vals) - 1
-                vals.append(point[var] * vals[k] - k * vals[k - 1])
-            return vals
-
+        tops: dict[int, int] = {}
+        for idx in self._terms:
+            for var, deg in idx.entries:
+                tops[var] = max(tops.get(var, 0), deg)
+        tables = {var: hermite_values(point[var], top) for var, top in tops.items()}
         total = 0
         for idx, coeff in self._terms.items():
             prod = coeff
             for var, deg in idx.entries:
-                prod = prod * hermite_values(var, deg)[deg]
+                prod = prod * tables[var][deg]
             total = total + prod
         return total
+
+
+def hermite_values(x, upto: int) -> list:
+    """``[He_0(x), ..., He_upto(x)]`` by the recurrence ``He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)``.
+
+    Exact for rationals; elementwise for floats and numpy arrays.
+    """
+    values = [1, x]
+    for k in range(1, upto):
+        values.append(x * values[k] - k * values[k - 1])
+    return values[: upto + 1]
 
 
 # -- constructors -------------------------------------------------------------

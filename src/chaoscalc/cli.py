@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .algebra import ChaosPoly, poly_from_json, poly_to_json
 from .decompose import canonical_quadratic, iterate_decomposition
-from .ensembles import MultilinearPoly
+from .ensembles import MultilinearPoly, multilinear_influences
 from .errors import BasisSizeError, ChaosCalcError, ParseError, PreconditionError
-from .influence import multilinear_influences, rho_q, strongest_influence
-from .malliavin import carre_du_champ, ou_generator
+from .influence import rho_q, strongest_influence
+from .malliavin import gamma_gradient, ou_generator
 from .montecarlo import (
     format_sample_file,
     invariance_gap,
@@ -58,7 +58,7 @@ def _json_line(data) -> str:
 def _cmd_gamma(args) -> str:
     f = _load_poly(args.f)
     g = _load_poly(args.g)
-    return poly_to_json(carre_du_champ(f, g)) + "\n"
+    return poly_to_json(gamma_gradient(f, g)) + "\n"
 
 
 def _cmd_generator(args) -> str:

@@ -6,7 +6,7 @@ by a Householder reflector, rotate, group by the Hermite degree of the pivot
 coordinate, and rotate the coefficients back (all level groups through one
 shared back-rotation).  Every step is rational, so the reassembly
 ``sum_l A_l He_l(x) + A_0 == f`` and the decoupling
-``carre_du_champ(A_l, x) == 0`` hold exactly, not to tolerance; iterated
+``gamma_gradient(A_l, x) == 0`` hold exactly, not to tolerance; iterated
 decomposition therefore reads ``A_0`` off the split instead of subtracting
 the other levels from ``f``.
 
@@ -41,7 +41,7 @@ from .algebra import (
     project_chaos,
 )
 from .errors import PreconditionError
-from .influence import degree_monomials, strongest_influence
+from .influence import _check_threshold, degree_monomials, strongest_influence
 from .malliavin import independence_score
 
 ORTHOGONALITY_TOL = 1e-12
@@ -413,8 +413,7 @@ def iterate_decomposition(
     ``threshold``, or ``max_steps`` is reached.  By construction the input
     always equals the sum of contributions plus the final remainder.
     """
-    if threshold <= 0:
-        raise PreconditionError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     if max_steps < 0:
         raise PreconditionError(f"max_steps must be nonnegative, got {max_steps}")
     if f.is_zero():

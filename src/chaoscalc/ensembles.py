@@ -12,7 +12,8 @@ moment Gram matrix singular at some degree; the ensemble truncates there
 A multilinear polynomial is a combination ``sum_J a_J prod_{(j,k) in J} T_k(X_j)``
 with each variable appearing at most once per term.  Substituting independent
 standard Gaussians for the inputs maps ``T_k(X_j)`` to the unit-norm Hermite
-monomial ``He_k(G_j)/sqrt(k!)`` and preserves second moments.
+monomial ``He_k(G_j)/sqrt(k!)`` and preserves second moments.  The influence
+of a variable is the sum of ``a_J**2`` over the terms that contain it.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class EnsemblePoly:
     coeffs: tuple[Fraction, ...]
     norm_sq: Fraction
 
-    def eval(self, x: float) -> float:
+    def eval(self, x):
+        """``T_k(x)`` by Horner's rule; elementwise for numpy arrays."""
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
@@ -404,8 +406,6 @@ def truncate_by_influence(p: MultilinearPoly, count: int) -> TruncationResult:
         raise PreconditionError(f"count must be nonnegative, got {count}")
     if count == 0:
         return TruncationResult((), p, (), _max_influence(p, p.variance()))
-    from .influence import multilinear_influences
-
     influences = multilinear_influences(p)
     order = sorted(influences, key=lambda v: (-influences[v], v))
     peeled = order[:count]
@@ -434,13 +434,32 @@ def truncate_by_influence(p: MultilinearPoly, count: int) -> TruncationResult:
     )
 
 
-def _max_influence(p: MultilinearPoly, reference_variance: Fraction) -> Fraction:
-    if reference_variance == 0:
-        return Fraction(0)
+def _influence_totals(p: MultilinearPoly) -> dict[int, Fraction]:
+    """Per variable, ``sum a_J**2`` over the terms ``J`` that contain it."""
     totals: dict[int, Fraction] = {}
     for term, coeff in p._terms.items():
+        c2 = coeff * coeff
         for var, _ in term:
-            totals[var] = totals.get(var, Fraction(0)) + coeff * coeff
-    if not totals:
+            totals[var] = totals.get(var, Fraction(0)) + c2
+    return totals
+
+
+def multilinear_influences(poly: MultilinearPoly) -> dict[int, Fraction]:
+    """Per-variable influence of a multilinear polynomial.
+
+    ``Inf_i = sum_{terms containing i} a_J**2``, normalized by the variance
+    ``sum_{J nonempty} a_J**2``.  Exact rationals throughout.
+    """
+    if not isinstance(poly, MultilinearPoly):
+        raise TypeError("multilinear_influences expects a MultilinearPoly")
+    variance = poly.variance()
+    if variance == 0:
+        raise PreconditionError("polynomial has zero variance; influences are undefined")
+    return {var: c2 / variance for var, c2 in sorted(_influence_totals(poly).items())}
+
+
+def _max_influence(p: MultilinearPoly, reference_variance: Fraction) -> Fraction:
+    totals = _influence_totals(p)
+    if reference_variance == 0 or not totals:
         return Fraction(0)
     return max(totals.values()) / reference_variance

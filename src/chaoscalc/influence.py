@@ -1,4 +1,4 @@
-"""Directional influence semi-norms and variable influences.
+"""Directional influence semi-norms.
 
 ``rho_q(f)`` is the supremum of the L2 norm of the carre du champ of ``(f, x)``
 over unit-norm degree-``q`` test polynomials ``x``.  Over a finite monomial
@@ -21,7 +21,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -266,6 +265,12 @@ def rho_q(
     )
 
 
+def _check_threshold(threshold: float) -> None:
+    """Reject a threshold that is not finite and positive (NaN compares false to everything)."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
+
+
 def strongest_influence(
     f: ChaosPoly,
     threshold: float,
@@ -278,8 +283,7 @@ def strongest_influence(
     floor(p/2) influence is the finite-size certificate that no macroscopic
     direction remains, so the scan stops there.
     """
-    if threshold <= 0:
-        raise PreconditionError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     p = homogeneous_degree(f, "polynomial")
     if p < 2:
         raise PreconditionError(f"strongest_influence needs homogeneous degree >= 2, got {p}")
@@ -299,23 +303,3 @@ def strongest_influence(
         q_star=q_star, rho_values=rho_values, direction=direction, threshold=float(threshold)
     )
 
-
-def multilinear_influences(poly) -> dict[int, Fraction]:
-    """Per-variable influence of a multilinear polynomial.
-
-    ``Inf_i = sum_{terms containing i} a_J**2``, normalized by the variance
-    ``sum_{J nonempty} a_J**2``.  Exact rationals throughout.
-    """
-    from .ensembles import MultilinearPoly  # local import to avoid a cycle
-
-    if not isinstance(poly, MultilinearPoly):
-        raise TypeError("multilinear_influences expects a MultilinearPoly")
-    variance = poly.variance()
-    if variance == 0:
-        raise PreconditionError("polynomial has zero variance; influences are undefined")
-    totals: dict[int, Fraction] = {}
-    for term, coeff in poly.terms.items():
-        c2 = coeff * coeff
-        for var, _level in term:
-            totals[var] = totals.get(var, Fraction(0)) + c2
-    return {var: c2 / variance for var, c2 in sorted(totals.items())}

@@ -1,9 +1,10 @@
 """Ornstein-Uhlenbeck generator, carre du champ, and exact identity checkers.
 
-The carre du champ is implemented twice on purpose: once through the generator
-(``carre_du_champ``) and once as the gradient pairing ``sum_i d_i f d_i g``
-(``gamma_gradient``).  The two must agree exactly on every input; the identity
-checkers below return exact rational reports rather than booleans alone.
+The carre du champ ``Gamma(f, g)`` is the gradient pairing ``sum_i d_i f d_i g``
+(``gamma_gradient``).  The generator route ``(L(fg) - f Lg - g Lf) / 2`` is
+kept only in the test suite, as the independent oracle it must match exactly.
+The identity checkers below return exact rational reports rather than
+booleans alone.
 """
 
 from __future__ import annotations
@@ -50,16 +51,8 @@ def ou_generator(f: ChaosPoly) -> ChaosPoly:
     )
 
 
-def carre_du_champ(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
-    """Bilinear form ``(L(fg) - f Lg - g Lf) / 2``, exact."""
-    lfg = ou_generator(f * g)
-    flg = f * ou_generator(g)
-    glf = g * ou_generator(f)
-    return (lfg - flg - glf) * Fraction(1, 2)
-
-
 def gamma_gradient(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
-    """Gradient pairing ``sum_i d_i f * d_i g``; independent route to carre_du_champ."""
+    """Carre du champ as the gradient pairing ``sum_i d_i f * d_i g``, exact."""
     out = ChaosPoly.zero()
     shared = set(f.variables()) & set(g.variables())
     for var in sorted(shared):
@@ -68,26 +61,26 @@ def gamma_gradient(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
 
 
 def check_ipp(f: ChaosPoly, g: ChaosPoly) -> IdentityReport:
-    """Integration by parts: ``-E[f Lg] == E[carre_du_champ(f, g)]``, exact."""
+    """Integration by parts: ``-E[f Lg] == E[Gamma(f, g)]``, exact."""
     lhs = -expectation(f * ou_generator(g))
-    rhs = expectation(carre_du_champ(f, g))
+    rhs = expectation(gamma_gradient(f, g))
     residual = lhs - rhs
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual == 0)
 
 
 def check_algebraic_identity(f: ChaosPoly, g: ChaosPoly, h: ChaosPoly) -> IdentityReport:
-    """``E[carre_du_champ(f,g) h] == (p+q-r)/2 * E[f g h]`` for single-stratum inputs."""
+    """``E[Gamma(f,g) h] == (p+q-r)/2 * E[f g h]`` for single-stratum inputs."""
     p = homogeneous_degree(f, "first argument")
     q = homogeneous_degree(g, "second argument")
     r = homogeneous_degree(h, "third argument")
-    lhs = expectation(carre_du_champ(f, g) * h)
+    lhs = expectation(gamma_gradient(f, g) * h)
     rhs = Fraction(p + q - r, 2) * expectation(f * g * h)
     residual = lhs - rhs
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual == 0)
 
 
 def check_spectral_inequality(x: ChaosPoly, y: ChaosPoly) -> IdentityReport:
-    """Second-moment bound ``E[G(x,y)^2] <= (p+q)/2 * E[x y G(x,y)]`` with G the carre du champ.
+    """Second-moment bound ``E[Gamma(x,y)^2] <= (p+q)/2 * E[x y Gamma(x,y)]``.
 
     The factor (p+q)/2 follows from expanding ``(L + p + q)^2`` as
     ``L(L + p + q) + (p + q)(L + p + q)`` and dropping the nonpositive first
@@ -96,7 +89,7 @@ def check_spectral_inequality(x: ChaosPoly, y: ChaosPoly) -> IdentityReport:
     """
     p = homogeneous_degree(x, "first argument")
     q = homogeneous_degree(y, "second argument")
-    gamma = carre_du_champ(x, y)
+    gamma = gamma_gradient(x, y)
     lhs = expectation(gamma * gamma)
     rhs = Fraction(p + q, 2) * expectation(x * y * gamma)
     residual = lhs - rhs
@@ -105,7 +98,7 @@ def check_spectral_inequality(x: ChaosPoly, y: ChaosPoly) -> IdentityReport:
 
 def gamma_norm_sq(f: ChaosPoly, x: ChaosPoly) -> Fraction:
     """Exact squared L2 norm of the carre du champ of the pair."""
-    gamma = carre_du_champ(f, x)
+    gamma = gamma_gradient(f, x)
     return inner_product(gamma, gamma)
 
 

@@ -11,8 +11,14 @@ pure function
 and the blocks are concatenated in block order.  Workers only parallelize
 block evaluation, on at most ``min(workers, blocks, os.cpu_count())`` threads,
 so output is bit-identical for every worker count, and regenerating with
-equal (seed, stream) reproduces the values exactly.  The Gaussian reference used by diagnostics owns the reserved stream
+equal (seed, stream) reproduces the values exactly.  The Gaussian reference
+used by diagnostics is ``sample`` of ``scale * G_1`` on the reserved stream
 ``GAUSSIAN_REFERENCE_STREAM``.
+
+Every sampled polynomial goes through one encoder (``_Encoder``): a term table
+over per-variable one-dimensional families, the Hermite recurrence
+(``algebra.hermite_values``) for chaos polynomials and the ensemble's ``T_k``
+(``EnsemblePoly.eval``) for multilinear ones.
 """
 
 from __future__ import annotations
@@ -30,13 +36,15 @@ from .algebra import (
     ChaosPoly,
     MultiIndex,
     expectation,
+    hermite_monomial,
+    hermite_values,
     inner_product,
     mul,
 )
 from .ensembles import InputLaw, MultilinearPoly, build_ensemble, substitute_gaussian
 from .errors import ParseError, PreconditionError
 from .influence import rho_q
-from .malliavin import carre_du_champ
+from .malliavin import gamma_gradient
 
 BLOCK_SIZE = 1 << 16
 GENERATOR_ID = "philox4x64-block65536"
@@ -99,94 +107,57 @@ def _draw_law(rng: np.random.Generator, law: InputLaw, shape) -> np.ndarray:
     raise PreconditionError(f"unknown law kind {law.kind!r}")
 
 
-class _ChaosSampler:
-    """Encodes a Hermite-basis polynomial for batched evaluation."""
+def _hermite_rows(column: np.ndarray, levels: list[int]) -> list[np.ndarray]:
+    values = hermite_values(column, levels[-1])
+    return [values[k] for k in levels]
 
-    def __init__(self, f: ChaosPoly):
-        self.variables = f.variables()
-        var_pos = {v: i for i, v in enumerate(self.variables)}
-        slots: dict[tuple[int, int], int] = {}
-        coeffs: list[float] = []
-        ptr = [0]
-        slot_list: list[int] = []
-        for idx in sorted(f.terms, key=MultiIndex.sort_key):
-            coeffs.append(float(f.terms[idx]))
-            for v, d in idx.entries:
-                key = (var_pos[v], d)
-                slot_list.append(slots.setdefault(key, len(slots)))
-            ptr.append(len(slot_list))
-        self.coeffs = np.array(coeffs, dtype=np.float64)
-        self.term_ptr = np.array(ptr, dtype=np.int64)
-        self.term_slots = np.array(slot_list, dtype=np.int64)
-        self.slot_keys = sorted(slots, key=slots.get)
-        self.max_degree = max((d for _, d in self.slot_keys), default=0)
+
+class _Encoder:
+    """A polynomial in independent inputs, encoded for batched evaluation.
+
+    ``terms`` lists ``(coefficient, ((variable, level), ...))`` in summation
+    order, each term's factors in multiplication order.  A block draws one
+    column per variable from ``law`` (``_draw_law``); ``family(column, levels)``
+    evaluates the variable's one-dimensional polynomials at just the levels
+    that terms use, and ``accumulate_terms`` sums the term table over those
+    rows.
+    """
+
+    def __init__(self, terms, law: InputLaw, family):
+        self.law = law
+        self.family = family
+        self.variables = tuple(sorted({v for _, factors in terms for v, _ in factors}))
+        pos = {v: i for i, v in enumerate(self.variables)}
+        slot_keys = sorted({(pos[v], k) for _, factors in terms for v, k in factors})
+        slot_of = {key: s for s, key in enumerate(slot_keys)}
+        self.coeffs = np.array([float(c) for c, _ in terms], dtype=np.float64)
+        self.term_ptr = np.cumsum([0] + [len(factors) for _, factors in terms], dtype=np.int64)
+        self.term_slots = np.array(
+            [slot_of[pos[v], k] for _, factors in terms for v, k in factors], dtype=np.int64
+        )
+        # rows are stacked in slot order, which is by variable, then level
+        self.levels: dict[int, list[int]] = {}
+        for vp, k in slot_keys:
+            self.levels.setdefault(vp, []).append(k)
 
     def evaluate_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        nvars = len(self.variables)
-        if nvars == 0:
-            base = self.coeffs.sum() if self.coeffs.size else 0.0
-            return np.full(size, base)
-        draws = rng.standard_normal((size, nvars))
-        hermite = np.empty((nvars, self.max_degree + 1, size))
-        hermite[:, 0, :] = 1.0
-        if self.max_degree >= 1:
-            hermite[:, 1, :] = draws.T
-        for k in range(1, self.max_degree):
-            hermite[:, k + 1, :] = draws.T * hermite[:, k, :] - k * hermite[:, k - 1, :]
-        values = np.empty((len(self.slot_keys), size))
-        for row, (vp, deg) in enumerate(self.slot_keys):
-            values[row] = hermite[vp, deg]
+        if not self.variables:
+            return np.full(size, self.coeffs.sum())
+        columns = _draw_law(rng, self.law, (size, len(self.variables))).T.copy()
+        values = np.array(
+            [row for vp, levels in self.levels.items() for row in self.family(columns[vp], levels)]
+        )
         return accumulate_terms(values, self.coeffs, self.term_ptr, self.term_slots)
 
 
-class _MultilinearSampler:
-    """Encodes a multilinear polynomial over its input law for batched evaluation."""
-
-    def __init__(self, p: MultilinearPoly):
-        self.law = p.law
-        self.variables = p.variables()
-        var_pos = {v: i for i, v in enumerate(self.variables)}
-        ensemble = build_ensemble(p.law, p.max_level)
-        self.ensemble = ensemble
-        slots: dict[tuple[int, int], int] = {}
-        coeffs: list[float] = []
-        ptr = [0]
-        slot_list: list[int] = []
-        for term in sorted(p.terms, key=lambda t: (len(t), sorted(t))):
-            coeffs.append(float(p.terms[term]))
-            for v, k in sorted(term):
-                slot_list.append(slots.setdefault((var_pos[v], k), len(slots)))
-            ptr.append(len(slot_list))
-        self.coeffs = np.array(coeffs, dtype=np.float64)
-        self.term_ptr = np.array(ptr, dtype=np.int64)
-        self.term_slots = np.array(slot_list, dtype=np.int64)
-        self.slot_keys = sorted(slots, key=slots.get)
-
-    def evaluate_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        nvars = len(self.variables)
-        if nvars == 0:
-            base = self.coeffs.sum() if self.coeffs.size else 0.0
-            return np.full(size, base)
-        draws = _draw_law(rng, self.law, (size, nvars))
-        values = np.empty((len(self.slot_keys), size))
-        for row, (vp, level) in enumerate(self.slot_keys):
-            poly = self.ensemble.polys[level]
-            col = draws[:, vp]
-            acc = np.zeros(size)
-            for c in reversed(poly.coeffs):
-                acc = acc * col + float(c)
-            values[row] = acc / math.sqrt(float(poly.norm_sq))
-        return accumulate_terms(values, self.coeffs, self.term_ptr, self.term_slots)
-
-
-def _run_blocks(sampler, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
+def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
     spans = _blocks(n)
     out = np.empty(n)
 
     def job(span):
         block, offset, size = span
         rng = _block_rng(seed, stream, block)
-        return offset, size, sampler.evaluate_block(rng, size)
+        return offset, size, encoder.evaluate_block(rng, size)
 
     threads = min(workers, len(spans), os.cpu_count() or 1)
     if threads > 1:
@@ -210,40 +181,31 @@ def sample(
     if n < 1:
         raise PreconditionError(f"sample size must be >= 1, got {n}")
     if isinstance(f, ChaosPoly):
-        sampler = _ChaosSampler(f)
-        source = f"chaos-poly terms={len(f.terms)} vars={list(sampler.variables)}"
-    elif isinstance(f, MultilinearPoly):
-        sampler = _MultilinearSampler(f)
-        source = (
-            f"multilinear({f.law.kind}) terms={len(f.terms)} vars={list(sampler.variables)}"
+        terms = f.terms
+        encoder = _Encoder(
+            [(terms[idx], idx.entries) for idx in sorted(terms, key=MultiIndex.sort_key)],
+            InputLaw.gaussian(),
+            _hermite_rows,
         )
+        kind = "chaos-poly"
+    elif isinstance(f, MultilinearPoly):
+        ensemble = build_ensemble(f.law, f.max_level)
+        ordered = sorted((len(t), sorted(t), c) for t, c in f.terms.items())
+        encoder = _Encoder(
+            [(c, factors) for _, factors, c in ordered],
+            f.law,
+            lambda column, levels: [ensemble.polys[k].eval(column) for k in levels],
+        )
+        kind = f"multilinear({f.law.kind})"
     else:
         raise TypeError(f"cannot sample {type(f).__name__}")
-    values = _run_blocks(sampler, n, seed, stream, workers)
+    values = _run_blocks(encoder, n, seed, stream, workers)
     return SampleSet(
         values=values,
         seed=seed,
         stream=stream,
         generator_id=GENERATOR_ID,
-        source_description=source,
-    )
-
-
-def _gaussian_reference(n: int, seed: int, scale: float, workers: int = 1) -> SampleSet:
-    class _Std:
-        variables = (1,)
-
-        @staticmethod
-        def evaluate_block(rng, size):
-            return rng.standard_normal(size) * scale
-
-    values = _run_blocks(_Std, n, seed, GAUSSIAN_REFERENCE_STREAM, workers)
-    return SampleSet(
-        values=values,
-        seed=seed,
-        stream=GAUSSIAN_REFERENCE_STREAM,
-        generator_id=GENERATOR_ID,
-        source_description=f"gaussian-reference scale={scale!r}",
+        source_description=f"{kind} terms={len(f.terms)} vars={list(encoder.variables)}",
     )
 
 
@@ -339,7 +301,7 @@ def w2_1d(a: SampleSet | np.ndarray, b: SampleSet | np.ndarray) -> float:
 
 def var_gamma(f: ChaosPoly) -> Fraction:
     """Exact variance of the carre du champ of ``(f, f)``; zero iff degree <= 1."""
-    gamma = carre_du_champ(f, f)
+    gamma = gamma_gradient(f, f)
     return inner_product(gamma, gamma) - expectation(gamma) ** 2
 
 
@@ -401,8 +363,9 @@ def normality_report(
     for q in range(1, max(1, degree // 2) + 1):
         rho[q] = rho_q(f, q, extra_vars, max_basis_dim).value
     observed = sample(f, n_samples, seed, stream=0, workers=workers)
-    reference = _gaussian_reference(
-        n_samples, seed, math.sqrt(float(variance)), workers=workers
+    reference = sample(
+        hermite_monomial({1: 1}, math.sqrt(float(variance))),
+        n_samples, seed, GAUSSIAN_REFERENCE_STREAM, workers,
     )
     shifted = observed.values - float(expectation(f))
     w2 = w2_1d(shifted, reference.values)

@@ -9,11 +9,12 @@ code path with the package's Hermite-basis algebra:
   ``E[G**k] = (k-1)!!`` for even ``k`` (independent coordinates),
 * derivatives follow the power rule.
 
-Also provides exact rational orthogonal matrices (compositions of Pythagorean
-plane rotations), random polynomial generators, a random-search plus
-power-iteration maximizer used as the influence oracle, the change of
-coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly`` products, the
-independent route for ``rotate_basis``, and the routes that
+Also provides the carre du champ through the generator, the independent
+route for ``gamma_gradient``; exact rational orthogonal matrices
+(compositions of Pythagorean plane rotations), random polynomial generators,
+a random-search plus power-iteration maximizer used as the influence oracle,
+the change of coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly``
+products, the independent route for ``rotate_basis``, and the routes that
 ``inner_product``, ``decompose_along_w1`` and ``iterate_decomposition`` took
 before they were specialised: a ``Fraction`` sum, one back-rotation call per
 level bucket, and the level-0 part rebuilt by subtracting the fitted levels.
@@ -35,6 +36,7 @@ from chaoscalc import (
     decompose_along,
     hermite_monomial,
     homogeneous_degree,
+    ou_generator,
     project_chaos,
     rotate_basis,
     strongest_influence,
@@ -187,6 +189,14 @@ def raw_from_chaos(f: ChaosPoly) -> RawPoly:
             term = raw_mul(term, factor)
         total = raw_add(total, raw_scale(term, coeff))
     return total
+
+
+def generator_carre_du_champ(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
+    """Carre du champ through the generator, ``(L(fg) - f Lg - g Lf) / 2``, exact."""
+    lfg = ou_generator(f * g)
+    flg = f * ou_generator(g)
+    glf = g * ou_generator(f)
+    return (lfg - flg - glf) * Fraction(1, 2)
 
 
 def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:

@@ -121,6 +121,15 @@ def test_decompose_max_steps_zero(capsys, poly_file):
     assert data["steps"] == [] and data["residual"] != {"terms": []}
 
 
+@pytest.mark.parametrize("command", ["strongest", "decompose"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exits_2(capsys, poly_file, command, threshold):
+    path = poly_file("f.json", (HE2_1 + hermite_monomial({2: 2})) / 2)
+    code, out, err = run_cli(capsys, command, path, f"--threshold={threshold}")
+    assert code == 2 and out == ""
+    assert "threshold must be finite and positive" in err
+
+
 def test_decompose_non_homogeneous_exits_2(capsys, poly_file):
     # unit-norm but mixing degrees 1 and 2: 2*(2/3)**2 + (1/3)**2 == 1
     path = poly_file("f.json", Fraction(2, 3) * HE2_1 + Fraction(1, 3) * G1)
@@ -252,6 +261,72 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name], name
+
+
+# a chaos polynomial with a constant term and levels up to 4, and one
+# multilinear polynomial per non-Gaussian law at the levels its ensemble admits
+PINNED_SAMPLED_F = [
+    ({}, Fraction(2, 3)),
+    ({1: 2}, Fraction(1, 3)),
+    ({2: 4}, Fraction(-1, 7)),
+    ({1: 1, 3: 1}, Fraction(1)),
+    ({1: 1, 2: 1, 3: 2}, Fraction(1, 5)),
+]
+PINNED_LAWS = {
+    "uniform": (InputLaw.uniform(), [[], [(1, 1)], [(2, 2), (3, 1)], [(1, 3), (4, 1)], [(5, 2)]]),
+    "rademacher": (InputLaw.rademacher(), [[], [(1, 1)], [(2, 1), (3, 1)], [(1, 1), (4, 1)], [(4, 1), (5, 1)]]),
+    # three support points, so levels 1 and 2 exist
+    "discrete": (
+        InputLaw.discrete([-1, 0, 2], [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)]),
+        [[], [(1, 1)], [(2, 2), (3, 1)], [(1, 2), (4, 1)], [(5, 2)]],
+    ),
+}
+PINNED_MULTILINEAR_COEFFS = [Fraction(1, 7), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
+PINNED_SAMPLER_DIGESTS = {
+    "sample_workers_1": "cba5aeba90c6049836fbe8dc88a8acbf22a6b1c3ca141d33a493196f04dabe6d",
+    "sample_workers_2": "cba5aeba90c6049836fbe8dc88a8acbf22a6b1c3ca141d33a493196f04dabe6d",
+    "invariance_uniform": "3edd7c59013ada1abf461018daafb03a148fd91dee7246fb417ea8034093c1d1",
+    "invariance_rademacher": "138d63eee736973ff5afcde72a286c2ffde0db1f732c73a5b05e47daf2a46af4",
+    "invariance_discrete": "dc42042c6554f01a1d28c3b62853913da0fd0d0c73d2504b48aeab7493cf4acd",
+    "diagnose": "377693c8a8cbf5d72ad04c89b4038ab759e83fe811c35694ac9bcab8dfe794b4",
+}
+
+
+def _sampler_request(name: str, tmp_path):
+    """argv of one pinned sampler request, and its ``--output`` file if any."""
+    f_path = tmp_path / "f.json"
+    f_path.write_text(_pinned_json(PINNED_SAMPLED_F, unit_norm=False))
+    common = ["--samples", "70000", "--workers", "2"]
+    if name.startswith("sample_workers_"):
+        out = tmp_path / f"{name}.samples"
+        argv = ["sample", str(f_path), "--samples", "70000", "--seed", "5", "--stream", "3",
+                "--workers", name[-1], "--output", str(out)]
+        return argv, out
+    if name.startswith("invariance_"):
+        law, factors = PINNED_LAWS[name.removeprefix("invariance_")]
+        p = MultilinearPoly(law, [(frozenset(t), c) for t, c in zip(factors, PINNED_MULTILINEAR_COEFFS)])
+        p_path = tmp_path / "p.json"
+        p_path.write_text(p.to_json())
+        return ["invariance", str(p_path), "--seed", "9", *common], None
+    return ["diagnose", str(f_path), "--seed", "4", *common], None
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLER_DIGESTS))
+def test_sampler_output_is_pinned_to_recorded_digests(capsys, tmp_path, name):
+    """sha256 of the ``sample`` output file at one and two workers (equal), of
+    ``invariance`` stdout over uniform, sign and three-point discrete inputs,
+    and of ``diagnose`` stdout (which samples the Gaussian reference), all
+    recorded before the samplers were merged into one encoder.  70000 draws
+    span two blocks.
+
+    The ``diagnose`` digest also depends on the last bits of the eigenvalues
+    that numpy's LAPACK returns for its influences.
+    """
+    argv, out_file = _sampler_request(name, tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = out_file.read_bytes() if out_file else out.encode()
+    assert hashlib.sha256(data).hexdigest() == PINNED_SAMPLER_DIGESTS[name]
 
 
 def test_sample_output_file_matches_write_sample_file(capsys, poly_file, tmp_path):

@@ -12,10 +12,10 @@ from chaoscalc import (
     ChaosPoly,
     PreconditionError,
     canonical_quadratic,
-    carre_du_champ,
     compose_hermite,
     decompose_along,
     decompose_along_w1,
+    gamma_gradient,
     gaussian,
     hermite_monomial,
     inner_product,
@@ -169,7 +169,7 @@ def test_split_exactness_on_random_inputs():
         step = decompose_along_w1(f, direction)
         assert step.reassemble() == f
         for coeff in step.coefficients:
-            assert carre_du_champ(coeff, step.direction).is_zero()
+            assert gamma_gradient(coeff, step.direction).is_zero()
 
 
 def test_split_coefficients_match_per_bucket_rotation():

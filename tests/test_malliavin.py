@@ -9,7 +9,6 @@ import pytest
 from chaoscalc import (
     ChaosPoly,
     PreconditionError,
-    carre_du_champ,
     check_algebraic_identity,
     check_ipp,
     check_spectral_inequality,
@@ -24,7 +23,14 @@ from chaoscalc import (
     project_chaos,
 )
 
-from _oracles import random_homogeneous, random_poly, raw_expectation, raw_from_chaos, raw_mul
+from _oracles import (
+    generator_carre_du_champ,
+    random_homogeneous,
+    random_poly,
+    raw_expectation,
+    raw_from_chaos,
+    raw_mul,
+)
 
 G1, G2 = gaussian(1), gaussian(2)
 HE2_1 = hermite_monomial({1: 2})
@@ -38,10 +44,11 @@ def test_generator_examples():
 
 
 def test_carre_du_champ_examples():
-    assert carre_du_champ(G1, G1) == ChaosPoly.constant(1)
-    assert carre_du_champ(HE2_1, G1) == 2 * G1
     expected = HE2_1 + hermite_monomial({2: 2}) + ChaosPoly.constant(2)
-    assert carre_du_champ(G1 * G2, G1 * G2) == expected
+    for gamma in (gamma_gradient, generator_carre_du_champ):
+        assert gamma(G1, G1) == ChaosPoly.constant(1)
+        assert gamma(HE2_1, G1) == 2 * G1
+        assert gamma(G1 * G2, G1 * G2) == expected
 
 
 def test_gamma_gradient_examples():
@@ -57,7 +64,7 @@ def test_carre_du_champ_equals_gradient_exactly():
     for _ in range(120):
         f = random_poly(rng, max_vars=5, max_degree=4)
         g = random_poly(rng, max_vars=5, max_degree=4)
-        assert carre_du_champ(f, g) == gamma_gradient(f, g)
+        assert gamma_gradient(f, g) == generator_carre_du_champ(f, g)
 
 
 def test_ipp_examples_and_random():
@@ -66,8 +73,10 @@ def test_ipp_examples_and_random():
         assert report.holds and report.lhs == value and report.residual == 0
     rng = random.Random(7)
     for _ in range(100):
-        report = check_ipp(random_poly(rng), random_poly(rng))
+        f, g = random_poly(rng), random_poly(rng)
+        report = check_ipp(f, g)
         assert report.holds
+        assert report.rhs == expectation(generator_carre_du_champ(f, g))
 
 
 def test_algebraic_identity_examples():
@@ -85,7 +94,9 @@ def test_algebraic_identity_random_homogeneous_triples():
         f = random_homogeneous(rng, rng.randint(1, 3))
         g = random_homogeneous(rng, rng.randint(1, 3))
         h = random_homogeneous(rng, rng.randint(0, 3) or 1) if rng.random() < 0.9 else ChaosPoly.constant(2)
-        assert check_algebraic_identity(f, g, h).holds
+        report = check_algebraic_identity(f, g, h)
+        assert report.holds
+        assert report.lhs == expectation(generator_carre_du_champ(f, g) * h)
 
 
 def test_algebraic_identity_names_offending_argument():
@@ -102,7 +113,7 @@ def test_spectral_inequality_examples():
     assert report.holds and report.lhs == 0 and report.rhs == 0
     # Wick oracle: E[(4 G1**2)**2] = 48 and E[He2**2 * 4 G1**2] = 40
     raw = raw_from_chaos(HE2_1)
-    gamma_raw = raw_from_chaos(carre_du_champ(HE2_1, HE2_1))
+    gamma_raw = raw_from_chaos(gamma_gradient(HE2_1, HE2_1))
     assert raw_expectation(raw_mul(gamma_raw, gamma_raw)) == 48
     assert raw_expectation(raw_mul(raw_mul(raw, raw), gamma_raw)) == 40
     report = check_spectral_inequality(HE2_1, HE2_1)
@@ -114,7 +125,10 @@ def test_spectral_inequality_random_homogeneous_pairs():
     for _ in range(120):
         x = random_homogeneous(rng, rng.randint(1, 3))
         y = random_homogeneous(rng, rng.randint(1, 3))
-        assert check_spectral_inequality(x, y).holds
+        report = check_spectral_inequality(x, y)
+        assert report.holds
+        oracle = generator_carre_du_champ(x, y)
+        assert report.lhs == expectation(oracle * oracle)
 
 
 def test_gamma_bilinearity_and_symmetry():
@@ -124,8 +138,8 @@ def test_gamma_bilinearity_and_symmetry():
         g = random_poly(rng, max_vars=3, max_degree=3)
         h = random_poly(rng, max_vars=3, max_degree=3)
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        assert carre_du_champ(a * f + b * g, h) == a * carre_du_champ(f, h) + b * carre_du_champ(g, h)
-        assert carre_du_champ(f, g) == carre_du_champ(g, f)
+        assert gamma_gradient(a * f + b * g, h) == a * gamma_gradient(f, h) + b * gamma_gradient(g, h)
+        assert gamma_gradient(f, g) == gamma_gradient(g, f)
 
 
 def test_chain_rule_on_squares():
@@ -133,7 +147,7 @@ def test_chain_rule_on_squares():
     for _ in range(30):
         f = random_poly(rng, max_vars=3, max_degree=2, max_terms=3)
         g = random_poly(rng, max_vars=3, max_degree=2, max_terms=3)
-        assert carre_du_champ(f * f, g) == 2 * f * carre_du_champ(f, g)
+        assert gamma_gradient(f * f, g) == 2 * f * gamma_gradient(f, g)
 
 
 def test_energy_identity_on_strata():
@@ -145,7 +159,7 @@ def test_energy_identity_on_strata():
             part = project_chaos(f, p)
             if part.is_zero():
                 continue
-            assert expectation(carre_du_champ(part, part)) == p * expectation(mul(part, part))
+            assert expectation(gamma_gradient(part, part)) == p * expectation(mul(part, part))
 
 
 def test_gamma_degree_closure():
@@ -153,7 +167,7 @@ def test_gamma_degree_closure():
     for _ in range(40):
         f = random_poly(rng)
         g = random_poly(rng)
-        gamma = carre_du_champ(f, g)
+        gamma = gamma_gradient(f, g)
         if gamma.is_zero() or f.degree in (None, 0) or g.degree in (None, 0):
             continue
         assert gamma.degree <= f.degree + g.degree - 2
