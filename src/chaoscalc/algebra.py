@@ -16,8 +16,11 @@ to integers over the lcm of its own denominators, expands every pairwise
 monomial product in Python ints (``_expand_product``, also the expansion loop
 of ``decompose.rotate_basis``) and normalises once, building one ``Fraction``
 per output term.  ``inner_product`` likewise sums the shared terms' integer
-numerators and builds one ``Fraction``.  Sums and scalings stay on
-``Fraction``.
+numerators and builds one ``Fraction``.  ``_lower`` takes one monomial's
+derivative in one variable (``He_k' = k He_{k-1}``); ``partial_derivative``
+and the influence form of ``influence._influence_form``, which runs on
+``_numerators`` and ``_expand_product`` without building ``ChaosPoly``
+values, share it.  Sums and scalings stay on ``Fraction``.
 """
 
 from __future__ import annotations
@@ -397,24 +400,31 @@ def mul(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
     return f * g
 
 
+def _lower(entries: Entries, var: int) -> tuple[int, Entries]:
+    """``(k, entries)`` with ``var``'s degree ``k`` lowered by one: ``d_var He_e = k He_lowered``.
+
+    ``k`` is 0 and ``entries`` come back unchanged when ``var`` is absent.
+    """
+    for i, (v, k) in enumerate(entries):
+        if v == var:
+            rest = ((v, k - 1),) if k > 1 else ()
+            return k, entries[:i] + rest + entries[i + 1:]
+    return 0, entries
+
+
 def partial_derivative(f: ChaosPoly, var: int) -> ChaosPoly:
-    """Exact partial derivative, using ``He_k' = k He_{k-1}``."""
+    """Exact partial derivative, using ``He_k' = k He_{k-1}``.
+
+    Lowering ``var`` maps distinct monomials that hold it to distinct
+    monomials, so no two terms merge.
+    """
     if not isinstance(var, int) or var < 1:
         raise ValueError(f"variable ids must be positive integers, got {var!r}")
     out: dict[MultiIndex, Fraction] = {}
     for idx, coeff in f._terms.items():
-        deg = idx.degree_of(var)
-        if deg == 0:
-            continue
-        rest = {v: d for v, d in idx.entries if v != var}
-        if deg > 1:
-            rest[var] = deg - 1
-        new_idx = MultiIndex._from_sorted(tuple(sorted(rest.items())))
-        s = out.get(new_idx, 0) + coeff * deg
-        if s:
-            out[new_idx] = s
-        else:
-            out.pop(new_idx, None)
+        deg, lowered = _lower(idx.entries, var)
+        if deg:
+            out[MultiIndex._from_sorted(lowered)] = coeff * deg
     return ChaosPoly._from_clean(out)
 
 
@@ -462,13 +472,9 @@ def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
     """``He_level`` evaluated at the polynomial ``x``, re-expanded on the basis."""
     if not isinstance(level, int) or level < 0:
         raise PreconditionError(f"Hermite level must be a nonnegative integer, got {level!r}")
-    prev = ChaosPoly.constant(1)
     if level == 0:
-        return prev
-    cur = x
-    for k in range(1, level):
-        prev, cur = cur, x * cur - k * prev
-    return cur
+        return ChaosPoly.constant(1)
+    return hermite_values(x, level)[level]
 
 
 def evaluate(f: ChaosPoly, point: Mapping[int, float | Fraction]):

@@ -398,7 +398,6 @@ def iterate_decomposition(
     threshold: float,
     max_steps: int,
     extra_vars: int | None = None,
-    max_basis_dim: int | None = None,
 ) -> IterationTrace:
     """Repeatedly factor the strongest-influence direction out of the remainder.
 
@@ -407,8 +406,8 @@ def iterate_decomposition(
     degree-p part of the level-0 coefficient as the new remainder and books the
     rest as that step's contribution.  On the exact q = 1 path the level-0
     coefficient is ``A_0`` itself, since the split reassembles the remainder
-    exactly; for q >= 2 it is the remainder minus the fitted levels
-    ``sum_{l>=1} A_l He_l(x)``.  Stops when every influence up to
+    exactly; for q >= 2 it is ``A_0 + (remainder - step.reassemble())``, the
+    remainder minus the fitted levels ``sum_{l>=1} A_l He_l(x)``.  Stops when every influence up to
     floor(p/2) falls below ``threshold``, the remainder norm drops below
     ``threshold``, or ``max_steps`` is reached.  By construction the input
     always equals the sum of contributions plus the final remainder.
@@ -429,16 +428,13 @@ def iterate_decomposition(
         while len(steps) < max_steps and not remainder.is_zero():
             if math.sqrt(float(inner_product(remainder, remainder))) < threshold:
                 break
-            scan = strongest_influence(remainder, threshold, extra_vars, max_basis_dim)
+            scan = strongest_influence(remainder, threshold, extra_vars)
             if scan.q_star is None:
                 break
             step = decompose_along(remainder, scan.direction)
-            if step.exact:
-                level0 = step.coefficients[0]
-            else:
-                level0 = remainder
-                for level in range(1, len(step.coefficients)):
-                    level0 = level0 - step.coefficients[level] * compose_hermite(level, step.direction)
+            level0 = step.coefficients[0]
+            if not step.exact:
+                level0 = level0 + (remainder - step.reassemble())
             new_remainder = project_chaos(level0, p)
             contribution = remainder - new_remainder
             steps.append(step)

@@ -108,10 +108,13 @@ class InputLaw:
             raise ParseError("law must be an object with a 'kind'")
         kind = data["kind"]
         if kind == "discrete":
+            for key in ("points", "probabilities"):
+                if not isinstance(data.get(key), list):
+                    raise ParseError(f"bad discrete law: {key!r} must be an array")
             try:
                 points = [Fraction(str(p)) for p in data["points"]]
                 probabilities = [Fraction(str(p)) for p in data["probabilities"]]
-            except (KeyError, ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad discrete law: {exc}") from None
             return cls.discrete(points, probabilities)
         if kind in {"gaussian", "rademacher", "uniform"}:
@@ -315,6 +318,8 @@ class MultilinearPoly:
         if not isinstance(data, dict) or "law" not in data or "terms" not in data:
             raise ParseError("multilinear JSON must be an object with 'law' and 'terms'")
         law = InputLaw.from_json_dict(data["law"])
+        if not isinstance(data["terms"], list):
+            raise ParseError("'terms' must be an array")
         terms = []
         for pos, term in enumerate(data["terms"]):
             where = f"term {pos}"
@@ -326,16 +331,17 @@ class MultilinearPoly:
                 raise ParseError(f"{where}: bad coefficient {term['coeff']!r}: {exc}") from None
             if coeff == 0:
                 raise ParseError(f"{where}: zero coefficient is not allowed")
+            entries = term.get("vars", [])
+            if not isinstance(entries, list):
+                raise ParseError(f"{where}: 'vars' must be an array")
             factors = []
-            for entry in term.get("vars", []):
-                if isinstance(entry, int):
-                    factors.append((entry, 1))
-                elif isinstance(entry, list) and len(entry) in (1, 2):
-                    var = entry[0]
-                    level = entry[1] if len(entry) == 2 else 1
-                    factors.append((var, level))
-                else:
-                    raise ParseError(f"{where}: bad factor {entry!r}")
+            for entry in entries:
+                factor = entry if isinstance(entry, list) else [entry]
+                if not 1 <= len(factor) <= 2 or not all(type(x) is int for x in factor):
+                    raise ParseError(
+                        f"{where}: bad factor {entry!r}: variable ids and levels must be integers"
+                    )
+                factors.append((factor[0], factor[1] if len(factor) == 2 else 1))
             terms.append((frozenset(factors), coeff))
         return cls(law, terms)
 

@@ -4,15 +4,23 @@
 over unit-norm degree-``q`` test polynomials ``x``.  Over a finite monomial
 basis of the degree-``q`` stratum this is a symmetric eigenproblem: assemble
 ``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` for an orthonormal basis ``e_a``
-and take the square root of the top eigenvalue.  The test space is spanned by
-the monomials over the variables of ``f`` plus a configurable number of fresh
-variables (fresh coordinates can genuinely enlarge the supremum for q >= 2).
+and take the square root of the top eigenvalue.  ``_influence_form`` is the
+one assembly for every degree; ``rho_1`` is ``rho_q`` at ``q = 1`` over the
+variables of ``f``.
 
-Every entry of ``Q`` is an exact rational rounded once to a float; only the
-eigensolve (LAPACK ``eigh``) runs in floats.  The reported direction does not
-depend on the solver: it is the normalized projection of the first standard
-basis vector onto the top eigenspace (see ``_top_eigenpair``), so degenerate
-top eigenspaces still give a defined direction.
+The test space is spanned by the monomials over the variables of ``f`` plus a
+configurable number of fresh variables.  If ``n`` uses only fresh variables,
+``Gamma(f, m n) = n Gamma(f, m)``, so the form splits into one block per
+fresh-variable monomial, each the form of a lower degree over the variables of
+``f``.  With at least one fresh variable the value is therefore exactly
+``max_{q' <= q} rho_{q'}(f, extra_vars=0)``.
+
+Every entry of ``Q`` is an exact rational, summed on integer numerators and
+rounded once to a float; only the eigensolve (LAPACK ``eigh``) runs in floats.
+The reported direction does not depend on the solver: it is the normalized
+projection of the first standard basis vector onto the top eigenspace (see
+``_top_eigenpair``), so degenerate top eigenspaces still give a defined
+direction.
 """
 
 from __future__ import annotations
@@ -28,12 +36,15 @@ import numpy as np
 from ._kernels import jacobi_eigh
 from .algebra import (
     ChaosPoly,
+    Entries,
     MultiIndex,
+    _expand_product,
+    _lower,
+    _numerators,
+    _weight,
     as_fraction,
     fresh_variables,
-    hermite_monomial,
     homogeneous_degree,
-    partial_derivative,
     poly_to_json_dict,
 )
 from .errors import BasisSizeError, PreconditionError
@@ -89,16 +100,18 @@ class StrongestInfluence:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _basis_cap(max_basis_dim: int | None) -> int:
-    if max_basis_dim is not None:
-        return max_basis_dim
+def _basis_cap() -> int:
+    """The basis-dimension cap: ``CHAOSCALC_MAX_BASIS_DIM`` if set, else ``DEFAULT_BASIS_CAP``."""
     raw = os.environ.get(BASIS_CAP_ENV, "")
-    if raw.strip():
-        try:
-            return int(raw)
-        except ValueError:
-            raise PreconditionError(f"{BASIS_CAP_ENV} must be an integer, got {raw!r}") from None
-    return DEFAULT_BASIS_CAP
+    if not raw.strip():
+        return DEFAULT_BASIS_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise PreconditionError(f"{BASIS_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _compositions(total: int, slots: int):
@@ -144,92 +157,74 @@ def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray, float | None]
     return top, vec, gap
 
 
-def _gram_matrix(polys: Sequence[ChaosPoly], weights: Sequence[int]) -> np.ndarray:
-    """``G[a, b] = <p_a, p_b> / sqrt(w_a w_b)`` with each inner product exact, rounded once.
+def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
+    """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
-    An inverted index maps each monomial to the (slot, integer numerator over
-    the common denominator ``D``) pairs that hold it, so one pass over the
-    monomials accumulates every pairing in Python ints; ``total / D**2`` is
-    the correctly rounded float of the exact inner product.
+    ``f`` is scaled once to integer numerators over the lcm ``D`` of its
+    denominators and each ``d_v f`` is taken once on them.  Since
+    ``d_v e_a = k He_{e_a lowered in v}`` is one monomial, ``Gamma(f, e_a) =
+    sum_v d_v f * d_v e_a`` is one integer expansion per variable of ``e_a``,
+    over ``D``.  An inverted index maps each monomial of these products to the
+    (slot, numerator) pairs that hold it, so one pass over the monomials
+    accumulates every pairing in Python ints; ``total / D**2`` is the
+    correctly rounded float of the exact inner product, then divided by
+    ``sqrt(w_a w_b)``.
     """
-    denom = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
-    index: dict[MultiIndex, list[tuple[int, int]]] = {}
-    for a, p in enumerate(polys):
-        for idx, c in p._terms.items():
-            index.setdefault(idx, []).append((a, c.numerator * (denom // c.denominator)))
-    dim = len(polys)
+    denom, nums = _numerators(f._terms)
+    grads: dict[int, dict[Entries, int]] = {}
+    for v in f.variables():
+        grad = grads[v] = {}
+        for entries, num in nums.items():
+            k, lowered = _lower(entries, v)
+            if k:
+                grad[lowered] = k * num
+    index: dict[Entries, list[tuple[int, int]]] = {}
+    for a, idx in enumerate(basis):
+        gamma: dict[Entries, int] = {}
+        for v in idx.variables():
+            if v in grads:
+                k, lowered = _lower(idx.entries, v)
+                for entries, num in _expand_product(grads[v], {lowered: k}).items():
+                    gamma[entries] = gamma.get(entries, 0) + num
+        for entries, num in gamma.items():
+            if num:
+                index.setdefault(entries, []).append((a, num))
+    dim = len(basis)
     totals = [[0] * dim for _ in range(dim)]
-    for idx, entries in index.items():
-        weight = idx.weight
-        for i, (a, num_a) in enumerate(entries):
+    for entries, pairs in index.items():
+        weight = _weight(entries)
+        for i, (a, num_a) in enumerate(pairs):
             row, scaled = totals[a], weight * num_a
-            for b, num_b in entries[i:]:
+            for b, num_b in pairs[i:]:
                 row[b] += scaled * num_b
     denom_sq = denom * denom
-    gram = np.zeros((dim, dim))
+    weights = [idx.weight for idx in basis]
+    form = np.zeros((dim, dim))
     for a in range(dim):
         for b in range(a, dim):
             if totals[a][b]:
                 inner = totals[a][b] / denom_sq
-                gram[a, b] = gram[b, a] = inner / math.sqrt(weights[a] * weights[b])
-    return gram
-
-
-def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
-    """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
-
-    ``Gamma(f, e_a) = sum_v d_v f * d_v e_a``, with each ``d_v f`` computed once.
-    """
-    grads = {v: partial_derivative(f, v) for v in f.variables()}
-    gammas = []
-    for idx in basis:
-        e_a = hermite_monomial(idx)
-        gamma = ChaosPoly.zero()
-        for v in idx.variables():
-            if v in grads:
-                gamma = gamma + grads[v] * partial_derivative(e_a, v)
-        gammas.append(gamma)
-    return _gram_matrix(gammas, [idx.weight for idx in basis])
+                form[a, b] = form[b, a] = inner / math.sqrt(weights[a] * weights[b])
+    return form
 
 
 def rho_1(f: ChaosPoly) -> InfluenceResult:
-    """Degree-1 influence via the gradient Gram matrix ``M[i,j] = <d_i f, d_j f>``.
+    """Degree-1 influence: ``rho_q(f, 1, extra_vars=0)``.
 
-    The value is the square root of the top eigenvalue and the direction is the
-    corresponding unit linear combination of the coordinates of ``f``.
+    Over the coordinates ``G_v`` of ``f``, ``Gamma(f, G_v) = d_v f``, so the
+    form is the gradient Gram matrix ``<d_i f, d_j f>`` and the direction a
+    unit linear combination of the coordinates of ``f``.
     """
-    variables = f.variables()
-    if not variables:
-        return InfluenceResult(
-            q=1, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0, extra_variables_used=0
-        )
-    grads = [partial_derivative(f, v) for v in variables]
-    n = len(variables)
-    top, vec, gap = _top_eigenpair(_gram_matrix(grads, [1] * n))
-    direction = ChaosPoly.zero()
-    for v, a in zip(variables, vec):
-        direction = direction + hermite_monomial({v: 1}, as_fraction(float(a)))
-    return InfluenceResult(
-        q=1,
-        value=math.sqrt(max(top, 0.0)),
-        direction=direction,
-        basis_dimension=n,
-        extra_variables_used=0,
-        eigengap=gap,
-    )
+    return rho_q(f, 1, extra_vars=0)
 
 
-def rho_q(
-    f: ChaosPoly,
-    q: int,
-    extra_vars: int | None = None,
-    max_basis_dim: int | None = None,
-) -> InfluenceResult:
+def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResult:
     """Degree-``q`` influence over the monomial basis of the degree-``q`` stratum.
 
     ``extra_vars`` fresh coordinates (default ``q - 1``) are appended to the
     variables of ``f`` before enumerating the basis; the quadratic form is
-    assembled exactly and only the eigensolve runs in floats.
+    assembled exactly and only the eigensolve runs in floats.  The basis
+    dimension is capped by ``CHAOSCALC_MAX_BASIS_DIM`` (default 512).
     """
     if not isinstance(q, int) or q < 1:
         raise PreconditionError(f"influence degree must be a positive integer, got {q!r}")
@@ -240,7 +235,7 @@ def rho_q(
     variables = list(f.variables()) + list(fresh_variables([f], extra_vars))
     nvars = len(variables)
     dim = math.comb(q + nvars - 1, nvars - 1) if nvars else 0
-    cap = _basis_cap(max_basis_dim)
+    cap = _basis_cap()
     if dim > cap:
         raise BasisSizeError(dim, cap)
     basis = degree_monomials(variables, q)
@@ -250,11 +245,8 @@ def rho_q(
             extra_variables_used=extra_vars,
         )
     top, vec, gap = _top_eigenpair(_influence_form(f, basis))
-    direction = ChaosPoly.zero()
-    for idx, entry in zip(basis, vec):
-        if entry != 0.0:
-            coeff = as_fraction(float(entry) / math.sqrt(idx.weight))
-            direction = direction + hermite_monomial(idx, coeff)
+    coeffs = ((idx, float(entry) / math.sqrt(idx.weight)) for idx, entry in zip(basis, vec))
+    direction = ChaosPoly._from_clean({idx: as_fraction(c) for idx, c in coeffs if c})
     return InfluenceResult(
         q=q,
         value=math.sqrt(max(top, 0.0)),
@@ -275,7 +267,6 @@ def strongest_influence(
     f: ChaosPoly,
     threshold: float,
     extra_vars: int | None = None,
-    max_basis_dim: int | None = None,
 ) -> StrongestInfluence:
     """Scan q = 1 .. floor(p/2) and report the least q whose influence clears ``threshold``.
 
@@ -291,10 +282,7 @@ def strongest_influence(
     q_star: int | None = None
     direction: ChaosPoly | None = None
     for q in range(1, p // 2 + 1):
-        if q == 1 and (extra_vars is None or extra_vars == 0):
-            result = rho_1(f)
-        else:
-            result = rho_q(f, q, extra_vars, max_basis_dim)
+        result = rho_q(f, q, extra_vars)
         rho_values[q] = result.value
         if q_star is None and result.value >= threshold:
             q_star = q
@@ -302,4 +290,3 @@ def strongest_influence(
     return StrongestInfluence(
         q_star=q_star, rho_values=rho_values, direction=direction, threshold=float(threshold)
     )
-

@@ -350,7 +350,6 @@ def normality_report(
     seed: int,
     extra_vars: int | None = None,
     workers: int = 1,
-    max_basis_dim: int | None = None,
 ) -> NormalityReport:
     """Variance, excess kurtosis, carre-du-champ variance, influence values up
     to degree floor(deg/2), and the empirical distance to a matched Gaussian."""
@@ -361,7 +360,7 @@ def normality_report(
     degree = f.degree or 0
     rho: dict[int, float] = {}
     for q in range(1, max(1, degree // 2) + 1):
-        rho[q] = rho_q(f, q, extra_vars, max_basis_dim).value
+        rho[q] = rho_q(f, q, extra_vars).value
     observed = sample(f, n_samples, seed, stream=0, workers=workers)
     reference = sample(
         hermite_monomial({1: 1}, math.sqrt(float(variance))),

@@ -93,6 +93,27 @@ def test_rho_oversized_basis_exits_3(capsys, poly_file):
     assert "exceeds cap" in err
 
 
+def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch):
+    # five variables, degree 2: the q = 1 basis has dimension 5
+    f = ChaosPoly.zero()
+    for k in range(1, 5):
+        f = f + gaussian(k) * gaussian(k + 1)
+    path = poly_file("p.json", f)
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
+    code, out, err = run_cli(capsys, "strongest", path, "--threshold", "0.5")
+    assert code == 3 and out == ""
+    assert "basis dimension 5 exceeds cap 4" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_basis_cap_below_one_exits_2(capsys, poly_file, monkeypatch, raw):
+    path = poly_file("p.json", G1 * gaussian(2))
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", raw)
+    code, out, err = run_cli(capsys, "rho", path, "--q", "1")
+    assert code == 2 and out == ""
+    assert f"CHAOSCALC_MAX_BASIS_DIM must be a positive integer, got {raw!r}" in err
+
+
 def test_strongest_command(capsys, poly_file):
     path = poly_file("p.json", G1 * gaussian(2))
     code, out, _ = run_cli(capsys, "strongest", path, "--threshold", "0.5")
@@ -200,6 +221,34 @@ def test_invariance_and_influences_commands(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["1"]["exact"] == "1/16"
+
+
+@pytest.mark.parametrize(
+    "law, terms, message",
+    [
+        ({"kind": "gaussian"}, 5, "'terms' must be an array"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": 7}], "term 0: 'vars' must be an array"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [[1.7, 1]]}], "term 0: bad factor [1.7, 1]"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [[True, 1]]}], "term 0: bad factor [True, 1]"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [1]}, {"coeff": "1", "vars": [[2, 1.0]]}],
+         "term 1: bad factor [2, 1.0]"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [False]}], "term 0: bad factor False"),
+        ({"kind": "discrete", "points": 5, "probabilities": ["1"]}, [],
+         "bad discrete law: 'points' must be an array"),
+        ({"kind": "discrete", "points": ["-1", "1"], "probabilities": "1/2"}, [],
+         "bad discrete law: 'probabilities' must be an array"),
+    ],
+    ids=[
+        "terms-number", "vars-number", "float-variable", "bool-variable", "float-level",
+        "bool-factor", "points-number", "probabilities-string",
+    ],
+)
+def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law, terms, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"law": law, "terms": terms}))
+    code, out, err = run_cli(capsys, "influences", str(path))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,5 +1,6 @@
-"""Directional influences: matrix path vs generic path, independent
-random-search/power-iteration oracle, monotonicity, and scale covariance."""
+"""Directional influences: rho_1 as rho_q at q = 1, the assembled form against
+an independent oracle, random-search/power-iteration oracle, monotonicity,
+the fresh-variable identity, and scale covariance."""
 
 import math
 import random
@@ -72,7 +73,7 @@ def test_rho_q_degree_one_matches_matrix_path():
     rng = random.Random(3)
     for _ in range(20):
         f = random_homogeneous(rng, rng.randint(2, 4))
-        assert rho_q(f, 1, 0).value == pytest.approx(rho_1(f).value, abs=1e-10)
+        assert rho_1(f).to_json() == rho_q(f, 1, 0).to_json()
     assert rho_q(HE2_1, 1, 0).value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -145,13 +146,46 @@ def test_extra_variables_never_shrink_the_value():
         assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
 
 
-def test_basis_cap_error_reports_dimension():
+def test_fresh_variables_give_the_max_over_lower_degrees():
+    # Gamma(f, m n) = n Gamma(f, m) when n uses only fresh variables, so the
+    # form splits into one block per fresh monomial, each a lower-degree form
+    rng = random.Random(29)
+    for _ in range(8):
+        f = random_homogeneous(rng, rng.randint(2, 4), max_vars=3)
+        for q in (2, 3):
+            value = rho_q(f, q, extra_vars=1).value
+            lower = max(rho_q(f, k, extra_vars=0).value for k in range(1, q + 1))
+            assert abs(value - lower) <= 1e-12 * max(1.0, value)
+
+
+def test_basis_cap_error_reports_dimension(monkeypatch):
     with pytest.raises(BasisSizeError) as err:
         rho_q(G1 * G2, 8, extra_vars=40)
     assert err.value.dimension > err.value.cap == 512
-    # explicit caps are honored too
+    # a cap set through the environment is honored too
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "5")
     with pytest.raises(BasisSizeError):
-        rho_q(G1 * G2, 2, 1, max_basis_dim=5)
+        rho_q(G1 * G2, 2, 1)
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "many"])
+def test_basis_cap_below_one_or_not_an_integer_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", raw)
+    for call in (lambda: rho_q(G1 * G2, 2, 1), lambda: strongest_influence(G1 * G2, 0.5)):
+        with pytest.raises(PreconditionError, match="CHAOSCALC_MAX_BASIS_DIM must be a positive integer"):
+            call()
+
+
+def test_strongest_influence_honours_the_basis_cap_at_q_one(monkeypatch):
+    f = ChaosPoly.zero()
+    for k in range(1, 5):
+        f = f + gaussian(k) * gaussian(k + 1)
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
+    with pytest.raises(BasisSizeError) as err:
+        strongest_influence(f, 0.5)
+    assert (err.value.dimension, err.value.cap) == (5, 4)
+    with pytest.raises(BasisSizeError):
+        rho_1(f)
 
 
 def test_basis_cap_env_override(monkeypatch):
@@ -212,7 +246,7 @@ def test_assembled_form_is_bit_identical_to_the_oracle():
     rng = random.Random(23)
     for _ in range(8):
         f = random_homogeneous(rng, rng.choice([3, 4]), max_vars=3)
-        for q in (2, 3):
+        for q in (1, 2, 3):
             for extra in (0, 1):
                 variables = list(f.variables()) + list(fresh_variables([f], extra))
                 basis = degree_monomials(variables, q)
