@@ -13,10 +13,11 @@ mutually orthogonal.
 
 Products run on integer numerators.  ``ChaosPoly.__mul__`` scales each operand
 to integers over the lcm of its own denominators, expands every pairwise
-monomial product in Python ints (``_expand_product``, also the expansion loop
-of ``decompose.rotate_basis``) and normalises once, building one ``Fraction``
-per output term.  ``inner_product`` likewise sums the shared terms' integer
-numerators and builds one ``Fraction``.  ``_lower`` takes one monomial's
+monomial product in Python ints (``_expand_product``) and normalises once,
+building one ``Fraction`` per output term.  (``decompose`` rotations need no
+Hermite products: they expand ordinary powers, see that module.)
+``inner_product`` likewise sums the shared terms' integer numerators and
+builds one ``Fraction``.  ``_lower`` takes one monomial's
 derivative in one variable (``He_k' = k He_{k-1}``); ``partial_derivative``
 and the influence form of ``influence._influence_form``, which runs on
 ``_numerators`` and ``_expand_product`` without building ``ChaosPoly``
@@ -156,30 +157,19 @@ def _index_product(a: Entries, b: Entries) -> list[tuple[Entries, int]]:
     return out
 
 
-def _expand_product(
-    a: Mapping[Entries, int],
-    b: Mapping[Entries, int],
-    memo: dict[tuple[Entries, Entries], list[tuple[Entries, int]]] | None = None,
-) -> dict[Entries, int]:
+def _expand_product(a: Mapping[Entries, int], b: Mapping[Entries, int]) -> dict[Entries, int]:
     """Product of two polynomials held as integer numerators, back on the Hermite basis.
 
     Monomials are keyed by their entries tuples.  The result's denominator is
     the product of the operands' denominators; the caller divides once.  Zero
-    totals are dropped.  ``memo`` caches monomial products across calls that
-    share it.
+    totals are dropped.
     """
     out: dict[Entries, int] = {}
     get = out.get
     for e1, n1 in a.items():
         for e2, n2 in b.items():
-            if memo is None:
-                pairs = _index_product(e1, e2)
-            else:
-                pairs = memo.get((e1, e2))
-                if pairs is None:
-                    pairs = memo[e1, e2] = _index_product(e1, e2)
             n = n1 * n2
-            for entries, mult in pairs:
+            for entries, mult in _index_product(e1, e2):
                 out[entries] = get(entries, 0) + n * mult
     return {entries: t for entries, t in out.items() if t}
 

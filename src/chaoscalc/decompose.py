@@ -10,6 +10,16 @@ shared back-rotation).  Every step is rational, so the reassembly
 decomposition therefore reads ``A_0`` off the split instead of subtracting
 the other levels from ``f``.
 
+Rotations use the Wick picture (Janson, *Gaussian Hilbert Spaces*, 1997,
+ch. 3): the Hermite monomial ``He_a(G)`` is the Wick power ``:G^a:``, and
+under an exactly orthogonal substitution ``G = R^T H`` Wick powers rotate like
+ordinary monomials, ``He_a(R^T H) = :(R^T H)^a:``.  So a rotation expands
+ordinary powers of the substituted linear forms and reads every ordinary
+monomial ``H^g`` back as ``He_g(H)``; no lower-degree Hermite terms arise only
+to cancel.  Rows that are orthogonal only to float precision add a correction
+from the generating function ``exp(t^T E t / 2)`` with ``E = R^T R - I`` (see
+``_rotation``), so those substitutions are exact too.
+
 For directions of degree q >= 2 no rotation exists; that path is a documented
 least-squares surrogate (see ``decompose_along``) with residual diagnostics.
 """
@@ -30,7 +40,6 @@ from .algebra import (
     Entries,
     MultiIndex,
     RationalLike,
-    _expand_product,
     _numerators,
     as_fraction,
     compose_hermite,
@@ -154,25 +163,102 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     ``H_i = sum_j rotation[i][j] G_{variables[j]}`` and the substitution
     ``G_{variables[j]} -> sum_i rotation[i][j] H_i`` is expanded exactly on the
     Hermite basis (new coordinates reuse the listed ids).  Variables of ``f``
-    outside the list pass through untouched.  One-shot form of ``_rotation``,
+    outside the list pass through untouched.  Exactly orthogonal rows map
+    ``He_a(G)`` to the Wick power ``:(R^T H)^a:``, the ordinary power read
+    back on the Hermite basis; rows orthogonal only to float precision (up to
+    ``ORTHOGONALITY_TOL``) add the exact correction
+    ``He_a(R^T H) = sum_{b <= a} e_b a!/(a-b)! :(R^T H)^(a-b):`` with
+    ``e = exp(t^T (R^T R - I) t / 2)``; with one variable,
+    ``He_2(s G) = s^2 He_2(G) + (s^2 - 1)``.  One-shot form of ``_rotation``,
     which holds the integer arithmetic.
     """
     return _rotation(rotation, variables)(f)
 
 
+# Bits per exponent in a packed ordinary monomial.  No exponent exceeds the
+# largest listed degree of a term, and a term of degree 2**32 could never be
+# expanded, so the fields cannot overflow into each other.
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+
+
+def _ordinary_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
+    """Product of two polynomials in ordinary monomials, keyed by packed exponents.
+
+    A monomial ``prod_j x_j^k_j`` is the integer ``sum_j k_j << (_WIDTH * j)``,
+    so the product of two monomials is the sum of their keys: one output
+    monomial per pair.  Zero totals are kept; the caller drops them at the end.
+    """
+    out: dict = {}
+    get = out.get
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            key = e1 + e2
+            out[key] = get(key, 0) + n1 * n2
+    return out
+
+
+def _wick_correction(dev: list[list[int]], top: int) -> list[tuple[int, list, int]]:
+    """The correction ``e' = exp(t^T dev t / 2)`` of ``_rotation``, to total degree ``top``.
+
+    ``dev`` is the integer matrix ``m^T m - d**2 I``.  Returns one
+    ``(b, digits, b! e'_b)`` triple per nonzero coefficient, ``(0, [], 1)``
+    first: ``b`` packed as in ``_ordinary_product``, ``digits`` its
+    ``(shift, b_j)`` pairs with ``b_j > 0``.  ``b! e'_b`` sums ``dev``
+    entries over the perfect pairings of ``b``'s slots, so it is an integer.
+    """
+    n = len(dev)
+    half: dict[int, Fraction] = {}
+    for j in range(n):
+        for k in range(j, n):
+            c = Fraction(dev[j][k], 2) if j == k else Fraction(dev[j][k])
+            if c:
+                half[(1 << _WIDTH * j) + (1 << _WIDTH * k)] = c
+    total: dict[int, Fraction] = {0: Fraction(1)}
+    power: dict[int, Fraction] = {0: Fraction(1)}
+    for order in range(1, top // 2 + 1):
+        power = {e: c / order for e, c in _ordinary_product(power, half).items()}
+        for e, c in power.items():
+            total[e] = total.get(e, 0) + c
+    out = []
+    for beta, c in total.items():
+        digits = [(_WIDTH * j, beta >> _WIDTH * j & _MASK) for j in range(n)]
+        digits = [(shift, b) for shift, b in digits if b]
+        count = c * math.prod(math.factorial(b) for _, b in digits)
+        if count:
+            assert count.denominator == 1
+            out.append((beta, digits, count.numerator))
+    return out
+
+
 def _rotation(rotation, variables: Sequence[int]) -> Callable[[ChaosPoly], ChaosPoly]:
     """The substitution of ``rotate_basis``, checked and set up once for many polynomials.
 
-    The arithmetic runs on integer numerators.  The rows are scaled to integers
-    over ``d``, the lcm of their denominators, so the substituted linear form
-    of column ``j`` is ``N_x / d``.  ``He_k`` of it is ``N_k / d**k`` with
-    ``N_{k+1} = N_x N_k - k d**2 N_{k-1}``, the Hermite recurrence itself, so
-    rows that are orthogonal only to float precision expand just as exactly.
-    Each term's factors are multiplied in ints and accumulated over
-    ``L d**top`` (``L`` the lcm of the coefficients' denominators, ``top`` the
-    largest listed degree of a term); every output term is normalised once.
-    The ``N_k`` table and the monomial-product memo live as long as the
-    returned function, so polynomials rotated by it share them.
+    Write ``G = R^T H`` for the substitution, ``R = m / d`` with ``m`` integer
+    and ``d`` the lcm of the rows' denominators.  By the generating function
+    ``sum_a He_a(g) t^a / a! = exp(t.g - |t|^2 / 2)``,
+
+        He_a(R^T H) = sum_{b <= a} e_b  a! / (a - b)!  :(R^T H)^(a - b):,
+
+    where ``e = exp(t^T E t / 2)`` with ``E = R^T R - I``, and the Wick power
+    ``:(R^T H)^c:`` is the ordinary power of the substituted linear forms with
+    every ordinary monomial ``H^g`` read back as ``He_g(H)``.  Exactly
+    orthogonal rows give ``e = 1``, so the expansion is ordinary powers and
+    ordinary products alone: no lower-degree Hermite terms are made only to
+    cancel.  Rows orthogonal only to float precision add the few correction
+    terms ``b != 0`` (``E`` is a few ulps; see ``ORTHOGONALITY_TOL``), so they
+    expand just as exactly.
+
+    The arithmetic runs on integer numerators: the linear form of column
+    ``j`` is ``lin_j / d``, a product of powers ``prod_j lin_j^c_j`` is kept
+    over ``d**|c|``, and ``a! / (a - b)! e_b`` is an integer over
+    ``d**|b|``.  Monomials multiply by adding packed exponents (see
+    ``_ordinary_product``).  Each term is accumulated over ``L d**top`` (``L``
+    the lcm of the coefficients' denominators, ``top`` the largest listed
+    degree of a term); every output term is normalised once.  The table of
+    products of powers, each built from a smaller one times one linear form,
+    lives as long as the returned function, so polynomials rotated by it
+    share it.
     """
     rows = _to_fraction_matrix(rotation)
     variables = list(variables)
@@ -198,41 +284,76 @@ def _rotation(rotation, variables: Sequence[int]) -> Callable[[ChaosPoly], Chaos
         raise PreconditionError(
             f"rotation is not orthogonal: max deviation {dev / d_sq:.3e}"
         )
+    # listed variable -> its column; monomials pack their exponents by column
     col_of = {var: j for j, var in enumerate(variables)}
-    memo: dict = {}
-    # hermite[var][k] = N_k, the numerators of He_k(substituted G_var) over d**k
-    hermite: dict[int, list[dict[Entries, int]]] = {}
+    by_id = sorted(col_of.items())
+    # lin[j]: the linear form substituted for column j's variable, over d
+    lin = [{1 << _WIDTH * i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
+    # powers[c] = prod_j lin_j^c_j for packed exponents c, over d**|c|
+    powers: dict[int, dict[int, int]] = {0: {0: 1}}
+    if dev:
+        # m^T m - d**2 I: the substituted forms' covariance deviation, times d**2
+        col_dev = [
+            [sum(row[j] * row[k] for row in m) - (d_sq if j == k else 0) for k in range(n)]
+            for j in range(n)
+        ]
 
-    def hermite_numerators(var: int, deg: int) -> dict[Entries, int]:
-        levels = hermite.get(var)
-        if levels is None:
-            j = col_of[var]
-            lin = {((variables[i], 1),): m[i][j] for i in range(n) if m[i][j]}
-            levels = hermite[var] = [{(): 1}, lin]
-        while len(levels) <= deg:
-            k = len(levels) - 1
-            nxt = _expand_product(levels[1], levels[k], memo)
-            for e, c in levels[k - 1].items():
-                nxt[e] = nxt.get(e, 0) - k * d_sq * c
-            levels.append({e: c for e, c in nxt.items() if c})
-        return levels[deg]
+    def power(packed: int) -> dict[int, int]:
+        acc = powers.get(packed)
+        if acc is None:
+            # peel one factor of the highest column down to a known power, then multiply back
+            chain = []
+            while acc is None:
+                j = (packed.bit_length() - 1) // _WIDTH
+                chain.append(j)
+                packed -= 1 << _WIDTH * j
+                acc = powers.get(packed)
+            for j in reversed(chain):
+                packed += 1 << _WIDTH * j
+                acc = powers[packed] = _ordinary_product(acc, lin[j])
+        return acc
+
+    def name(packed: int) -> Entries:
+        degrees = ((var, packed >> _WIDTH * j & _MASK) for var, j in by_id)
+        return tuple((var, k) for var, k in degrees if k)
 
     def apply(f: ChaosPoly) -> ChaosPoly:
         denom, numerators = _numerators(f._terms)
-        listed = {e: sum(deg for var, deg in e if var in col_of) for e in numerators}
-        top = max(listed.values(), default=0)
-        out: dict[Entries, int] = {}
+        split = []
         for entries, num in numerators.items():
-            acc = {(): num * d ** (top - listed[entries])}
-            for var, deg in entries:
-                if var in col_of:
-                    factor = hermite_numerators(var, deg)
+            packed, deg = 0, 0
+            rest = []
+            for var, k in entries:
+                j = col_of.get(var)
+                if j is None:
+                    rest.append((var, k))
                 else:
-                    factor = {((var, deg),): 1}
-                acc = _expand_product(acc, factor, memo)
-            for e, c in acc.items():
-                out[e] = out.get(e, 0) + c
-        return ChaosPoly._from_numerators(out, denom * d**top)
+                    packed += k << _WIDTH * j
+                    deg += k
+            split.append((num, packed, deg, tuple(rest)))
+        top = max((deg for _, _, deg, _ in split), default=0)
+        correction = _wick_correction(col_dev, top) if dev else [(0, [], 1)]
+        # unlisted entries -> packed listed monomial -> numerator over denom * d**top
+        out: dict[Entries, dict[int, int]] = {}
+        for num, alpha, deg, rest in split:
+            scale = num * d ** (top - deg)
+            acc = out.setdefault(rest, {})
+            get = acc.get
+            for beta, digits, count in correction:
+                # a! / (a - b)! e'_b = prod_j C(a_j, b_j) * b! e'_b; C is 0 unless b <= a
+                c = count
+                for shift, b in digits:
+                    c *= math.comb(alpha >> shift & _MASK, b)
+                if c:
+                    c *= scale
+                    for mono, t in power(alpha - beta).items():
+                        acc[mono] = get(mono, 0) + c * t
+        totals: dict[Entries, int] = {}
+        for rest, acc in out.items():
+            for mono, t in acc.items():
+                entries = name(mono)
+                totals[tuple(sorted(entries + rest)) if rest else entries] = t
+        return ChaosPoly._from_numerators(totals, denom * d**top)
 
     return apply
 
@@ -279,7 +400,7 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     is rotated, grouped by the Hermite degree of the pivot coordinate, and the
     group coefficients are rotated back to the original coordinates through
     one ``_rotation`` of the transposed rows, so every group shares its
-    ``He_k`` table and product memo.  The reported direction is the first
+    table of products of powers.  The reported direction is the first
     rotation row (exactly unit-norm; equal to ``a`` up to the 1e-12 slack the
     precondition allows).
     """

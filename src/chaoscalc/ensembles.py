@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -211,6 +212,18 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
 FactorSet = frozenset  # of (variable-id, level) pairs
 
 
+def _factor(pos: int, var, level) -> tuple[int, int]:
+    """``(var, level)`` as ints; floats, bools and other non-integers are rejected."""
+    if not isinstance(var, bool) and not isinstance(level, bool):
+        try:
+            return operator.index(var), operator.index(level)
+        except TypeError:
+            pass
+    raise PreconditionError(
+        f"term {pos}: bad factor {(var, level)!r}: variable ids and levels must be integers"
+    )
+
+
 class MultilinearPoly:
     """Sparse multilinear polynomial over an orthonormal ensemble.
 
@@ -226,8 +239,8 @@ class MultilinearPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[frozenset, Fraction] = {}
         max_level = 0
-        for factors, coeff in items:
-            factors = frozenset((int(v), int(k)) for v, k in factors)
+        for pos, (factors, coeff) in enumerate(items):
+            factors = frozenset(_factor(pos, v, k) for v, k in factors)
             seen_vars = [v for v, _ in factors]
             if len(seen_vars) != len(set(seen_vars)):
                 raise PreconditionError(f"variable repeats within term {sorted(factors)}")

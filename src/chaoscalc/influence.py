@@ -232,13 +232,13 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
         extra_vars = q - 1
     if extra_vars < 0:
         raise PreconditionError(f"extra_vars must be nonnegative, got {extra_vars}")
-    variables = list(f.variables()) + list(fresh_variables([f], extra_vars))
-    nvars = len(variables)
+    own = f.variables()
+    nvars = len(own) + extra_vars
     dim = math.comb(q + nvars - 1, nvars - 1) if nvars else 0
     cap = _basis_cap()
     if dim > cap:
         raise BasisSizeError(dim, cap)
-    basis = degree_monomials(variables, q)
+    basis = degree_monomials(own + fresh_variables([f], extra_vars), q)
     if not basis:
         return InfluenceResult(
             q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0,

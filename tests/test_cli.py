@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +93,25 @@ def test_rho_oversized_basis_exits_3(capsys, poly_file):
     code, out, err = run_cli(capsys, "rho", path, "--q", "9", "--extra-vars", "40")
     assert code == 3 and out == ""
     assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("command", ["rho", "strongest", "decompose", "diagnose"])
+def test_huge_extra_vars_exit_3_at_once(capsys, poly_file, command):
+    path = poly_file("p.json", G1 * gaussian(2))
+    code, out, err = run_cli(capsys, command, path, "--extra-vars", str(10**12))
+    assert code == 3 and out == ""
+    assert "exceeds cap 512" in err
+
+
+def test_python_dash_m_runs_the_command(capsys, poly_file):
+    path = poly_file("p.json", HE2_1 + G1 * gaussian(2))
+    code, out, _ = run_cli(capsys, "rho", path, "--q", "2")
+    assert code == 0
+    child = subprocess.run(
+        [sys.executable, "-m", "chaoscalc", "rho", path, "--q", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0 and child.stdout == out
 
 
 def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch):

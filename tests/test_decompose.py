@@ -112,6 +112,45 @@ def test_rotate_matches_substitution_oracle_on_float_rows():
     assert checked >= 8
 
 
+def test_rotate_matches_substitution_oracle_on_float_rows_at_degrees_four_and_five():
+    # terms of listed degree 4 and 5 take the float-row correction to order 2
+    rng = random.Random(47)
+    checked = 0
+    while checked < 6:
+        form = canonical_quadratic(random_poly(rng, max_vars=4, max_degree=2, max_terms=6))
+        rows = [[Fraction(x) for x in row] for row in form.rotation]
+        size = len(rows)
+        gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(size)] for i in range(size)]
+        if size < 3 or gram == [[int(i == j) for j in range(size)] for i in range(size)]:
+            continue
+        degree = 4 + checked % 2
+        v = form.variables
+        f = random_poly(rng, max_vars=5, max_degree=degree, max_terms=4)
+        f = f + hermite_monomial({v[0]: degree - 2, v[1]: 1, v[2]: 1}, Fraction(3, 7))
+        f = f + hermite_monomial({v[-1]: degree})
+        expected = substitute_rotation(f, form.rotation, form.variables)
+        assert rotate_basis(f, form.rotation, form.variables) == expected
+        checked += 1
+
+
+def test_rotate_of_he2_under_a_scale_off_one_by_an_ulp():
+    # one variable scaled by s: He_2(s G) = s^2 He_2(G) + (s^2 - 1), the Wick correction at order 1
+    s = 1 + Fraction(1, 2**45)
+    assert 0 < abs(s * s - 1) <= 1e-12
+    expected = HE2_1 * (s * s) + (s * s - 1)
+    assert rotate_basis(HE2_1, [[s]], [1]) == expected
+
+
+def test_rotate_by_exact_householder_rows_keeps_a_homogeneous_input_homogeneous():
+    rng = random.Random(53)
+    for size in (2, 3, 4):
+        for degree in (2, 3, 4, 5):
+            f = random_homogeneous(rng, degree, max_vars=size)
+            g = rotate_basis(f, householder_rows(random_rational_unit(rng, size)), list(range(1, size + 1)))
+            assert {idx.total_degree for idx in g.terms} == {degree}
+            assert inner_product(g, g) == inner_product(f, f)
+
+
 def test_rotate_rejects_non_orthogonal():
     with pytest.raises(PreconditionError, match="deviation"):
         rotate_basis(G1, [[1, 0], [0, Fraction(99, 100)]], [1, 2])

@@ -4,6 +4,7 @@ multilinear polynomials, Gaussian substitution, and influence peeling."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaoscalc import (
@@ -95,6 +96,18 @@ def test_multilinear_validation():
         MultilinearPoly(law, {frozenset({(1, 2)}): 1})
     # a gaussian law admits level 2
     MultilinearPoly(InputLaw.gaussian(), {frozenset({(1, 2)}): 1})
+
+
+@pytest.mark.parametrize("factor", [(1.7, 1), (True, 1), (1, True), (1, 2.0), ("1", 1), (None, 1)])
+def test_multilinear_rejects_factors_that_are_not_integers(factor):
+    with pytest.raises(PreconditionError, match=r"term 1: bad factor .*must be integers"):
+        MultilinearPoly(InputLaw.gaussian(), [(frozenset({(2, 1)}), 1), (frozenset({factor}), 1)])
+
+
+def test_multilinear_accepts_numpy_integer_factors():
+    p = MultilinearPoly(InputLaw.gaussian(), {frozenset({(np.int64(2), np.int32(1))}): 1})
+    assert p == MultilinearPoly(InputLaw.gaussian(), {frozenset({(2, 1)}): 1})
+    assert all(type(x) is int for term in p.terms for pair in term for x in pair)
 
 
 def test_multilinear_variance_and_repeated_var_merge():

@@ -168,6 +168,18 @@ def test_basis_cap_error_reports_dimension(monkeypatch):
         rho_q(G1 * G2, 2, 1)
 
 
+def test_huge_extra_vars_fail_the_cap_before_allocating():
+    # the dimension is counted from the number of variables; no fresh ids are made first
+    f = G1 * G2 + gaussian(3) * gaussian(4)
+    for call in (
+        lambda: rho_q(f, 2, extra_vars=10**12),
+        lambda: strongest_influence(f, 0.5, extra_vars=10**12),
+    ):
+        with pytest.raises(BasisSizeError) as err:
+            call()
+        assert err.value.cap == 512 and err.value.dimension > 10**12
+
+
 @pytest.mark.parametrize("raw", ["0", "-5", "many"])
 def test_basis_cap_below_one_or_not_an_integer_is_rejected(monkeypatch, raw):
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", raw)
