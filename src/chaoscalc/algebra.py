@@ -532,8 +532,13 @@ def poly_to_json_dict(f: ChaosPoly) -> dict:
     return {"terms": terms}
 
 
+def canonical_json(data) -> str:
+    """Compact JSON with sorted keys; NaN or an infinity raises ``ValueError``, as JSON has none."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def poly_to_json(f: ChaosPoly) -> str:
-    return json.dumps(poly_to_json_dict(f), sort_keys=True, separators=(",", ":"))
+    return canonical_json(poly_to_json_dict(f))
 
 
 def poly_from_json_dict(data) -> ChaosPoly:

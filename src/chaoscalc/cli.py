@@ -9,11 +9,10 @@ Repeated invocations with identical arguments produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .algebra import ChaosPoly, poly_from_json, poly_to_json
+from .algebra import ChaosPoly, canonical_json, poly_from_json, poly_to_json
 from .decompose import canonical_quadratic, iterate_decomposition
 from .ensembles import MultilinearPoly, multilinear_influences
 from .errors import BasisSizeError, ChaosCalcError, ParseError, PreconditionError
@@ -52,7 +51,7 @@ def _load_multilinear(path: str) -> MultilinearPoly:
 
 
 def _json_line(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(data) + "\n"
 
 
 def _cmd_gamma(args) -> str:
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     except BasisSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, PreconditionError, ChaosCalcError, ValueError, OSError) as exc:
+    except (ParseError, PreconditionError, ChaosCalcError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

@@ -1,36 +1,36 @@
 """Orthogonal basis changes, factoring along a chosen direction, and the degree-2 canonical form.
 
-The key exact construction: to split ``f`` along a unit linear direction
-``x = sum_i a_i G_i``, complete ``a`` to an exactly orthogonal rational matrix
-by a Householder reflector, rotate, group by the Hermite degree of the pivot
-coordinate, and rotate the coefficients back (all level groups through one
-shared back-rotation).  Every step is rational, so the reassembly
-``sum_l A_l He_l(x) + A_0 == f`` and the decoupling
-``gamma_gradient(A_l, x) == 0`` hold exactly, not to tolerance; iterated
-decomposition therefore reads ``A_0`` off the split instead of subtracting
-the other levels from ``f``.
-
-Rotations use the Wick picture (Janson, *Gaussian Hilbert Spaces*, 1997,
+Substitutions use the Wick picture (Janson, *Gaussian Hilbert Spaces*, 1997,
 ch. 3): the Hermite monomial ``He_a(G)`` is the Wick power ``:G^a:``, and
-under an exactly orthogonal substitution ``G = R^T H`` Wick powers rotate like
-ordinary monomials, ``He_a(R^T H) = :(R^T H)^a:``.  So a rotation expands
-ordinary powers of the substituted linear forms and reads every ordinary
-monomial ``H^g`` back as ``He_g(H)``; no lower-degree Hermite terms arise only
-to cancel.  Rows that are orthogonal only to float precision add a correction
-from the generating function ``exp(t^T E t / 2)`` with ``E = R^T R - I`` (see
-``_rotation``), so those substitutions are exact too.
+Wick powers are multilinear in their linear forms, so substituting linear
+forms for the coordinates expands ordinary powers of those forms and reads
+every ordinary monomial ``G^g`` back as ``He_g(G)`` (``_substitute``).  Under
+an exactly orthogonal substitution ``G = R^T H`` this is the whole rotation,
+``He_a(R^T H) = :(R^T H)^a:``, so no lower-degree Hermite terms arise only to
+cancel; rows orthogonal only to float precision add an exact correction from
+the generating function (see ``rotate_basis``).
 
-For directions of degree q >= 2 no rotation exists; that path is a documented
-least-squares surrogate (see ``decompose_along``) with residual diagnostics.
+The key exact construction: to split ``f`` along a unit linear direction
+``x = u . G``, write ``G = u x + P G`` with the projection
+``P = I - u u^T``.  ``x`` is independent of ``P G`` and Wick powers of
+independent parts factor, so the one substitution ``G_j -> u_j X + (P G)_j``
+gives ``f = sum_l A_l He_l(x)`` with ``A_l`` the coefficient of ``X^l``.
+Every step is rational, so the reassembly ``sum_l A_l He_l(x) == f``
+and the decoupling ``gamma_gradient(A_l, x) == 0`` hold exactly, not to
+tolerance; iterated decomposition therefore reads ``A_0`` off the split
+instead of subtracting the other levels from ``f``.
+
+For directions of degree q >= 2 no such split exists; that path is a
+documented least-squares surrogate (see ``decompose_along``) with residual
+diagnostics.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .algebra import (
     RationalLike,
     _numerators,
     as_fraction,
+    canonical_json,
     compose_hermite,
     hermite_monomial,
     homogeneous_degree,
@@ -109,7 +110,7 @@ class IterationTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -142,18 +143,10 @@ class QuadraticCanonicalForm:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 # -- orthogonal substitution ----------------------------------------------------
-
-
-def _to_fraction_matrix(rotation) -> list[list[Fraction]]:
-    rows = [[as_fraction(entry) for entry in row] for row in rotation]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise PreconditionError("rotation matrix must be square")
-    return rows
 
 
 def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
@@ -165,14 +158,60 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     Hermite basis (new coordinates reuse the listed ids).  Variables of ``f``
     outside the list pass through untouched.  Exactly orthogonal rows map
     ``He_a(G)`` to the Wick power ``:(R^T H)^a:``, the ordinary power read
-    back on the Hermite basis; rows orthogonal only to float precision (up to
-    ``ORTHOGONALITY_TOL``) add the exact correction
+    back on the Hermite basis (``_substitute``); rows orthogonal only to float
+    precision (up to ``ORTHOGONALITY_TOL``) add the exact correction
     ``He_a(R^T H) = sum_{b <= a} e_b a!/(a-b)! :(R^T H)^(a-b):`` with
-    ``e = exp(t^T (R^T R - I) t / 2)``; with one variable,
-    ``He_2(s G) = s^2 He_2(G) + (s^2 - 1)``.  One-shot form of ``_rotation``,
-    which holds the integer arithmetic.
+    ``e = exp(t^T E t / 2)`` and ``E = R^T R - I``, by the generating function
+    ``sum_a He_a(g) t^a / a! = exp(t.g - |t|^2 / 2)``; with one variable,
+    ``He_2(s G) = s^2 He_2(G) + (s^2 - 1)``.  Exact rows give ``e = 1``, so
+    no lower-degree Hermite terms are made only to cancel; float rows add the
+    few correction terms ``b != 0`` (``E`` is a few ulps).
+
+    The rows are scaled to integers ``m`` over ``d``, the lcm of their
+    denominators, and ``a! / (a - b)! e_b`` is an integer over ``d**|b|``.
     """
-    return _rotation(rotation, variables)(f)
+    rows = [[as_fraction(entry) for entry in row] for row in rotation]
+    if any(len(row) != len(rows) for row in rows):
+        raise PreconditionError("rotation matrix must be square")
+    variables = list(variables)
+    if len(variables) != len(rows):
+        raise PreconditionError(
+            f"rotation is {len(rows)}x{len(rows)} but {len(variables)} variables were listed"
+        )
+    if len(set(variables)) != len(variables):
+        raise PreconditionError("listed variable ids must be distinct")
+    d = math.lcm(*(entry.denominator for row in rows for entry in row))
+    m = [[entry.numerator * (d // entry.denominator) for entry in row] for row in rows]
+    d_sq = d * d
+    n = len(m)
+    dev = max(
+        (
+            abs(sum(a * b for a, b in zip(m[i], m[j])) - (d_sq if i == j else 0))
+            for i in range(n)
+            for j in range(i, n)
+        ),
+        default=0,
+    )
+    if dev != 0 and dev / d_sq > ORTHOGONALITY_TOL:
+        raise PreconditionError(
+            f"rotation is not orthogonal: max deviation {dev / d_sq:.3e}"
+        )
+    col_dev = None
+    if dev:
+        # m^T m - d**2 I: the substituted forms' covariance deviation, times d**2
+        col_dev = [
+            [sum(row[j] * row[k] for row in m) - (d_sq if j == k else 0) for k in range(n)]
+            for j in range(n)
+        ]
+    lin = [{1 << _WIDTH * i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
+    denom, out = _substitute(f, variables, lin, d, col_dev)
+    by_id = sorted((var, j) for j, var in enumerate(variables))
+    totals: dict[Entries, int] = {}
+    for rest, acc in out.items():
+        for mono, t in acc.items():
+            entries = _entries(mono, by_id)
+            totals[tuple(sorted(entries + rest)) if rest else entries] = t
+    return ChaosPoly._from_numerators(totals, denom)
 
 
 # Bits per exponent in a packed ordinary monomial.  No exponent exceeds the
@@ -198,8 +237,14 @@ def _ordinary_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
     return out
 
 
+def _entries(packed: int, by_id: Sequence[tuple[int, int]]) -> Entries:
+    """The Hermite monomial named by packed exponents, columns mapped to ids by ``by_id``."""
+    degrees = ((var, packed >> _WIDTH * j & _MASK) for var, j in by_id)
+    return tuple((var, k) for var, k in degrees if k)
+
+
 def _wick_correction(dev: list[list[int]], top: int) -> list[tuple[int, list, int]]:
-    """The correction ``e' = exp(t^T dev t / 2)`` of ``_rotation``, to total degree ``top``.
+    """The correction ``e' = exp(t^T dev t / 2)`` of ``rotate_basis``, to total degree ``top``.
 
     ``dev`` is the integer matrix ``m^T m - d**2 I``.  Returns one
     ``(b, digits, b! e'_b)`` triple per nonzero coefficient, ``(0, [], 1)``
@@ -231,72 +276,47 @@ def _wick_correction(dev: list[list[int]], top: int) -> list[tuple[int, list, in
     return out
 
 
-def _rotation(rotation, variables: Sequence[int]) -> Callable[[ChaosPoly], ChaosPoly]:
-    """The substitution of ``rotate_basis``, checked and set up once for many polynomials.
+def _substitute(
+    f: ChaosPoly,
+    variables: Sequence[int],
+    lin: Sequence[Mapping[int, int]],
+    d: int,
+    dev: list[list[int]] | None = None,
+) -> tuple[int, dict[Entries, dict[int, int]]]:
+    """Wick substitution ``G_{variables[j]} -> lin[j] / d`` into ``f``, on integer numerators.
 
-    Write ``G = R^T H`` for the substitution, ``R = m / d`` with ``m`` integer
-    and ``d`` the lcm of the rows' denominators.  By the generating function
-    ``sum_a He_a(g) t^a / a! = exp(t.g - |t|^2 / 2)``,
-
-        He_a(R^T H) = sum_{b <= a} e_b  a! / (a - b)!  :(R^T H)^(a - b):,
-
-    where ``e = exp(t^T E t / 2)`` with ``E = R^T R - I``, and the Wick power
-    ``:(R^T H)^c:`` is the ordinary power of the substituted linear forms with
-    every ordinary monomial ``H^g`` read back as ``He_g(H)``.  Exactly
-    orthogonal rows give ``e = 1``, so the expansion is ordinary powers and
-    ordinary products alone: no lower-degree Hermite terms are made only to
-    cancel.  Rows orthogonal only to float precision add the few correction
-    terms ``b != 0`` (``E`` is a few ulps; see ``ORTHOGONALITY_TOL``), so they
-    expand just as exactly.
-
-    The arithmetic runs on integer numerators: the linear form of column
-    ``j`` is ``lin_j / d``, a product of powers ``prod_j lin_j^c_j`` is kept
-    over ``d**|c|``, and ``a! / (a - b)! e_b`` is an integer over
-    ``d**|b|``.  Monomials multiply by adding packed exponents (see
-    ``_ordinary_product``).  Each term is accumulated over ``L d**top`` (``L``
-    the lcm of the coefficients' denominators, ``top`` the largest listed
-    degree of a term); every output term is normalised once.  The table of
-    products of powers, each built from a smaller one times one linear form,
-    lives as long as the returned function, so polynomials rotated by it
-    share it.
+    ``lin[j]`` maps packed output monomials (one column per linear
+    coordinate) to integer coefficients.  Each listed part ``He_a`` of a term
+    becomes the Wick power of the substituted forms: the ordinary product of
+    powers ``prod_j lin_j^a_j`` over ``d**|a|``, whose every ordinary
+    monomial the caller reads back as a Hermite monomial.  With ``dev``
+    (``rotate_basis``'s float rows) the terms ``b != 0`` of
+    ``_wick_correction`` are added.  Returns ``(D, out)``: ``out[rest][g]`` is
+    the numerator over ``D`` of output monomial ``g`` times the term's
+    unlisted ``rest`` entries.  Each term is accumulated over ``L d**top``
+    (``L`` the lcm of the coefficients' denominators, ``top`` the largest
+    listed degree of a term), so every output term is normalised once.
+    Products of powers are memoised, each built from a smaller one times one
+    linear form, so terms share them.
     """
-    rows = _to_fraction_matrix(rotation)
-    variables = list(variables)
-    if len(variables) != len(rows):
-        raise PreconditionError(
-            f"rotation is {len(rows)}x{len(rows)} but {len(variables)} variables were listed"
-        )
-    if len(set(variables)) != len(variables):
-        raise PreconditionError("listed variable ids must be distinct")
-    d = math.lcm(*(entry.denominator for row in rows for entry in row))
-    m = [[entry.numerator * (d // entry.denominator) for entry in row] for row in rows]
-    d_sq = d * d
-    n = len(m)
-    dev = max(
-        (
-            abs(sum(a * b for a, b in zip(m[i], m[j])) - (d_sq if i == j else 0))
-            for i in range(n)
-            for j in range(i, n)
-        ),
-        default=0,
-    )
-    if dev != 0 and dev / d_sq > ORTHOGONALITY_TOL:
-        raise PreconditionError(
-            f"rotation is not orthogonal: max deviation {dev / d_sq:.3e}"
-        )
-    # listed variable -> its column; monomials pack their exponents by column
+    denom, numerators = _numerators(f._terms)
     col_of = {var: j for j, var in enumerate(variables)}
-    by_id = sorted(col_of.items())
-    # lin[j]: the linear form substituted for column j's variable, over d
-    lin = [{1 << _WIDTH * i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
+    split = []
+    for entries, num in numerators.items():
+        packed, deg = 0, 0
+        rest = []
+        for var, k in entries:
+            j = col_of.get(var)
+            if j is None:
+                rest.append((var, k))
+            else:
+                packed += k << _WIDTH * j
+                deg += k
+        split.append((num, packed, deg, tuple(rest)))
+    top = max((deg for _, _, deg, _ in split), default=0)
+    correction = _wick_correction(dev, top) if dev else [(0, [], 1)]
     # powers[c] = prod_j lin_j^c_j for packed exponents c, over d**|c|
     powers: dict[int, dict[int, int]] = {0: {0: 1}}
-    if dev:
-        # m^T m - d**2 I: the substituted forms' covariance deviation, times d**2
-        col_dev = [
-            [sum(row[j] * row[k] for row in m) - (d_sq if j == k else 0) for k in range(n)]
-            for j in range(n)
-        ]
 
     def power(packed: int) -> dict[int, int]:
         acc = powers.get(packed)
@@ -313,96 +333,48 @@ def _rotation(rotation, variables: Sequence[int]) -> Callable[[ChaosPoly], Chaos
                 acc = powers[packed] = _ordinary_product(acc, lin[j])
         return acc
 
-    def name(packed: int) -> Entries:
-        degrees = ((var, packed >> _WIDTH * j & _MASK) for var, j in by_id)
-        return tuple((var, k) for var, k in degrees if k)
-
-    def apply(f: ChaosPoly) -> ChaosPoly:
-        denom, numerators = _numerators(f._terms)
-        split = []
-        for entries, num in numerators.items():
-            packed, deg = 0, 0
-            rest = []
-            for var, k in entries:
-                j = col_of.get(var)
-                if j is None:
-                    rest.append((var, k))
-                else:
-                    packed += k << _WIDTH * j
-                    deg += k
-            split.append((num, packed, deg, tuple(rest)))
-        top = max((deg for _, _, deg, _ in split), default=0)
-        correction = _wick_correction(col_dev, top) if dev else [(0, [], 1)]
-        # unlisted entries -> packed listed monomial -> numerator over denom * d**top
-        out: dict[Entries, dict[int, int]] = {}
-        for num, alpha, deg, rest in split:
-            scale = num * d ** (top - deg)
-            acc = out.setdefault(rest, {})
-            get = acc.get
-            for beta, digits, count in correction:
-                # a! / (a - b)! e'_b = prod_j C(a_j, b_j) * b! e'_b; C is 0 unless b <= a
-                c = count
-                for shift, b in digits:
-                    c *= math.comb(alpha >> shift & _MASK, b)
-                if c:
-                    c *= scale
-                    for mono, t in power(alpha - beta).items():
-                        acc[mono] = get(mono, 0) + c * t
-        totals: dict[Entries, int] = {}
-        for rest, acc in out.items():
-            for mono, t in acc.items():
-                entries = name(mono)
-                totals[tuple(sorted(entries + rest)) if rest else entries] = t
-        return ChaosPoly._from_numerators(totals, denom * d**top)
-
-    return apply
+    # unlisted entries -> packed output monomial -> numerator over denom * d**top
+    out: dict[Entries, dict[int, int]] = {}
+    for num, alpha, deg, rest in split:
+        scale = num * d ** (top - deg)
+        acc = out.setdefault(rest, {})
+        get = acc.get
+        for beta, digits, count in correction:
+            # a! / (a - b)! e'_b = prod_j C(a_j, b_j) * b! e'_b; C is 0 unless b <= a
+            c = count
+            for shift, b in digits:
+                c *= math.comb(alpha >> shift & _MASK, b)
+            if c:
+                c *= scale
+                for mono, t in power(alpha - beta).items():
+                    acc[mono] = get(mono, 0) + c * t
+    return denom * d**top, out
 
 
-def householder_rows(a: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Exactly orthogonal rational matrix whose first row is the unit vector ``a``.
+def _unit_row(a: Sequence[Fraction]) -> list[Fraction]:
+    """First row of the Householder reflector through ``a + e1`` (``a - e1`` when ``a_1 < 0``).
 
-    Reflector through ``a + e1`` (or ``a - e1`` when ``a_1 < 0``, avoiding
-    cancellation), with the first row negated as needed.  Orthogonality is
-    exact for any rational input; the first row equals ``a`` exactly when
+    Exactly unit for any nonzero rational ``a``, and equal to ``a`` when
     ``a`` has exact unit norm.
     """
-    n = len(a)
-    flip = a[0] >= 0
-    v = list(a)
-    if flip:
-        v[0] = v[0] + 1
-    else:
-        v[0] = v[0] - 1
-    vtv = sum(x * x for x in v)
-    if vtv == 0:
-        raise PreconditionError("direction vector must be nonzero")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = (Fraction(1) if i == j else Fraction(0)) - 2 * v[i] * v[j] / vtv
-            row.append(entry)
-        rows.append(row)
-    if flip:
-        rows[0] = [-entry for entry in rows[0]]
-    return rows
-
-
-def _transpose(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    return [[rows[i][j] for i in range(n)] for j in range(n)]
+    s = 1 if a[0] >= 0 else -1
+    v = [a[0] + s, *a[1:]]
+    c = 2 * s * v[0] / sum(x * x for x in v)
+    return [c * v[0] - s, *(c * x for x in v[1:])]
 
 
 def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> DecompositionStep:
-    """Exact split of ``f`` along the unit linear direction ``sum_i a_i G_i``.
+    """Exact split of ``f`` along the unit linear direction ``x = sum_i u_i G_i``.
 
-    The direction is completed to an exactly orthogonal rational basis, ``f``
-    is rotated, grouped by the Hermite degree of the pivot coordinate, and the
-    group coefficients are rotated back to the original coordinates through
-    one ``_rotation`` of the transposed rows, so every group shares its
-    table of products of powers.  The reported direction is the first
-    rotation row (exactly unit-norm; equal to ``a`` up to the 1e-12 slack the
-    precondition allows).
+    With ``u`` of exact unit norm, ``G = u x + (G - u u^T G)`` and ``x`` is
+    independent of the projected part, so ``He_a(G) = :(u x + P G)^a:``
+    splits into ``He_l(x)`` times Wick powers of ``P G``.  One substitution
+    ``G_j -> u_j X + (P G)_j``, with ``X`` on one extra column, gives ``A_l``
+    as the coefficient of ``X^l``, each ordinary monomial read back as a
+    Hermite monomial; ``P u = 0`` makes ``gamma_gradient(A_l, x)`` vanish.
+    ``u`` is the first Householder row of ``a`` (``_unit_row``): ``a``
+    itself when exactly unit, within the 1e-12 slack the precondition allows
+    otherwise.
     """
     coeffs = {int(v): as_fraction(c) for v, c in a.items() if as_fraction(c) != 0}
     if not coeffs:
@@ -413,30 +385,27 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
             f"direction must have unit norm; got squared norm {float(norm_sq)!r}"
         )
     variables = sorted(coeffs)
-    avec = [coeffs[v] for v in variables]
-    rows = householder_rows(avec)
-    pivot = variables[0]
-    rotated = rotate_basis(f, rows, variables)
-    levels: dict[int, dict[MultiIndex, Fraction]] = {}
-    for idx, coeff in rotated._terms.items():
-        level = idx.degree_of(pivot)
-        rest = {v: d for v, d in idx.entries if v != pivot}
-        bucket = levels.setdefault(level, {})
-        rest_idx = MultiIndex(rest)
-        bucket[rest_idx] = bucket.get(rest_idx, Fraction(0)) + coeff
-    back = _rotation(_transpose(rows), variables)
-    coefficients = []
-    for level in range((f.degree or 0) + 1):
-        bucket = levels.get(level)
-        coefficients.append(back(ChaosPoly(bucket)) if bucket else ChaosPoly.zero())
-    direction = ChaosPoly.zero()
-    for var, entry in zip(variables, rows[0]):
-        if entry:
-            direction = direction + hermite_monomial({var: 1}, entry)
+    unit = _unit_row([coeffs[v] for v in variables])
+    d = math.lcm(*(c.denominator for c in unit))
+    m = [c.numerator * (d // c.denominator) for c in unit]
+    n = len(m)
+    # G_j -> u_j X + sum_k (delta_jk - u_j u_k) G_k, over d**2; X is column n
+    proj = [[d * d * (j == k) - m[j] * m[k] for k in range(n)] for j in range(n)]
+    lin = [
+        {1 << _WIDTH * n: m[j] * d} | {1 << _WIDTH * k: p for k, p in enumerate(row) if p}
+        for j, row in enumerate(proj)
+    ]
+    denom, out = _substitute(f, variables, lin, d * d)
+    by_id = [(var, j) for j, var in enumerate(variables)]
+    levels: list[dict[Entries, int]] = [{} for _ in range((f.degree or 0) + 1)]
+    for rest, acc in out.items():
+        for mono, t in acc.items():
+            entries = _entries(mono, by_id)
+            levels[mono >> _WIDTH * n][tuple(sorted(entries + rest)) if rest else entries] = t
     return DecompositionStep(
-        direction=direction,
+        direction=ChaosPoly({((var, 1),): c for var, c in zip(variables, unit)}),
         q=1,
-        coefficients=tuple(coefficients),
+        coefficients=tuple(ChaosPoly._from_numerators(t, denom) for t in levels),
         remainder_gamma_norm=0.0,
         exact=True,
     )

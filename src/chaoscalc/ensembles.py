@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ChaosPoly, MultiIndex, RationalLike, as_fraction
+from .algebra import ChaosPoly, MultiIndex, RationalLike, as_fraction, canonical_json
 from .errors import ParseError, PreconditionError
 
 
@@ -324,7 +324,7 @@ class MultilinearPoly:
         return {"law": self.law.to_json_dict(), "terms": terms}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data) -> "MultilinearPoly":

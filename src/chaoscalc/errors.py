@@ -24,9 +24,13 @@ class MissingVariableError(PreconditionError):
 
 
 class BasisSizeError(ChaosCalcError):
-    """A requested basis would exceed the configured dimension cap."""
+    """A requested basis would exceed the configured dimension cap.
 
-    def __init__(self, dimension: int, cap: int):
+    With ``lower_bound`` the count stopped early, at ``dimension``.
+    """
+
+    def __init__(self, dimension: int, cap: int, lower_bound: bool = False):
         self.dimension = dimension
         self.cap = cap
-        super().__init__(f"basis dimension {dimension} exceeds cap {cap}")
+        bound = "at least " if lower_bound else ""
+        super().__init__(f"basis dimension {bound}{dimension} exceeds cap {cap}")

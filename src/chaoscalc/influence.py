@@ -25,7 +25,6 @@ direction.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .algebra import (
     _numerators,
     _weight,
     as_fraction,
+    canonical_json,
     fresh_variables,
     homogeneous_degree,
     poly_to_json_dict,
@@ -76,7 +76,7 @@ class InfluenceResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class StrongestInfluence:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 def _basis_cap() -> int:
@@ -208,6 +208,22 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     return form
 
 
+def _basis_dimension(nvars: int, q: int, cap: int) -> int:
+    """``C(q + nvars - 1, q)``, the number of degree-``q`` monomials in ``nvars`` variables.
+
+    The count runs over the degrees ``k <= q`` and stops at the first partial
+    count above ``cap``, a lower bound, so a huge ``q`` or ``nvars`` fails at once.
+    """
+    if nvars <= 1:
+        return nvars
+    dim = 1
+    for k in range(1, q + 1):
+        dim = dim * (nvars - 1 + k) // k
+        if dim > cap:
+            raise BasisSizeError(dim, cap, lower_bound=k < q)
+    return dim
+
+
 def rho_1(f: ChaosPoly) -> InfluenceResult:
     """Degree-1 influence: ``rho_q(f, 1, extra_vars=0)``.
 
@@ -233,11 +249,7 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     if extra_vars < 0:
         raise PreconditionError(f"extra_vars must be nonnegative, got {extra_vars}")
     own = f.variables()
-    nvars = len(own) + extra_vars
-    dim = math.comb(q + nvars - 1, nvars - 1) if nvars else 0
-    cap = _basis_cap()
-    if dim > cap:
-        raise BasisSizeError(dim, cap)
+    dim = _basis_dimension(len(own) + extra_vars, q, _basis_cap())
     basis = degree_monomials(own + fresh_variables([f], extra_vars), q)
     if not basis:
         return InfluenceResult(

@@ -9,13 +9,13 @@ booleans alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     ChaosPoly,
+    canonical_json,
     expectation,
     homogeneous_degree,
     inner_product,
@@ -41,7 +41,7 @@ class IdentityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 def ou_generator(f: ChaosPoly) -> ChaosPoly:

@@ -23,7 +23,6 @@ over per-variable one-dimensional families, the Hermite recurrence
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +34,7 @@ from ._kernels import accumulate_terms
 from .algebra import (
     ChaosPoly,
     MultiIndex,
+    canonical_json,
     expectation,
     hermite_monomial,
     hermite_values,
@@ -341,7 +341,7 @@ class NormalityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 def normality_report(

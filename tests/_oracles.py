@@ -11,13 +11,15 @@ code path with the package's Hermite-basis algebra:
 
 Also provides the carre du champ through the generator, the independent
 route for ``gamma_gradient``; exact rational orthogonal matrices
-(compositions of Pythagorean plane rotations), random polynomial generators,
+(compositions of Pythagorean plane rotations, and the Householder completion
+of a unit vector), random polynomial generators,
 a random-search plus power-iteration maximizer used as the influence oracle,
 the change of coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly``
 products, the independent route for ``rotate_basis``, and the routes that
 ``inner_product``, ``decompose_along_w1`` and ``iterate_decomposition`` took
-before they were specialised: a ``Fraction`` sum, one back-rotation call per
-level bucket, and the level-0 part rebuilt by subtracting the fitted levels.
+before they were specialised: a ``Fraction`` sum, a rotation into the
+Householder basis with one back-rotation call per level bucket, and the
+level-0 part rebuilt by subtracting the fitted levels.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from chaoscalc import (
     strongest_influence,
 )
 from chaoscalc.algebra import MultiIndex
-from chaoscalc.decompose import householder_rows
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
 RawPoly = dict
@@ -236,9 +237,39 @@ def fraction_inner(f: ChaosPoly, g: ChaosPoly) -> Fraction:
     return total
 
 
+def householder_rows(a: list[Fraction]) -> list[list[Fraction]]:
+    """Exactly orthogonal rational matrix whose first row is the unit vector ``a``.
+
+    Reflector through ``a + e1`` (or ``a - e1`` when ``a_1 < 0``, avoiding
+    cancellation), with the first row negated as needed.  Orthogonality is
+    exact for any rational input; the first row equals ``a`` exactly when
+    ``a`` has exact unit norm.
+    """
+    n = len(a)
+    flip = a[0] >= 0
+    v = list(a)
+    if flip:
+        v[0] = v[0] + 1
+    else:
+        v[0] = v[0] - 1
+    vtv = sum(x * x for x in v)  # |v_1| >= 1, so never zero
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = (Fraction(1) if i == j else Fraction(0)) - 2 * v[i] * v[j] / vtv
+            row.append(entry)
+        rows.append(row)
+    if flip:
+        rows[0] = [-entry for entry in rows[0]]
+    return rows
+
+
 def split_by_bucket_rotation(f: ChaosPoly, a: dict) -> list[ChaosPoly]:
-    """``decompose_along_w1``'s coefficients, each level bucket rotated back by
-    its own ``rotate_basis`` call on the transposed Householder rows."""
+    """``decompose_along_w1``'s coefficients by rotation: ``f`` rotated into the
+    Householder rows of ``a``, grouped by the pivot's Hermite degree, and each
+    level bucket rotated back by its own ``rotate_basis`` call on the
+    transposed rows."""
     variables = sorted(a)
     rows = householder_rows([Fraction(a[v]) for v in variables])
     pivot = variables[0]

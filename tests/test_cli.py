@@ -103,6 +103,27 @@ def test_huge_extra_vars_exit_3_at_once(capsys, poly_file, command):
     assert "exceeds cap 512" in err
 
 
+def test_huge_q_exits_3_at_once(capsys, poly_file):
+    # the basis count stops at the first partial count above the cap
+    path = poly_file("p.json", G1 * gaussian(2))
+    code, out, err = run_cli(capsys, "rho", path, "--q", "20000")
+    assert code == 3 and out == ""
+    assert "basis dimension at least 20001 exceeds cap 512" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["rho", "strongest", "decompose", "diagnose", "sample", "canonical2"]
+)
+def test_coefficient_beyond_float_range_exits_2(capsys, poly_file, command):
+    path = poly_file("p.json", G1 * gaussian(2) * Fraction(10**400) + HE2_1)
+    argv = [command, path]
+    if command in ("diagnose", "sample"):
+        argv += ["--samples", "1000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "too large" in err
+
+
 def test_python_dash_m_runs_the_command(capsys, poly_file):
     path = poly_file("p.json", HE2_1 + G1 * gaussian(2))
     code, out, _ = run_cli(capsys, "rho", path, "--q", "2")
@@ -226,6 +247,18 @@ def test_w2_on_malformed_sample_file_exits_2_and_names_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "w2", str(good), str(bad))
     assert code == 2 and out == ""
     assert "line 4" in err and "not-a-number" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_w2_that_is_not_finite_exits_2_without_invalid_json(capsys, tmp_path, value):
+    # NaN and Infinity are not JSON, so no result is written
+    good = tmp_path / "good.samples"
+    odd = tmp_path / "odd.samples"
+    good.write_text("# seed=1 stream=0 generator=g\n0.5\n1.5\n")
+    odd.write_text(f"# seed=1 stream=0 generator=g\n0.5\n{value}\n")
+    code, out, err = run_cli(capsys, "w2", str(good), str(odd))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_invariance_and_influences_commands(capsys, tmp_path):

@@ -23,9 +23,10 @@ from chaoscalc import (
     moment,
     rotate_basis,
 )
-from chaoscalc.decompose import householder_rows
+from chaoscalc.decompose import _unit_row
 
 from _oracles import (
+    householder_rows,
     iterate_by_reconstruction,
     random_homogeneous,
     random_poly,
@@ -212,17 +213,39 @@ def test_split_exactness_on_random_inputs():
 
 
 def test_split_coefficients_match_per_bucket_rotation():
-    # one shared back-rotation gives what a rotate_basis call per bucket gives
+    # one substitution gives what a rotation and a rotate_basis call per level
+    # bucket give; up to degree 6, on scattered ids, with f's variables outside
+    # the direction
     rng = random.Random(47)
-    for _ in range(12):
-        f = random_poly(rng, max_vars=4, max_degree=4, max_terms=5)
+    outside = 0
+    for max_vars, max_degree, scatter in [(4, 4, False)] * 12 + [(6, 5, True)] * 8 + [(6, 6, True)] * 6:
+        f = random_poly(rng, max_vars=max_vars, max_degree=max_degree, max_terms=5)
         if rng.random() < 0.5:
             f = f * Fraction(rng.uniform(0.5, 2.0))
         size = rng.randint(1, 4)
         unit = random_rational_unit(rng, size) if rng.random() < 0.5 else _float_unit(rng, size)
-        direction = {v + 1: c for v, c in enumerate(unit) if c}
+        ids = rng.sample(range(1, max_vars + 1), size) if scatter else range(1, size + 1)
+        direction = {v: c for v, c in zip(ids, unit) if c}
+        outside += bool(set(f.variables()) - set(direction))
         step = decompose_along_w1(f, direction)
         assert list(step.coefficients) == split_by_bucket_rotation(f, direction)
+    assert outside >= 10
+
+
+def test_unit_row_is_the_first_householder_row():
+    # exact unit vectors come back unchanged; float-derived ones become exactly unit
+    rng = random.Random(59)
+    vectors = [[Fraction(0), Fraction(3, 5), Fraction(4, 5)], [Fraction(-3, 5), Fraction(4, 5)]]
+    for size in (1, 2, 3, 4, 5):
+        vectors.append(random_rational_unit(rng, size))
+        vectors.append(_float_unit(rng, size))
+        vectors.append([-x for x in _float_unit(rng, size)])
+    for a in vectors:
+        unit = _unit_row(a)
+        assert unit == householder_rows(a)[0]
+        assert sum(x * x for x in unit) == 1
+        if sum(x * x for x in a) == 1:
+            assert unit == a
 
 
 def test_split_parseval_bookkeeping():

@@ -24,7 +24,7 @@ from chaoscalc import (
     strongest_influence,
 )
 from chaoscalc.algebra import fresh_variables
-from chaoscalc.influence import _influence_form, degree_monomials
+from chaoscalc.influence import _basis_dimension, _influence_form, degree_monomials
 
 from _oracles import oracle_quadratic_form, random_homogeneous, random_search_max
 
@@ -166,6 +166,21 @@ def test_basis_cap_error_reports_dimension(monkeypatch):
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "5")
     with pytest.raises(BasisSizeError):
         rho_q(G1 * G2, 2, 1)
+
+
+def test_basis_count_is_the_binomial_up_to_the_cap():
+    for nvars in range(8):
+        for q in range(1, 7):
+            dim = math.comb(q + nvars - 1, q)
+            assert dim == len(degree_monomials(list(range(1, nvars + 1)), q))
+            if dim <= 100:
+                assert _basis_dimension(nvars, q, 100) == dim
+            else:
+                with pytest.raises(BasisSizeError) as err:
+                    _basis_dimension(nvars, q, 100)
+                assert 100 < err.value.dimension <= dim
+                # the count stops early only when the full dimension is larger still
+                assert ("at least" in str(err.value)) == (err.value.dimension < dim)
 
 
 def test_huge_extra_vars_fail_the_cap_before_allocating():
