@@ -2,7 +2,8 @@
 
 Results are machine-readable JSON (or the line-oriented sample-file format for
 ``sample``) on standard output; all diagnostics go to standard error.  Exit
-codes: 0 success, 2 parse/precondition/input errors, 3 resource caps exceeded.
+codes: 0 success, 2 parse/precondition/input errors, 3 resource caps exceeded
+or memory that cannot be allocated.
 Repeated invocations with identical arguments produce byte-identical output.
 """
 
@@ -220,6 +221,9 @@ def main(argv=None) -> int:
         text = args.handler(args)
     except BasisSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ParseError, PreconditionError, ChaosCalcError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

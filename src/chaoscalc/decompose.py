@@ -374,7 +374,10 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     Hermite monomial; ``P u = 0`` makes ``gamma_gradient(A_l, x)`` vanish.
     ``u`` is the first Householder row of ``a`` (``_unit_row``): ``a``
     itself when exactly unit, within the 1e-12 slack the precondition allows
-    otherwise.
+    otherwise.  The q = 1 directions of ``strongest_influence`` are exactly
+    unit with one denominator below ``2**107`` (``influence._unit_rational``),
+    so on the CLI path ``_unit_row`` is the identity; the slack serves
+    library callers with float-derived near-unit vectors.
     """
     coeffs = {int(v): as_fraction(c) for v, c in a.items() if as_fraction(c) != 0}
     if not coeffs:

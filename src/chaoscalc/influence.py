@@ -20,7 +20,18 @@ rounded once to a float; only the eigensolve (LAPACK ``eigh``) runs in floats.
 The reported direction does not depend on the solver: it is the normalized
 projection of the first standard basis vector onto the top eigenspace (see
 ``_top_eigenpair``), so degenerate top eigenspaces still give a defined
-direction.
+direction.  Its float error is reported as ``eigen_residual``, ``||Q v -
+lambda v||``, next to the ``eigengap``.
+
+A degree-1 direction is snapped to an exactly unit rational vector
+(``_unit_rational``): the inverse stereographic image of the float vector
+rounded on the grid ``STEREO_GRID``.  Each coordinate moves by about
+``2 * 2**-53`` beyond the float vector's own norm error ``|sum v**2 - 1|``,
+at the level of the eigensolve's rounding, and the coordinates share one
+denominator below ``2**107``, so the exact split along the direction
+(``decompose.decompose_along_w1``) needs no rescaling.  Degree ``q >= 2``
+directions are unit for the weighted norm ``sum_a a! c_a**2``, which need not
+have rational points; they keep each float coordinate's exact value.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +64,8 @@ from .errors import BasisSizeError, PreconditionError
 DEFAULT_BASIS_CAP = 512
 BASIS_CAP_ENV = "CHAOSCALC_MAX_BASIS_DIM"
 TOP_CLUSTER_RTOL = 1e-9
+# the grid of the stereographic snap: one float ulp at unit scale
+STEREO_GRID = 2**53
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,9 @@ class InfluenceResult:
     # top eigenvalue of the form (a squared influence) minus the largest one
     # outside the top cluster; None when every eigenvalue is in the cluster
     eigengap: float | None = None
+    # ||Q v - lambda v|| of the float unit eigenvector before any snap; None
+    # on an empty basis
+    eigen_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,6 +90,7 @@ class InfluenceResult:
             "basis_dimension": self.basis_dimension,
             "extra_variables_used": self.extra_variables_used,
             "eigengap": self.eigengap,
+            "eigen_residual": self.eigen_residual,
         }
 
     def to_json(self) -> str:
@@ -157,6 +175,33 @@ def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray, float | None]
     return top, vec, gap
 
 
+def _unit_rational(v: np.ndarray) -> list[Fraction]:
+    """An exactly unit rational vector next to the float unit vector ``v``.
+
+    The classical rational parametrisation of the sphere: project ``v``
+    stereographically from the pole opposite its largest entry ``v_k`` (the
+    first on ties), ``t_i = v_i / (1 + |v_k|)`` for ``i != k``, round the
+    image to integers ``m_i`` on the grid ``M = STEREO_GRID`` and map back,
+    ``x_i = 2 m_i M / (S + M**2)`` and ``x_k = sign(v_k) (M**2 - S) / (S +
+    M**2)`` with ``S = sum m_i**2``.  ``sum x**2 == 1`` exactly.  Since
+    ``|t|**2 = (1 - |v_k|) / (1 + |v_k|) < 1``, ``S < M**2`` and every
+    coordinate is over the one denominator ``S + M**2 < 2**107``; coordinates
+    with ``m_i = 0`` are 0.  Each coordinate moves by at most about ``2 *
+    2**-53`` plus ``v``'s own norm error ``|sum v**2 - 1|``.
+    """
+    k = int(np.argmax(np.abs(v)))
+    pivot = float(v[k])
+    scale = 1.0 + abs(pivot)
+    m = [round(float(c) / scale * STEREO_GRID) for c in v]
+    m[k] = 0
+    square = STEREO_GRID * STEREO_GRID
+    s = sum(c * c for c in m)
+    denom = s + square
+    out = [Fraction(2 * STEREO_GRID * c, denom) for c in m]
+    out[k] = Fraction(square - s if pivot >= 0 else s - square, denom)
+    return out
+
+
 def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
@@ -229,7 +274,8 @@ def rho_1(f: ChaosPoly) -> InfluenceResult:
 
     Over the coordinates ``G_v`` of ``f``, ``Gamma(f, G_v) = d_v f``, so the
     form is the gradient Gram matrix ``<d_i f, d_j f>`` and the direction a
-    unit linear combination of the coordinates of ``f``.
+    linear combination of the coordinates of ``f`` with exactly unit norm:
+    the float top eigenvector snapped by ``_unit_rational``.
     """
     return rho_q(f, 1, extra_vars=0)
 
@@ -239,8 +285,10 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
 
     ``extra_vars`` fresh coordinates (default ``q - 1``) are appended to the
     variables of ``f`` before enumerating the basis; the quadratic form is
-    assembled exactly and only the eigensolve runs in floats.  The basis
-    dimension is capped by ``CHAOSCALC_MAX_BASIS_DIM`` (default 512).
+    assembled exactly and only the eigensolve runs in floats.  A ``q = 1``
+    direction is exactly unit (``_unit_rational``); higher degrees keep the
+    exact value of each float coordinate.  The basis dimension is capped by
+    ``CHAOSCALC_MAX_BASIS_DIM`` (default 512).
     """
     if not isinstance(q, int) or q < 1:
         raise PreconditionError(f"influence degree must be a positive integer, got {q!r}")
@@ -256,9 +304,16 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
             q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0,
             extra_variables_used=extra_vars,
         )
-    top, vec, gap = _top_eigenpair(_influence_form(f, basis))
-    coeffs = ((idx, float(entry) / math.sqrt(idx.weight)) for idx, entry in zip(basis, vec))
-    direction = ChaosPoly._from_clean({idx: as_fraction(c) for idx, c in coeffs if c})
+    form = _influence_form(f, basis)
+    top, vec, gap = _top_eigenpair(form)
+    # with the gap this bounds the angle error (Davis-Kahan: sin theta <= residual / gap)
+    residual = float(np.linalg.norm(form @ vec - top * vec))
+    if q == 1:
+        coeffs = zip(basis, _unit_rational(vec))
+    else:
+        floats = (float(entry) / math.sqrt(idx.weight) for idx, entry in zip(basis, vec))
+        coeffs = ((idx, as_fraction(c)) for idx, c in zip(basis, floats))
+    direction = ChaosPoly._from_clean({idx: c for idx, c in coeffs if c})
     return InfluenceResult(
         q=q,
         value=math.sqrt(max(top, 0.0)),
@@ -266,6 +321,7 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
         basis_dimension=dim,
         extra_variables_used=extra_vars,
         eigengap=gap,
+        eigen_residual=residual,
     )
 
 

@@ -76,17 +76,10 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _blocks(n: int) -> list[tuple[int, int, int]]:
-    """(block index, offset, size) tuples covering range(n)."""
-    out = []
-    block = 0
-    offset = 0
-    while offset < n:
-        size = min(BLOCK_SIZE, n - offset)
-        out.append((block, offset, size))
-        block += 1
-        offset += size
-    return out
+def _blocks(n: int):
+    """(block index, offset, size) tuples covering range(n), made as they are consumed."""
+    for block, offset in enumerate(range(0, n, BLOCK_SIZE)):
+        yield block, offset, min(BLOCK_SIZE, n - offset)
 
 
 def _draw_law(rng: np.random.Generator, law: InputLaw, shape) -> np.ndarray:
@@ -151,22 +144,21 @@ class _Encoder:
 
 
 def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
-    spans = _blocks(n)
+    # allocated before any block is scheduled, so an impossible n fails at once
     out = np.empty(n)
 
     def job(span):
         block, offset, size = span
         rng = _block_rng(seed, stream, block)
-        return offset, size, encoder.evaluate_block(rng, size)
+        out[offset : offset + size] = encoder.evaluate_block(rng, size)
 
-    threads = min(workers, len(spans), os.cpu_count() or 1)
+    threads = min(workers, -(-n // BLOCK_SIZE), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, spans))
+            list(pool.map(job, _blocks(n)))
     else:
-        results = [job(span) for span in spans]
-    for offset, size, chunk in results:
-        out[offset : offset + size] = chunk
+        for span in _blocks(n):
+            job(span)
     return out
 
 

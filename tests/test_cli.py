@@ -277,6 +277,21 @@ def test_invariance_and_influences_commands(capsys, tmp_path):
     assert data["1"]["exact"] == "1/16"
 
 
+@pytest.mark.parametrize("command", ["sample", "diagnose", "invariance"])
+def test_impossible_sample_count_exits_3_at_once(capsys, poly_file, tmp_path, command):
+    # the 10**15-draw output array is allocated before any block is scheduled
+    if command == "invariance":
+        p = MultilinearPoly(InputLaw.rademacher(), {frozenset({(1, 1), (2, 1)}): 1})
+        path = tmp_path / "p.json"
+        path.write_text(p.to_json())
+        path = str(path)
+    else:
+        path = poly_file("f.json", HE2_1 + G1 * gaussian(2))
+    code, out, err = run_cli(capsys, command, path, "--samples", str(10**15))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "law, terms, message",
     [
@@ -326,8 +341,8 @@ PINNED_G = [
     ({1: 1, 2: 1, 3: 1}, Fraction(5)),
 ]
 PINNED_DIGESTS = {
-    "decompose": "2d184a79ce47edb30dbeb464ae6721ea4e893d3df0fe2a8603639311ab957a6c",
-    "decompose_3": "2ffbecf956e8d20367448488f75733a9be326039937d4f10eeab9eec747f111c",
+    "decompose": "0aff4479e8f8fe62f3142dea65f60d0e80ee87f552e06151a31dfc9c6452390a",
+    "decompose_3": "ceda5cfcbd4953e17eebe617781f5cf7c9453e0fae83a428af769784cf771b56",
     "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
 }
 
@@ -342,10 +357,13 @@ def _pinned_json(terms, unit_norm: bool) -> str:
 
 
 def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
-    """sha256 of stdout for ``decompose F --threshold 0.05 --max-steps 1`` and
-    ``gamma F G``, recorded before the integer-numerator product kernels, and
-    for ``--max-steps 3`` (two steps are taken), recorded before the exact
-    path read ``A_0`` off the split and shared one back-rotation.
+    """sha256 of stdout for ``gamma F G``, recorded before the integer-numerator
+    product kernels, and for ``decompose F --threshold 0.05`` at
+    ``--max-steps 1`` and ``3`` (two steps are taken), recorded when degree-1
+    directions became exactly unit rationals (the stereographic snap in
+    ``rho_q``).  ``test_decompose.py::
+    test_cli_decomposition_is_exact_and_bounded_in_bits`` checks these
+    decompositions for exact reassembly, decoupling and unit directions.
 
     ``gamma`` is exact arithmetic only.  The decompose digests also depend on
     the last bits of the eigenvectors that numpy's LAPACK returns for the

@@ -21,6 +21,7 @@ from chaoscalc import (
     inner_product,
     iterate_decomposition,
     moment,
+    poly_from_json,
     rotate_basis,
 )
 from chaoscalc.decompose import _unit_row
@@ -37,6 +38,7 @@ from _oracles import (
     split_by_bucket_rotation,
     substitute_rotation,
 )
+from test_cli import PINNED_F, _pinned_json
 
 G1, G2 = gaussian(1), gaussian(2)
 HE2_1 = hermite_monomial({1: 2})
@@ -404,6 +406,44 @@ def test_iterate_matches_reconstruction_oracle_on_a_quadratic_direction():
     trace = iterate_decomposition(f, threshold=0.9, max_steps=3)
     assert trace.steps[0].q == 2 and not trace.steps[0].exact
     assert trace.to_json() == iterate_by_reconstruction(f, 0.9, 3).to_json()
+
+
+def test_cli_decomposition_is_exact_and_bounded_in_bits():
+    """Three steps of ``decompose --threshold 0.05 --max-steps 3`` on the
+    float-scaled degree-4 input of the pinned ``decompose`` digests, and on
+    two more like it, are exact, and their denominators grow by at most
+    ``2 p 107`` bits per step.
+
+    The derivation: each step's direction ``u`` is exactly unit with one
+    denominator ``d < 2**107`` (the stereographic snap in ``rho_q``), so the
+    split substitutes ``G_j -> u_j X + (P G)_j`` over ``d**2``.  A term of
+    degree at most ``p`` picks up at most ``p`` such factors, so every
+    coefficient of ``A_l`` is an integer over ``L d**(2 p)``, ``L`` the lcm of
+    the step's input denominators; the contribution and the new remainder
+    are differences and parts of these.  A denominator dividing ``L d**(2 p)``
+    has at most ``bits(L) + 2 p 107`` bits.
+    """
+    rng = random.Random(41)
+    pinned = poly_from_json(_pinned_json(PINNED_F, unit_norm=True))
+    others = [random_homogeneous(rng, 4, max_vars=4, max_terms=8) for _ in range(2)]
+    for f in (pinned, *(g * Fraction(1.0 / math.sqrt(float(inner_product(g, g)))) for g in others)):
+        p = f.degree
+        trace = iterate_decomposition(f, threshold=0.05, max_steps=3)
+        assert len(trace.steps) >= (2 if f is pinned else 1)
+        remainder = f
+        for step, contribution in zip(trace.steps, trace.contributions):
+            x = step.direction
+            assert step.exact and inner_product(x, x) == 1
+            assert all(gamma_gradient(coeff, x).is_zero() for coeff in step.coefficients)
+            assert step.reassemble() == remainder
+            bound = math.lcm(*(c.denominator for c in remainder.terms.values())).bit_length()
+            bound += 2 * p * 107
+            new_remainder = remainder - contribution
+            for part in (*step.coefficients, contribution, new_remainder):
+                assert all(c.denominator.bit_length() <= bound for c in part.terms.values())
+            remainder = new_remainder
+        assert remainder == trace.residual
+        assert sum(trace.contributions, trace.residual) == f
 
 
 def test_rotate_leaves_unlisted_variables_alone():

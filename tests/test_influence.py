@@ -24,7 +24,12 @@ from chaoscalc import (
     strongest_influence,
 )
 from chaoscalc.algebra import fresh_variables
-from chaoscalc.influence import _basis_dimension, _influence_form, degree_monomials
+from chaoscalc.influence import (
+    _basis_dimension,
+    _influence_form,
+    _top_eigenpair,
+    degree_monomials,
+)
 
 from _oracles import oracle_quadratic_form, random_homogeneous, random_search_max
 
@@ -262,10 +267,14 @@ def test_influence_result_json_round_trip_fields():
     result = rho_q(HE2_1, 1, 0)
     data = result.to_json_dict()
     assert set(data) == {
-        "q", "value", "direction", "basis_dimension", "extra_variables_used", "eigengap"
+        "q", "value", "direction", "basis_dimension", "extra_variables_used", "eigengap",
+        "eigen_residual",
     }
     assert data["q"] == 1 and data["extra_variables_used"] == 0
     assert data["eigengap"] is None  # one-dimensional basis: nothing outside the top cluster
+    assert data["eigen_residual"] == 0.0  # Q = [[4]], v = [1]
+    empty = rho_q(ChaosPoly.constant(5), 1, 0).to_json_dict()
+    assert empty["eigengap"] is None and empty["eigen_residual"] is None
 
 
 def test_assembled_form_is_bit_identical_to_the_oracle():
@@ -298,6 +307,58 @@ def test_eigengap_on_a_generic_input():
         vals = np.linalg.eigvalsh(qmat)
         assert result.eigengap > 0
         assert result.eigengap == pytest.approx(vals[-1] - vals[-2], abs=1e-9 * vals[-1])
+
+
+def test_eigen_residual_on_a_generic_input():
+    f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + G2 * gaussian(3) * G1
+    for q in (1, 2):
+        result = rho_q(f, q)
+        top = result.value**2
+        assert 0 <= result.eigen_residual <= 1e-12 * max(1.0, top)
+
+
+def _snap_inputs():
+    """Degree 2-4 over 1-8 variables, small-rational and float-scaled to unit norm."""
+    rng = random.Random(31)
+    for _ in range(40):
+        f = random_homogeneous(rng, rng.randint(2, 4), max_vars=rng.randint(1, 8), max_terms=8)
+        yield f
+        yield f * Fraction(1.0 / math.sqrt(float(inner_product(f, f))))
+
+
+def _assert_snapped(direction: ChaosPoly, f: ChaosPoly, extra: int) -> None:
+    """``direction`` is exactly unit, one denominator below 2**108, and within
+    4 * 2**-53 of the float eigenvector ``v`` of the degree-1 form in every
+    coordinate, beyond ``v``'s own norm error.
+
+    No unit vector is closer to ``v`` than ``|1 - ||v||| * max |v_i|``, and
+    LAPACK returns ``v`` with ``|sum v**2 - 1|`` up to about 11 * 2**-53, so
+    that error is added to the bound.
+    """
+    basis = degree_monomials(list(f.variables()) + list(fresh_variables([f], extra)), 1)
+    _, vec, _ = _top_eigenpair(_influence_form(f, basis))
+    floats = [Fraction(float(v)) for v in vec]
+    coeffs = [direction.terms.get(idx, Fraction(0)) for idx in basis]
+    assert set(direction.terms) <= set(basis)
+    assert sum(c * c for c in coeffs) == 1
+    bound = Fraction(4, 2**53) + abs(sum(v * v for v in floats) - 1)
+    assert max(abs(c - v) for c, v in zip(coeffs, floats)) <= bound
+    assert math.lcm(*(c.denominator for c in coeffs)) < 2**108
+    if len(direction.terms) == 1:
+        assert list(direction.terms.values()) in ([1], [-1])
+
+
+def test_degree_one_directions_are_snapped_to_exact_unit_rationals():
+    for f in _snap_inputs():
+        for extra in (0, 1):
+            result = rho_q(f, 1, extra)
+            _assert_snapped(result.direction, f, extra)
+            scan = strongest_influence(f, 1e-9, extra)
+            assert scan.q_star == 1 and scan.direction == result.direction
+            _assert_snapped(scan.direction, f, extra)
+    # a one-variable basis gives the coordinate itself
+    f = hermite_monomial({5: 3}, Fraction(-2, 7))
+    assert rho_q(f, 1, 0).direction == gaussian(5)
 
 
 def test_eigengap_on_the_clt_family():
