@@ -4,10 +4,8 @@ for polynomials in independent Gaussian and general i.i.d. inputs."""
 from .algebra import (
     ChaosPoly,
     MultiIndex,
-    add,
     as_fraction,
     compose_hermite,
-    evaluate,
     expectation,
     fresh_variables,
     gaussian,

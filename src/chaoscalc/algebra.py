@@ -101,9 +101,6 @@ class MultiIndex:
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.entries)
 
-    def is_constant(self) -> bool:
-        return not self.entries
-
     def sort_key(self) -> tuple:
         return (self.total_degree, self.entries)
 
@@ -382,10 +379,6 @@ def fresh_variables(polys: Iterable[ChaosPoly], count: int) -> tuple[int, ...]:
 # -- operations ---------------------------------------------------------------
 
 
-def add(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
-    return f + g
-
-
 def mul(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
     return f * g
 
@@ -465,10 +458,6 @@ def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
     if level == 0:
         return ChaosPoly.constant(1)
     return hermite_values(x, level)[level]
-
-
-def evaluate(f: ChaosPoly, point: Mapping[int, float | Fraction]):
-    return f.eval(point)
 
 
 def poly_pow(f: ChaosPoly, n: int) -> ChaosPoly:

@@ -2,8 +2,9 @@
 
 Results are machine-readable JSON (or the line-oriented sample-file format for
 ``sample``) on standard output; all diagnostics go to standard error.  Exit
-codes: 0 success, 2 parse/precondition/input errors, 3 resource caps exceeded
-or memory that cannot be allocated.
+codes: 0 success, 2 parse/precondition/input errors or an ``--output`` file
+that cannot be written, 3 resource caps exceeded or memory that cannot be
+allocated.
 Repeated invocations with identical arguments produce byte-identical output.
 """
 
@@ -138,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=False, mc=False):
+    def common(p, mc=False):
         p.add_argument("--output", default=None, help="write result to a file instead of stdout")
-        if samples or mc:
+        if mc:
             p.add_argument("--samples", type=int, default=100_000)
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--workers", type=positive_int, default=1)
@@ -219,6 +220,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
+        if args.output:
+            Path(args.output).write_text(text)
     except BasisSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -228,9 +231,7 @@ def main(argv=None) -> int:
     except (ParseError, PreconditionError, ChaosCalcError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return 0
 

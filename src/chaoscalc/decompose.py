@@ -51,7 +51,7 @@ from .algebra import (
     project_chaos,
 )
 from .errors import PreconditionError
-from .influence import _check_threshold, degree_monomials, strongest_influence
+from .influence import _check_threshold, _influence_scan, _unit_rational, degree_monomials
 from .malliavin import independence_score
 
 ORTHOGONALITY_TOL = 1e-12
@@ -205,13 +205,7 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
         ]
     lin = [{1 << _WIDTH * i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
     denom, out = _substitute(f, variables, lin, d, col_dev)
-    by_id = sorted((var, j) for j, var in enumerate(variables))
-    totals: dict[Entries, int] = {}
-    for rest, acc in out.items():
-        for mono, t in acc.items():
-            entries = _entries(mono, by_id)
-            totals[tuple(sorted(entries + rest)) if rest else entries] = t
-    return ChaosPoly._from_numerators(totals, denom)
+    return ChaosPoly._from_numerators({entries: t for (_, entries), t in out.items()}, denom)
 
 
 # Bits per exponent in a packed ordinary monomial.  No exponent exceeds the
@@ -235,12 +229,6 @@ def _ordinary_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
             key = e1 + e2
             out[key] = get(key, 0) + n1 * n2
     return out
-
-
-def _entries(packed: int, by_id: Sequence[tuple[int, int]]) -> Entries:
-    """The Hermite monomial named by packed exponents, columns mapped to ids by ``by_id``."""
-    degrees = ((var, packed >> _WIDTH * j & _MASK) for var, j in by_id)
-    return tuple((var, k) for var, k in degrees if k)
 
 
 def _wick_correction(dev: list[list[int]], top: int) -> list[tuple[int, list, int]]:
@@ -282,18 +270,19 @@ def _substitute(
     lin: Sequence[Mapping[int, int]],
     d: int,
     dev: list[list[int]] | None = None,
-) -> tuple[int, dict[Entries, dict[int, int]]]:
+) -> tuple[int, dict[tuple[int, Entries], int]]:
     """Wick substitution ``G_{variables[j]} -> lin[j] / d`` into ``f``, on integer numerators.
 
-    ``lin[j]`` maps packed output monomials (one column per linear
-    coordinate) to integer coefficients.  Each listed part ``He_a`` of a term
-    becomes the Wick power of the substituted forms: the ordinary product of
-    powers ``prod_j lin_j^a_j`` over ``d**|a|``, whose every ordinary
-    monomial the caller reads back as a Hermite monomial.  With ``dev``
-    (``rotate_basis``'s float rows) the terms ``b != 0`` of
-    ``_wick_correction`` are added.  Returns ``(D, out)``: ``out[rest][g]`` is
-    the numerator over ``D`` of output monomial ``g`` times the term's
-    unlisted ``rest`` entries.  Each term is accumulated over ``L d**top``
+    ``lin[j]`` maps packed output monomials (column ``j`` is ``variables[j]``,
+    and column ``len(variables)`` a new coordinate ``X``) to integer
+    coefficients.  Each listed part ``He_a`` of a term becomes the Wick power
+    of the substituted forms: the ordinary product of powers
+    ``prod_j lin_j^a_j`` over ``d**|a|``, every ordinary monomial of which is
+    read back as a Hermite monomial.  With ``dev`` (``rotate_basis``'s float
+    rows) the terms ``b != 0`` of ``_wick_correction`` are added.  Returns
+    ``(D, out)``: ``out[(l, e)]`` is the numerator over ``D`` of ``He_l(X)``
+    times the Hermite monomial of sorted entries ``e``.  Each term is
+    accumulated over ``L d**top``
     (``L`` the lcm of the coefficients' denominators, ``top`` the largest
     listed degree of a term), so every output term is normalised once.
     Products of powers are memoised, each built from a smaller one times one
@@ -348,19 +337,53 @@ def _substitute(
                 c *= scale
                 for mono, t in power(alpha - beta).items():
                     acc[mono] = get(mono, 0) + c * t
-    return denom * d**top, out
+    by_id = sorted((var, _WIDTH * j) for j, var in enumerate(variables))
+    level_shift = _WIDTH * len(variables)
+    totals: dict[tuple[int, Entries], int] = {}
+    for rest, acc in out.items():
+        for mono, t in acc.items():
+            degrees = ((var, mono >> shift & _MASK) for var, shift in by_id)
+            entries = tuple((var, k) for var, k in degrees if k)
+            totals[mono >> level_shift, tuple(sorted(entries + rest)) if rest else entries] = t
+    return denom * d**top, totals
 
 
-def _unit_row(a: Sequence[Fraction]) -> list[Fraction]:
-    """First row of the Householder reflector through ``a + e1`` (``a - e1`` when ``a_1 < 0``).
+def _split_linear(
+    f: ChaosPoly, coeffs: Mapping[int, Fraction], norm_sq: Fraction
+) -> DecompositionStep:
+    """``decompose_along_w1``'s split along ``coeffs``, of exact squared norm ``norm_sq``.
 
-    Exactly unit for any nonzero rational ``a``, and equal to ``a`` when
-    ``a`` has exact unit norm.
+    An exactly unit vector is used as it is; any other is normalised in
+    floats and snapped once by ``influence._unit_rational`` (one denominator
+    below ``2**107``; coordinates snapped to 0 leave the direction).
     """
-    s = 1 if a[0] >= 0 else -1
-    v = [a[0] + s, *a[1:]]
-    c = 2 * s * v[0] / sum(x * x for x in v)
-    return [c * v[0] - s, *(c * x for x in v[1:])]
+    variables = sorted(coeffs)
+    if norm_sq == 1:
+        unit = [coeffs[v] for v in variables]
+    else:
+        floats = np.array([float(coeffs[v]) for v in variables])
+        snapped = _unit_rational(floats / np.linalg.norm(floats))
+        variables, unit = zip(*((v, c) for v, c in zip(variables, snapped) if c))
+    d = math.lcm(*(c.denominator for c in unit))
+    m = [c.numerator * (d // c.denominator) for c in unit]
+    n = len(m)
+    # G_j -> u_j X + sum_k (delta_jk - u_j u_k) G_k, over d**2; X is column n
+    proj = [[d * d * (j == k) - m[j] * m[k] for k in range(n)] for j in range(n)]
+    lin = [
+        {1 << _WIDTH * n: m[j] * d} | {1 << _WIDTH * k: p for k, p in enumerate(row) if p}
+        for j, row in enumerate(proj)
+    ]
+    denom, out = _substitute(f, variables, lin, d * d)
+    levels: list[dict[Entries, int]] = [{} for _ in range((f.degree or 0) + 1)]
+    for (level, entries), t in out.items():
+        levels[level][entries] = t
+    return DecompositionStep(
+        direction=ChaosPoly({((var, 1),): c for var, c in zip(variables, unit)}),
+        q=1,
+        coefficients=tuple(ChaosPoly._from_numerators(t, denom) for t in levels),
+        remainder_gamma_norm=0.0,
+        exact=True,
+    )
 
 
 def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> DecompositionStep:
@@ -372,12 +395,9 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     ``G_j -> u_j X + (P G)_j``, with ``X`` on one extra column, gives ``A_l``
     as the coefficient of ``X^l``, each ordinary monomial read back as a
     Hermite monomial; ``P u = 0`` makes ``gamma_gradient(A_l, x)`` vanish.
-    ``u`` is the first Householder row of ``a`` (``_unit_row``): ``a``
-    itself when exactly unit, within the 1e-12 slack the precondition allows
-    otherwise.  The q = 1 directions of ``strongest_influence`` are exactly
-    unit with one denominator below ``2**107`` (``influence._unit_rational``),
-    so on the CLI path ``_unit_row`` is the identity; the slack serves
-    library callers with float-derived near-unit vectors.
+    ``u`` is ``a`` when exactly unit, as every q = 1 direction of ``rho_q``
+    is; a float-derived ``a`` within the 1e-12 slack is snapped to an exactly
+    unit ``u`` next to ``a / |a|``, returned as ``step.direction``.
     """
     coeffs = {int(v): as_fraction(c) for v, c in a.items() if as_fraction(c) != 0}
     if not coeffs:
@@ -387,43 +407,19 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
         raise PreconditionError(
             f"direction must have unit norm; got squared norm {float(norm_sq)!r}"
         )
-    variables = sorted(coeffs)
-    unit = _unit_row([coeffs[v] for v in variables])
-    d = math.lcm(*(c.denominator for c in unit))
-    m = [c.numerator * (d // c.denominator) for c in unit]
-    n = len(m)
-    # G_j -> u_j X + sum_k (delta_jk - u_j u_k) G_k, over d**2; X is column n
-    proj = [[d * d * (j == k) - m[j] * m[k] for k in range(n)] for j in range(n)]
-    lin = [
-        {1 << _WIDTH * n: m[j] * d} | {1 << _WIDTH * k: p for k, p in enumerate(row) if p}
-        for j, row in enumerate(proj)
-    ]
-    denom, out = _substitute(f, variables, lin, d * d)
-    by_id = [(var, j) for j, var in enumerate(variables)]
-    levels: list[dict[Entries, int]] = [{} for _ in range((f.degree or 0) + 1)]
-    for rest, acc in out.items():
-        for mono, t in acc.items():
-            entries = _entries(mono, by_id)
-            levels[mono >> _WIDTH * n][tuple(sorted(entries + rest)) if rest else entries] = t
-    return DecompositionStep(
-        direction=ChaosPoly({((var, 1),): c for var, c in zip(variables, unit)}),
-        q=1,
-        coefficients=tuple(ChaosPoly._from_numerators(t, denom) for t in levels),
-        remainder_gamma_norm=0.0,
-        exact=True,
-    )
+    return _split_linear(f, coeffs, norm_sq)
 
 
 def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     """Split a degree-p stratum element along a unit direction ``x`` of degree q < p.
 
-    q = 1 delegates to the exact rotation path.  For q >= 2 the split is a
-    least-squares fit of ``f`` on products ``m * He_l(x)`` where the monomials
-    ``m`` avoid the variables of ``x`` (so every coefficient decouples from
-    ``x`` by construction): levels l >= 1 allow deg(m) <= p - l q and the
-    level-0 block is capped at degree p - 1.  The unexplained residual is
-    reported through ``remainder_gamma_norm``; the reassembly is generally not
-    exact on this path.
+    q = 1 is the exact split of ``decompose_along_w1``, snap included.  For
+    q >= 2 the split is a least-squares fit of ``f`` on products
+    ``m * He_l(x)`` where the monomials ``m`` avoid the variables of ``x`` (so
+    every coefficient decouples from ``x`` by construction): levels l >= 1
+    allow deg(m) <= p - l q and the level-0 block is capped at degree p - 1.
+    The unexplained residual is reported through ``remainder_gamma_norm``;
+    the reassembly is generally not exact on this path.
     """
     p = homogeneous_degree(f, "polynomial")
     q = homogeneous_degree(x, "direction")
@@ -436,10 +432,7 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
         )
     if q == 1:
         coeffs = {idx.entries[0][0]: c for idx, c in x._terms.items()}
-        if x_norm_sq != 1:
-            scale = as_fraction(1.0 / math.sqrt(float(x_norm_sq)))
-            coeffs = {v: c * scale for v, c in coeffs.items()}
-        return decompose_along_w1(f, coeffs)
+        return _split_linear(f, coeffs, x_norm_sq)
 
     free_vars = sorted(set(f.variables()) - set(x.variables()))
     levels = p // q
@@ -494,16 +487,18 @@ def iterate_decomposition(
 ) -> IterationTrace:
     """Repeatedly factor the strongest-influence direction out of the remainder.
 
-    Each pass finds the least degree q whose influence on the current
-    remainder clears ``threshold``, splits along that direction, keeps the
-    degree-p part of the level-0 coefficient as the new remainder and books the
-    rest as that step's contribution.  On the exact q = 1 path the level-0
-    coefficient is ``A_0`` itself, since the split reassembles the remainder
-    exactly; for q >= 2 it is ``A_0 + (remainder - step.reassemble())``, the
-    remainder minus the fitted levels ``sum_{l>=1} A_l He_l(x)``.  Stops when every influence up to
-    floor(p/2) falls below ``threshold``, the remainder norm drops below
-    ``threshold``, or ``max_steps`` is reached.  By construction the input
-    always equals the sum of contributions plus the final remainder.
+    Each pass scans q = 1, 2, ... only up to the least degree q* whose
+    influence on the current remainder clears ``threshold`` (higher degrees
+    are neither assembled nor checked against the basis cap), splits along
+    that direction, keeps the degree-p part of the level-0 coefficient as the
+    new remainder and books the rest as that step's contribution.  On the
+    exact q = 1 path the level-0 coefficient is ``A_0`` itself, since the
+    split reassembles the remainder exactly; for q >= 2 it is ``A_0 +
+    (remainder - step.reassemble())``, the remainder minus the fitted levels.
+    Stops when every influence up to floor(p/2) falls below ``threshold``,
+    the remainder norm drops below ``threshold``, or ``max_steps`` is
+    reached.  By construction the input always equals the sum of
+    contributions plus the final remainder.
     """
     _check_threshold(threshold)
     if max_steps < 0:
@@ -521,10 +516,11 @@ def iterate_decomposition(
         while len(steps) < max_steps and not remainder.is_zero():
             if math.sqrt(float(inner_product(remainder, remainder))) < threshold:
                 break
-            scan = strongest_influence(remainder, threshold, extra_vars)
-            if scan.q_star is None:
+            scan = (r for r in _influence_scan(remainder, p, extra_vars) if r.value >= threshold)
+            found = next(scan, None)
+            if found is None:
                 break
-            step = decompose_along(remainder, scan.direction)
+            step = decompose_along(remainder, found.direction)
             level0 = step.coefficients[0]
             if not step.exact:
                 level0 = level0 + (remainder - step.reassemble())

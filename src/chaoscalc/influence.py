@@ -36,11 +36,12 @@ have rational points; they keep each float coordinate's exact value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -132,24 +133,19 @@ def _basis_cap() -> int:
     return cap
 
 
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
-
-
 def degree_monomials(variables: Sequence[int], degree: int) -> list[MultiIndex]:
-    """All Hermite multi-indices of exact total ``degree`` over ``variables``, fixed order."""
+    """All Hermite multi-indices of exact total ``degree`` over ``variables``, fixed order.
+
+    One multiset of the sorted variables per monomial, so the exponent
+    vectors descend lexicographically.
+    """
     variables = sorted(variables)
     if not variables:
         return []
-    out = []
-    for expo in _compositions(degree, len(variables)):
-        out.append(MultiIndex({v: e for v, e in zip(variables, expo) if e}))
-    return out
+    return [
+        MultiIndex._from_sorted(tuple((v, len(list(run))) for v, run in itertools.groupby(combo)))
+        for combo in itertools.combinations_with_replacement(variables, degree)
+    ]
 
 
 def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray, float | None]:
@@ -331,6 +327,15 @@ def _check_threshold(threshold: float) -> None:
         raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
 
 
+def _influence_scan(f: ChaosPoly, p: int, extra_vars: int | None) -> Iterator[InfluenceResult]:
+    """``rho_q(f, q, extra_vars)`` for q = 1 .. floor(p/2), each computed only when consumed.
+
+    ``strongest_influence`` drains it; the decomposition stops at q*.
+    """
+    for q in range(1, p // 2 + 1):
+        yield rho_q(f, q, extra_vars)
+
+
 def strongest_influence(
     f: ChaosPoly,
     threshold: float,
@@ -349,11 +354,10 @@ def strongest_influence(
     rho_values: dict[int, float] = {}
     q_star: int | None = None
     direction: ChaosPoly | None = None
-    for q in range(1, p // 2 + 1):
-        result = rho_q(f, q, extra_vars)
-        rho_values[q] = result.value
+    for result in _influence_scan(f, p, extra_vars):
+        rho_values[result.q] = result.value
         if q_star is None and result.value >= threshold:
-            q_star = q
+            q_star = result.q
             direction = result.direction
     return StrongestInfluence(
         q_star=q_star, rho_values=rho_values, direction=direction, threshold=float(threshold)

@@ -147,6 +147,23 @@ def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch
     assert "basis dimension 5 exceeds cap 4" in err
 
 
+def test_decompose_checks_the_basis_cap_only_up_to_q_star(capsys, tmp_path, monkeypatch):
+    # three variables, degree 4: the q = 1 basis has dimension 3 and the q = 2
+    # basis (one extra variable) dimension 10; both steps of this input have
+    # q* = 1, so the decomposition never builds the q = 2 basis
+    path = tmp_path / "f.json"
+    path.write_text(_pinned_json(PINNED_F, unit_norm=True))
+    argv = ["decompose", str(path), "--threshold", "0.05", "--max-steps", "3"]
+    code, uncapped, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out == uncapped
+    code, out, err = run_cli(capsys, "strongest", str(path), "--threshold", "0.05")
+    assert code == 3 and out == ""
+    assert "exceeds cap 3" in err
+
+
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_basis_cap_below_one_exits_2(capsys, poly_file, monkeypatch, raw):
     path = poly_file("p.json", G1 * gaussian(2))
@@ -323,6 +340,15 @@ def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "gamma", "/nonexistent/a.json", "/nonexistent/b.json")
     assert code == 2 and "cannot read" in err
+
+
+def test_unwritable_output_exits_2_with_a_message(capsys, poly_file, tmp_path):
+    path = poly_file("p.json", G1 * gaussian(2))
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "gamma", path, path, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+    assert not target.exists()
 
 
 # (index, coefficient) pairs; F is scaled to unit norm by a float factor, as

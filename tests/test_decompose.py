@@ -24,7 +24,6 @@ from chaoscalc import (
     poly_from_json,
     rotate_basis,
 )
-from chaoscalc.decompose import _unit_row
 
 from _oracles import (
     householder_rows,
@@ -230,24 +229,44 @@ def test_split_coefficients_match_per_bucket_rotation():
         direction = {v: c for v, c in zip(ids, unit) if c}
         outside += bool(set(f.variables()) - set(direction))
         step = decompose_along_w1(f, direction)
-        assert list(step.coefficients) == split_by_bucket_rotation(f, direction)
+        # a float-derived direction is snapped; the oracle rotates along the snapped one
+        unit = {idx.entries[0][0]: c for idx, c in step.direction.terms.items()}
+        assert list(step.coefficients) == split_by_bucket_rotation(f, unit)
     assert outside >= 10
 
 
-def test_unit_row_is_the_first_householder_row():
-    # exact unit vectors come back unchanged; float-derived ones become exactly unit
+def test_near_unit_directions_are_snapped_once_at_the_boundary():
+    # both entry points: an exactly unit vector is the direction as given; a
+    # float-derived near-unit one comes back exactly unit, on one denominator
+    # below 2**107, within 1e-15 of a / |a| in every coordinate
     rng = random.Random(59)
     vectors = [[Fraction(0), Fraction(3, 5), Fraction(4, 5)], [Fraction(-3, 5), Fraction(4, 5)]]
-    for size in (1, 2, 3, 4, 5):
+    for size in (1, 2, 3, 4, 5, 6):
         vectors.append(random_rational_unit(rng, size))
-        vectors.append(_float_unit(rng, size))
-        vectors.append([-x for x in _float_unit(rng, size)])
+        for _ in range(4):
+            vectors.append(_float_unit(rng, size))
+            vectors.append([-x for x in _float_unit(rng, size)])
+    snapped = 0
     for a in vectors:
-        unit = _unit_row(a)
-        assert unit == householder_rows(a)[0]
-        assert sum(x * x for x in unit) == 1
-        if sum(x * x for x in a) == 1:
-            assert unit == a
+        f = random_homogeneous(rng, 3, max_vars=len(a) + 1, max_terms=3)
+        given = {v + 1: c for v, c in enumerate(a) if c}
+        x = ChaosPoly({((v, 1),): c for v, c in given.items()})
+        norm_sq = sum(c * c for c in given.values())
+        for step in (decompose_along_w1(f, given), decompose_along(f, x)):
+            if norm_sq == 1:
+                assert step.direction == x
+                continue
+            snapped += 1
+            coeffs = step.direction.terms.values()
+            assert sum(c * c for c in coeffs) == 1
+            assert math.lcm(*(c.denominator for c in coeffs)) < 2**107
+            norm = math.sqrt(float(norm_sq))
+            for v, c in given.items():
+                target = Fraction(float(c) / norm)
+                assert abs(step.direction.coefficient({v: 1}) - target) <= Fraction(1e-15)
+            assert step.reassemble() == f
+            assert all(gamma_gradient(c, step.direction).is_zero() for c in step.coefficients)
+    assert snapped >= 80
 
 
 def test_split_parseval_bookkeeping():
