@@ -17,11 +17,11 @@ monomial product in Python ints (``_expand_product``) and normalises once,
 building one ``Fraction`` per output term.  (``decompose`` rotations need no
 Hermite products: they expand ordinary powers, see that module.)
 ``inner_product`` likewise sums the shared terms' integer numerators and
-builds one ``Fraction``.  ``_lower`` takes one monomial's
-derivative in one variable (``He_k' = k He_{k-1}``); ``partial_derivative``
-and the influence form of ``influence._influence_form``, which runs on
-``_numerators`` and ``_expand_product`` without building ``ChaosPoly``
-values, share it.  Sums and scalings stay on ``Fraction``.
+builds one ``Fraction``.  ``_gradients`` takes every partial derivative of a
+polynomial held as integer numerators (``He_k' = k He_{k-1}``);
+``partial_derivative`` reads one variable from it, and the one carre du
+champ kernel, ``malliavin._gamma_numerators``, pairs two such gradients.
+Sums and scalings stay on ``Fraction``.
 """
 
 from __future__ import annotations
@@ -383,32 +383,25 @@ def mul(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
     return f * g
 
 
-def _lower(entries: Entries, var: int) -> tuple[int, Entries]:
-    """``(k, entries)`` with ``var``'s degree ``k`` lowered by one: ``d_var He_e = k He_lowered``.
+def _gradients(nums: Mapping[Entries, int]) -> dict[int, dict[Entries, int]]:
+    """Every partial derivative of ``sum nums[e] He_e``: ``{v: {lowered entries: k * num}}``.
 
-    ``k`` is 0 and ``entries`` come back unchanged when ``var`` is absent.
+    ``d_v He_e = k He_{e lowered in v}``; distinct monomials stay distinct, so no terms merge.
     """
-    for i, (v, k) in enumerate(entries):
-        if v == var:
+    grads: dict[int, dict[Entries, int]] = {}
+    for entries, num in nums.items():
+        for i, (v, k) in enumerate(entries):
             rest = ((v, k - 1),) if k > 1 else ()
-            return k, entries[:i] + rest + entries[i + 1:]
-    return 0, entries
+            grads.setdefault(v, {})[entries[:i] + rest + entries[i + 1:]] = k * num
+    return grads
 
 
 def partial_derivative(f: ChaosPoly, var: int) -> ChaosPoly:
-    """Exact partial derivative, using ``He_k' = k He_{k-1}``.
-
-    Lowering ``var`` maps distinct monomials that hold it to distinct
-    monomials, so no two terms merge.
-    """
+    """Exact partial derivative, using ``He_k' = k He_{k-1}`` (``_gradients``)."""
     if not isinstance(var, int) or var < 1:
         raise ValueError(f"variable ids must be positive integers, got {var!r}")
-    out: dict[MultiIndex, Fraction] = {}
-    for idx, coeff in f._terms.items():
-        deg, lowered = _lower(idx.entries, var)
-        if deg:
-            out[MultiIndex._from_sorted(lowered)] = coeff * deg
-    return ChaosPoly._from_clean(out)
+    denom, nums = _numerators(f._terms)
+    return ChaosPoly._from_numerators(_gradients(nums).get(var, {}), denom)
 
 
 def expectation(f: ChaosPoly) -> Fraction:

@@ -51,7 +51,8 @@ from .algebra import (
     project_chaos,
 )
 from .errors import PreconditionError
-from .influence import _check_threshold, _influence_scan, _unit_rational, degree_monomials
+from .influence import _check_extra_vars, _check_threshold, _influence_scan
+from .influence import _unit_rational, degree_monomials
 from .malliavin import independence_score
 
 ORTHOGONALITY_TOL = 1e-12
@@ -501,6 +502,7 @@ def iterate_decomposition(
     contributions plus the final remainder.
     """
     _check_threshold(threshold)
+    _check_extra_vars(extra_vars)
     if max_steps < 0:
         raise PreconditionError(f"max_steps must be nonnegative, got {max_steps}")
     if f.is_zero():

@@ -5,8 +5,9 @@ over unit-norm degree-``q`` test polynomials ``x``.  Over a finite monomial
 basis of the degree-``q`` stratum this is a symmetric eigenproblem: assemble
 ``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` for an orthonormal basis ``e_a``
 and take the square root of the top eigenvalue.  ``_influence_form`` is the
-one assembly for every degree; ``rho_1`` is ``rho_q`` at ``q = 1`` over the
-variables of ``f``.
+one assembly for every degree, and it takes each ``Gamma(f, e_a)`` from the
+library's one carre du champ kernel, ``malliavin._gamma_numerators``;
+``rho_1`` is ``rho_q`` at ``q = 1`` over the variables of ``f``.
 
 The test space is spanned by the monomials over the variables of ``f`` plus a
 configurable number of fresh variables.  If ``n`` uses only fresh variables,
@@ -50,8 +51,7 @@ from .algebra import (
     ChaosPoly,
     Entries,
     MultiIndex,
-    _expand_product,
-    _lower,
+    _gradients,
     _numerators,
     _weight,
     as_fraction,
@@ -61,6 +61,7 @@ from .algebra import (
     poly_to_json_dict,
 )
 from .errors import BasisSizeError, PreconditionError
+from .malliavin import _gamma_numerators
 
 DEFAULT_BASIS_CAP = 512
 BASIS_CAP_ENV = "CHAOSCALC_MAX_BASIS_DIM"
@@ -202,34 +203,20 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
     ``f`` is scaled once to integer numerators over the lcm ``D`` of its
-    denominators and each ``d_v f`` is taken once on them.  Since
-    ``d_v e_a = k He_{e_a lowered in v}`` is one monomial, ``Gamma(f, e_a) =
-    sum_v d_v f * d_v e_a`` is one integer expansion per variable of ``e_a``,
-    over ``D``.  An inverted index maps each monomial of these products to the
-    (slot, numerator) pairs that hold it, so one pass over the monomials
-    accumulates every pairing in Python ints; ``total / D**2`` is the
-    correctly rounded float of the exact inner product, then divided by
-    ``sqrt(w_a w_b)``.
+    denominators and its gradient is taken once on them.  Each ``Gamma(f,
+    e_a)`` is the carre du champ kernel ``_gamma_numerators`` of that
+    gradient and the gradient of ``e_a``, over ``D``.  An inverted index maps
+    each monomial of these products to the (slot, numerator) pairs that hold
+    it, so one pass over the monomials accumulates every pairing in Python
+    ints; ``total / D**2`` is the correctly rounded float of the exact inner
+    product, then divided by ``sqrt(w_a w_b)``.
     """
     denom, nums = _numerators(f._terms)
-    grads: dict[int, dict[Entries, int]] = {}
-    for v in f.variables():
-        grad = grads[v] = {}
-        for entries, num in nums.items():
-            k, lowered = _lower(entries, v)
-            if k:
-                grad[lowered] = k * num
+    grads = _gradients(nums)
     index: dict[Entries, list[tuple[int, int]]] = {}
     for a, idx in enumerate(basis):
-        gamma: dict[Entries, int] = {}
-        for v in idx.variables():
-            if v in grads:
-                k, lowered = _lower(idx.entries, v)
-                for entries, num in _expand_product(grads[v], {lowered: k}).items():
-                    gamma[entries] = gamma.get(entries, 0) + num
-        for entries, num in gamma.items():
-            if num:
-                index.setdefault(entries, []).append((a, num))
+        for entries, num in _gamma_numerators(grads, _gradients({idx.entries: 1})).items():
+            index.setdefault(entries, []).append((a, num))
     dim = len(basis)
     totals = [[0] * dim for _ in range(dim)]
     for entries, pairs in index.items():
@@ -288,10 +275,9 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     """
     if not isinstance(q, int) or q < 1:
         raise PreconditionError(f"influence degree must be a positive integer, got {q!r}")
+    _check_extra_vars(extra_vars)
     if extra_vars is None:
         extra_vars = q - 1
-    if extra_vars < 0:
-        raise PreconditionError(f"extra_vars must be nonnegative, got {extra_vars}")
     own = f.variables()
     dim = _basis_dimension(len(own) + extra_vars, q, _basis_cap())
     basis = degree_monomials(own + fresh_variables([f], extra_vars), q)
@@ -325,6 +311,12 @@ def _check_threshold(threshold: float) -> None:
     """Reject a threshold that is not finite and positive (NaN compares false to everything)."""
     if not (math.isfinite(threshold) and threshold > 0):
         raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
+
+
+def _check_extra_vars(extra_vars: int | None) -> None:
+    """Reject a negative count of fresh variables; ``None`` asks for the default ``q - 1``."""
+    if extra_vars is not None and extra_vars < 0:
+        raise PreconditionError(f"extra_vars must be nonnegative, got {extra_vars}")
 
 
 def _influence_scan(f: ChaosPoly, p: int, extra_vars: int | None) -> Iterator[InfluenceResult]:

@@ -1,8 +1,9 @@
 """Ornstein-Uhlenbeck generator, carre du champ, and exact identity checkers.
 
-The carre du champ ``Gamma(f, g)`` is the gradient pairing ``sum_i d_i f d_i g``
-(``gamma_gradient``).  The generator route ``(L(fg) - f Lg - g Lf) / 2`` is
-kept only in the test suite, as the independent oracle it must match exactly.
+The carre du champ ``Gamma(f, g)`` is the gradient pairing ``sum_i d_i f d_i g``,
+one kernel on integer numerators (``_gamma_numerators``) for ``gamma_gradient``
+and ``influence._influence_form``.  The generator route ``(L(fg) - f Lg - g
+Lf) / 2`` is kept only in the test suite, as the oracle it must match exactly.
 The identity checkers below return exact rational reports rather than
 booleans alone.
 """
@@ -15,11 +16,14 @@ from fractions import Fraction
 
 from .algebra import (
     ChaosPoly,
+    Entries,
+    _expand_product,
+    _gradients,
+    _numerators,
     canonical_json,
     expectation,
     homogeneous_degree,
     inner_product,
-    partial_derivative,
 )
 
 
@@ -51,13 +55,20 @@ def ou_generator(f: ChaosPoly) -> ChaosPoly:
     )
 
 
+def _gamma_numerators(grads_f: dict, grads_g: dict) -> dict[Entries, int]:
+    """``sum_v d_v f * d_v g`` from two ``algebra._gradients``, over both denominators; no zeros."""
+    out: dict[Entries, int] = {}
+    for v in sorted(grads_f.keys() & grads_g.keys()):
+        for entries, num in _expand_product(grads_f[v], grads_g[v]).items():
+            out[entries] = out.get(entries, 0) + num
+    return {entries: t for entries, t in out.items() if t}
+
+
 def gamma_gradient(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
     """Carre du champ as the gradient pairing ``sum_i d_i f * d_i g``, exact."""
-    out = ChaosPoly.zero()
-    shared = set(f.variables()) & set(g.variables())
-    for var in sorted(shared):
-        out = out + partial_derivative(f, var) * partial_derivative(g, var)
-    return out
+    df, nf = _numerators(f._terms)
+    dg, ng = _numerators(g._terms)
+    return ChaosPoly._from_numerators(_gamma_numerators(_gradients(nf), _gradients(ng)), df * dg)
 
 
 def check_ipp(f: ChaosPoly, g: ChaosPoly) -> IdentityReport:
@@ -96,16 +107,11 @@ def check_spectral_inequality(x: ChaosPoly, y: ChaosPoly) -> IdentityReport:
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual <= 0)
 
 
-def gamma_norm_sq(f: ChaosPoly, x: ChaosPoly) -> Fraction:
-    """Exact squared L2 norm of the carre du champ of the pair."""
-    gamma = gamma_gradient(f, x)
-    return inner_product(gamma, gamma)
-
-
 def independence_score(f: ChaosPoly, x: ChaosPoly) -> float:
     """L2 norm of the carre du champ of the pair; 0 iff the pair decouples.
 
     Small values certify that ``f`` carries (asymptotically) no dependence on
     ``x``; this is the quantity driving the decomposition stopping rules.
     """
-    return math.sqrt(float(gamma_norm_sq(f, x)))
+    gamma = gamma_gradient(f, x)
+    return math.sqrt(float(inner_product(gamma, gamma)))

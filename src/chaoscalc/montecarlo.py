@@ -43,7 +43,7 @@ from .algebra import (
 )
 from .ensembles import InputLaw, MultilinearPoly, build_ensemble, substitute_gaussian
 from .errors import ParseError, PreconditionError
-from .influence import rho_q
+from .influence import _influence_scan
 from .malliavin import gamma_gradient
 
 BLOCK_SIZE = 1 << 16
@@ -162,6 +162,11 @@ def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int)
     return out
 
 
+def _check_sample_size(n: int) -> None:
+    if n < 1:
+        raise PreconditionError(f"sample size must be >= 1, got {n}")
+
+
 def sample(
     f: ChaosPoly | MultilinearPoly,
     n: int,
@@ -170,8 +175,7 @@ def sample(
     workers: int = 1,
 ) -> SampleSet:
     """``n`` independent draws of the polynomial, deterministic in (seed, stream)."""
-    if n < 1:
-        raise PreconditionError(f"sample size must be >= 1, got {n}")
+    _check_sample_size(n)
     if isinstance(f, ChaosPoly):
         terms = f.terms
         encoder = _Encoder(
@@ -223,7 +227,7 @@ def read_sample_file(path) -> SampleSet:
 
     Blank lines after the first line are skipped.  The body is converted in one
     ``map(float, ...)``; when that fails, the lines are parsed one by one so
-    that the ``ParseError`` names the first bad line.
+    that the ``ParseError`` names the first bad line, or line 1 for a header field.
     """
     seed = stream = 0
     generator = "unknown"
@@ -237,9 +241,9 @@ def read_sample_file(path) -> SampleSet:
         for token in lines[0][1:].split():
             key, _, value = token.partition("=")
             if key == "seed":
-                seed = int(value)
+                seed = _parse_field(int, value, 1, key)
             elif key == "stream":
-                stream = int(value)
+                stream = _parse_field(int, value, 1, key)
             elif key == "generator":
                 generator = value
         start = 2
@@ -248,7 +252,7 @@ def read_sample_file(path) -> SampleSet:
         values = list(map(float, body))
     except ValueError:
         values = [
-            _parse_sample_line(line, lineno)
+            _parse_field(float, line.strip(), lineno, "value")
             for lineno, line in enumerate(body, start=start)
             if lineno == 1 or line.strip()
         ]
@@ -261,11 +265,12 @@ def read_sample_file(path) -> SampleSet:
     )
 
 
-def _parse_sample_line(line: str, lineno: int) -> float:
+def _parse_field(convert, text: str, lineno: int, what: str):
+    """``convert(text)``, or a ``ParseError`` that names the line and the field."""
     try:
-        return float(line.strip())
+        return convert(text)
     except ValueError:
-        raise ParseError(f"sample file line {lineno}: bad value {line.strip()!r}") from None
+        raise ParseError(f"sample file line {lineno}: bad {what} {text!r}") from None
 
 
 # -- distances and exact diagnostics ---------------------------------------------
@@ -345,14 +350,12 @@ def normality_report(
 ) -> NormalityReport:
     """Variance, excess kurtosis, carre-du-champ variance, influence values up
     to degree floor(deg/2), and the empirical distance to a matched Gaussian."""
+    _check_sample_size(n_samples)
     centered = f - ChaosPoly.constant(expectation(f))
     variance = inner_product(centered, centered)
     if variance == 0:
         raise PreconditionError("normality diagnostics need a non-deterministic polynomial")
-    degree = f.degree or 0
-    rho: dict[int, float] = {}
-    for q in range(1, max(1, degree // 2) + 1):
-        rho[q] = rho_q(f, q, extra_vars).value
+    rho = {r.q: r.value for r in _influence_scan(f, max(f.degree or 0, 2), extra_vars)}
     observed = sample(f, n_samples, seed, stream=0, workers=workers)
     reference = sample(
         hermite_monomial({1: 1}, math.sqrt(float(variance))),

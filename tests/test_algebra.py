@@ -113,6 +113,7 @@ def test_partial_derivative_examples():
     assert partial_derivative(he3, 2).is_zero()
     mixed = hermite_monomial({1: 2, 2: 1})
     assert partial_derivative(mixed, 1) == 2 * hermite_monomial({1: 1, 2: 1})
+    assert partial_derivative(ChaosPoly.zero(), 1).is_zero()
 
 
 def test_partial_derivative_matches_raw_oracle():

@@ -210,6 +210,15 @@ def test_non_finite_threshold_exits_2(capsys, poly_file, command, threshold):
     assert "threshold must be finite and positive" in err
 
 
+@pytest.mark.parametrize("poly", [G1 * gaussian(2), G1], ids=["degree-2", "degree-1"])
+def test_decompose_negative_extra_vars_exits_2_before_any_scan(capsys, poly_file, poly):
+    # neither request scans an influence: no step is allowed, or the degree is below 2
+    path = poly_file("f.json", poly)
+    code, out, err = run_cli(capsys, "decompose", path, "--extra-vars", "-1", "--max-steps", "0")
+    assert code == 2 and out == ""
+    assert "extra_vars must be nonnegative, got -1" in err
+
+
 def test_decompose_non_homogeneous_exits_2(capsys, poly_file):
     # unit-norm but mixing degrees 1 and 2: 2*(2/3)**2 + (1/3)**2 == 1
     path = poly_file("f.json", Fraction(2, 3) * HE2_1 + Fraction(1, 3) * G1)
@@ -264,6 +273,11 @@ def test_w2_on_malformed_sample_file_exits_2_and_names_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "w2", str(good), str(bad))
     assert code == 2 and out == ""
     assert "line 4" in err and "not-a-number" in err
+    # a header field that is not an integer names line 1 and the field
+    bad.write_text("# seed=abc stream=0 generator=g\n0.5\n1.5\n")
+    code, out, err = run_cli(capsys, "w2", str(good), str(bad))
+    assert code == 2 and out == ""
+    assert "sample file line 1: bad seed 'abc'" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -307,6 +321,15 @@ def test_impossible_sample_count_exits_3_at_once(capsys, poly_file, tmp_path, co
     code, out, err = run_cli(capsys, command, path, "--samples", str(10**15))
     assert code == 3 and out == ""
     assert err.startswith("error: ")
+
+
+def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, poly_file, monkeypatch):
+    # the q = 1 basis of G1 G2 has dimension 2, above the cap of 1
+    path = poly_file("f.json", G1 * gaussian(2))
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "1")
+    code, out, err = run_cli(capsys, "diagnose", path, "--samples", "0")
+    assert code == 2 and out == ""
+    assert "sample size must be >= 1" in err
 
 
 @pytest.mark.parametrize(

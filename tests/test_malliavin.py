@@ -57,6 +57,10 @@ def test_gamma_gradient_examples():
     rng = random.Random(3)
     f = random_poly(rng)
     assert gamma_gradient(ChaosPoly.constant(9), f).is_zero()
+    # the zero polynomial has no denominators; its numerators are over lcm() == 1
+    assert gamma_gradient(ChaosPoly.zero(), f).is_zero()
+    assert gamma_gradient(f, ChaosPoly.zero()).is_zero()
+    assert gamma_gradient(ChaosPoly.zero(), ChaosPoly.zero()).is_zero()
 
 
 def test_carre_du_champ_equals_gradient_exactly():
