@@ -523,6 +523,25 @@ def poly_to_json(f: ChaosPoly) -> str:
     return canonical_json(poly_to_json_dict(f))
 
 
+def _decode_json(text: str):
+    """``json.loads(text)``, or a ``ParseError`` that names the line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+def _parse_coeff(raw, where: str) -> Fraction:
+    """A nonzero rational from a JSON coefficient, or a ``ParseError`` that names ``where``."""
+    try:
+        coeff = Fraction(str(raw))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: bad coefficient {raw!r}: {exc}") from None
+    if coeff == 0:
+        raise ParseError(f"{where}: zero coefficient is not allowed")
+    return coeff
+
+
 def poly_from_json_dict(data) -> ChaosPoly:
     if not isinstance(data, dict) or "terms" not in data:
         raise ParseError("polynomial JSON must be an object with a 'terms' array")
@@ -534,12 +553,7 @@ def poly_from_json_dict(data) -> ChaosPoly:
         where = f"term {pos}"
         if not isinstance(term, dict) or "coeff" not in term or "index" not in term:
             raise ParseError(f"{where}: expected an object with 'coeff' and 'index'")
-        try:
-            coeff = Fraction(str(term["coeff"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad coefficient {term['coeff']!r}: {exc}") from None
-        if coeff == 0:
-            raise ParseError(f"{where}: zero coefficient is not allowed")
+        coeff = _parse_coeff(term["coeff"], where)
         index = term["index"]
         if not isinstance(index, dict):
             raise ParseError(f"{where}: 'index' must be an object")
@@ -566,8 +580,4 @@ def poly_from_json_dict(data) -> ChaosPoly:
 
 
 def poly_from_json(text: str) -> ChaosPoly:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return poly_from_json_dict(data)
+    return poly_from_json_dict(_decode_json(text))

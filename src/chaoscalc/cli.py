@@ -1,11 +1,18 @@
 """Command-line front end.
 
+Each subcommand is one row of ``_COMMANDS``: name, help text, handler,
+positional inputs and options in ``--help`` order; shared options are declared
+once above it.  The parser is built from the table once per process, at
+import, so ``main`` only parses.  Handlers look library functions up as module
+globals when they run (a tracer may patch them), and ``_load`` reads every
+input file, naming it in a read or parse error.
+
 Results are machine-readable JSON (or the line-oriented sample-file format for
 ``sample``) on standard output; all diagnostics go to standard error.  Exit
 codes: 0 success, 2 parse/precondition/input errors or an ``--output`` file
 that cannot be written, 3 resource caps exceeded or memory that cannot be
-allocated.
-Repeated invocations with identical arguments produce byte-identical output.
+allocated.  Repeated invocations with identical arguments produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -30,26 +37,22 @@ from .montecarlo import (
 )
 
 
-def _load_poly(path: str) -> ChaosPoly:
+def _load(path: str, parse):
+    """``parse(path)``; a file that cannot be read or parsed raises a ``ParseError`` naming it."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return parse(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        return poly_from_json(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _load_poly(path: str) -> ChaosPoly:
+    return _load(path, lambda p: poly_from_json(Path(p).read_text()))
 
 
 def _load_multilinear(path: str) -> MultilinearPoly:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        return MultilinearPoly.from_json(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _load(path, lambda p: MultilinearPoly.from_json(Path(p).read_text()))
 
 
 def _json_line(data) -> str:
@@ -105,8 +108,8 @@ def _cmd_sample(args) -> str:
 
 
 def _cmd_w2(args) -> str:
-    a = read_sample_file(args.a)
-    b = read_sample_file(args.b)
+    a = _load(args.a, read_sample_file)
+    b = _load(args.b, read_sample_file)
     return _json_line({"w2": w2_1d(a, b), "n_a": len(a), "n_b": len(b)})
 
 
@@ -131,6 +134,37 @@ def positive_int(text: str) -> int:
     return value
 
 
+_OUTPUT = ("--output", {"default": None, "help": "write result to a file instead of stdout"})
+_THRESHOLD = ("--threshold", {"type": float, "default": 0.1})
+_EXTRA_VARS = ("--extra-vars", {"type": int, "default": None})
+_MONTE_CARLO = (
+    ("--samples", {"type": int, "default": 100_000}),
+    ("--seed", {"type": int, "default": 42}),
+    ("--workers", {"type": positive_int, "default": 1}),
+)
+
+_COMMANDS = (
+    ("gamma", "carre du champ of two polynomial files", _cmd_gamma, ("f", "g"), (_OUTPUT,)),
+    ("L", "apply the Ornstein-Uhlenbeck generator", _cmd_generator, ("f",), (_OUTPUT,)),
+    ("rho", "directional influence of a given degree", _cmd_rho, ("f",),
+     (("--q", {"type": int, "default": 1}), _EXTRA_VARS, _OUTPUT)),
+    ("strongest", "least degree whose influence clears the threshold", _cmd_strongest, ("f",),
+     (_THRESHOLD, _EXTRA_VARS, _OUTPUT)),
+    ("decompose", "iterated strongest-influence decomposition", _cmd_decompose, ("f",),
+     (_THRESHOLD, ("--max-steps", {"type": int, "default": 16}), _EXTRA_VARS, _OUTPUT)),
+    ("canonical2", "canonical form of a degree-<=2 polynomial", _cmd_canonical2, ("f",), (_OUTPUT,)),
+    ("diagnose", "consolidated normality report", _cmd_diagnose, ("f",),
+     (_EXTRA_VARS, _OUTPUT, *_MONTE_CARLO)),
+    ("sample", "draw reproducible samples of a polynomial", _cmd_sample, ("f",),
+     (("--stream", {"type": int, "default": 0}), _OUTPUT, *_MONTE_CARLO)),
+    ("w2", "quadratic transport distance between two sample files", _cmd_w2, ("a", "b"), (_OUTPUT,)),
+    ("invariance", "law gap between a multilinear polynomial and its Gaussian image",
+     _cmd_invariance, ("p",), (_OUTPUT, *_MONTE_CARLO)),
+    ("influences", "per-variable influences of a multilinear polynomial", _cmd_influences,
+     ("p",), (_OUTPUT,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaoscalc",
@@ -138,86 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
         "for Gaussian and i.i.d. polynomial inputs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, mc=False):
-        p.add_argument("--output", default=None, help="write result to a file instead of stdout")
-        if mc:
-            p.add_argument("--samples", type=int, default=100_000)
-            p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--workers", type=positive_int, default=1)
-
-    p = sub.add_parser("gamma", help="carre du champ of two polynomial files")
-    p.add_argument("f")
-    p.add_argument("g")
-    common(p)
-    p.set_defaults(handler=_cmd_gamma)
-
-    p = sub.add_parser("L", help="apply the Ornstein-Uhlenbeck generator")
-    p.add_argument("f")
-    common(p)
-    p.set_defaults(handler=_cmd_generator)
-
-    p = sub.add_parser("rho", help="directional influence of a given degree")
-    p.add_argument("f")
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--extra-vars", type=int, default=None, dest="extra_vars")
-    common(p)
-    p.set_defaults(handler=_cmd_rho)
-
-    p = sub.add_parser("strongest", help="least degree whose influence clears the threshold")
-    p.add_argument("f")
-    p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--extra-vars", type=int, default=None, dest="extra_vars")
-    common(p)
-    p.set_defaults(handler=_cmd_strongest)
-
-    p = sub.add_parser("decompose", help="iterated strongest-influence decomposition")
-    p.add_argument("f")
-    p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--max-steps", type=int, default=16, dest="max_steps")
-    p.add_argument("--extra-vars", type=int, default=None, dest="extra_vars")
-    common(p)
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("canonical2", help="canonical form of a degree-<=2 polynomial")
-    p.add_argument("f")
-    common(p)
-    p.set_defaults(handler=_cmd_canonical2)
-
-    p = sub.add_parser("diagnose", help="consolidated normality report")
-    p.add_argument("f")
-    p.add_argument("--extra-vars", type=int, default=None, dest="extra_vars")
-    common(p, mc=True)
-    p.set_defaults(handler=_cmd_diagnose)
-
-    p = sub.add_parser("sample", help="draw reproducible samples of a polynomial")
-    p.add_argument("f")
-    p.add_argument("--stream", type=int, default=0)
-    common(p, mc=True)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("w2", help="quadratic transport distance between two sample files")
-    p.add_argument("a")
-    p.add_argument("b")
-    common(p)
-    p.set_defaults(handler=_cmd_w2)
-
-    p = sub.add_parser("invariance", help="law gap between a multilinear polynomial and its Gaussian image")
-    p.add_argument("p")
-    common(p, mc=True)
-    p.set_defaults(handler=_cmd_invariance)
-
-    p = sub.add_parser("influences", help="per-variable influences of a multilinear polynomial")
-    p.add_argument("p")
-    common(p)
-    p.set_defaults(handler=_cmd_influences)
-
+    for name, help_text, handler, inputs, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for input_name in inputs:
+            p.add_argument(input_name)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = args.handler(args)
         if args.output:

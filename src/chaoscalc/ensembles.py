@@ -18,14 +18,21 @@ of a variable is the sum of ``a_J**2`` over the terms that contain it.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ChaosPoly, MultiIndex, RationalLike, as_fraction, canonical_json
+from .algebra import (
+    ChaosPoly,
+    MultiIndex,
+    RationalLike,
+    _decode_json,
+    _parse_coeff,
+    as_fraction,
+    canonical_json,
+)
 from .errors import ParseError, PreconditionError
 
 
@@ -118,7 +125,8 @@ class InputLaw:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad discrete law: {exc}") from None
             return cls.discrete(points, probabilities)
-        if kind in {"gaussian", "rademacher", "uniform"}:
+        # a tuple, not a set: kind may be an unhashable JSON list or object
+        if kind in ("gaussian", "rademacher", "uniform"):
             return cls(kind)
         raise ParseError(f"unknown law kind {kind!r}")
 
@@ -338,12 +346,7 @@ class MultilinearPoly:
             where = f"term {pos}"
             if not isinstance(term, dict) or "coeff" not in term:
                 raise ParseError(f"{where}: expected an object with 'coeff'")
-            try:
-                coeff = Fraction(str(term["coeff"]))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"{where}: bad coefficient {term['coeff']!r}: {exc}") from None
-            if coeff == 0:
-                raise ParseError(f"{where}: zero coefficient is not allowed")
+            coeff = _parse_coeff(term["coeff"], where)
             entries = term.get("vars", [])
             if not isinstance(entries, list):
                 raise ParseError(f"{where}: 'vars' must be an array")
@@ -360,11 +363,7 @@ class MultilinearPoly:
 
     @classmethod
     def from_json(cls, text: str) -> "MultilinearPoly":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_decode_json(text))
 
 
 def substitute_gaussian(p: MultilinearPoly, max_level: int | None = None) -> ChaosPoly:

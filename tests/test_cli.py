@@ -1,11 +1,13 @@
 """Command-line behavior: JSON on stdout only, exit codes, byte-determinism."""
 
+import argparse
 import hashlib
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from chaoscalc import (
     sample,
     write_sample_file,
 )
-from chaoscalc import montecarlo
+from chaoscalc import cli, montecarlo
 from chaoscalc.cli import main
 
 G1 = gaussian(1)
@@ -133,6 +135,44 @@ def test_python_dash_m_runs_the_command(capsys, poly_file):
         capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0 and child.stdout == out
+
+
+def test_one_parser_serves_many_calls(capsys, poly_file, monkeypatch):
+    path = poly_file("p.json", HE2_1 + G1 * gaussian(2))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "chaoscalc", "rho", path],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with pytest.raises(SystemExit) as exc:
+        main(["rho"])
+    assert exc.value.code == 2 and "required: f" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "rho", path, "--q", "2")
+    assert code == 0 and json.loads(out)["q"] == 2
+    code, out, _ = run_cli(capsys, "rho", path)
+    assert code == 0 and out == fresh.stdout
+    assert built == []
+
+
+def test_every_subcommand_is_in_the_readme_and_has_help(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("chaoscalc ")}
+    names = [row[0] for row in cli._COMMANDS]
+    assert set(names) == documented
+    for name in names:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: chaoscalc {name} ")
 
 
 def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch):
@@ -273,6 +313,7 @@ def test_w2_on_malformed_sample_file_exits_2_and_names_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "w2", str(good), str(bad))
     assert code == 2 and out == ""
     assert "line 4" in err and "not-a-number" in err
+    assert str(bad) in err and str(good) not in err
     # a header field that is not an integer names line 1 and the field
     bad.write_text("# seed=abc stream=0 generator=g\n0.5\n1.5\n")
     code, out, err = run_cli(capsys, "w2", str(good), str(bad))
@@ -346,10 +387,12 @@ def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, pol
          "bad discrete law: 'points' must be an array"),
         ({"kind": "discrete", "points": ["-1", "1"], "probabilities": "1/2"}, [],
          "bad discrete law: 'probabilities' must be an array"),
+        ({"kind": ["gaussian"]}, [], "unknown law kind ['gaussian']"),
+        ({"kind": {}}, [], "unknown law kind {}"),
     ],
     ids=[
         "terms-number", "vars-number", "float-variable", "bool-variable", "float-level",
-        "bool-factor", "points-number", "probabilities-string",
+        "bool-factor", "points-number", "probabilities-string", "kind-list", "kind-object",
     ],
 )
 def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law, terms, message):
@@ -360,9 +403,28 @@ def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["rho", "influences"])
+def test_truncated_input_file_exits_2_and_names_file_line_and_column(capsys, tmp_path, command):
+    path = tmp_path / "p.json"
+    path.write_text('{"law": {"kind": "gaussian"}, "terms": [' if command == "influences" else '{"terms": [')
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON at line 1 column")
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "gamma", "/nonexistent/a.json", "/nonexistent/b.json")
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["rho", "influences", "w2"])
+def test_undecodable_input_file_exits_2_and_names_it(capsys, tmp_path, command):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = [command, str(path)] + ([str(path)] if command == "w2" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_unwritable_output_exits_2_with_a_message(capsys, poly_file, tmp_path):
