@@ -19,9 +19,12 @@ Hermite products: they expand ordinary powers, see that module.)
 ``inner_product`` likewise sums the shared terms' integer numerators and
 builds one ``Fraction``.  ``_gradients`` takes every partial derivative of a
 polynomial held as integer numerators (``He_k' = k He_{k-1}``);
-``partial_derivative`` reads one variable from it, and the one carre du
-champ kernel, ``malliavin._gamma_numerators``, pairs two such gradients.
-Sums and scalings stay on ``Fraction``.
+``partial_derivative`` reads one variable from it, and
+``malliavin.gamma_gradient`` pairs two such gradients.  ``_times_coordinate``
+multiplies integer numerators by one coordinate ``G_w`` with the raising
+rule ``G He_k = He_{k+1} + k He_{k-1}``, without the general product; the
+influence form builds its carre du champ from it.  Sums and scalings stay on
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -49,6 +53,7 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 _WEIGHT_CACHE_SIZE = 1 << 14
 _HERMITE_PRODUCT_CACHE_SIZE = 1 << 10
+_RAISE_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -394,6 +399,37 @@ def _gradients(nums: Mapping[Entries, int]) -> dict[int, dict[Entries, int]]:
             rest = ((v, k - 1),) if k > 1 else ()
             grads.setdefault(v, {})[entries[:i] + rest + entries[i + 1:]] = k * num
     return grads
+
+
+@lru_cache(maxsize=_RAISE_CACHE_SIZE)
+def _raised_keys(entries: Entries, w: int) -> tuple[Entries, Entries, int]:
+    """``(e + 1_w, e - 1_w, k)`` for the entries ``e``, of degree ``k`` in ``w``.
+
+    ``e - 1_w`` is meaningless at ``k = 0``, where the raising rule has no lower term.
+    """
+    i = bisect_left(entries, (w,))
+    head = entries[:i]
+    if i < len(entries) and entries[i][0] == w:
+        k = entries[i][1]
+        tail = entries[i + 1:]
+        down = head + ((w, k - 1),) + tail if k > 1 else head + tail
+        return head + ((w, k + 1),) + tail, down, k
+    return head + ((w, 1),) + entries[i:], entries, 0
+
+
+def _times_coordinate(nums: Mapping[Entries, int], w: int) -> dict[Entries, int]:
+    """``G_w * sum nums[e] He_e`` by the raising rule ``G He_k = He_{k+1} + k He_{k-1}``.
+
+    Equal to ``_expand_product(nums, {((w, 1),): 1})``; zero totals are dropped.
+    """
+    out: dict[Entries, int] = {}
+    get = out.get
+    for entries, num in nums.items():
+        up, down, k = _raised_keys(entries, w)
+        out[up] = get(up, 0) + num
+        if k:
+            out[down] = get(down, 0) + k * num
+    return {entries: t for entries, t in out.items() if t}
 
 
 def partial_derivative(f: ChaosPoly, var: int) -> ChaosPoly:

@@ -5,9 +5,12 @@ over unit-norm degree-``q`` test polynomials ``x``.  Over a finite monomial
 basis of the degree-``q`` stratum this is a symmetric eigenproblem: assemble
 ``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` for an orthonormal basis ``e_a``
 and take the square root of the top eigenvalue.  ``_influence_form`` is the
-one assembly for every degree, and it takes each ``Gamma(f, e_a)`` from the
-library's one carre du champ kernel, ``malliavin._gamma_numerators``;
-``rho_1`` is ``rho_q`` at ``q = 1`` over the variables of ``f``.
+one assembly for every degree.  Each ``d_v e_a`` is a single Hermite
+monomial, so ``Gamma(f, e_a) = sum_{(v, k) in a} k d_v f He_{a - 1_v}`` is
+built from the gradient of ``f`` by the raising rule ``G_w He_k = He_{k+1} +
+k He_{k-1}`` (``algebra._times_coordinate``), one coordinate at a time, with
+no general Hermite product; ``rho_1`` is ``rho_q`` at ``q = 1`` over the
+variables of ``f``.
 
 The test space is spanned by the monomials over the variables of ``f`` plus a
 configurable number of fresh variables.  If ``n`` uses only fresh variables,
@@ -17,12 +20,13 @@ fresh-variable monomial, each the form of a lower degree over the variables of
 ``max_{q' <= q} rho_{q'}(f, extra_vars=0)``.
 
 Every entry of ``Q`` is an exact rational, summed on integer numerators and
-rounded once to a float; only the eigensolve (LAPACK ``eigh``) runs in floats.
-The reported direction does not depend on the solver: it is the normalized
-projection of the first standard basis vector onto the top eigenspace (see
-``_top_eigenpair``), so degenerate top eigenspaces still give a defined
-direction.  Its float error is reported as ``eigen_residual``, ``||Q v -
-lambda v||``, next to the ``eigengap``.
+rounded once to a float, with powers of two taken out so that high degrees
+(``q >= 100``) do not overflow the conversion; only the eigensolve (LAPACK
+``eigh``) runs in floats.  The reported direction does not depend on the
+solver: it is the normalized projection of the first standard basis vector
+onto the top eigenspace (see ``_top_eigenpair``), so degenerate top
+eigenspaces still give a defined direction.  Its float error is reported as
+``eigen_residual``, ``||Q v - lambda v||``, next to the ``eigengap``.
 
 A degree-1 direction is snapped to an exactly unit rational vector
 (``_unit_rational``): the inverse stereographic image of the float vector
@@ -42,6 +46,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,6 +58,7 @@ from .algebra import (
     MultiIndex,
     _gradients,
     _numerators,
+    _times_coordinate,
     _weight,
     as_fraction,
     canonical_json,
@@ -61,7 +67,6 @@ from .algebra import (
     poly_to_json_dict,
 )
 from .errors import BasisSizeError, PreconditionError
-from .malliavin import _gamma_numerators
 
 DEFAULT_BASIS_CAP = 512
 BASIS_CAP_ENV = "CHAOSCALC_MAX_BASIS_DIM"
@@ -199,28 +204,98 @@ def _unit_rational(v: np.ndarray) -> list[Fraction]:
     return out
 
 
+def _float_ratio(num: int, den: int) -> tuple[float, int]:
+    """``(x, e)`` with ``x`` the correctly rounded ``num / (den * 2**e)`` and ``0.5 <= |x| <= 2``.
+
+    Scaling by a power of two commutes with rounding, so ``math.ldexp(x, e)``
+    is ``num / den`` bit for bit wherever that is a normal float, and neither
+    step overflows when the quotient is beyond the float range.
+    """
+    e = num.bit_length() - den.bit_length()
+    return (num / (den << e) if e >= 0 else (num << -e) / den), e
+
+
+@lru_cache(maxsize=1 << 10)
+def _sqrt_ratio(n: int) -> tuple[float, int]:
+    """``(s, h)`` with ``math.ldexp(s, h) == math.sqrt(n)`` wherever ``float(n)`` is finite."""
+    x, e = _float_ratio(n, 1)
+    if e % 2:
+        x, e = 2 * x, e - 1
+    return math.sqrt(x), e // 2
+
+
+def _hermite_multiples(
+    prod: dict[Entries, int], variables: Sequence[int], degree: int, entries: Entries = ()
+) -> Iterator[tuple[Entries, dict[Entries, int]]]:
+    """``(b, He_b * prod)`` for every monomial ``b`` of total ``degree`` over ``variables``.
+
+    ``b`` is built one coordinate ``w`` at a time, in the order of
+    ``variables``, by ``He_{j+1}(G_w) P = G_w He_j(G_w) P - j He_{j-1}(G_w) P``
+    (``algebra._times_coordinate``), which carries the two previous products.
+    The walk is depth first, so monomials that share a prefix share its
+    products, and each product dies once its branch is done.  ``b`` comes in
+    that order, not sorted, and zero totals may remain.
+    """
+    if not degree:
+        yield entries, prod
+        return
+    w, rest = variables[0], variables[1:]
+    prev: dict[Entries, int] = {}
+    for j in range(degree + 1):
+        if j:
+            raised = _times_coordinate(prod, w)
+            for e, num in prev.items():
+                raised[e] = raised.get(e, 0) - (j - 1) * num
+            prev, prod = prod, raised
+        head = entries + ((w, j),) if j else entries
+        if rest:
+            yield from _hermite_multiples(prod, rest, degree - j, head)
+        elif j == degree:
+            yield head, prod
+
+
 def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
     ``f`` is scaled once to integer numerators over the lcm ``D`` of its
-    denominators and its gradient is taken once on them.  Each ``Gamma(f,
-    e_a)`` is the carre du champ kernel ``_gamma_numerators`` of that
-    gradient and the gradient of ``e_a``, over ``D``.  An inverted index maps
-    each monomial of these products to the (slot, numerator) pairs that hold
-    it, so one pass over the monomials accumulates every pairing in Python
-    ints; ``total / D**2`` is the correctly rounded float of the exact inner
-    product, then divided by ``sqrt(w_a w_b)``.
+    denominators and its gradient is taken once on them.  ``Gamma(f, He_a) =
+    sum_{(v, k) in a} k d_v f He_{a - 1_v}`` needs no general product: for
+    each ``v``, ``_hermite_multiples`` raises ``d_v f`` to ``d_v f He_b`` for
+    every ``b`` of degree ``q - 1``, and each product is added to the slot of
+    ``a = b + 1_v`` in an inverted index (monomial -> slot -> numerator over
+    ``D``) and dropped.  One pass over the monomials then accumulates every
+    pairing in Python ints.  ``total / D**2`` is the correctly rounded float of
+    the exact inner product, then divided by ``sqrt(w_a w_b)``; both steps
+    take powers of two out (``_float_ratio``), so an entry whose parts are
+    beyond the float range, as at ``q >= 100``, is still the float of the
+    exact value.
     """
     denom, nums = _numerators(f._terms)
     grads = _gradients(nums)
-    index: dict[Entries, list[tuple[int, int]]] = {}
-    for a, idx in enumerate(basis):
-        for entries, num in _gamma_numerators(grads, _gradients({idx.entries: 1})).items():
-            index.setdefault(entries, []).append((a, num))
+    slots = {idx.entries: a for a, idx in enumerate(basis)}
+    variables = sorted({v for idx in basis for v, _ in idx.entries})
+    # coordinates absent from f first: raising them only cancels, cheapest on the smallest products
+    order = sorted(variables, key=grads.__contains__)
+    degree = max((idx.total_degree for idx in basis), default=1) - 1
+    index: dict[Entries, dict[int, int]] = {}
+    for v in variables:
+        if v not in grads:
+            continue
+        for lowered, prod in _hermite_multiples(grads[v], order, degree):
+            exponents = dict(lowered)
+            k = exponents[v] = exponents.get(v, 0) + 1
+            a = slots.get(tuple(sorted(exponents.items())))
+            if a is None:
+                continue
+            for entries, num in prod.items():
+                held = index.setdefault(entries, {})
+                held[a] = held.get(a, 0) + k * num
     dim = len(basis)
+    # each unordered pair of slots that share a monomial lands in totals[a][b] or totals[b][a]
     totals = [[0] * dim for _ in range(dim)]
-    for entries, pairs in index.items():
+    for entries, held in index.items():
         weight = _weight(entries)
+        pairs = list(held.items())
         for i, (a, num_a) in enumerate(pairs):
             row, scaled = totals[a], weight * num_a
             for b, num_b in pairs[i:]:
@@ -230,9 +305,15 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     form = np.zeros((dim, dim))
     for a in range(dim):
         for b in range(a, dim):
-            if totals[a][b]:
-                inner = totals[a][b] / denom_sq
-                form[a, b] = form[b, a] = inner / math.sqrt(weights[a] * weights[b])
+            total = totals[a][b] + totals[b][a] if b > a else totals[a][a]
+            if total:
+                inner, e = _float_ratio(total, denom_sq)
+                root, h = _sqrt_ratio(weights[a] * weights[b])
+                try:
+                    form[a, b] = form[b, a] = math.ldexp(inner / root, e - h)
+                except OverflowError:
+                    message = f"influence form entry near 2**{e - h} is too large for a float"
+                    raise OverflowError(message) from None
     return form
 
 
@@ -293,7 +374,8 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     if q == 1:
         coeffs = zip(basis, _unit_rational(vec))
     else:
-        floats = (float(entry) / math.sqrt(idx.weight) for idx, entry in zip(basis, vec))
+        roots = (_sqrt_ratio(idx.weight) for idx in basis)
+        floats = (math.ldexp(float(entry) / root, -h) for entry, (root, h) in zip(vec, roots))
         coeffs = ((idx, as_fraction(c)) for idx, c in zip(basis, floats))
     direction = ChaosPoly._from_clean({idx: c for idx, c in coeffs if c})
     return InfluenceResult(

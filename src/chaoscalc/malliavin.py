@@ -1,9 +1,11 @@
 """Ornstein-Uhlenbeck generator, carre du champ, and exact identity checkers.
 
 The carre du champ ``Gamma(f, g)`` is the gradient pairing ``sum_i d_i f d_i g``,
-one kernel on integer numerators (``_gamma_numerators``) for ``gamma_gradient``
-and ``influence._influence_form``.  The generator route ``(L(fg) - f Lg - g
-Lf) / 2`` is kept only in the test suite, as the oracle it must match exactly.
+computed by ``gamma_gradient`` on integer numerators with the general Hermite
+product.  ``influence._influence_form`` needs ``Gamma(f, e_a)`` only against
+single Hermite monomials and builds it by the raising rule instead.  The
+generator route ``(L(fg) - f Lg - g Lf) / 2`` is kept only in the test suite,
+as the oracle ``gamma_gradient`` must match exactly.
 The identity checkers below return exact rational reports rather than
 booleans alone.
 """
@@ -55,20 +57,21 @@ def ou_generator(f: ChaosPoly) -> ChaosPoly:
     )
 
 
-def _gamma_numerators(grads_f: dict, grads_g: dict) -> dict[Entries, int]:
-    """``sum_v d_v f * d_v g`` from two ``algebra._gradients``, over both denominators; no zeros."""
-    out: dict[Entries, int] = {}
-    for v in sorted(grads_f.keys() & grads_g.keys()):
-        for entries, num in _expand_product(grads_f[v], grads_g[v]).items():
-            out[entries] = out.get(entries, 0) + num
-    return {entries: t for entries, t in out.items() if t}
-
-
 def gamma_gradient(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
-    """Carre du champ as the gradient pairing ``sum_i d_i f * d_i g``, exact."""
+    """Carre du champ as the gradient pairing ``sum_i d_i f * d_i g``, exact.
+
+    Both sides are scaled to integer numerators and differentiated once
+    (``algebra._gradients``); each shared variable's pair of partials is
+    multiplied in ints and the sum is divided once by both denominators.
+    """
     df, nf = _numerators(f._terms)
     dg, ng = _numerators(g._terms)
-    return ChaosPoly._from_numerators(_gamma_numerators(_gradients(nf), _gradients(ng)), df * dg)
+    grads_f, grads_g = _gradients(nf), _gradients(ng)
+    totals: dict[Entries, int] = {}
+    for v in sorted(grads_f.keys() & grads_g.keys()):
+        for entries, num in _expand_product(grads_f[v], grads_g[v]).items():
+            totals[entries] = totals.get(entries, 0) + num
+    return ChaosPoly._from_numerators(totals, df * dg)
 
 
 def check_ipp(f: ChaosPoly, g: ChaosPoly) -> IdentityReport:

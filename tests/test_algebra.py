@@ -23,7 +23,14 @@ from chaoscalc import (
     poly_to_json,
     project_chaos,
 )
-from chaoscalc.algebra import _weight, fresh_variables, hermite_product_1d, homogeneous_degree
+from chaoscalc.algebra import (
+    _expand_product,
+    _times_coordinate,
+    _weight,
+    fresh_variables,
+    hermite_product_1d,
+    homogeneous_degree,
+)
 
 from _oracles import (
     fraction_inner,
@@ -300,6 +307,37 @@ def test_degree_bookkeeping():
         g = random_poly(rng)
         if not (f * g).is_zero():
             assert (f * g).degree <= f.degree + g.degree
+
+
+def _random_numerators(rng: random.Random, variables, terms: int) -> dict:
+    nums = {}
+    for _ in range(terms):
+        chosen = sorted(rng.sample(variables, rng.randint(0, len(variables))))
+        entries = tuple((v, rng.randint(1, 3)) for v in chosen)
+        nums[entries] = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+    return nums
+
+
+@pytest.mark.parametrize(
+    "w, where",
+    [(1, "below every variable"), (3, "absent, between two"), (4, "present or absent"), (9, "above every variable")],
+)
+def test_times_coordinate_matches_the_general_product(w, where):
+    # derived value: G_w is the Hermite monomial ((w, 1),), so the general product is the oracle
+    rng = random.Random(w)
+    for _ in range(60):
+        nums = _random_numerators(rng, [2, 4, 5, 7], rng.randint(1, 6))
+        assert _times_coordinate(nums, w) == _expand_product(nums, {((w, 1),): 1}), where
+
+
+def test_times_coordinate_drops_degree_one_entries_and_cancelled_totals():
+    # G He_1(G_2) He_1(G_3) = He_2(G_2) He_1(G_3) + He_1(G_3): the degree-1 entry drops
+    assert _times_coordinate({((2, 1), (3, 1)): 5}, 2) == {((2, 2), (3, 1)): 5, ((3, 1),): 5}
+    # G (He_2 - 2) = He_3 + 2 He_1 - 2 He_1: the He_1 total cancels and is dropped
+    nums = {((2, 2),): 1, (): -2}
+    assert _times_coordinate(nums, 2) == {((2, 3),): 1}
+    assert _times_coordinate(nums, 2) == _expand_product(nums, {((2, 1),): 1})
+    assert _times_coordinate({}, 2) == {}
 
 
 def test_homogeneous_degree_checks():

@@ -83,6 +83,15 @@ def test_rho_command_value(capsys, poly_file):
     assert json.loads(out)["value"] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [100, 169])
+def test_rho_at_high_degree_exits_0(capsys, poly_file, q):
+    # rho_q(He_2) = 2 sqrt(q (2q - 1)); the form entry of He_q is beyond the float range of its parts
+    path = poly_file("he2.json", HE2_1)
+    code, out, err = run_cli(capsys, "rho", path, "--q", str(q), "--extra-vars", "0")
+    assert code == 0, err
+    assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12)
+
+
 def test_rho_constant_is_zero(capsys, poly_file):
     path = poly_file("c.json", ChaosPoly.constant(4))
     code, out, _ = run_cli(capsys, "rho", path, "--q", "2")
@@ -455,6 +464,9 @@ PINNED_DIGESTS = {
     "decompose": "0aff4479e8f8fe62f3142dea65f60d0e80ee87f552e06151a31dfc9c6452390a",
     "decompose_3": "ceda5cfcbd4953e17eebe617781f5cf7c9453e0fae83a428af769784cf771b56",
     "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
+    "rho_2": "09504989300a1f77ae52d08d5890ae966b8fe08ea5bf1c3e85da12df9525642b",
+    "rho_3": "f08da429c35a3cbcd3b4cc2fa8d7089d1a419b07024a22123a7325d8f5a6623b",
+    "strongest": "fb51b0e320525ee9988b15358a1f6879fa8c70d95e4d3c939e55f77960d97e14",
 }
 
 
@@ -472,13 +484,16 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
     product kernels, and for ``decompose F --threshold 0.05`` at
     ``--max-steps 1`` and ``3`` (two steps are taken), recorded when degree-1
     directions became exactly unit rationals (the stereographic snap in
-    ``rho_q``).  ``test_decompose.py::
+    ``rho_q``).  ``rho F --q 2``, ``rho F --q 3 --extra-vars 0`` and
+    ``strongest F`` were recorded before the influence form took its carre du
+    champ from the Hermite raising rule, which must leave them unchanged.  ``test_decompose.py::
     test_cli_decomposition_is_exact_and_bounded_in_bits`` checks these
     decompositions for exact reassembly, decoupling and unit directions.
 
     ``gamma`` is exact arithmetic only.  The decompose digests also depend on
     the last bits of the eigenvectors that numpy's LAPACK returns for the
-    degree-1 influences, so a different LAPACK build may change them.
+    degree-1 influences, and the ``rho`` and ``strongest`` digests on the
+    eigensolves of every degree, so a different LAPACK build may change them.
     """
     f_path = tmp_path / "f.json"
     g_path = tmp_path / "g.json"
@@ -488,6 +503,9 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
         "decompose": ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "1"],
         "decompose_3": ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "3"],
         "gamma": ["gamma", str(f_path), str(g_path)],
+        "rho_2": ["rho", str(f_path), "--q", "2"],
+        "rho_3": ["rho", str(f_path), "--q", "3", "--extra-vars", "0"],
+        "strongest": ["strongest", str(f_path)],
     }
     for name, argv in requests.items():
         code, out, _ = run_cli(capsys, *argv)

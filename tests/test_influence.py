@@ -75,6 +75,16 @@ def test_rho_q_product_direction_example():
     assert np.max(np.linalg.eigvalsh(qmat)) == pytest.approx(8.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("q", [1, 2, 10, 100, 250])
+def test_rho_q_of_he2_has_the_closed_form_at_high_degree(q):
+    # derived value: Gamma(He_2, He_q) = 2q He_1 He_{q-1} = 2q (He_q + (q-1) He_{q-2}),
+    # so rho_q**2 = 4q**2 (q! + (q-1)**2 (q-2)!) / q! = 4q (2q - 1).  From q = 100 on
+    # the form's exact entry and (q!)**2 exceed the float range; at q = 250 so does q!.
+    result = rho_q(HE2_1, q, extra_vars=0)
+    assert result.value == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12, abs=0)
+    assert float(inner_product(result.direction, result.direction)) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_rho_q_degree_one_matches_matrix_path():
     rng = random.Random(3)
     for _ in range(20):
@@ -284,11 +294,13 @@ def test_influence_result_json_round_trip_fields():
 
 
 def test_assembled_form_is_bit_identical_to_the_oracle():
-    # both routes round the exact inner product once and divide by sqrt(w_a w_b)
+    # both routes round the exact inner product once and divide by sqrt(w_a w_b);
+    # at q = 4 the raising runs to He_3 of one coordinate, past its first two levels
     rng = random.Random(23)
-    for _ in range(8):
-        f = random_homogeneous(rng, rng.choice([3, 4]), max_vars=3)
-        for q in (1, 2, 3):
+    cases = [(random_homogeneous(rng, rng.choice([3, 4]), max_vars=3), (1, 2, 3)) for _ in range(8)]
+    cases += [(random_homogeneous(rng, rng.choice([5, 6]), max_vars=2), (4,)) for _ in range(4)]
+    for f, orders in cases:
+        for q in orders:
             for extra in (0, 1):
                 variables = list(f.variables()) + list(fresh_variables([f], extra))
                 basis = degree_monomials(variables, q)
