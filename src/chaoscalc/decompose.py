@@ -4,21 +4,24 @@ Substitutions use the Wick picture (Janson, *Gaussian Hilbert Spaces*, 1997,
 ch. 3): the Hermite monomial ``He_a(G)`` is the Wick power ``:G^a:``, and
 Wick powers are multilinear in their linear forms, so substituting linear
 forms for the coordinates expands ordinary powers of those forms and reads
-every ordinary monomial ``G^g`` back as ``He_g(G)`` (``_substitute``).  Under
-an exactly orthogonal substitution ``G = R^T H`` this is the whole rotation,
+every ordinary monomial ``G^g`` back as ``He_g(G)``.  Under an exactly
+orthogonal substitution ``G = R^T H`` this is the whole rotation,
 ``He_a(R^T H) = :(R^T H)^a:``, so no lower-degree Hermite terms arise only to
 cancel; rows orthogonal only to float precision add an exact correction from
-the generating function (see ``rotate_basis``).
+the generating function (see ``rotate_basis`` and ``_substitute``).
 
 The key exact construction: to split ``f`` along a unit linear direction
 ``x = u . G``, write ``G = u x + P G`` with the projection
 ``P = I - u u^T``.  ``x`` is independent of ``P G`` and Wick powers of
 independent parts factor, so the one substitution ``G_j -> u_j X + (P G)_j``
 gives ``f = sum_l A_l He_l(x)`` with ``A_l`` the coefficient of ``X^l``.
-Every step is rational, so the reassembly ``sum_l A_l He_l(x) == f``
-and the decoupling ``gamma_gradient(A_l, x) == 0`` hold exactly, not to
-tolerance; iterated decomposition therefore reads ``A_0`` off the split
-instead of subtracting the other levels from ``f``.
+The substituted forms are a rank-one update of the identity,
+``G_j + u_j (X - u . G)``, so the expansion takes the binomial theorem per
+coordinate and one shared linear form (``_rank_one_substitute``), not
+products of ``n`` general forms.  Every step is rational, so the reassembly
+``sum_l A_l He_l(x) == f`` and the decoupling ``gamma_gradient(A_l, x) == 0``
+hold exactly, not to tolerance; iterated decomposition therefore reads
+``A_0`` off the split instead of subtracting the other levels from ``f``.
 
 For directions of degree q >= 2 no such split exists; that path is a
 documented least-squares surrogate (see ``decompose_along``) with residual
@@ -28,6 +31,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -150,13 +154,28 @@ class QuadraticCanonicalForm:
 # -- orthogonal substitution ----------------------------------------------------
 
 
+def _variable_ids(ids) -> list[int]:
+    """The listed ids as ints; each must be a positive integer by ``operator.index``, not a bool."""
+    out = []
+    for v in ids:
+        try:
+            var = operator.index(v)
+        except TypeError:
+            var = 0
+        if var < 1 or isinstance(v, bool):
+            raise PreconditionError(f"variable ids must be positive integers, got {v!r}")
+        out.append(var)
+    return out
+
+
 def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     """Substitute an orthogonal change of coordinates over the listed variables.
 
     Row ``i`` of ``rotation`` defines the new coordinate
     ``H_i = sum_j rotation[i][j] G_{variables[j]}`` and the substitution
     ``G_{variables[j]} -> sum_i rotation[i][j] H_i`` is expanded exactly on the
-    Hermite basis (new coordinates reuse the listed ids).  Variables of ``f``
+    Hermite basis (new coordinates reuse the listed ids, which must be
+    distinct positive integers).  Variables of ``f``
     outside the list pass through untouched.  Exactly orthogonal rows map
     ``He_a(G)`` to the Wick power ``:(R^T H)^a:``, the ordinary power read
     back on the Hermite basis (``_substitute``); rows orthogonal only to float
@@ -171,10 +190,10 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     The rows are scaled to integers ``m`` over ``d``, the lcm of their
     denominators, and ``a! / (a - b)! e_b`` is an integer over ``d**|b|``.
     """
+    variables = _variable_ids(variables)
     rows = [[as_fraction(entry) for entry in row] for row in rotation]
     if any(len(row) != len(rows) for row in rows):
         raise PreconditionError("rotation matrix must be square")
-    variables = list(variables)
     if len(variables) != len(rows):
         raise PreconditionError(
             f"rotation is {len(rows)}x{len(rows)} but {len(variables)} variables were listed"
@@ -274,10 +293,12 @@ def _substitute(
 ) -> tuple[int, dict[tuple[int, Entries], int]]:
     """Wick substitution ``G_{variables[j]} -> lin[j] / d`` into ``f``, on integer numerators.
 
-    ``lin[j]`` maps packed output monomials (column ``j`` is ``variables[j]``,
-    and column ``len(variables)`` a new coordinate ``X``) to integer
-    coefficients.  Each listed part ``He_a`` of a term becomes the Wick power
-    of the substituted forms: the ordinary product of powers
+    The general route, for ``rotate_basis``; the split's rank-one forms take
+    ``_rank_one_substitute``.  ``lin[j]`` maps packed output monomials
+    (column ``j`` is ``variables[j]``, and column ``len(variables)`` a new
+    coordinate ``X``) to integer coefficients.  Each listed part ``He_a`` of
+    a term becomes the Wick power of the substituted forms: the ordinary
+    product of powers
     ``prod_j lin_j^a_j`` over ``d**|a|``, every ordinary monomial of which is
     read back as a Hermite monomial.  With ``dev`` (``rotate_basis``'s float
     rows) the terms ``b != 0`` of ``_wick_correction`` are added.  Returns
@@ -349,6 +370,79 @@ def _substitute(
     return denom * d**top, totals
 
 
+def _rank_one_substitute(
+    f: ChaosPoly, variables: Sequence[int], m: Sequence[int], d: int
+) -> tuple[int, dict[tuple[int, Entries], int]]:
+    """The split's substitution ``G_j -> u_j X + (P G)_j`` into ``f``, on integer numerators.
+
+    ``u = m / d`` is exactly unit over the listed variables (``m`` nonzero
+    integers, ``sum m_j**2 = d**2``) and ``P = I - u u^T``.  The forms are a
+    rank-one update of the identity, ``G_j + u_j s`` with one shared
+    ``s = X - u . G = S / d`` and ``S = d X - sum_j m_j G_j``, so the Wick power
+    of a listed part ``He_a`` is, by the binomial theorem per coordinate,
+    ``sum_{b <= a} C(a, b) m^b G^(a-b) S^|b| / d**(2|b|)``.  Every term's
+    ``num C(a, b) m^b`` goes to the bucket ``g_k`` of ``k = |b|``, and
+    ``sum_k g_k S^k d**(2 (top - k))`` is summed by Horner in ``S``: at most
+    ``top`` products with the ``n + 1``-term form ``S``.  Returns ``(D, out)``
+    as ``_substitute`` does for the same forms over ``d**2``: ``D`` is
+    ``L d**(2 top)`` and ``out[(l, e)]`` the numerator of ``He_l(X)`` times
+    the Hermite monomial of sorted entries ``e`` (``X`` is column ``n``).
+    The unlisted entries of a term are numbered into the key's bits above
+    ``X``, which products with ``S`` never reach.
+    """
+    denom, numerators = _numerators(f._terms)
+    col_of = {var: j for j, var in enumerate(variables)}
+    level_shift = _WIDTH * len(variables)
+    rest_shift = level_shift + _WIDTH
+    rests: dict[Entries, int] = {}
+    # rows[j, k][b] = (packed a_j - b, C(k, b) m_j**b, b) for a_j = k
+    rows: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    # buckets[k]: packed (rest number, G^(a-b)) -> sum of num C(a, b) m^b over |b| = k
+    buckets: list[dict[int, int]] = [{}]
+    for entries, num in numerators.items():
+        rest = []
+        listed = []
+        for var, k in entries:
+            j = col_of.get(var)
+            if j is None:
+                rest.append((var, k))
+                continue
+            row = rows.get((j, k))
+            if row is None:
+                shift = _WIDTH * j
+                row = rows[j, k] = [
+                    ((k - b) << shift, math.comb(k, b) * m[j] ** b, b) for b in range(k + 1)
+                ]
+            listed.append(row)
+        parts = [(rests.setdefault(tuple(rest), len(rests)) << rest_shift, num, 0)]
+        for row in listed:
+            parts = [(key + e, c * t, k + b) for key, c, k in parts for e, t, b in row]
+        for key, c, k in parts:
+            while len(buckets) <= k:
+                buckets.append({})
+            g = buckets[k]
+            g[key] = g.get(key, 0) + c
+    top = len(buckets) - 1
+    s_form = {1 << level_shift: d} | {1 << _WIDTH * j: -mj for j, mj in enumerate(m)}
+    d_sq = d * d
+    acc = buckets[top]
+    for k in range(top - 1, -1, -1):
+        acc = _ordinary_product(acc, s_form)
+        scale = d_sq ** (top - k)
+        get = acc.get
+        for key, c in buckets[k].items():
+            acc[key] = get(key, 0) + c * scale
+    rest_of = list(rests)
+    by_id = sorted((var, _WIDTH * j) for j, var in enumerate(variables))
+    totals: dict[tuple[int, Entries], int] = {}
+    for key, t in acc.items():
+        degrees = ((var, key >> shift & _MASK) for var, shift in by_id)
+        entries = tuple((var, k) for var, k in degrees if k)
+        rest = rest_of[key >> rest_shift]
+        totals[key >> level_shift & _MASK, tuple(sorted(entries + rest)) if rest else entries] = t
+    return denom * d_sq**top, totals
+
+
 def _split_linear(
     f: ChaosPoly, coeffs: Mapping[int, Fraction], norm_sq: Fraction
 ) -> DecompositionStep:
@@ -356,7 +450,9 @@ def _split_linear(
 
     An exactly unit vector is used as it is; any other is normalised in
     floats and snapped once by ``influence._unit_rational`` (one denominator
-    below ``2**107``; coordinates snapped to 0 leave the direction).
+    below ``2**107``; coordinates snapped to 0 leave the direction).  The
+    unit vector is scaled to integers ``m`` over ``d`` and substituted by
+    ``_rank_one_substitute``; the ``X^l`` part of its totals is ``A_l``.
     """
     variables = sorted(coeffs)
     if norm_sq == 1:
@@ -367,14 +463,7 @@ def _split_linear(
         variables, unit = zip(*((v, c) for v, c in zip(variables, snapped) if c))
     d = math.lcm(*(c.denominator for c in unit))
     m = [c.numerator * (d // c.denominator) for c in unit]
-    n = len(m)
-    # G_j -> u_j X + sum_k (delta_jk - u_j u_k) G_k, over d**2; X is column n
-    proj = [[d * d * (j == k) - m[j] * m[k] for k in range(n)] for j in range(n)]
-    lin = [
-        {1 << _WIDTH * n: m[j] * d} | {1 << _WIDTH * k: p for k, p in enumerate(row) if p}
-        for j, row in enumerate(proj)
-    ]
-    denom, out = _substitute(f, variables, lin, d * d)
+    denom, out = _rank_one_substitute(f, variables, m, d)
     levels: list[dict[Entries, int]] = [{} for _ in range((f.degree or 0) + 1)]
     for (level, entries), t in out.items():
         levels[level][entries] = t
@@ -396,11 +485,15 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     ``G_j -> u_j X + (P G)_j``, with ``X`` on one extra column, gives ``A_l``
     as the coefficient of ``X^l``, each ordinary monomial read back as a
     Hermite monomial; ``P u = 0`` makes ``gamma_gradient(A_l, x)`` vanish.
+    The forms are ``G_j + u_j (X - u . G)``, expanded as one rank-one update
+    (``_rank_one_substitute``).  Keys of ``a`` are variable ids: each must
+    be a positive integer (``operator.index``), or ``PreconditionError``.
     ``u`` is ``a`` when exactly unit, as every q = 1 direction of ``rho_q``
     is; a float-derived ``a`` within the 1e-12 slack is snapped to an exactly
     unit ``u`` next to ``a / |a|``, returned as ``step.direction``.
     """
-    coeffs = {int(v): as_fraction(c) for v, c in a.items() if as_fraction(c) != 0}
+    ids = _variable_ids(a)
+    coeffs = {v: as_fraction(c) for v, c in zip(ids, a.values()) if as_fraction(c) != 0}
     if not coeffs:
         raise PreconditionError("direction vector must be nonzero")
     norm_sq = sum(c * c for c in coeffs.values())

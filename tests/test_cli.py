@@ -23,7 +23,7 @@ from chaoscalc import (
     sample,
     write_sample_file,
 )
-from chaoscalc import cli, montecarlo
+from chaoscalc import cli, decompose, montecarlo
 from chaoscalc.cli import main
 
 G1 = gaussian(1)
@@ -511,6 +511,23 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name], name
+
+
+def test_decompose_splits_without_the_general_substitution(capsys, tmp_path, monkeypatch):
+    """The split is a rank-one update, so a decomposition never takes the
+    general route of ``rotate_basis``: with ``decompose._substitute`` made to
+    raise, three steps on the pinned input still give the recorded bytes."""
+
+    def general_route(*args, **kwargs):
+        raise AssertionError("the split took decompose._substitute")
+
+    monkeypatch.setattr(decompose, "_substitute", general_route)
+    f_path = tmp_path / "f.json"
+    f_path.write_text(_pinned_json(PINNED_F, unit_norm=True))
+    argv = ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "3"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS["decompose_3"]
 
 
 # a chaos polynomial with a constant term and levels up to 4, and one

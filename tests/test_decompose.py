@@ -37,6 +37,8 @@ from _oracles import (
     split_by_bucket_rotation,
     substitute_rotation,
 )
+from chaoscalc.decompose import _WIDTH, _rank_one_substitute, _substitute
+from chaoscalc.influence import _unit_rational
 from test_cli import PINNED_F, _pinned_json
 
 G1, G2 = gaussian(1), gaussian(2)
@@ -158,6 +160,16 @@ def test_rotate_rejects_non_orthogonal():
         rotate_basis(G1, [[1, 0], [0, Fraction(99, 100)]], [1, 2])
 
 
+@pytest.mark.parametrize("bad", [0, -3, 1.5, "1"])
+def test_rotate_rejects_a_listed_id_that_is_not_a_positive_integer(bad):
+    # such an id would name a coordinate the library cannot read back
+    f = HE2_1 + G2
+    with pytest.raises(PreconditionError, match="positive integers"):
+        rotate_basis(f, [[0, 1], [1, 0]], [bad, 2])
+    with pytest.raises(PreconditionError, match="positive integers"):
+        rotate_basis(f, [[0, 1], [1, 0]], [1, bad])
+
+
 def test_split_worked_example_digit_for_digit():
     """f = G1 G2 along (3/5, 4/5).
 
@@ -198,6 +210,81 @@ def test_split_trivial_examples():
 def test_split_rejects_non_unit_direction():
     with pytest.raises(PreconditionError, match="unit"):
         decompose_along_w1(G1 * G2, {1: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [
+        {1: 0.6, 2.7: 0.8},
+        {1.0: Fraction(3, 5), 2: Fraction(4, 5)},
+        {1.2: 0.6, 1.7: 0.8},
+        {"1": 1},
+        {0: 1},
+        {-2: Fraction(3, 5), 1: Fraction(4, 5)},
+        {True: 1},
+    ],
+)
+def test_split_rejects_direction_keys_that_are_not_positive_integers(direction):
+    # truncating would split along other coordinates, or merge two keys into one
+    with pytest.raises(PreconditionError, match="positive integers"):
+        decompose_along_w1(G1 * G2, direction)
+
+
+def test_split_takes_integer_like_direction_keys_as_ids():
+    step = decompose_along_w1(G1 * G2, {np.int64(1): Fraction(3, 5), np.int32(2): Fraction(4, 5)})
+    assert step.direction == (3 * G1 + 4 * G2) / 5
+    assert all(type(v) is int for v in step.direction.variables())
+    assert step.reassemble() == G1 * G2
+
+
+def _projection_substitute(f: ChaosPoly, variables, m, d):
+    """The split's substitution by the general route: ``_substitute`` with the n
+    projected forms ``lin_j = u_j X + sum_k (delta_jk - u_j u_k) G_k`` over ``d**2``."""
+    n = len(m)
+    proj = [[d * d * (j == k) - m[j] * m[k] for k in range(n)] for j in range(n)]
+    lin = [
+        {1 << _WIDTH * n: m[j] * d} | {1 << _WIDTH * k: p for k, p in enumerate(row) if p}
+        for j, row in enumerate(proj)
+    ]
+    return _substitute(f, variables, lin, d * d)
+
+
+def test_rank_one_substitution_matches_the_projected_forms():
+    # G + u (X - u.G) expanded by the binomial theorem and Horner in S gives the
+    # products of the n projected forms: same denominator, same nonzero totals
+    rng = random.Random(61)
+    seen = {"constant": 0, "outside": 0, "absent": 0, "snapped": 0}
+    degrees, sizes = set(), set()
+    for case in range(200):
+        degree = case % 7
+        f = random_poly(rng, max_vars=6, max_degree=degree, max_terms=6)
+        if rng.random() < 0.5:
+            f = f * Fraction(rng.uniform(0.5, 2.0))
+        if degree and rng.random() < 0.5:
+            f = f + ChaosPoly.constant(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        size = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            unit = random_rational_unit(rng, size)
+        else:
+            floats = np.array([float(c) for c in _float_unit(rng, size)])
+            unit = _unit_rational(floats / np.linalg.norm(floats))
+            seen["snapped"] += 1
+        pairs = sorted((v, c) for v, c in zip(rng.sample(range(1, 8), size), unit) if c)
+        variables = [v for v, _ in pairs]
+        d = math.lcm(*(c.denominator for _, c in pairs))
+        m = [c.numerator * (d // c.denominator) for _, c in pairs]
+        assert sum(x * x for x in m) == d * d
+        seen["constant"] += bool(f.constant_term()) and f.degree > 0
+        seen["outside"] += bool(set(f.variables()) - set(variables))
+        seen["absent"] += bool(set(variables) - set(f.variables()))
+        degrees.add(f.degree or 0)
+        sizes.add(len(variables))
+        denom, totals = _rank_one_substitute(f, variables, m, d)
+        ref_denom, ref = _projection_substitute(f, variables, m, d)
+        assert denom == ref_denom
+        assert {k: t for k, t in totals.items() if t} == {k: t for k, t in ref.items() if t}
+    assert degrees == set(range(7)) and sizes == {1, 2, 3, 4}
+    assert min(seen.values()) >= 40, seen
 
 
 def test_split_exactness_on_random_inputs():
