@@ -2,26 +2,24 @@
 
 Substitutions use the Wick picture (Janson, *Gaussian Hilbert Spaces*, 1997,
 ch. 3): the Hermite monomial ``He_a(G)`` is the Wick power ``:G^a:``, and
-Wick powers are multilinear in their linear forms, so substituting linear
-forms for the coordinates expands ordinary powers of those forms and reads
-every ordinary monomial ``G^g`` back as ``He_g(G)``.  Under an exactly
-orthogonal substitution ``G = R^T H`` this is the whole rotation,
-``He_a(R^T H) = :(R^T H)^a:``, so no lower-degree Hermite terms arise only to
-cancel; rows orthogonal only to float precision add an exact correction from
-the generating function (see ``rotate_basis`` and ``_substitute``).
+Wick powers are multilinear in their linear forms, so an orthonormal
+substitution of linear forms expands ordinary powers of those forms and reads
+every ordinary monomial ``G^g`` back as ``He_g(G)``.  The split and each
+Householder reflection of a rotation (``rotate_basis``) are rank-one updates
+``G_j -> G_j + m_j S / D`` with one shared linear form ``S``, and take one
+kernel, ``_rank_one_substitute``: the binomial theorem per coordinate and
+powers of ``S``.
 
 The key exact construction: to split ``f`` along a unit linear direction
 ``x = u . G``, write ``G = u x + P G`` with the projection
 ``P = I - u u^T``.  ``x`` is independent of ``P G`` and Wick powers of
-independent parts factor, so the one substitution ``G_j -> u_j X + (P G)_j``
-gives ``f = sum_l A_l He_l(x)`` with ``A_l`` the coefficient of ``X^l``.
-The substituted forms are a rank-one update of the identity,
-``G_j + u_j (X - u . G)``, so the expansion takes the binomial theorem per
-coordinate and one shared linear form (``_rank_one_substitute``), not
-products of ``n`` general forms.  Every step is rational, so the reassembly
-``sum_l A_l He_l(x) == f`` and the decoupling ``gamma_gradient(A_l, x) == 0``
-hold exactly, not to tolerance; iterated decomposition therefore reads
-``A_0`` off the split instead of subtracting the other levels from ``f``.
+independent parts factor, so the one substitution
+``G_j -> u_j X + (P G)_j = G_j + u_j (X - u . G)`` gives
+``f = sum_l A_l He_l(x)`` with ``A_l`` the coefficient of ``X^l``.  Every
+step is rational, so the reassembly ``sum_l A_l He_l(x) == f`` and the
+decoupling ``gamma_gradient(A_l, x) == 0`` hold exactly, not to tolerance;
+iterated decomposition therefore reads ``A_0`` off the split instead of
+subtracting the other levels from ``f``.
 
 For directions of degree q >= 2 no such split exists; that path is a
 documented least-squares surrogate (see ``decompose_along``) with residual
@@ -154,44 +152,53 @@ class QuadraticCanonicalForm:
 # -- orthogonal substitution ----------------------------------------------------
 
 
-def _variable_ids(ids) -> list[int]:
-    """The listed ids as ints; each must be a positive integer by ``operator.index``, not a bool."""
-    out = []
-    for v in ids:
-        try:
-            var = operator.index(v)
-        except TypeError:
-            var = 0
-        if var < 1 or isinstance(v, bool):
-            raise PreconditionError(f"variable ids must be positive integers, got {v!r}")
-        out.append(var)
+def _integer(value, least: int, what: str) -> int:
+    """``value`` as an int by ``operator.index``, not a bool, and at least ``least``."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = least - 1
+    if out < least or isinstance(value, bool):
+        raise PreconditionError(f"{what}, got {value!r}")
     return out
+
+
+def _variable_ids(ids) -> list[int]:
+    """The listed ids as ints; each must be a positive integer."""
+    return [_integer(v, 1, "variable ids must be positive integers") for v in ids]
+
+
+def _finite_fraction(value: RationalLike, what: str) -> Fraction:
+    """``as_fraction(value)``, with a NaN or infinite float a ``PreconditionError``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PreconditionError(f"{what} must be finite, got {value!r}")
+    return as_fraction(value)
 
 
 def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     """Substitute an orthogonal change of coordinates over the listed variables.
 
-    Row ``i`` of ``rotation`` defines the new coordinate
-    ``H_i = sum_j rotation[i][j] G_{variables[j]}`` and the substitution
-    ``G_{variables[j]} -> sum_i rotation[i][j] H_i`` is expanded exactly on the
-    Hermite basis (new coordinates reuse the listed ids, which must be
-    distinct positive integers).  Variables of ``f``
-    outside the list pass through untouched.  Exactly orthogonal rows map
-    ``He_a(G)`` to the Wick power ``:(R^T H)^a:``, the ordinary power read
-    back on the Hermite basis (``_substitute``); rows orthogonal only to float
-    precision (up to ``ORTHOGONALITY_TOL``) add the exact correction
-    ``He_a(R^T H) = sum_{b <= a} e_b a!/(a-b)! :(R^T H)^(a-b):`` with
-    ``e = exp(t^T E t / 2)`` and ``E = R^T R - I``, by the generating function
-    ``sum_a He_a(g) t^a / a! = exp(t.g - |t|^2 / 2)``; with one variable,
-    ``He_2(s G) = s^2 He_2(G) + (s^2 - 1)``.  Exact rows give ``e = 1``, so
-    no lower-degree Hermite terms are made only to cancel; float rows add the
-    few correction terms ``b != 0`` (``E`` is a few ulps).
+    Row ``i`` of ``rotation`` defines ``H_i = sum_j rotation[i][j] G_{variables[j]}``,
+    and ``G = M H`` with ``M = rotation^T`` is substituted exactly (new
+    coordinates reuse the listed ids, which must be distinct positive
+    integers; variables of ``f`` outside the list pass through).  ``M`` is
+    reduced row by row, on integers over one lcm: a row already ``+-e_1`` is
+    passed over, and any other row ``r`` is mapped to ``-sign(r_1) e_1`` by
+    the reflection through ``w = r + sign(r_1) e_1``, applied to the rows
+    still to come.  So ``M`` is a diagonal of signs, each
+    ``He_k(-G) = (-1)^k He_k(G)``, times at most ``n - 1`` reflections, each
+    one ``_rank_one_substitute`` call on the integer numerators the last one
+    left.  The last found is substituted first: it acts on the fewest
+    coordinates while ``f`` is still sparse.
 
-    The rows are scaled to integers ``m`` over ``d``, the lcm of their
-    denominators, and ``a! / (a - b)! e_b`` is an integer over ``d**|b|``.
+    A row of exact unit norm is used as given, so exact rows give ``G = M H``
+    itself.  Float rows, orthogonal to within ``ORTHOGONALITY_TOL``, can
+    leave a row that is not: it is normalised in floats and snapped by
+    ``influence._unit_rational`` before it is reflected, so they are replaced
+    by an exactly orthogonal ``Q`` within their deviation plus a few ``2**-52``.
     """
     variables = _variable_ids(variables)
-    rows = [[as_fraction(entry) for entry in row] for row in rotation]
+    rows = [[_finite_fraction(entry, "rotation entries") for entry in row] for row in rotation]
     if any(len(row) != len(rows) for row in rows):
         raise PreconditionError("rotation matrix must be square")
     if len(variables) != len(rows):
@@ -201,31 +208,53 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     if len(set(variables)) != len(variables):
         raise PreconditionError("listed variable ids must be distinct")
     d = math.lcm(*(entry.denominator for row in rows for entry in row))
-    m = [[entry.numerator * (d // entry.denominator) for entry in row] for row in rows]
-    d_sq = d * d
-    n = len(m)
+    ints = [[entry.numerator * (d // entry.denominator) for entry in row] for row in rows]
     dev = max(
-        (
-            abs(sum(a * b for a, b in zip(m[i], m[j])) - (d_sq if i == j else 0))
-            for i in range(n)
-            for j in range(i, n)
-        ),
+        (abs(sum(a * b for a, b in zip(r, c)) - d * d * (i == j))
+         for i, r in enumerate(ints) for j, c in enumerate(ints)),
         default=0,
     )
-    if dev != 0 and dev / d_sq > ORTHOGONALITY_TOL:
-        raise PreconditionError(
-            f"rotation is not orthogonal: max deviation {dev / d_sq:.3e}"
-        )
-    col_dev = None
-    if dev:
-        # m^T m - d**2 I: the substituted forms' covariance deviation, times d**2
-        col_dev = [
-            [sum(row[j] * row[k] for row in m) - (d_sq if j == k else 0) for k in range(n)]
-            for j in range(n)
-        ]
-    lin = [{1 << _WIDTH * i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)]
-    denom, out = _substitute(f, variables, lin, d, col_dev)
-    return ChaosPoly._from_numerators({entries: t for (_, entries), t in out.items()}, denom)
+    if dev / (d * d) > ORTHOGONALITY_TOL:
+        raise PreconditionError(f"rotation is not orthogonal: max deviation {dev / (d * d):.3e}")
+    # the rows of M still to reduce, on the coordinates still to reduce, as integers over d
+    block = list(zip(*ints))
+    reflections = []
+    negative = set()
+    for k, var in enumerate(variables):
+        unit, scale = block[0], d
+        if sum(x * x for x in unit) != d * d:
+            floats = np.array([x / d for x in unit])
+            snapped = _unit_rational(floats / np.linalg.norm(floats))
+            scale = math.lcm(*(x.denominator for x in snapped))
+            unit = [x.numerator * (scale // x.denominator) for x in snapped]
+        sign = 1 if unit[0] >= 0 else -1
+        if any(unit[1:]):
+            w = [unit[0] + sign * scale, *unit[1:]]
+            g = math.gcd(*w)
+            w = [x // g for x in w]
+            w_sq = sum(x * x for x in w)
+            ids, m = zip(*((variables[k + i], x) for i, x in enumerate(w) if x))
+            reflections.append((ids, m, w_sq))
+            block = [
+                [a * w_sq - 2 * dot * b for a, b in zip(row, w)]
+                for row in block
+                for dot in (sum(a * b for a, b in zip(row, w)),)
+            ]
+            d *= w_sq
+            sign = -sign
+        # coordinate k is done: its row and its entry in the others are left out
+        block = [row[1:] for row in block[1:]]
+        g = math.gcd(d, *(x for row in block for x in row))
+        d, block = d // g, [[x // g for x in row] for row in block]
+        if sign < 0:
+            negative.add(var)
+    denom, nums = _numerators(f._terms)
+    nums = {e: -t if sum(k for v, k in e if v in negative) % 2 else t for e, t in nums.items()}
+    for ids, m, w_sq in reversed(reflections):
+        denom, out = _rank_one_substitute(denom, nums, ids, m, [-2 * x for x in m], w_sq)
+        g = math.gcd(denom, *out.values())
+        denom, nums = denom // g, {entries: t // g for (_, entries), t in out.items()}
+    return ChaosPoly._from_numerators(nums, denom)
 
 
 # Bits per exponent in a packed ordinary monomial.  No exponent exceeds the
@@ -251,146 +280,34 @@ def _ordinary_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
     return out
 
 
-def _wick_correction(dev: list[list[int]], top: int) -> list[tuple[int, list, int]]:
-    """The correction ``e' = exp(t^T dev t / 2)`` of ``rotate_basis``, to total degree ``top``.
-
-    ``dev`` is the integer matrix ``m^T m - d**2 I``.  Returns one
-    ``(b, digits, b! e'_b)`` triple per nonzero coefficient, ``(0, [], 1)``
-    first: ``b`` packed as in ``_ordinary_product``, ``digits`` its
-    ``(shift, b_j)`` pairs with ``b_j > 0``.  ``b! e'_b`` sums ``dev``
-    entries over the perfect pairings of ``b``'s slots, so it is an integer.
-    """
-    n = len(dev)
-    half: dict[int, Fraction] = {}
-    for j in range(n):
-        for k in range(j, n):
-            c = Fraction(dev[j][k], 2) if j == k else Fraction(dev[j][k])
-            if c:
-                half[(1 << _WIDTH * j) + (1 << _WIDTH * k)] = c
-    total: dict[int, Fraction] = {0: Fraction(1)}
-    power: dict[int, Fraction] = {0: Fraction(1)}
-    for order in range(1, top // 2 + 1):
-        power = {e: c / order for e, c in _ordinary_product(power, half).items()}
-        for e, c in power.items():
-            total[e] = total.get(e, 0) + c
-    out = []
-    for beta, c in total.items():
-        digits = [(_WIDTH * j, beta >> _WIDTH * j & _MASK) for j in range(n)]
-        digits = [(shift, b) for shift, b in digits if b]
-        count = c * math.prod(math.factorial(b) for _, b in digits)
-        if count:
-            assert count.denominator == 1
-            out.append((beta, digits, count.numerator))
-    return out
-
-
-def _substitute(
-    f: ChaosPoly,
-    variables: Sequence[int],
-    lin: Sequence[Mapping[int, int]],
-    d: int,
-    dev: list[list[int]] | None = None,
-) -> tuple[int, dict[tuple[int, Entries], int]]:
-    """Wick substitution ``G_{variables[j]} -> lin[j] / d`` into ``f``, on integer numerators.
-
-    The general route, for ``rotate_basis``; the split's rank-one forms take
-    ``_rank_one_substitute``.  ``lin[j]`` maps packed output monomials
-    (column ``j`` is ``variables[j]``, and column ``len(variables)`` a new
-    coordinate ``X``) to integer coefficients.  Each listed part ``He_a`` of
-    a term becomes the Wick power of the substituted forms: the ordinary
-    product of powers
-    ``prod_j lin_j^a_j`` over ``d**|a|``, every ordinary monomial of which is
-    read back as a Hermite monomial.  With ``dev`` (``rotate_basis``'s float
-    rows) the terms ``b != 0`` of ``_wick_correction`` are added.  Returns
-    ``(D, out)``: ``out[(l, e)]`` is the numerator over ``D`` of ``He_l(X)``
-    times the Hermite monomial of sorted entries ``e``.  Each term is
-    accumulated over ``L d**top``
-    (``L`` the lcm of the coefficients' denominators, ``top`` the largest
-    listed degree of a term), so every output term is normalised once.
-    Products of powers are memoised, each built from a smaller one times one
-    linear form, so terms share them.
-    """
-    denom, numerators = _numerators(f._terms)
-    col_of = {var: j for j, var in enumerate(variables)}
-    split = []
-    for entries, num in numerators.items():
-        packed, deg = 0, 0
-        rest = []
-        for var, k in entries:
-            j = col_of.get(var)
-            if j is None:
-                rest.append((var, k))
-            else:
-                packed += k << _WIDTH * j
-                deg += k
-        split.append((num, packed, deg, tuple(rest)))
-    top = max((deg for _, _, deg, _ in split), default=0)
-    correction = _wick_correction(dev, top) if dev else [(0, [], 1)]
-    # powers[c] = prod_j lin_j^c_j for packed exponents c, over d**|c|
-    powers: dict[int, dict[int, int]] = {0: {0: 1}}
-
-    def power(packed: int) -> dict[int, int]:
-        acc = powers.get(packed)
-        if acc is None:
-            # peel one factor of the highest column down to a known power, then multiply back
-            chain = []
-            while acc is None:
-                j = (packed.bit_length() - 1) // _WIDTH
-                chain.append(j)
-                packed -= 1 << _WIDTH * j
-                acc = powers.get(packed)
-            for j in reversed(chain):
-                packed += 1 << _WIDTH * j
-                acc = powers[packed] = _ordinary_product(acc, lin[j])
-        return acc
-
-    # unlisted entries -> packed output monomial -> numerator over denom * d**top
-    out: dict[Entries, dict[int, int]] = {}
-    for num, alpha, deg, rest in split:
-        scale = num * d ** (top - deg)
-        acc = out.setdefault(rest, {})
-        get = acc.get
-        for beta, digits, count in correction:
-            # a! / (a - b)! e'_b = prod_j C(a_j, b_j) * b! e'_b; C is 0 unless b <= a
-            c = count
-            for shift, b in digits:
-                c *= math.comb(alpha >> shift & _MASK, b)
-            if c:
-                c *= scale
-                for mono, t in power(alpha - beta).items():
-                    acc[mono] = get(mono, 0) + c * t
-    by_id = sorted((var, _WIDTH * j) for j, var in enumerate(variables))
-    level_shift = _WIDTH * len(variables)
-    totals: dict[tuple[int, Entries], int] = {}
-    for rest, acc in out.items():
-        for mono, t in acc.items():
-            degrees = ((var, mono >> shift & _MASK) for var, shift in by_id)
-            entries = tuple((var, k) for var, k in degrees if k)
-            totals[mono >> level_shift, tuple(sorted(entries + rest)) if rest else entries] = t
-    return denom * d**top, totals
-
-
 def _rank_one_substitute(
-    f: ChaosPoly, variables: Sequence[int], m: Sequence[int], d: int
+    denom: int, numerators: Mapping[Entries, int], variables: Sequence[int],
+    m: Sequence[int], s: Sequence[int], big_d: int,
 ) -> tuple[int, dict[tuple[int, Entries], int]]:
-    """The split's substitution ``G_j -> u_j X + (P G)_j`` into ``f``, on integer numerators.
+    """Substitute ``G_j -> G_j + m_j S / D`` into ``sum_e numerators[e] He_e / denom``.
 
-    ``u = m / d`` is exactly unit over the listed variables (``m`` nonzero
-    integers, ``sum m_j**2 = d**2``) and ``P = I - u u^T``.  The forms are a
-    rank-one update of the identity, ``G_j + u_j s`` with one shared
-    ``s = X - u . G = S / d`` and ``S = d X - sum_j m_j G_j``, so the Wick power
-    of a listed part ``He_a`` is, by the binomial theorem per coordinate,
-    ``sum_{b <= a} C(a, b) m^b G^(a-b) S^|b| / d**(2|b|)``.  Every term's
+    The library's one linear substitution.  ``G_j`` is ``variables[j]``,
+    ``m`` and ``D = big_d`` are integers, and ``S = sum_j s_j G_j + s_n X``
+    is one integer linear form shared by every coordinate, ``X`` a new
+    coordinate on column ``n`` (``s_n`` may be left out when ``S`` has no
+    ``X``).  Both substitutions of the library take this form:
+
+    * the split ``G_j -> u_j X + (P G)_j`` with ``u = m / d`` exactly unit and
+      ``P = I - u u^T``: ``S = d X - sum_j m_j G_j`` and ``D = d**2``;
+    * a Householder reflection ``G_j -> G_j - 2 w_j (w . G) / w^T w`` with
+      integer ``w``: ``m = w``, ``S = -2 sum_j w_j G_j`` and ``D = w^T w``.
+
+    The caller makes the forms orthonormal, so the Wick power of a listed
+    part ``He_a`` is, by the binomial theorem per coordinate,
+    ``sum_{b <= a} C(a, b) m^b G^(a-b) S^|b| / D**|b|``.  Every term's
     ``num C(a, b) m^b`` goes to the bucket ``g_k`` of ``k = |b|``, and
-    ``sum_k g_k S^k d**(2 (top - k))`` is summed by Horner in ``S``: at most
-    ``top`` products with the ``n + 1``-term form ``S``.  Returns ``(D, out)``
-    as ``_substitute`` does for the same forms over ``d**2``: ``D`` is
-    ``L d**(2 top)`` and ``out[(l, e)]`` the numerator of ``He_l(X)`` times
-    the Hermite monomial of sorted entries ``e`` (``X`` is column ``n``).
-    The unlisted entries of a term are numbered into the key's bits above
-    ``X``, which products with ``S`` never reach.
+    ``sum_k g_k S^k D**(top - k)`` is summed by Horner in ``S``: at most
+    ``top`` products with the form ``S``.  Returns ``(denom D**top, out)``:
+    ``out[(l, e)]`` is the nonzero numerator of ``He_l(X)`` times the
+    Hermite monomial of sorted entries ``e``.  The unlisted entries of a term
+    are numbered into the key's bits above ``X``, which products with ``S``
+    never reach.
     """
-    denom, numerators = _numerators(f._terms)
     col_of = {var: j for j, var in enumerate(variables)}
     level_shift = _WIDTH * len(variables)
     rest_shift = level_shift + _WIDTH
@@ -423,12 +340,11 @@ def _rank_one_substitute(
             g = buckets[k]
             g[key] = g.get(key, 0) + c
     top = len(buckets) - 1
-    s_form = {1 << level_shift: d} | {1 << _WIDTH * j: -mj for j, mj in enumerate(m)}
-    d_sq = d * d
+    s_form = {1 << _WIDTH * j: c for j, c in enumerate(s) if c}
     acc = buckets[top]
     for k in range(top - 1, -1, -1):
         acc = _ordinary_product(acc, s_form)
-        scale = d_sq ** (top - k)
+        scale = big_d ** (top - k)
         get = acc.get
         for key, c in buckets[k].items():
             acc[key] = get(key, 0) + c * scale
@@ -436,11 +352,12 @@ def _rank_one_substitute(
     by_id = sorted((var, _WIDTH * j) for j, var in enumerate(variables))
     totals: dict[tuple[int, Entries], int] = {}
     for key, t in acc.items():
-        degrees = ((var, key >> shift & _MASK) for var, shift in by_id)
-        entries = tuple((var, k) for var, k in degrees if k)
-        rest = rest_of[key >> rest_shift]
-        totals[key >> level_shift & _MASK, tuple(sorted(entries + rest)) if rest else entries] = t
-    return denom * d_sq**top, totals
+        if t:
+            degrees = ((var, key >> shift & _MASK) for var, shift in by_id)
+            entries = tuple((var, k) for var, k in degrees if k)
+            rest = rest_of[key >> rest_shift]
+            totals[key >> level_shift & _MASK, tuple(sorted(entries + rest)) if rest else entries] = t
+    return denom * big_d**top, totals
 
 
 def _split_linear(
@@ -452,7 +369,8 @@ def _split_linear(
     floats and snapped once by ``influence._unit_rational`` (one denominator
     below ``2**107``; coordinates snapped to 0 leave the direction).  The
     unit vector is scaled to integers ``m`` over ``d`` and substituted by
-    ``_rank_one_substitute``; the ``X^l`` part of its totals is ``A_l``.
+    ``_rank_one_substitute`` with ``S = d X - sum_j m_j G_j`` and
+    ``D = d**2``; the ``X^l`` part of its totals is ``A_l``.
     """
     variables = sorted(coeffs)
     if norm_sq == 1:
@@ -463,7 +381,8 @@ def _split_linear(
         variables, unit = zip(*((v, c) for v, c in zip(variables, snapped) if c))
     d = math.lcm(*(c.denominator for c in unit))
     m = [c.numerator * (d // c.denominator) for c in unit]
-    denom, out = _rank_one_substitute(f, variables, m, d)
+    s = [-x for x in m] + [d]
+    denom, out = _rank_one_substitute(*_numerators(f._terms), variables, m, s, d * d)
     levels: list[dict[Entries, int]] = [{} for _ in range((f.degree or 0) + 1)]
     for (level, entries), t in out.items():
         levels[level][entries] = t
@@ -486,14 +405,16 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     as the coefficient of ``X^l``, each ordinary monomial read back as a
     Hermite monomial; ``P u = 0`` makes ``gamma_gradient(A_l, x)`` vanish.
     The forms are ``G_j + u_j (X - u . G)``, expanded as one rank-one update
-    (``_rank_one_substitute``).  Keys of ``a`` are variable ids: each must
-    be a positive integer (``operator.index``), or ``PreconditionError``.
+    (``_rank_one_substitute``).  Keys of ``a`` are variable ids, each a
+    positive integer by ``operator.index``, and its values must be finite,
+    or ``PreconditionError``.
     ``u`` is ``a`` when exactly unit, as every q = 1 direction of ``rho_q``
     is; a float-derived ``a`` within the 1e-12 slack is snapped to an exactly
     unit ``u`` next to ``a / |a|``, returned as ``step.direction``.
     """
     ids = _variable_ids(a)
-    coeffs = {v: as_fraction(c) for v, c in zip(ids, a.values()) if as_fraction(c) != 0}
+    coeffs = {v: _finite_fraction(c, "direction coefficients") for v, c in zip(ids, a.values())}
+    coeffs = {v: c for v, c in coeffs.items() if c}
     if not coeffs:
         raise PreconditionError("direction vector must be nonzero")
     norm_sq = sum(c * c for c in coeffs.values())
@@ -590,14 +511,13 @@ def iterate_decomposition(
     split reassembles the remainder exactly; for q >= 2 it is ``A_0 +
     (remainder - step.reassemble())``, the remainder minus the fitted levels.
     Stops when every influence up to floor(p/2) falls below ``threshold``,
-    the remainder norm drops below ``threshold``, or ``max_steps`` is
-    reached.  By construction the input always equals the sum of
-    contributions plus the final remainder.
+    the remainder norm drops below ``threshold``, or ``max_steps`` (a
+    nonnegative integer) is reached.  By construction the input always equals
+    the sum of contributions plus the final remainder.
     """
     _check_threshold(threshold)
     _check_extra_vars(extra_vars)
-    if max_steps < 0:
-        raise PreconditionError(f"max_steps must be nonnegative, got {max_steps}")
+    max_steps = _integer(max_steps, 0, "max_steps must be a nonnegative integer")
     if f.is_zero():
         return IterationTrace((), (), ChaosPoly.zero(), 0.0, ())
     total = inner_product(f, f)

@@ -15,11 +15,15 @@ route for ``gamma_gradient``; exact rational orthogonal matrices
 of a unit vector), random polynomial generators,
 a random-search plus power-iteration maximizer used as the influence oracle,
 the change of coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly``
-products, the independent route for ``rotate_basis``, and the routes that
-``inner_product``, ``decompose_along_w1`` and ``iterate_decomposition`` took
-before they were specialised: a ``Fraction`` sum, a rotation into the
-Householder basis with one back-rotation call per level bucket, and the
-level-0 part rebuilt by subtracting the fitted levels.
+products, the independent route for ``rotate_basis``; the general Wick
+substitution of ``n`` linear forms as memoised products of their powers
+(``substitute_forms``), which ``rotate_basis`` took before it became
+Householder reflections and which now checks the library's one rank-one
+substitution kernel; and the routes that ``inner_product``,
+``decompose_along_w1`` and ``iterate_decomposition`` took before they were
+specialised: a ``Fraction`` sum, a rotation into the Householder basis with
+one back-rotation call per level bucket, and the level-0 part rebuilt by
+subtracting the fitted levels.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from chaoscalc import (
     rotate_basis,
     strongest_influence,
 )
-from chaoscalc.algebra import MultiIndex
+from chaoscalc.algebra import MultiIndex, _numerators
+from chaoscalc.decompose import _WIDTH
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
 RawPoly = dict
@@ -227,6 +232,83 @@ def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:
                 acc = acc * hermite_monomial({var: deg})
         out = out + acc
     return out
+
+
+def substitute_forms(f: ChaosPoly, variables, lin, d: int) -> tuple[int, dict]:
+    """Wick substitution ``G_{variables[j]} -> lin[j] / d`` into ``f``, on integer numerators.
+
+    The general route, the independent reference for the rank-one kernel
+    ``decompose._rank_one_substitute``.  ``lin[j]`` maps packed ordinary
+    monomials (``_WIDTH`` bits per column; column ``j`` is ``variables[j]``,
+    and column ``len(variables)`` a new coordinate ``X``) to integer
+    coefficients, and the forms must be orthonormal.  Each listed part
+    ``He_a`` of a term becomes the Wick power of the substituted forms: the
+    ordinary product of powers ``prod_j lin_j^a_j`` over ``d**|a|``, every
+    ordinary monomial of which is read back as a Hermite monomial.  Returns
+    ``(D, out)`` with ``D = L d**top`` (``L`` the lcm of the coefficients'
+    denominators, ``top`` the largest listed degree of a term) and
+    ``out[(l, e)]`` the numerator over ``D`` of ``He_l(X)`` times the Hermite
+    monomial of sorted entries ``e``.  Products of powers are memoised, each
+    built from a smaller one times one linear form, so terms share them.
+    """
+    denom, numerators = _numerators(f._terms)
+    col_of = {var: j for j, var in enumerate(variables)}
+    split = []
+    for entries, num in numerators.items():
+        packed, deg = 0, 0
+        rest = []
+        for var, k in entries:
+            j = col_of.get(var)
+            if j is None:
+                rest.append((var, k))
+            else:
+                packed += k << _WIDTH * j
+                deg += k
+        split.append((num, packed, deg, tuple(rest)))
+    top = max((deg for _, _, deg, _ in split), default=0)
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for e1, n1 in a.items():
+            for e2, n2 in b.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + n1 * n2
+        return out
+
+    # powers[c] = prod_j lin_j^c_j for packed exponents c, over d**|c|
+    powers: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def power(packed: int) -> dict[int, int]:
+        acc = powers.get(packed)
+        if acc is None:
+            # peel one factor of the highest column down to a known power, then multiply back
+            chain = []
+            while acc is None:
+                j = (packed.bit_length() - 1) // _WIDTH
+                chain.append(j)
+                packed -= 1 << _WIDTH * j
+                acc = powers.get(packed)
+            for j in reversed(chain):
+                packed += 1 << _WIDTH * j
+                acc = powers[packed] = times(acc, lin[j])
+        return acc
+
+    # unlisted entries -> packed output monomial -> numerator over denom * d**top
+    out: dict = {}
+    for num, alpha, deg, rest in split:
+        acc = out.setdefault(rest, {})
+        scale = num * d ** (top - deg)
+        for mono, t in power(alpha).items():
+            acc[mono] = acc.get(mono, 0) + scale * t
+    by_id = sorted((var, _WIDTH * j) for j, var in enumerate(variables))
+    level_shift = _WIDTH * len(variables)
+    mask = (1 << _WIDTH) - 1
+    totals: dict = {}
+    for rest, acc in out.items():
+        for mono, t in acc.items():
+            degrees = ((var, mono >> shift & mask) for var, shift in by_id)
+            entries = tuple((var, k) for var, k in degrees if k)
+            totals[mono >> level_shift, tuple(sorted(entries + rest)) if rest else entries] = t
+    return denom * d**top, totals
 
 
 def fraction_inner(f: ChaosPoly, g: ChaosPoly) -> Fraction:

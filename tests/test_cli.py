@@ -514,20 +514,27 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
 
 
 def test_decompose_splits_without_the_general_substitution(capsys, tmp_path, monkeypatch):
-    """The split is a rank-one update, so a decomposition never takes the
-    general route of ``rotate_basis``: with ``decompose._substitute`` made to
-    raise, three steps on the pinned input still give the recorded bytes."""
+    """The split is a rank-one update, and ``decompose`` has no other
+    substitution: ``--max-steps 3`` on the pinned input takes two steps, makes
+    one call of ``decompose._rank_one_substitute`` per step and gives the
+    recorded bytes."""
+    assert not hasattr(decompose, "_substitute")
+    assert not hasattr(decompose, "_wick_correction")
+    calls = []
+    kernel = decompose._rank_one_substitute
 
-    def general_route(*args, **kwargs):
-        raise AssertionError("the split took decompose._substitute")
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(decompose, "_substitute", general_route)
+    monkeypatch.setattr(decompose, "_rank_one_substitute", counted)
     f_path = tmp_path / "f.json"
     f_path.write_text(_pinned_json(PINNED_F, unit_norm=True))
     argv = ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "3"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS["decompose_3"]
+    assert len(calls) == len(json.loads(out)["steps"]) == 2
 
 
 # a chaos polynomial with a constant term and levels up to 4, and one

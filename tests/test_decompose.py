@@ -1,6 +1,7 @@
 """Rotations, direction splits (exact degree-1 path and least-squares surrogate),
 iterated decomposition bookkeeping, and the degree-2 canonical form."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -35,9 +36,12 @@ from _oracles import (
     raw_from_chaos,
     raw_inner,
     split_by_bucket_rotation,
+    substitute_forms,
     substitute_rotation,
 )
-from chaoscalc.decompose import _WIDTH, _rank_one_substitute, _substitute
+from chaoscalc import decompose
+from chaoscalc.algebra import _numerators
+from chaoscalc.decompose import _WIDTH
 from chaoscalc.influence import _unit_rational
 from test_cli import PINNED_F, _pinned_json
 
@@ -100,9 +104,29 @@ def test_rotate_matches_substitution_oracle_on_exact_rows():
             assert rotate_basis(f, rows, variables) == substitute_rotation(f, rows, variables)
 
 
+def _snapped_rotation(rows, variables) -> list[list[Fraction]]:
+    """The rotation ``rotate_basis`` substitutes for ``rows``, read off the image of each coordinate."""
+    images = [rotate_basis(gaussian(v), rows, variables) for v in variables]
+    return [[image.coefficient({v: 1}) for image in images] for v in variables]
+
+
+def _check_snapped_rotation(f, rotation, variables) -> None:
+    # the rows are replaced by an exactly orthogonal Q within their own
+    # deviation from orthogonality plus a few ulps, and Q is substituted exactly
+    rows = [[Fraction(x) for x in row] for row in rotation]
+    size = len(rows)
+    eye = [[int(i == j) for j in range(size)] for i in range(size)]
+    gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(size)] for i in range(size)]
+    deviation = max(abs(gram[i][j] - eye[i][j]) for i in range(size) for j in range(size))
+    q = _snapped_rotation(rows, variables)
+    assert [[sum(a * b for a, b in zip(q[i], q[j])) for j in range(size)] for i in range(size)] == eye
+    gap = max(abs(q[i][j] - rows[i][j]) for i in range(size) for j in range(size))
+    assert gap <= deviation + Fraction(4, 2**52)
+    assert rotate_basis(f, rotation, variables) == substitute_rotation(f, q, variables)
+
+
 def test_rotate_matches_substitution_oracle_on_float_rows():
-    # canonical_quadratic's rows are orthogonal only to float precision; the
-    # substitution must still be expanded exactly
+    # canonical_quadratic's rows are orthogonal only to float precision
     rng = random.Random(43)
     checked = 0
     for _ in range(20):
@@ -110,14 +134,13 @@ def test_rotate_matches_substitution_oracle_on_float_rows():
         if len(form.variables) < 2:
             continue
         f = random_poly(rng, max_vars=4, max_degree=3, max_terms=4)
-        expected = substitute_rotation(f, form.rotation, form.variables)
-        assert rotate_basis(f, form.rotation, form.variables) == expected
+        _check_snapped_rotation(f, form.rotation, form.variables)
         checked += 1
     assert checked >= 8
 
 
 def test_rotate_matches_substitution_oracle_on_float_rows_at_degrees_four_and_five():
-    # terms of listed degree 4 and 5 take the float-row correction to order 2
+    # terms of listed degree 4 and 5 through up to three snapped reflections
     rng = random.Random(47)
     checked = 0
     while checked < 6:
@@ -132,17 +155,91 @@ def test_rotate_matches_substitution_oracle_on_float_rows_at_degrees_four_and_fi
         f = random_poly(rng, max_vars=5, max_degree=degree, max_terms=4)
         f = f + hermite_monomial({v[0]: degree - 2, v[1]: 1, v[2]: 1}, Fraction(3, 7))
         f = f + hermite_monomial({v[-1]: degree})
-        expected = substitute_rotation(f, form.rotation, form.variables)
-        assert rotate_basis(f, form.rotation, form.variables) == expected
+        _check_snapped_rotation(f, form.rotation, form.variables)
         checked += 1
 
 
 def test_rotate_of_he2_under_a_scale_off_one_by_an_ulp():
-    # one variable scaled by s: He_2(s G) = s^2 He_2(G) + (s^2 - 1), the Wick correction at order 1
+    # the 1x1 row [s] is not exactly unit; it snaps to [1], the identity
     s = 1 + Fraction(1, 2**45)
     assert 0 < abs(s * s - 1) <= 1e-12
-    expected = HE2_1 * (s * s) + (s * s - 1)
-    assert rotate_basis(HE2_1, [[s]], [1]) == expected
+    assert rotate_basis(HE2_1, [[s]], [1]) == HE2_1
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls = []
+    kernel = decompose._rank_one_substitute
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(decompose, "_rank_one_substitute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rotate_by_signs_takes_no_reflection(k, monkeypatch):
+    # He_k(-G) = (-1)^k He_k(G), for each listed coordinate on its own
+    calls = _count_kernel_calls(monkeypatch)
+
+    def image(s1, s2, s5):
+        return (
+            hermite_monomial({1: k, 2: 2}, s1**k)
+            + hermite_monomial({2: 1, 5: k}, s2 * s5**k * Fraction(2, 3))
+            + hermite_monomial({1: 1, 7: k}, s1 * Fraction(-5, 4))
+            + ChaosPoly.constant(3)
+        )
+
+    for s1, s2, s5 in itertools.product((1, -1), repeat=3):
+        rows = [[s1, 0, 0], [0, s2, 0], [0, 0, s5]]
+        assert rotate_basis(image(1, 1, 1), rows, [1, 2, 5]) == image(s1, s2, s5)
+    assert calls == []
+
+
+def test_rotate_by_a_permutation_relabels_ids(monkeypatch):
+    # row i = e_{perm(i)} makes H_i the old coordinate of id ids[perm(i)]
+    calls = _count_kernel_calls(monkeypatch)
+    rng = random.Random(67)
+    ids = [4, 9, 2]
+    for perm in itertools.permutations(range(3)):
+        f = random_poly(rng, max_vars=10, max_degree=5, max_terms=6)
+        rows = [[int(j == perm[i]) for j in range(3)] for i in range(3)]
+        rename = {ids[perm[i]]: ids[i] for i in range(3)}
+        relabeled = ChaosPoly(
+            {tuple(sorted((rename.get(v, v), k) for v, k in idx.entries)): c for idx, c in f.terms.items()}
+        )
+        del calls[:]
+        assert rotate_basis(f, rows, ids) == relabeled
+        assert len(calls) <= 2
+
+
+def test_rotate_takes_at_most_n_minus_one_reflections(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    rng = random.Random(71)
+    most = {}
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            f = random_poly(rng, max_vars=6, max_degree=3, max_terms=4)
+            for rows in (random_rational_rotation(rng, size), householder_rows(random_rational_unit(rng, size))):
+                del calls[:]
+                variables = rng.sample(range(1, 7), size)
+                assert rotate_basis(f, rows, variables) == substitute_rotation(f, rows, variables)
+                assert len(calls) <= size - 1
+                most[size] = max(most.get(size, 0), len(calls))
+    assert most == {size: size - 1 for size in (1, 2, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rows_and_direction_coefficients_are_rejected(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        rotate_basis(G1, [[bad, 0.0], [0.0, 1.0]], [1, 2])
+    with pytest.raises(PreconditionError, match="finite"):
+        rotate_basis(G1, [[1, 0], [0, bad]], [1, 2])
+    with pytest.raises(PreconditionError, match="finite"):
+        decompose_along_w1(G1 * G2, {1: bad, 2: 0.8})
+    with pytest.raises(PreconditionError, match="finite"):
+        decompose_along_w1(G1 * G2, {1: 1, 2: bad})
 
 
 def test_rotate_by_exact_householder_rows_keeps_a_homogeneous_input_homogeneous():
@@ -237,8 +334,14 @@ def test_split_takes_integer_like_direction_keys_as_ids():
     assert step.reassemble() == G1 * G2
 
 
+def _rank_one_substitute(f: ChaosPoly, variables, m, d):
+    """The split's call of the kernel: ``u = m / d``, ``S = d X - sum_j m_j G_j``, ``D = d**2``."""
+    s = [-x for x in m] + [d]
+    return decompose._rank_one_substitute(*_numerators(f._terms), variables, m, s, d * d)
+
+
 def _projection_substitute(f: ChaosPoly, variables, m, d):
-    """The split's substitution by the general route: ``_substitute`` with the n
+    """The split's substitution by the general route: ``substitute_forms`` with the n
     projected forms ``lin_j = u_j X + sum_k (delta_jk - u_j u_k) G_k`` over ``d**2``."""
     n = len(m)
     proj = [[d * d * (j == k) - m[j] * m[k] for k in range(n)] for j in range(n)]
@@ -246,7 +349,7 @@ def _projection_substitute(f: ChaosPoly, variables, m, d):
         {1 << _WIDTH * n: m[j] * d} | {1 << _WIDTH * k: p for k, p in enumerate(row) if p}
         for j, row in enumerate(proj)
     ]
-    return _substitute(f, variables, lin, d * d)
+    return substitute_forms(f, variables, lin, d * d)
 
 
 def test_rank_one_substitution_matches_the_projected_forms():
@@ -441,6 +544,15 @@ def test_iterate_zero_steps():
     f = (HE2_1 + HE2_2) / 2
     trace = iterate_decomposition(f, threshold=0.1, max_steps=0)
     assert trace.steps == () and trace.residual == f
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1, "3"])
+def test_iterate_rejects_max_steps_that_is_not_a_nonnegative_integer(bad):
+    f = (HE2_1 + HE2_2) / 2
+    with pytest.raises(PreconditionError, match="max_steps"):
+        iterate_decomposition(f, 0.1, bad)
+    # an integer-like count is taken as it is
+    assert len(iterate_decomposition(f, 0.1, np.int64(1)).steps) == 1
 
 
 def test_iterate_requires_unit_norm():
