@@ -1,7 +1,11 @@
 """Numeric float kernels: batched term accumulation and the symmetric eigensolve.
 
-``accumulate_terms`` evaluates a sampler's term table over a block of draws;
-``jacobi_eigh`` is LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
+``accumulate_terms`` evaluates a sampler's term table over one sub-chunk of a
+block of draws (``montecarlo.CHUNK_ROWS`` rows), in a fixed operation order
+that the sample-file bytes depend on; it reads the term table as Python lists
+and reuses one product buffer, so its per-call overhead stays small next to
+the chunk's arithmetic.  ``jacobi_eigh`` is LAPACK's symmetric eigensolver
+(``numpy.linalg.eigh``).
 The exact-rational algebra never routes through this module; only float paths
 (sampling, eigensolves) do.  Callers that need a solver-independent
 eigenvector (see ``influence._top_eigenpair``) canonicalize it themselves.
@@ -17,17 +21,26 @@ def accumulate_terms(values, coeffs, term_ptr, term_slots):
 
     ``values`` has one row per distinct (variable, level) factor; ``term_slots``
     flattens the factor lists of all terms and ``term_ptr`` delimits them.
+    Each product is ``values[first] * coeffs[t]``, times the later factors in
+    order, and the terms are added in order to ``+0.0`` zeros, so the bits are
+    fixed by the term table alone (and a ``-0.0`` product sums to ``+0.0``).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    term_ptr = np.ascontiguousarray(term_ptr, dtype=np.int64)
-    term_slots = np.ascontiguousarray(term_slots, dtype=np.int64)
+    # the tables as Python lists, read once: the per-term loop then makes no numpy scalar
+    coeffs = np.asarray(coeffs, dtype=np.float64).tolist()
+    term_ptr = np.asarray(term_ptr, dtype=np.int64).tolist()
+    term_slots = np.asarray(term_slots, dtype=np.int64).tolist()
     n = values.shape[1] if values.ndim == 2 else 0
     out = np.zeros(n, dtype=np.float64)
-    for t in range(coeffs.shape[0]):
-        prod = np.full(n, coeffs[t])
-        for j in range(term_ptr[t], term_ptr[t + 1]):
-            prod *= values[term_slots[j]]
+    prod = np.empty(n, dtype=np.float64)
+    for t, c in enumerate(coeffs):
+        first, stop = term_ptr[t], term_ptr[t + 1]
+        if first == stop:
+            out += c
+            continue
+        np.multiply(values[term_slots[first]], c, out=prod)
+        for s in term_slots[first + 1 : stop]:
+            prod *= values[s]
         out += prod
     return out
 

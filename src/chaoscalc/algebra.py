@@ -43,9 +43,12 @@ RationalLike = Fraction | int | float | str
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce to an exact rational.  Floats convert via their exact binary value."""
+    """Coerce to an exact rational.  Floats convert via their exact binary value;
+    a NaN or infinite float is a ``PreconditionError``."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PreconditionError(f"coefficients must be finite, got {value!r}")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational coefficient")

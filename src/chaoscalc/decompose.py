@@ -168,13 +168,6 @@ def _variable_ids(ids) -> list[int]:
     return [_integer(v, 1, "variable ids must be positive integers") for v in ids]
 
 
-def _finite_fraction(value: RationalLike, what: str) -> Fraction:
-    """``as_fraction(value)``, with a NaN or infinite float a ``PreconditionError``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise PreconditionError(f"{what} must be finite, got {value!r}")
-    return as_fraction(value)
-
-
 def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     """Substitute an orthogonal change of coordinates over the listed variables.
 
@@ -198,7 +191,7 @@ def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
     by an exactly orthogonal ``Q`` within their deviation plus a few ``2**-52``.
     """
     variables = _variable_ids(variables)
-    rows = [[_finite_fraction(entry, "rotation entries") for entry in row] for row in rotation]
+    rows = [[as_fraction(entry) for entry in row] for row in rotation]
     if any(len(row) != len(rows) for row in rows):
         raise PreconditionError("rotation matrix must be square")
     if len(variables) != len(rows):
@@ -413,7 +406,7 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     unit ``u`` next to ``a / |a|``, returned as ``step.direction``.
     """
     ids = _variable_ids(a)
-    coeffs = {v: _finite_fraction(c, "direction coefficients") for v, c in zip(ids, a.values())}
+    coeffs = {v: as_fraction(c) for v, c in zip(ids, a.values())}
     coeffs = {v: c for v, c in coeffs.items() if c}
     if not coeffs:
         raise PreconditionError("direction vector must be nonzero")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -143,12 +144,18 @@ class EnsemblePoly:
     coeffs: tuple[Fraction, ...]
     norm_sq: Fraction
 
+    @cached_property
+    def _float_form(self) -> tuple[list[float], float]:
+        """The coefficients as floats, highest power first, and ``sqrt(norm_sq)``."""
+        return [float(c) for c in reversed(self.coeffs)], math.sqrt(float(self.norm_sq))
+
     def eval(self, x):
         """``T_k(x)`` by Horner's rule; elementwise for numpy arrays."""
+        coeffs, norm = self._float_form
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc / math.sqrt(float(self.norm_sq))
+        for c in coeffs:
+            acc = acc * x + c
+        return acc / norm
 
 
 @dataclass(frozen=True)

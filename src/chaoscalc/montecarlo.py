@@ -18,7 +18,13 @@ used by diagnostics is ``sample`` of ``scale * G_1`` on the reserved stream
 Every sampled polynomial goes through one encoder (``_Encoder``): a term table
 over per-variable one-dimensional families, the Hermite recurrence
 (``algebra.hermite_values``) for chaos polynomials and the ensemble's ``T_k``
-(``EnsemblePoly.eval``) for multilinear ones.
+(``EnsemblePoly.eval``) for multilinear ones.  A block is evaluated in
+sub-chunks of ``CHUNK_ROWS`` rows, each drawn, tabulated and accumulated into
+its slice of the output.  Consecutive chunks draw consecutive rows of the
+block's one generator, the same stream a whole-block draw reads, and each
+output row depends on its own draws alone, so the chunk size never changes
+an output bit.  It bounds the working set: draws and factor rows of
+``CHUNK_ROWS`` values per thread, not of ``BLOCK_SIZE``.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ from .influence import _influence_scan
 from .malliavin import gamma_gradient
 
 BLOCK_SIZE = 1 << 16
+# rows per sub-chunk of a block; any size gives the same bits (see the module docstring)
+CHUNK_ROWS = 1 << 13
 GENERATOR_ID = "philox4x64-block65536"
 GAUSSIAN_REFERENCE_STREAM = 2**31 - 1
 
@@ -82,21 +90,20 @@ def _blocks(n: int):
         yield block, offset, min(BLOCK_SIZE, n - offset)
 
 
-def _draw_law(rng: np.random.Generator, law: InputLaw, shape) -> np.ndarray:
+def _law_sampler(law: InputLaw):
+    """``draw(rng, shape)``: draws of ``law``, with its tables built once."""
     if law.kind == "gaussian":
-        return rng.standard_normal(shape)
+        return lambda rng, shape: rng.standard_normal(shape)
     if law.kind == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        return lambda rng, shape: rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
     if law.kind == "uniform":
         half = math.sqrt(3.0)
-        return rng.uniform(-half, half, size=shape)
+        return lambda rng, shape: rng.uniform(-half, half, size=shape)
     if law.kind == "discrete":
         cumulative = np.cumsum([float(p) for p in law.probabilities])
         cumulative[-1] = 1.0
-        u = rng.random(shape)
-        picks = np.searchsorted(cumulative, u, side="right")
         points = np.array([float(p) for p in law.points])
-        return points[picks]
+        return lambda rng, shape: points[np.searchsorted(cumulative, rng.random(shape), side="right")]
     raise PreconditionError(f"unknown law kind {law.kind!r}")
 
 
@@ -109,15 +116,15 @@ class _Encoder:
     """A polynomial in independent inputs, encoded for batched evaluation.
 
     ``terms`` lists ``(coefficient, ((variable, level), ...))`` in summation
-    order, each term's factors in multiplication order.  A block draws one
-    column per variable from ``law`` (``_draw_law``); ``family(column, levels)``
+    order, each term's factors in multiplication order.  A chunk draws one
+    column per variable from ``law`` (``_law_sampler``); ``family(column, levels)``
     evaluates the variable's one-dimensional polynomials at just the levels
     that terms use, and ``accumulate_terms`` sums the term table over those
     rows.
     """
 
     def __init__(self, terms, law: InputLaw, family):
-        self.law = law
+        self.draw = _law_sampler(law)
         self.family = family
         self.variables = tuple(sorted({v for _, factors in terms for v, _ in factors}))
         pos = {v: i for i, v in enumerate(self.variables)}
@@ -133,14 +140,18 @@ class _Encoder:
         for vp, k in slot_keys:
             self.levels.setdefault(vp, []).append(k)
 
-    def evaluate_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def evaluate_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with one block's values, ``CHUNK_ROWS`` rows at a time."""
         if not self.variables:
-            return np.full(size, self.coeffs.sum())
-        columns = _draw_law(rng, self.law, (size, len(self.variables))).T.copy()
-        values = np.array(
-            [row for vp, levels in self.levels.items() for row in self.family(columns[vp], levels)]
-        )
-        return accumulate_terms(values, self.coeffs, self.term_ptr, self.term_slots)
+            out[:] = self.coeffs.sum()
+            return
+        for start in range(0, out.shape[0], CHUNK_ROWS):
+            chunk = out[start : start + CHUNK_ROWS]
+            draws = self.draw(rng, (chunk.shape[0], len(self.variables)))
+            values = np.array(
+                [row for vp, levels in self.levels.items() for row in self.family(draws[:, vp], levels)]
+            )
+            chunk[:] = accumulate_terms(values, self.coeffs, self.term_ptr, self.term_slots)
 
 
 def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
@@ -149,8 +160,7 @@ def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int)
 
     def job(span):
         block, offset, size = span
-        rng = _block_rng(seed, stream, block)
-        out[offset : offset + size] = encoder.evaluate_block(rng, size)
+        encoder.evaluate_block(_block_rng(seed, stream, block), out[offset : offset + size])
 
     threads = min(workers, -(-n // BLOCK_SIZE), os.cpu_count() or 1)
     if threads > 1:
@@ -209,12 +219,21 @@ def sample(
 
 
 def format_sample_file(sample_set: SampleSet) -> str:
-    """Sample-file text: a ``# seed=.. stream=.. generator=..`` header, then one ``repr`` per line."""
+    """Sample-file text: a ``# seed=.. stream=.. generator=..`` header, then one ``repr`` per line.
+
+    The lines are joined one ``BLOCK_SIZE`` slice at a time, so no list of
+    every value's string is held at once.
+    """
     header = (
         f"# seed={sample_set.seed} stream={sample_set.stream} "
         f"generator={sample_set.generator_id}"
     )
-    return "\n".join([header, *map(repr, sample_set.values.tolist())]) + "\n"
+    values = sample_set.values
+    blocks = (
+        "\n".join(map(repr, values[start : start + BLOCK_SIZE].tolist()))
+        for start in range(0, values.shape[0], BLOCK_SIZE)
+    )
+    return "\n".join([header, *blocks]) + "\n"
 
 
 def write_sample_file(sample_set: SampleSet, path) -> None:
@@ -228,6 +247,7 @@ def read_sample_file(path) -> SampleSet:
     Blank lines after the first line are skipped.  The body is converted in one
     ``map(float, ...)``; when that fails, the lines are parsed one by one so
     that the ``ParseError`` names the first bad line, or line 1 for a header field.
+    A NaN or infinite value is a ``ParseError`` naming its line too.
     """
     seed = stream = 0
     generator = "unknown"
@@ -256,8 +276,16 @@ def read_sample_file(path) -> SampleSet:
             for lineno, line in enumerate(body, start=start)
             if lineno == 1 or line.strip()
         ]
+    values = np.array(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        lineno, line = next(
+            (lineno, line)
+            for lineno, line in enumerate(body, start=start)
+            if line.strip() and not math.isfinite(float(line))
+        )
+        raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
     return SampleSet(
-        values=np.array(values, dtype=np.float64),
+        values=values,
         seed=seed,
         stream=stream,
         generator_id=generator,

@@ -2,6 +2,7 @@
 axioms, orthogonality, and the canonical JSON format."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from chaoscalc import (
     ChaosPoly,
     MissingVariableError,
     ParseError,
+    PreconditionError,
     compose_hermite,
     expectation,
     gaussian,
@@ -43,6 +45,21 @@ from _oracles import (
 
 G1, G2 = gaussian(1), gaussian(2)
 HE2_1 = hermite_monomial({1: 2})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: hermite_monomial({1: 1}, c),
+        lambda c: ChaosPoly.constant(c),
+        lambda c: gaussian(1) * c,
+    ],
+    ids=["hermite_monomial", "constant", "scalar_product"],
+)
+def test_non_finite_coefficients_are_precondition_errors(build, bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        build(bad)
 
 
 def test_add_identity_and_cancellation():

@@ -339,7 +339,7 @@ def test_w2_that_is_not_finite_exits_2_without_invalid_json(capsys, tmp_path, va
     odd.write_text(f"# seed=1 stream=0 generator=g\n0.5\n{value}\n")
     code, out, err = run_cli(capsys, "w2", str(good), str(odd))
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {odd}: sample file line 3: value '{value}' is not finite\n"
 
 
 def test_invariance_and_influences_commands(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Input laws, orthonormal ensembles (exact Gram-Schmidt with truncation),
 multilinear polynomials, Gaussian substitution, and influence peeling."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,14 @@ def test_discrete_law_validation():
         InputLaw.discrete([-2, 2], [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(PreconditionError, match="sum to 1"):
         InputLaw.discrete([-1, 1], [Fraction(1, 2), Fraction(1, 3)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_discrete_law_rejects_non_finite_points_and_probabilities(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        InputLaw.discrete([-1, bad], [0.5, 0.5])
+    with pytest.raises(PreconditionError, match="finite"):
+        InputLaw.discrete([-1, 1], [0.5, bad])
 
 
 def test_rademacher_ensemble_truncates_at_degree_one():

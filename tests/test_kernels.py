@@ -23,18 +23,41 @@ def _random_encoding(rng, n_slots=7, n_terms=12, n_samples=513):
     return values, coeffs, np.array(ptr, dtype=np.int64), np.array(slots, dtype=np.int64)
 
 
+def _direct(values, coeffs, ptr, slots, i):
+    """Draw ``i`` of the term table, one Python float operation at a time."""
+    total = 0.0
+    for t in range(coeffs.size):
+        prod = float(coeffs[t])
+        for j in range(ptr[t], ptr[t + 1]):
+            prod *= float(values[slots[j], i])
+        total += prod
+    return total
+
+
 def test_accumulate_matches_direct_evaluation():
+    """Bitwise: sample-file bytes depend on the kernel's operation order,
+    each term's coefficient times its factors in order, terms summed in order
+    from +0.0.  ``_random_encoding`` draws constant (factor-free) terms too."""
     rng = np.random.default_rng(1)
     values, coeffs, ptr, slots = _random_encoding(rng, n_samples=61)
+    assert np.any(np.diff(ptr) == 0)
     out = _kernels.accumulate_terms(values, coeffs, ptr, slots)
     for i in range(61):
-        expected = 0.0
-        for t in range(coeffs.size):
-            prod = coeffs[t]
-            for j in range(ptr[t], ptr[t + 1]):
-                prod *= values[slots[j], i]
-            expected += prod
-        assert out[i] == pytest.approx(expected, rel=1e-13)
+        assert out[i] == _direct(values, coeffs, ptr, slots, i)
+
+
+def test_accumulate_constant_and_negative_zero_terms():
+    # a lone constant term, and a -0.0 product (-1.5 * 0.0) that must sum to +0.0
+    values = np.array([[0.0, 2.0, -0.0], [3.0, 0.5, 4.0]])
+    coeffs = np.array([-1.5, 0.25])
+    ptr = np.array([0, 1, 1], dtype=np.int64)
+    slots = np.array([0], dtype=np.int64)
+    out = _kernels.accumulate_terms(values, coeffs, ptr, slots)
+    assert out.tolist() == [0.25, -2.75, 0.25]
+    zero_only = _kernels.accumulate_terms(values[:1], coeffs[:1], ptr[:2], slots)
+    assert zero_only.tolist() == [0.0, -3.0, 0.0]
+    assert not np.signbit(zero_only[0]) and not np.signbit(zero_only[2])
+    assert np.signbit(-1.5 * 0.0)
 
 
 def test_jacobi_matches_lapack():

@@ -3,6 +3,7 @@ moment diagnostics, and the consolidated normality report."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from chaoscalc import (
     w2_1d,
     write_sample_file,
 )
+from chaoscalc import montecarlo
 
 from _oracles import random_poly
 
@@ -51,6 +53,50 @@ def test_sampling_is_deterministic_and_worker_independent():
     assert np.array_equal(base.values, sample(f, 150_000, seed=9, workers=4).values)
     assert not np.array_equal(base.values, sample(f, 150_000, seed=10).values)
     assert not np.array_equal(base.values, sample(f, 150_000, seed=9, stream=1).values)
+
+
+CHUNK_CASES = {
+    "gaussian": HE2_1 * Fraction(1, 3) + hermite_monomial({2: 3, 3: 1}, -2) + gaussian(3) + 1,
+    **{
+        law.kind: MultilinearPoly(law, {frozenset(): 1, frozenset({(1, 1)}): Fraction(1, 2),
+                                        frozenset({(2, 1), (3, 1)}): -3})
+        for law in (
+            InputLaw.rademacher(),
+            InputLaw.uniform(),
+            InputLaw.discrete([-1, 0, 2], [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)]),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("law", sorted(CHUNK_CASES))
+def test_chunk_size_never_changes_a_sample(monkeypatch, law):
+    """Blocks are evaluated in sub-chunks of ``montecarlo.CHUNK_ROWS`` rows;
+    other sizes, one that does not divide the block among them, give the same
+    bits at one and two workers.  Three blocks, the last of 13 draws."""
+    f = CHUNK_CASES[law]
+    n = 2 * montecarlo.BLOCK_SIZE + 13
+    default = sample(f, n, seed=31, stream=2).values
+    for rows in (1000, 7):
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", rows)
+        for workers in (1, 2):
+            assert np.array_equal(sample(f, n, seed=31, stream=2, workers=workers).values, default)
+
+
+def test_walk_sample_memory_is_bounded_by_the_chunk():
+    """tracemalloc peak of one block of the 100-step sign walk: 26.3 MB with
+    8192-row chunks, 151.3 MB when the block was evaluated whole (its draws,
+    their transposed copy and the stacked factor table each block-sized)."""
+    walk = MultilinearPoly(
+        InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
+    )
+    tracemalloc.start()
+    try:
+        sample(walk, montecarlo.BLOCK_SIZE, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 def test_sample_of_constant():
@@ -220,6 +266,18 @@ def test_sample_file_bad_value_names_its_line(tmp_path, header, bad_line):
     path.write_text("\n".join(lines) + "\n")
     lineno = bad_line + 1 if header else bad_line
     with pytest.raises(ParseError, match=rf"line {lineno}: bad value '0.1x'$"):
+        read_sample_file(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-Infinity"])
+@pytest.mark.parametrize("blank", [False, True])
+def test_sample_file_non_finite_value_names_its_line(tmp_path, value, blank):
+    # a blank line sends the body through the line-by-line parse
+    lines = ["# seed=4 stream=1 generator=g", "0.5", "", value, "2.0"] if blank else ["0.5", value]
+    path = tmp_path / "odd.samples"
+    path.write_text("\n".join(lines) + "\n")
+    lineno = 4 if blank else 2
+    with pytest.raises(ParseError, match=rf"^sample file line {lineno}: value '{value}' is not finite$"):
         read_sample_file(path)
 
 
