@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import MissingVariableError, ParseError, PreconditionError
+from .errors import MissingVariableError, ParseError, PreconditionError, as_integer
 
 RationalLike = Fraction | int | float | str
 
@@ -77,12 +77,10 @@ class MultiIndex:
     __slots__ = ("entries", "total_degree", "_hash")
 
     def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = dict(entries)
-        for var, deg in pairs.items():
-            if not isinstance(var, int) or isinstance(var, bool) or var < 1:
-                raise ValueError(f"variable ids must be positive integers, got {var!r}")
-            if not isinstance(deg, int) or isinstance(deg, bool) or deg < 1:
-                raise ValueError(f"degrees must be positive integers, got {deg!r} for variable {var}")
+        pairs = {}
+        for var, deg in dict(entries).items():
+            var = as_integer(var, "variable ids must be positive integers", 1)
+            pairs[var] = as_integer(deg, f"degrees must be positive integers for variable {var}", 1)
         self.entries = tuple(sorted(pairs.items()))
         self.total_degree = sum(d for _, d in self.entries)
         self._hash = hash(self.entries)
@@ -437,8 +435,7 @@ def _times_coordinate(nums: Mapping[Entries, int], w: int) -> dict[Entries, int]
 
 def partial_derivative(f: ChaosPoly, var: int) -> ChaosPoly:
     """Exact partial derivative, using ``He_k' = k He_{k-1}`` (``_gradients``)."""
-    if not isinstance(var, int) or var < 1:
-        raise ValueError(f"variable ids must be positive integers, got {var!r}")
+    var = as_integer(var, "variable ids must be positive integers", 1)
     denom, nums = _numerators(f._terms)
     return ChaosPoly._from_numerators(_gradients(nums).get(var, {}), denom)
 
@@ -476,8 +473,7 @@ def norm_sq(f: ChaosPoly) -> Fraction:
 
 def project_chaos(f: ChaosPoly, m: int) -> ChaosPoly:
     """Orthogonal projection onto the degree-``m`` stratum: keep total degree ``m``."""
-    if not isinstance(m, int) or m < 0:
-        raise PreconditionError(f"projection degree must be a nonnegative integer, got {m!r}")
+    m = as_integer(m, "projection degree must be a nonnegative integer", 0)
     return ChaosPoly._from_clean(
         {idx: c for idx, c in f._terms.items() if idx.total_degree == m}
     )
@@ -485,26 +481,26 @@ def project_chaos(f: ChaosPoly, m: int) -> ChaosPoly:
 
 def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
     """``He_level`` evaluated at the polynomial ``x``, re-expanded on the basis."""
-    if not isinstance(level, int) or level < 0:
-        raise PreconditionError(f"Hermite level must be a nonnegative integer, got {level!r}")
+    level = as_integer(level, "Hermite level must be a nonnegative integer", 0)
     if level == 0:
         return ChaosPoly.constant(1)
     return hermite_values(x, level)[level]
 
 
 def poly_pow(f: ChaosPoly, n: int) -> ChaosPoly:
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError(f"exponent must be a nonnegative integer, got {n!r}")
-    result = ChaosPoly.constant(1)
+    """``f**n`` by repeated squaring; the product starts from the first factor it needs."""
+    n = as_integer(n, "exponent must be a nonnegative integer", 0)
+    if n == 0:
+        return ChaosPoly.constant(1)
+    result = None
     base = f
-    while n:
+    while True:
         if n & 1:
-            result = result * base
-        base_needed = n >> 1
-        if base_needed:
-            base = base * base
-        n = base_needed
-    return result
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 def moment(f: ChaosPoly, k: int) -> Fraction:
@@ -513,8 +509,7 @@ def moment(f: ChaosPoly, k: int) -> Fraction:
     Splits the power as ``E[f**a * f**b]`` with ``a = k // 2`` so only powers up
     to ``ceil(k/2)`` need expanding.
     """
-    if not isinstance(k, int) or k < 1:
-        raise PreconditionError(f"moment order must be a positive integer, got {k!r}")
+    k = as_integer(k, "moment order must be a positive integer", 1)
     a = k // 2
     b = k - a
     fa = poly_pow(f, a)

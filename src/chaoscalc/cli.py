@@ -24,7 +24,7 @@ from pathlib import Path
 from .algebra import ChaosPoly, canonical_json, poly_from_json, poly_to_json
 from .decompose import canonical_quadratic, iterate_decomposition
 from .ensembles import MultilinearPoly, multilinear_influences
-from .errors import BasisSizeError, ChaosCalcError, ParseError, PreconditionError
+from .errors import BasisSizeError, ChaosCalcError, ParseError
 from .influence import rho_q, strongest_influence
 from .malliavin import gamma_gradient, ou_generator
 from .montecarlo import (
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ParseError, PreconditionError, ChaosCalcError, ValueError, OSError, OverflowError) as exc:
+    except (ChaosCalcError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.output:

@@ -29,7 +29,6 @@ diagnostics.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -52,9 +51,8 @@ from .algebra import (
     poly_to_json_dict,
     project_chaos,
 )
-from .errors import PreconditionError
-from .influence import _check_extra_vars, _check_threshold, _influence_scan
-from .influence import _unit_rational, degree_monomials
+from .errors import PreconditionError, as_integer, as_positive_real, check_unit_norm
+from .influence import _influence_scan, _unit_rational, degree_monomials
 from .malliavin import independence_score
 
 ORTHOGONALITY_TOL = 1e-12
@@ -152,20 +150,9 @@ class QuadraticCanonicalForm:
 # -- orthogonal substitution ----------------------------------------------------
 
 
-def _integer(value, least: int, what: str) -> int:
-    """``value`` as an int by ``operator.index``, not a bool, and at least ``least``."""
-    try:
-        out = operator.index(value)
-    except TypeError:
-        out = least - 1
-    if out < least or isinstance(value, bool):
-        raise PreconditionError(f"{what}, got {value!r}")
-    return out
-
-
 def _variable_ids(ids) -> list[int]:
     """The listed ids as ints; each must be a positive integer."""
-    return [_integer(v, 1, "variable ids must be positive integers") for v in ids]
+    return [as_integer(v, "variable ids must be positive integers", 1) for v in ids]
 
 
 def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
@@ -411,10 +398,7 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     if not coeffs:
         raise PreconditionError("direction vector must be nonzero")
     norm_sq = sum(c * c for c in coeffs.values())
-    if norm_sq != 1 and abs(float(norm_sq) - 1.0) > 1e-12:
-        raise PreconditionError(
-            f"direction must have unit norm; got squared norm {float(norm_sq)!r}"
-        )
+    check_unit_norm(norm_sq, 1e-12, "direction")
     return _split_linear(f, coeffs, norm_sq)
 
 
@@ -434,10 +418,7 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     if q < 1 or q >= p:
         raise PreconditionError(f"direction degree must satisfy 1 <= q < p; got q={q}, p={p}")
     x_norm_sq = inner_product(x, x)
-    if x_norm_sq != 1 and abs(float(x_norm_sq) - 1.0) > 1e-8:
-        raise PreconditionError(
-            f"direction must have unit norm; got squared norm {float(x_norm_sq)!r}"
-        )
+    check_unit_norm(x_norm_sq, 1e-8, "direction")
     if q == 1:
         coeffs = {idx.entries[0][0]: c for idx, c in x._terms.items()}
         return _split_linear(f, coeffs, x_norm_sq)
@@ -508,14 +489,13 @@ def iterate_decomposition(
     nonnegative integer) is reached.  By construction the input always equals
     the sum of contributions plus the final remainder.
     """
-    _check_threshold(threshold)
-    _check_extra_vars(extra_vars)
-    max_steps = _integer(max_steps, 0, "max_steps must be a nonnegative integer")
+    threshold = as_positive_real(threshold, "threshold must be finite and positive")
+    if extra_vars is not None:
+        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
+    max_steps = as_integer(max_steps, "max_steps must be a nonnegative integer", 0)
     if f.is_zero():
         return IterationTrace((), (), ChaosPoly.zero(), 0.0, ())
-    total = inner_product(f, f)
-    if total != 1 and abs(float(total) - 1.0) > 1e-9:
-        raise PreconditionError(f"input must have unit norm; got squared norm {float(total)!r}")
+    check_unit_norm(inner_product(f, f), 1e-9, "input")
     p = homogeneous_degree(f, "input")
     steps: list[DecompositionStep] = []
     contributions: list[ChaosPoly] = []

@@ -19,7 +19,6 @@ of a variable is the sum of ``a_J**2`` over the terms that contain it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -34,7 +33,7 @@ from .algebra import (
     as_fraction,
     canonical_json,
 )
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, as_integer
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ class InputLaw:
 
     def moment(self, k: int) -> Fraction:
         """Exact k-th moment ``E[X**k]``."""
-        if k < 0:
-            raise PreconditionError("moment order must be nonnegative")
+        k = as_integer(k, "moment order must be nonnegative", 0)
         if self.kind == "gaussian":
             if k % 2:
                 return Fraction(0)
@@ -191,13 +189,13 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
     Truncates early (effective degree < d) when the next residual has exactly
     zero norm, which happens precisely when the law's support is finite.
     """
-    if d < 0:
-        raise PreconditionError("ensemble degree must be nonnegative")
+    d = as_integer(d, "ensemble degree must be nonnegative", 0)
     if law.moment(1) != 0:
         raise PreconditionError(f"law is not centered: mean {law.moment(1)}")
     if law.moment(2) != 1:
         raise PreconditionError(f"law does not have unit variance: {law.moment(2)}")
-    law.moment(2 * d)  # fails fast if the law cannot produce enough moments
+    # every moment the loops below read, each checked and computed once
+    moments = [law.moment(j) for j in range(2 * d + 1)]
     polys: list[EnsemblePoly] = [EnsemblePoly((Fraction(1),), Fraction(1))]
     for k in range(1, d + 1):
         # start from x**k and subtract projections on previous members
@@ -205,7 +203,7 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
         for prev in polys:
             # <x**k, p_j> / n_j
             overlap = sum(
-                c * law.moment(k + i) for i, c in enumerate(prev.coeffs) if c
+                c * moments[k + i] for i, c in enumerate(prev.coeffs) if c
             )
             if overlap:
                 ratio = overlap / prev.norm_sq
@@ -217,7 +215,7 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
                 continue
             for b, cb in enumerate(coeffs):
                 if cb:
-                    norm_sq += ca * cb * law.moment(a + b)
+                    norm_sq += ca * cb * moments[a + b]
         if norm_sq == 0:
             break
         polys.append(EnsemblePoly(tuple(coeffs), norm_sq))
@@ -225,18 +223,6 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
 
 
 FactorSet = frozenset  # of (variable-id, level) pairs
-
-
-def _factor(pos: int, var, level) -> tuple[int, int]:
-    """``(var, level)`` as ints; floats, bools and other non-integers are rejected."""
-    if not isinstance(var, bool) and not isinstance(level, bool):
-        try:
-            return operator.index(var), operator.index(level)
-        except TypeError:
-            pass
-    raise PreconditionError(
-        f"term {pos}: bad factor {(var, level)!r}: variable ids and levels must be integers"
-    )
 
 
 class MultilinearPoly:
@@ -255,18 +241,16 @@ class MultilinearPoly:
         data: dict[frozenset, Fraction] = {}
         max_level = 0
         for pos, (factors, coeff) in enumerate(items):
-            factors = frozenset(_factor(pos, v, k) for v, k in factors)
+            checked = set()
+            for v, k in factors:
+                what = f"term {pos}: bad factor {(v, k)!r}: variable ids and levels must be integers >= 1"
+                v, k = as_integer(v, what, 1), as_integer(k, what, 1)
+                checked.add((v, k))
+                max_level = max(max_level, k)
+            factors = frozenset(checked)
             seen_vars = [v for v, _ in factors]
             if len(seen_vars) != len(set(seen_vars)):
                 raise PreconditionError(f"variable repeats within term {sorted(factors)}")
-            for v, k in factors:
-                if v < 1:
-                    raise PreconditionError(f"variable ids must be positive, got {v}")
-                if k < 1:
-                    raise PreconditionError(
-                        f"ensemble levels must be >= 1, got {k} (constants belong to the empty term)"
-                    )
-                max_level = max(max_level, k)
             c = as_fraction(coeff)
             if c:
                 data[factors] = data.get(factors, Fraction(0)) + c
@@ -373,7 +357,7 @@ class MultilinearPoly:
         return cls.from_json_dict(_decode_json(text))
 
 
-def substitute_gaussian(p: MultilinearPoly, max_level: int | None = None) -> ChaosPoly:
+def substitute_gaussian(p: MultilinearPoly) -> ChaosPoly:
     """Replace the inputs by independent standard Gaussians.
 
     Each factor ``T_k(X_j)`` maps to ``He_k(G_j)/sqrt(k!)``, the unit-norm
@@ -382,10 +366,6 @@ def substitute_gaussian(p: MultilinearPoly, max_level: int | None = None) -> Cha
     irrational ``1/sqrt(k!)`` normalizations, which are carried as exact
     dyadic conversions of their float values.
     """
-    if max_level is not None and p.max_level > max_level:
-        raise PreconditionError(
-            f"term level {p.max_level} exceeds the Gaussian ensemble cap {max_level}"
-        )
     out: dict[MultiIndex, Fraction] = {}
     for term, coeff in p._terms.items():
         index = MultiIndex({v: k for v, k in term})
@@ -427,8 +407,7 @@ def truncate_by_influence(p: MultilinearPoly, count: int) -> TruncationResult:
     remainder, whose maximal influence (normalized by the original variance)
     is reported.
     """
-    if count < 0:
-        raise PreconditionError(f"count must be nonnegative, got {count}")
+    count = as_integer(count, "count must be nonnegative", 0)
     if count == 0:
         return TruncationResult((), p, (), _max_influence(p, p.variance()))
     influences = multilinear_influences(p)

@@ -66,7 +66,7 @@ from .algebra import (
     homogeneous_degree,
     poly_to_json_dict,
 )
-from .errors import BasisSizeError, PreconditionError
+from .errors import BasisSizeError, PreconditionError, as_integer, as_positive_real
 
 DEFAULT_BASIS_CAP = 512
 BASIS_CAP_ENV = "CHAOSCALC_MAX_BASIS_DIM"
@@ -354,11 +354,11 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     exact value of each float coordinate.  The basis dimension is capped by
     ``CHAOSCALC_MAX_BASIS_DIM`` (default 512).
     """
-    if not isinstance(q, int) or q < 1:
-        raise PreconditionError(f"influence degree must be a positive integer, got {q!r}")
-    _check_extra_vars(extra_vars)
+    q = as_integer(q, "influence degree must be a positive integer", 1)
     if extra_vars is None:
         extra_vars = q - 1
+    else:
+        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     own = f.variables()
     dim = _basis_dimension(len(own) + extra_vars, q, _basis_cap())
     basis = degree_monomials(own + fresh_variables([f], extra_vars), q)
@@ -389,18 +389,6 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     )
 
 
-def _check_threshold(threshold: float) -> None:
-    """Reject a threshold that is not finite and positive (NaN compares false to everything)."""
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
-
-
-def _check_extra_vars(extra_vars: int | None) -> None:
-    """Reject a negative count of fresh variables; ``None`` asks for the default ``q - 1``."""
-    if extra_vars is not None and extra_vars < 0:
-        raise PreconditionError(f"extra_vars must be nonnegative, got {extra_vars}")
-
-
 def _influence_scan(f: ChaosPoly, p: int, extra_vars: int | None) -> Iterator[InfluenceResult]:
     """``rho_q(f, q, extra_vars)`` for q = 1 .. floor(p/2), each computed only when consumed.
 
@@ -421,7 +409,7 @@ def strongest_influence(
     floor(p/2) influence is the finite-size certificate that no macroscopic
     direction remains, so the scan stops there.
     """
-    _check_threshold(threshold)
+    threshold = as_positive_real(threshold, "threshold must be finite and positive")
     p = homogeneous_degree(f, "polynomial")
     if p < 2:
         raise PreconditionError(f"strongest_influence needs homogeneous degree >= 2, got {p}")
@@ -434,5 +422,5 @@ def strongest_influence(
             q_star = result.q
             direction = result.direction
     return StrongestInfluence(
-        q_star=q_star, rho_values=rho_values, direction=direction, threshold=float(threshold)
+        q_star=q_star, rho_values=rho_values, direction=direction, threshold=threshold
     )

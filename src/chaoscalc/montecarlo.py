@@ -45,10 +45,10 @@ from .algebra import (
     hermite_monomial,
     hermite_values,
     inner_product,
-    mul,
+    moment,
 )
 from .ensembles import InputLaw, MultilinearPoly, build_ensemble, substitute_gaussian
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, as_integer
 from .influence import _influence_scan
 from .malliavin import gamma_gradient
 
@@ -172,11 +172,6 @@ def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int)
     return out
 
 
-def _check_sample_size(n: int) -> None:
-    if n < 1:
-        raise PreconditionError(f"sample size must be >= 1, got {n}")
-
-
 def sample(
     f: ChaosPoly | MultilinearPoly,
     n: int,
@@ -185,7 +180,10 @@ def sample(
     workers: int = 1,
 ) -> SampleSet:
     """``n`` independent draws of the polynomial, deterministic in (seed, stream)."""
-    _check_sample_size(n)
+    n = as_integer(n, "sample size must be >= 1", 1)
+    seed = as_integer(seed, "seed must be an integer")
+    stream = as_integer(stream, "stream must be an integer")
+    workers = as_integer(workers, "worker count must be >= 1", 1)
     if isinstance(f, ChaosPoly):
         terms = f.terms
         encoder = _Encoder(
@@ -336,9 +334,7 @@ def excess_kurtosis(f: ChaosPoly) -> Fraction:
     variance = inner_product(centered, centered)
     if variance == 0:
         raise PreconditionError("excess kurtosis needs positive variance")
-    square = mul(centered, centered)
-    fourth = inner_product(square, square)
-    return fourth / variance**2 - 3
+    return moment(centered, 4) / variance**2 - 3
 
 
 @dataclass(frozen=True)
@@ -378,7 +374,11 @@ def normality_report(
 ) -> NormalityReport:
     """Variance, excess kurtosis, carre-du-champ variance, influence values up
     to degree floor(deg/2), and the empirical distance to a matched Gaussian."""
-    _check_sample_size(n_samples)
+    n_samples = as_integer(n_samples, "sample size must be >= 1", 1)
+    seed = as_integer(seed, "seed must be an integer")
+    workers = as_integer(workers, "worker count must be >= 1", 1)
+    if extra_vars is not None:
+        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     centered = f - ChaosPoly.constant(expectation(f))
     variance = inner_product(centered, centered)
     if variance == 0:

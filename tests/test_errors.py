@@ -1,0 +1,121 @@
+"""Every entry point checks its integer, threshold and count arguments the same way.
+
+Ids, degrees, levels, counts, seeds and streams are integers by
+``operator.index``: numpy integers pass and come back as ``int``, while a bool,
+a float, a string, ``None`` or a value below the bound is a
+``PreconditionError``.  Thresholds are finite positive reals, never a bool or
+a string.
+"""
+
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from chaoscalc import (
+    InputLaw,
+    MultiIndex,
+    MultilinearPoly,
+    PreconditionError,
+    build_ensemble,
+    compose_hermite,
+    gaussian,
+    iterate_decomposition,
+    moment,
+    normality_report,
+    partial_derivative,
+    project_chaos,
+    rho_q,
+    sample,
+    strongest_influence,
+    truncate_by_influence,
+)
+from chaoscalc.algebra import poly_pow
+
+G1, G2 = gaussian(1), gaussian(2)
+F = G1 * G2
+LAW = InputLaw.gaussian()
+P = MultilinearPoly(LAW, {frozenset({(1, 1)}): Fraction(3, 5), frozenset({(2, 1)}): Fraction(4, 5)})
+
+ENTRY_POINTS = {
+    "MultiIndex id": lambda bad: MultiIndex({bad: 1}),
+    "MultiIndex degree": lambda bad: MultiIndex({1: bad}),
+    "partial_derivative": lambda bad: partial_derivative(F, bad),
+    "project_chaos": lambda bad: project_chaos(F, bad),
+    "compose_hermite": lambda bad: compose_hermite(bad, G1),
+    "poly_pow": lambda bad: poly_pow(F, bad),
+    "moment": lambda bad: moment(F, bad),
+    "rho_q q": lambda bad: rho_q(F, bad),
+    "rho_q extra_vars": lambda bad: rho_q(F, 1, bad),
+    "iterate extra_vars": lambda bad: iterate_decomposition(F, 0.1, 1, bad),
+    "iterate threshold": lambda bad: iterate_decomposition(F, bad, 1),
+    "strongest threshold": lambda bad: strongest_influence(F, bad),
+    "build_ensemble": lambda bad: build_ensemble(LAW, bad),
+    "InputLaw.moment": lambda bad: LAW.moment(bad),
+    "truncate_by_influence": lambda bad: truncate_by_influence(P, bad),
+    "sample n": lambda bad: sample(F, bad, 1),
+    "sample seed": lambda bad: sample(F, 3, bad),
+    "sample stream": lambda bad: sample(F, 3, 1, stream=bad),
+    "sample workers": lambda bad: sample(F, 3, 1, workers=bad),
+    "normality_report n": lambda bad: normality_report(F, bad, 1),
+    "normality_report seed": lambda bad: normality_report(F, 3, bad),
+    "normality_report workers": lambda bad: normality_report(F, 3, 1, workers=bad),
+}
+
+ALL = [True, False, 1.5, 2.0, "1", None]
+# per entry point, the values it let through, or crashed on with another
+# exception, while each module checked its own arguments
+REFUSED = [
+    ("MultiIndex id", [*ALL, 0]),
+    ("MultiIndex degree", [*ALL, 0]),
+    ("partial_derivative", [*ALL, 0]),
+    ("project_chaos", [True, False]),
+    ("compose_hermite", [True, False]),
+    ("poly_pow", [True, False]),
+    ("moment", [True]),
+    ("rho_q q", [True]),
+    ("rho_q extra_vars", [True, False, 1.5, 2.0, "1"]),
+    ("iterate extra_vars", [True, False, 1.5, 2.0, "1"]),
+    ("iterate threshold", [True, "0.5", None]),
+    ("strongest threshold", [True, "0.5", None]),
+    ("build_ensemble", [*ALL, -1]),
+    ("InputLaw.moment", [*ALL, -1]),
+    ("truncate_by_influence", ALL),
+    ("sample n", [True, 1.5, 2.0, "1", None]),
+    ("sample seed", ALL),
+    ("sample stream", ALL),
+    ("sample workers", [*ALL, 0]),
+    ("normality_report n", [True, 1.5, 2.0, "1", None]),
+    ("normality_report seed", ALL),
+    ("normality_report workers", [*ALL, 0]),
+]
+REFUSED_CASES = [(entry, bad) for entry, values in REFUSED for bad in values]
+
+
+@pytest.mark.parametrize("entry, bad", REFUSED_CASES, ids=[f"{e}-{b!r}" for e, b in REFUSED_CASES])
+def test_bad_arguments_raise_precondition_error(entry, bad):
+    with pytest.raises(PreconditionError, match=re.escape(f", got {bad!r}") + "$"):
+        ENTRY_POINTS[entry](bad)
+
+
+ACCEPTED = {
+    "MultiIndex": (lambda: MultiIndex({np.int64(3): np.int32(2)}).entries, ((3, 2),)),
+    "partial_derivative": (lambda: partial_derivative(F, np.int64(1)), G2),
+    "project_chaos": (lambda: project_chaos(F + G1, np.int64(2)), F),
+    "compose_hermite": (lambda: compose_hermite(np.int64(2), G1), G1 * G1 - 1),
+    "poly_pow": (lambda: poly_pow(G1, np.int64(2)), G1 * G1),
+    "moment": (lambda: moment(F, np.int64(2)), Fraction(1)),
+    "rho_q q": (lambda: rho_q(F, np.int64(2)).q, 2),
+    "rho_q extra_vars": (lambda: rho_q(F, 1, np.int64(1)).extra_variables_used, 1),
+    "sample seed": (lambda: sample(F, 3, np.int64(1)).seed, 1),
+    "sample stream": (lambda: sample(F, 3, 1, stream=np.int64(1)).stream, 1),
+    "normality_report seed": (lambda: normality_report(F, 3, np.int64(1)).inputs["seed"], 1),
+}
+
+
+@pytest.mark.parametrize("entry", ACCEPTED)
+def test_numpy_integers_are_taken_as_plain_ints(entry):
+    call, expected = ACCEPTED[entry]
+    # repr tells np.int64(1) from 1, at any depth
+    assert repr(call()) == repr(expected)
