@@ -375,6 +375,7 @@ def hermite_monomial(index: Mapping[int, int] | MultiIndex, coeff: RationalLike 
 
 def fresh_variables(polys: Iterable[ChaosPoly], count: int) -> tuple[int, ...]:
     """Allocate ``count`` variable ids not used by any of ``polys`` (max used + 1, ...)."""
+    count = as_integer(count, "count must be a nonnegative integer", 0)
     top = 0
     for f in polys:
         for v in f.variables():
@@ -465,10 +466,6 @@ def inner_product(f: ChaosPoly, g: ChaosPoly) -> Fraction:
         for e, cf, cg in shared
     )
     return Fraction(total, df * dg)
-
-
-def norm_sq(f: ChaosPoly) -> Fraction:
-    return inner_product(f, f)
 
 
 def project_chaos(f: ChaosPoly, m: int) -> ChaosPoly:
@@ -606,7 +603,7 @@ def poly_from_json_dict(data) -> ChaosPoly:
             if var in entries:
                 raise ParseError(f"{where}: duplicate variable id {var}")
             entries[var] = deg
-        idx = MultiIndex(entries)
+        idx = MultiIndex._from_sorted(tuple(sorted(entries.items())))
         if idx in out:
             raise ParseError(f"{where}: duplicate index {dict(idx.entries)}")
         out[idx] = coeff

@@ -495,14 +495,15 @@ def iterate_decomposition(
     max_steps = as_integer(max_steps, "max_steps must be a nonnegative integer", 0)
     if f.is_zero():
         return IterationTrace((), (), ChaosPoly.zero(), 0.0, ())
-    check_unit_norm(inner_product(f, f), 1e-9, "input")
+    norm_sq = inner_product(f, f)
+    check_unit_norm(norm_sq, 1e-9, "input")
     p = homogeneous_degree(f, "input")
     steps: list[DecompositionStep] = []
     contributions: list[ChaosPoly] = []
     remainder = f
     if p >= 2:
         while len(steps) < max_steps and not remainder.is_zero():
-            if math.sqrt(float(inner_product(remainder, remainder))) < threshold:
+            if math.sqrt(float(norm_sq)) < threshold:
                 break
             scan = (r for r in _influence_scan(remainder, p, extra_vars) if r.value >= threshold)
             found = next(scan, None)
@@ -513,11 +514,11 @@ def iterate_decomposition(
             if not step.exact:
                 level0 = level0 + (remainder - step.reassemble())
             new_remainder = project_chaos(level0, p)
-            contribution = remainder - new_remainder
             steps.append(step)
-            contributions.append(contribution)
+            contributions.append(remainder - new_remainder)
             remainder = new_remainder
-    residual_norm = math.sqrt(float(inner_product(remainder, remainder)))
+            norm_sq = inner_product(remainder, remainder)
+    residual_norm = math.sqrt(float(norm_sq))
     per_step = tuple(
         math.sqrt(float(inner_product(c, c))) for c in contributions
     )

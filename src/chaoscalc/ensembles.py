@@ -42,12 +42,36 @@ class InputLaw:
 
     Kinds: ``gaussian``, ``rademacher`` (fair signs on +-1), ``uniform``
     (on [-sqrt(3), sqrt(3)]), and ``discrete`` (finite support with rational
-    points and probabilities).
+    points and probabilities).  Every law is checked when it is built.
+    ``level_bound`` is the top level of its ensemble, where Gram-Schmidt stops:
+    the number of distinct points of positive probability minus one (1 for
+    rademacher), or None for gaussian and uniform.
     """
 
     kind: str
     points: tuple[Fraction, ...] | None = None
     probabilities: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        # a tuple, not a set: kind may be unhashable
+        if self.kind not in ("gaussian", "rademacher", "uniform", "discrete"):
+            raise PreconditionError(f"unknown law kind {self.kind!r}")
+        if self.kind != "discrete":
+            return
+        pts, probs = (
+            tuple(map(as_fraction, () if xs is None else xs))
+            for xs in (self.points, self.probabilities)
+        )
+        if len(pts) != len(probs) or not pts:
+            raise PreconditionError("discrete law needs matching nonempty points/probabilities")
+        if any(p < 0 for p in probs) or sum(probs) != 1:
+            raise PreconditionError("discrete probabilities must be nonnegative and sum to 1")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "probabilities", probs)
+        if self.moment(1) != 0:
+            raise PreconditionError(f"discrete law is not centered: mean {self.moment(1)}")
+        if self.moment(2) != 1:
+            raise PreconditionError(f"discrete law does not have unit variance: {self.moment(2)}")
 
     @classmethod
     def gaussian(cls) -> "InputLaw":
@@ -65,18 +89,13 @@ class InputLaw:
     def discrete(
         cls, points: Sequence[RationalLike], probabilities: Sequence[RationalLike]
     ) -> "InputLaw":
-        pts = tuple(as_fraction(p) for p in points)
-        probs = tuple(as_fraction(p) for p in probabilities)
-        if len(pts) != len(probs) or not pts:
-            raise PreconditionError("discrete law needs matching nonempty points/probabilities")
-        if any(p < 0 for p in probs) or sum(probs) != 1:
-            raise PreconditionError("discrete probabilities must be nonnegative and sum to 1")
-        law = cls("discrete", points=pts, probabilities=probs)
-        if law.moment(1) != 0:
-            raise PreconditionError(f"discrete law is not centered: mean {law.moment(1)}")
-        if law.moment(2) != 1:
-            raise PreconditionError(f"discrete law does not have unit variance: {law.moment(2)}")
-        return law
+        return cls("discrete", points=points, probabilities=probabilities)
+
+    @property
+    def level_bound(self) -> int | None:
+        if self.kind == "discrete":
+            return len({x for x, p in zip(self.points, self.probabilities) if p}) - 1
+        return 1 if self.kind == "rademacher" else None
 
     def moment(self, k: int) -> Fraction:
         """Exact k-th moment ``E[X**k]``."""
@@ -95,12 +114,11 @@ class InputLaw:
             if k % 2:
                 return Fraction(0)
             return Fraction(3 ** (k // 2), k + 1)
-        if self.kind == "discrete":
-            return sum(
-                (prob * point**k for point, prob in zip(self.points, self.probabilities)),
-                Fraction(0),
-            )
-        raise PreconditionError(f"unknown law kind {self.kind!r}")
+        # discrete, the one kind left
+        return sum(
+            (prob * point**k for point, prob in zip(self.points, self.probabilities)),
+            Fraction(0),
+        )
 
     def to_json_dict(self) -> dict:
         data: dict = {"kind": self.kind}
@@ -186,14 +204,11 @@ class OrthonormalEnsemble:
 def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
     """Gram-Schmidt on monomials under the law's moments, unit-normalized.
 
-    Truncates early (effective degree < d) when the next residual has exactly
-    zero norm, which happens precisely when the law's support is finite.
+    Trusts its law, checked when it was built.  Truncates early (effective
+    degree ``law.level_bound`` < d) when the next residual has exactly zero
+    norm, which happens precisely when the law's support is finite.
     """
     d = as_integer(d, "ensemble degree must be nonnegative", 0)
-    if law.moment(1) != 0:
-        raise PreconditionError(f"law is not centered: mean {law.moment(1)}")
-    if law.moment(2) != 1:
-        raise PreconditionError(f"law does not have unit variance: {law.moment(2)}")
     # every moment the loops below read, each checked and computed once
     moments = [law.moment(j) for j in range(2 * d + 1)]
     polys: list[EnsemblePoly] = [EnsemblePoly((Fraction(1),), Fraction(1))]
@@ -222,16 +237,13 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
     return OrthonormalEnsemble(law=law, polys=tuple(polys))
 
 
-FactorSet = frozenset  # of (variable-id, level) pairs
-
-
 class MultilinearPoly:
     """Sparse multilinear polynomial over an orthonormal ensemble.
 
     Terms map a frozenset of ``(variable id, level)`` factors to a rational
     coefficient; the empty set is the constant term and no variable repeats
-    within a term.  Levels must exist in the law's ensemble (Rademacher admits
-    level 1 only).
+    within a term.  Levels must not exceed the law's ``level_bound``
+    (Rademacher admits level 1 only); no ensemble is built to check this.
     """
 
     __slots__ = ("law", "_terms", "_max_level")
@@ -257,10 +269,10 @@ class MultilinearPoly:
         self._terms = {t: c for t, c in data.items() if c != 0}
         self._max_level = max_level
         self.law = law
-        ensemble = build_ensemble(law, max_level)
-        if ensemble.effective_degree < max_level:
+        bound = law.level_bound
+        if bound is not None and bound < max_level:
             raise PreconditionError(
-                f"law {law.kind!r} supports ensemble levels up to {ensemble.effective_degree}, "
+                f"law {law.kind!r} supports ensemble levels up to {bound}, "
                 f"but level {max_level} was used"
             )
 

@@ -99,12 +99,11 @@ def _law_sampler(law: InputLaw):
     if law.kind == "uniform":
         half = math.sqrt(3.0)
         return lambda rng, shape: rng.uniform(-half, half, size=shape)
-    if law.kind == "discrete":
-        cumulative = np.cumsum([float(p) for p in law.probabilities])
-        cumulative[-1] = 1.0
-        points = np.array([float(p) for p in law.points])
-        return lambda rng, shape: points[np.searchsorted(cumulative, rng.random(shape), side="right")]
-    raise PreconditionError(f"unknown law kind {law.kind!r}")
+    # discrete, the one kind left
+    cumulative = np.cumsum([float(p) for p in law.probabilities])
+    cumulative[-1] = 1.0
+    points = np.array([float(p) for p in law.points])
+    return lambda rng, shape: points[np.searchsorted(cumulative, rng.random(shape), side="right")]
 
 
 def _hermite_rows(column: np.ndarray, levels: list[int]) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chaoscalc import ensembles
 from chaoscalc import (
     ChaosPoly,
     InputLaw,
@@ -90,9 +91,58 @@ def test_ensemble_orthonormality_is_exact():
 
 
 def test_ensemble_rejects_uncentered_laws():
-    shifted = InputLaw("discrete", points=(Fraction(1),), probabilities=(Fraction(1),))
+    # the law is refused as it is built, before any ensemble
     with pytest.raises(PreconditionError):
-        build_ensemble(shifted, 2)
+        build_ensemble(InputLaw("discrete", points=(Fraction(1),), probabilities=(Fraction(1),)), 2)
+
+
+@pytest.mark.parametrize(
+    "kind, points, probabilities, message",
+    [
+        ("discrete", None, None, "matching nonempty"),
+        ("cauchy", None, None, "unknown law kind 'cauchy'"),
+        ("discrete", (), (), "matching nonempty"),
+        ("discrete", (-1, 1), (1,), "matching nonempty"),
+        ("discrete", (-1, 0, 1), (Fraction(3, 4), Fraction(-1, 2), Fraction(3, 4)), "nonnegative"),
+        ("discrete", (1,), (1,), "not centered: mean 1"),
+        ("discrete", (-2, 2), (Fraction(1, 2), Fraction(1, 2)), "unit variance: 4"),
+    ],
+)
+def test_laws_built_directly_are_checked(kind, points, probabilities, message):
+    with pytest.raises(PreconditionError, match=message):
+        InputLaw(kind, points=points, probabilities=probabilities)
+
+
+def test_law_built_directly_holds_fractions():
+    law = InputLaw("discrete", points=[-1, 1], probabilities=[0.5, 0.5])
+    assert law == InputLaw.discrete((-1, 1), (Fraction(1, 2), Fraction(1, 2)))
+    assert all(type(x) is Fraction for x in law.points + law.probabilities)
+
+
+@pytest.mark.parametrize(
+    "law, bound",
+    [
+        (InputLaw.rademacher(), 1),
+        (THREE_POINT, 2),
+        (InputLaw.discrete([-1, 1, 1], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), 1),
+        (InputLaw.discrete([-1, 0, 1], [Fraction(1, 2), 0, Fraction(1, 2)]), 1),
+        (InputLaw.gaussian(), None),
+        (InputLaw.uniform(), None),
+    ],
+)
+def test_level_bound_is_where_gram_schmidt_stops(law, bound):
+    assert law.level_bound == bound
+    assert build_ensemble(law, 8).effective_degree == (8 if bound is None else bound)
+
+
+def test_multilinear_levels_are_checked_without_an_ensemble(monkeypatch):
+    def refuse(law, d):
+        raise AssertionError("build_ensemble called")
+
+    monkeypatch.setattr(ensembles, "build_ensemble", refuse)
+    assert MultilinearPoly(InputLaw.uniform(), {frozenset({(1, 200)}): 1}).max_level == 200
+    with pytest.raises(PreconditionError, match="supports ensemble levels up to 1"):
+        MultilinearPoly(InputLaw.rademacher(), {frozenset({(1, 2)}): 1})
 
 
 def test_multilinear_validation():
