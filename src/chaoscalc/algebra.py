@@ -550,6 +550,15 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+class JsonResult:
+    """A result whose text is ``canonical_json`` of its ``to_json_dict()``."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        return canonical_json(self.to_json_dict())
+
+
 def poly_to_json(f: ChaosPoly) -> str:
     return canonical_json(poly_to_json_dict(f))
 

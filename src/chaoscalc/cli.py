@@ -7,8 +7,10 @@ import, so ``main`` only parses.  Handlers look library functions up as module
 globals when they run (a tracer may patch them), and ``_load`` reads every
 input file, naming it in a read or parse error.
 
-Results are machine-readable JSON (or the line-oriented sample-file format for
-``sample``) on standard output; all diagnostics go to standard error.  Exit
+A handler returns its result's JSON value (``sample`` returns the text of its
+line-oriented sample file), and ``main`` encodes every JSON value in one
+place, as ``canonical_json(value)`` plus a newline.  Results go to standard
+output, or to ``--output``; all diagnostics go to standard error.  Exit
 codes: 0 success, 2 parse/precondition/input errors or an ``--output`` file
 that cannot be written, 3 resource caps exceeded or memory that cannot be
 allocated.  Repeated invocations with identical arguments produce
@@ -21,7 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import ChaosPoly, canonical_json, poly_from_json, poly_to_json
+from .algebra import ChaosPoly, canonical_json, poly_from_json, poly_to_json_dict
 from .decompose import canonical_quadratic, iterate_decomposition
 from .ensembles import MultilinearPoly, multilinear_influences
 from .errors import BasisSizeError, ChaosCalcError, ParseError
@@ -55,50 +57,37 @@ def _load_multilinear(path: str) -> MultilinearPoly:
     return _load(path, lambda p: MultilinearPoly.from_json(Path(p).read_text()))
 
 
-def _json_line(data) -> str:
-    return canonical_json(data) + "\n"
+def _cmd_gamma(args) -> dict:
+    return poly_to_json_dict(gamma_gradient(_load_poly(args.f), _load_poly(args.g)))
 
 
-def _cmd_gamma(args) -> str:
+def _cmd_generator(args) -> dict:
+    return poly_to_json_dict(ou_generator(_load_poly(args.f)))
+
+
+def _cmd_rho(args) -> dict:
+    return rho_q(_load_poly(args.f), args.q, args.extra_vars).to_json_dict()
+
+
+def _cmd_strongest(args) -> dict:
+    return strongest_influence(_load_poly(args.f), args.threshold, args.extra_vars).to_json_dict()
+
+
+def _cmd_decompose(args) -> dict:
     f = _load_poly(args.f)
-    g = _load_poly(args.g)
-    return poly_to_json(gamma_gradient(f, g)) + "\n"
+    return iterate_decomposition(f, args.threshold, args.max_steps, args.extra_vars).to_json_dict()
 
 
-def _cmd_generator(args) -> str:
-    f = _load_poly(args.f)
-    return poly_to_json(ou_generator(f)) + "\n"
+def _cmd_canonical2(args) -> dict:
+    return canonical_quadratic(_load_poly(args.f)).to_json_dict()
 
 
-def _cmd_rho(args) -> str:
-    f = _load_poly(args.f)
-    result = rho_q(f, args.q, args.extra_vars)
-    return result.to_json() + "\n"
-
-
-def _cmd_strongest(args) -> str:
-    f = _load_poly(args.f)
-    result = strongest_influence(f, args.threshold, args.extra_vars)
-    return result.to_json() + "\n"
-
-
-def _cmd_decompose(args) -> str:
-    f = _load_poly(args.f)
-    trace = iterate_decomposition(f, args.threshold, args.max_steps, args.extra_vars)
-    return trace.to_json() + "\n"
-
-
-def _cmd_canonical2(args) -> str:
-    f = _load_poly(args.f)
-    return canonical_quadratic(f).to_json() + "\n"
-
-
-def _cmd_diagnose(args) -> str:
+def _cmd_diagnose(args) -> dict:
     f = _load_poly(args.f)
     report = normality_report(
         f, args.samples, args.seed, extra_vars=args.extra_vars, workers=args.workers
     )
-    return report.to_json() + "\n"
+    return report.to_json_dict()
 
 
 def _cmd_sample(args) -> str:
@@ -107,24 +96,21 @@ def _cmd_sample(args) -> str:
     return format_sample_file(result)
 
 
-def _cmd_w2(args) -> str:
+def _cmd_w2(args) -> dict:
     a = _load(args.a, read_sample_file)
     b = _load(args.b, read_sample_file)
-    return _json_line({"w2": w2_1d(a, b), "n_a": len(a), "n_b": len(b)})
+    return {"w2": w2_1d(a, b), "n_a": len(a), "n_b": len(b)}
 
 
-def _cmd_invariance(args) -> str:
+def _cmd_invariance(args) -> dict:
     p = _load_multilinear(args.p)
     gap = invariance_gap(p, args.samples, args.seed, workers=args.workers)
-    return _json_line({"gap": gap, "n_samples": args.samples, "seed": args.seed})
+    return {"gap": gap, "n_samples": args.samples, "seed": args.seed}
 
 
-def _cmd_influences(args) -> str:
-    p = _load_multilinear(args.p)
-    influences = multilinear_influences(p)
-    return _json_line(
-        {str(var): {"value": float(x), "exact": str(x)} for var, x in influences.items()}
-    )
+def _cmd_influences(args) -> dict:
+    influences = multilinear_influences(_load_multilinear(args.p))
+    return {str(var): {"value": float(x), "exact": str(x)} for var, x in influences.items()}
 
 
 def positive_int(text: str) -> int:
@@ -188,7 +174,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text = args.handler(args)
+        result = args.handler(args)
+        text = result if isinstance(result, str) else canonical_json(result) + "\n"
         if args.output:
             Path(args.output).write_text(text)
     except BasisSizeError as exc:

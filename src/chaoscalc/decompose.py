@@ -39,11 +39,11 @@ from ._kernels import jacobi_eigh
 from .algebra import (
     ChaosPoly,
     Entries,
+    JsonResult,
     MultiIndex,
     RationalLike,
     _numerators,
     as_fraction,
-    canonical_json,
     compose_hermite,
     hermite_monomial,
     homogeneous_degree,
@@ -92,7 +92,7 @@ class DecompositionStep:
 
 
 @dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(JsonResult):
     """Result of repeatedly factoring out strongest-influence directions."""
 
     steps: tuple[DecompositionStep, ...]
@@ -110,12 +110,9 @@ class IterationTrace:
             "per_step_norms": list(self.per_step_norms),
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
 
 @dataclass(frozen=True)
-class QuadraticCanonicalForm:
+class QuadraticCanonicalForm(JsonResult):
     """Diagonalized degree-<=2 polynomial: eigenvalues, rotation, linear part, constant."""
 
     variables: tuple[int, ...]
@@ -142,9 +139,6 @@ class QuadraticCanonicalForm:
             "linear": list(self.linear),
             "constant": self.constant,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 # -- orthogonal substitution ----------------------------------------------------
@@ -431,17 +425,16 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     def degree_cap(level: int) -> int:
         return p - 1 if level == 0 else p - level * q
 
+    # level 0 has the largest cap, p - 1, so every monomial fits at least level 0
     monomials: list[MultiIndex] = [MultiIndex()]
     if free_vars:
-        for deg in range(1, max(degree_cap(level) for level in range(levels + 1)) + 1):
+        for deg in range(1, p):
             monomials.extend(degree_monomials(free_vars, deg))
 
     parts = [ChaosPoly.zero() for _ in range(levels + 1)]
     total_rank = 0
     for mono in monomials:
         valid = [level for level in range(levels + 1) if mono.total_degree <= degree_cap(level)]
-        if not valid:
-            continue
         mono_poly = hermite_monomial(mono)
         weight = Fraction(mono.weight)
         rhs = np.array(
@@ -482,8 +475,12 @@ def iterate_decomposition(
     that direction, keeps the degree-p part of the level-0 coefficient as the
     new remainder and books the rest as that step's contribution.  On the
     exact q = 1 path the level-0 coefficient is ``A_0`` itself, since the
-    split reassembles the remainder exactly; for q >= 2 it is ``A_0 +
-    (remainder - step.reassemble())``, the remainder minus the fitted levels.
+    split reassembles the remainder exactly; for q >= 2 the new remainder is
+    the degree-p part of ``remainder - step.reassemble()``, as the fitted
+    ``A_0`` has degree below p.  On the exact path ``A_0`` is independent of
+    the direction ``x``, so the contribution ``r - A_0 = sum_{l>=1} A_l
+    He_l(x)`` is orthogonal to it and its squared norm is the drop
+    ``|r|^2 - |A_0|^2`` of the exact norms already held.
     Stops when every influence up to floor(p/2) falls below ``threshold``,
     the remainder norm drops below ``threshold``, or ``max_steps`` (a
     nonnegative integer) is reached.  By construction the input always equals
@@ -500,6 +497,7 @@ def iterate_decomposition(
     p = homogeneous_degree(f, "input")
     steps: list[DecompositionStep] = []
     contributions: list[ChaosPoly] = []
+    step_norms_sq: list[Fraction] = []
     remainder = f
     if p >= 2:
         while len(steps) < max_steps and not remainder.is_zero():
@@ -510,24 +508,22 @@ def iterate_decomposition(
             if found is None:
                 break
             step = decompose_along(remainder, found.direction)
-            level0 = step.coefficients[0]
-            if not step.exact:
-                level0 = level0 + (remainder - step.reassemble())
+            level0 = step.coefficients[0] if step.exact else remainder - step.reassemble()
             new_remainder = project_chaos(level0, p)
+            contribution = remainder - new_remainder
+            new_norm_sq = inner_product(new_remainder, new_remainder)
             steps.append(step)
-            contributions.append(remainder - new_remainder)
-            remainder = new_remainder
-            norm_sq = inner_product(remainder, remainder)
-    residual_norm = math.sqrt(float(norm_sq))
-    per_step = tuple(
-        math.sqrt(float(inner_product(c, c))) for c in contributions
-    )
+            contributions.append(contribution)
+            step_norms_sq.append(
+                norm_sq - new_norm_sq if step.exact else inner_product(contribution, contribution)
+            )
+            remainder, norm_sq = new_remainder, new_norm_sq
     return IterationTrace(
         steps=tuple(steps),
         contributions=tuple(contributions),
         residual=remainder,
-        residual_norm=residual_norm,
-        per_step_norms=per_step,
+        residual_norm=math.sqrt(float(norm_sq)),
+        per_step_norms=tuple(math.sqrt(float(x)) for x in step_norms_sq),
     )
 
 

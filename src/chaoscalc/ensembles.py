@@ -26,12 +26,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     ChaosPoly,
+    JsonResult,
     MultiIndex,
     RationalLike,
     _decode_json,
     _parse_coeff,
     as_fraction,
-    canonical_json,
 )
 from .errors import ParseError, PreconditionError, as_integer
 
@@ -42,7 +42,8 @@ class InputLaw:
 
     Kinds: ``gaussian``, ``rademacher`` (fair signs on +-1), ``uniform``
     (on [-sqrt(3), sqrt(3)]), and ``discrete`` (finite support with rational
-    points and probabilities).  Every law is checked when it is built.
+    points and probabilities, the one kind that takes them).  Every law is
+    checked when it is built.
     ``level_bound`` is the top level of its ensemble, where Gram-Schmidt stops:
     the number of distinct points of positive probability minus one (1 for
     rademacher), or None for gaussian and uniform.
@@ -57,6 +58,8 @@ class InputLaw:
         if self.kind not in ("gaussian", "rademacher", "uniform", "discrete"):
             raise PreconditionError(f"unknown law kind {self.kind!r}")
         if self.kind != "discrete":
+            if self.points is not None or self.probabilities is not None:
+                raise PreconditionError(f"law kind {self.kind!r} takes no points or probabilities")
             return
         pts, probs = (
             tuple(map(as_fraction, () if xs is None else xs))
@@ -237,7 +240,7 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
     return OrthonormalEnsemble(law=law, polys=tuple(polys))
 
 
-class MultilinearPoly:
+class MultilinearPoly(JsonResult):
     """Sparse multilinear polynomial over an orthonormal ensemble.
 
     Terms map a frozenset of ``(variable id, level)`` factors to a rational
@@ -333,9 +336,6 @@ class MultilinearPoly:
                 }
             )
         return {"law": self.law.to_json_dict(), "terms": terms}
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data) -> "MultilinearPoly":

@@ -55,13 +55,13 @@ from ._kernels import jacobi_eigh
 from .algebra import (
     ChaosPoly,
     Entries,
+    JsonResult,
     MultiIndex,
     _gradients,
     _numerators,
     _times_coordinate,
     _weight,
     as_fraction,
-    canonical_json,
     fresh_variables,
     homogeneous_degree,
     poly_to_json_dict,
@@ -76,7 +76,7 @@ STEREO_GRID = 2**53
 
 
 @dataclass(frozen=True)
-class InfluenceResult:
+class InfluenceResult(JsonResult):
     q: int
     value: float
     direction: ChaosPoly
@@ -100,12 +100,9 @@ class InfluenceResult:
             "eigen_residual": self.eigen_residual,
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
 
 @dataclass(frozen=True)
-class StrongestInfluence:
+class StrongestInfluence(JsonResult):
     """Least degree q at which the influence clears the caller's threshold."""
 
     q_star: int | None
@@ -120,9 +117,6 @@ class StrongestInfluence:
             "direction": None if self.direction is None else poly_to_json_dict(self.direction),
             "threshold": self.threshold,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 def _basis_cap() -> int:
@@ -257,6 +251,10 @@ def _hermite_multiples(
 def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
+    ``basis`` is nonempty and holds every monomial of one degree ``q >= 1``
+    over its variables (``degree_monomials``), so each ``b + 1_v`` below has
+    a slot.
+
     ``f`` is scaled once to integer numerators over the lcm ``D`` of its
     denominators and its gradient is taken once on them.  ``Gamma(f, He_a) =
     sum_{(v, k) in a} k d_v f He_{a - 1_v}`` needs no general product: for
@@ -276,7 +274,7 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     variables = sorted({v for idx in basis for v, _ in idx.entries})
     # coordinates absent from f first: raising them only cancels, cheapest on the smallest products
     order = sorted(variables, key=grads.__contains__)
-    degree = max((idx.total_degree for idx in basis), default=1) - 1
+    degree = basis[0].total_degree - 1
     index: dict[Entries, dict[int, int]] = {}
     for v in variables:
         if v not in grads:
@@ -284,9 +282,7 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
         for lowered, prod in _hermite_multiples(grads[v], order, degree):
             exponents = dict(lowered)
             k = exponents[v] = exponents.get(v, 0) + 1
-            a = slots.get(tuple(sorted(exponents.items())))
-            if a is None:
-                continue
+            a = slots[tuple(sorted(exponents.items()))]
             for entries, num in prod.items():
                 held = index.setdefault(entries, {})
                 held[a] = held.get(a, 0) + k * num

@@ -19,10 +19,10 @@ from fractions import Fraction
 from .algebra import (
     ChaosPoly,
     Entries,
+    JsonResult,
     _expand_product,
     _gradients,
     _numerators,
-    canonical_json,
     expectation,
     homogeneous_degree,
     inner_product,
@@ -30,7 +30,7 @@ from .algebra import (
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(JsonResult):
     """Both sides of a checked identity (or inequality) in exact rationals."""
 
     lhs: Fraction
@@ -45,9 +45,6 @@ class IdentityReport:
             "residual": str(self.residual),
             "holds": self.holds,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 def ou_generator(f: ChaosPoly) -> ChaosPoly:

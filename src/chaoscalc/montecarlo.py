@@ -39,8 +39,8 @@ import numpy as np
 from ._kernels import accumulate_terms
 from .algebra import (
     ChaosPoly,
+    JsonResult,
     MultiIndex,
-    canonical_json,
     expectation,
     hermite_monomial,
     hermite_values,
@@ -337,7 +337,7 @@ def excess_kurtosis(f: ChaosPoly) -> Fraction:
 
 
 @dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(JsonResult):
     """Finite-size readout of the asymptotic-normality criteria for one polynomial."""
 
     variance: Fraction
@@ -359,9 +359,6 @@ class NormalityReport:
             "w2_to_gaussian": self.w2_to_gaussian,
             "inputs": self.inputs,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 def normality_report(

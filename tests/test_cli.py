@@ -174,9 +174,14 @@ def test_one_parser_serves_many_calls(capsys, poly_file, monkeypatch):
 def test_every_subcommand_is_in_the_readme_and_has_help(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
-    documented = {line.split()[1] for line in block.splitlines() if line.startswith("chaoscalc ")}
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    documented = [words[1:] for words in lines if words[:1] == ["chaoscalc"]]
     names = [row[0] for row in cli._COMMANDS]
-    assert set(names) == documented
+    assert set(names) == {argv[0] for argv in documented}
+    # every documented line parses, so a renamed or dropped flag needs a README edit
+    parser = cli.build_parser()
+    for argv in documented:
+        assert parser.parse_args(argv).command == argv[0]
     for name in names:
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])

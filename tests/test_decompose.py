@@ -540,6 +540,24 @@ def test_iterate_single_direction():
     assert trace.residual.is_zero()
 
 
+def test_iterate_reads_exact_step_energies_off_the_norm_ledger(monkeypatch):
+    # |f|^2, the direction's norm check and the new remainder's |r'|^2; the
+    # exact step's energy is |r|^2 - |r'|^2, with no product of its own
+    calls = []
+    product = decompose.inner_product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(decompose, "inner_product", counted)
+    f = hermite_monomial({1: 1, 2: 1}, Fraction(3, 5)) + hermite_monomial({2: 1, 3: 1}, Fraction(4, 5))
+    trace = iterate_decomposition(f, threshold=0.1, max_steps=5)
+    assert len(trace.steps) == 1 and trace.steps[0].exact
+    assert trace.residual_norm < 1e-12 and trace.per_step_norms == (pytest.approx(1.0),)
+    assert len(calls) == 3
+
+
 def test_iterate_zero_steps():
     f = (HE2_1 + HE2_2) / 2
     trace = iterate_decomposition(f, threshold=0.1, max_steps=0)

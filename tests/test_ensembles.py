@@ -106,6 +106,8 @@ def test_ensemble_rejects_uncentered_laws():
         ("discrete", (-1, 0, 1), (Fraction(3, 4), Fraction(-1, 2), Fraction(3, 4)), "nonnegative"),
         ("discrete", (1,), (1,), "not centered: mean 1"),
         ("discrete", (-2, 2), (Fraction(1, 2), Fraction(1, 2)), "unit variance: 4"),
+        ("rademacher", (5,), (1,), "'rademacher' takes no points or probabilities"),
+        ("gaussian", None, (1,), "'gaussian' takes no points or probabilities"),
     ],
 )
 def test_laws_built_directly_are_checked(kind, points, probabilities, message):
