@@ -21,9 +21,10 @@ decoupling ``gamma_gradient(A_l, x) == 0`` hold exactly, not to tolerance;
 iterated decomposition therefore reads ``A_0`` off the split instead of
 subtracting the other levels from ``f``.
 
-For directions of degree q >= 2 no such split exists; that path is a
-documented least-squares surrogate (see ``decompose_along``) with residual
-diagnostics.
+For directions of degree q >= 2 no such split exists; that path is the
+exact orthogonal projection of ``f`` on the products of ``He_l(x)`` with
+monomials off ``x``'s variables, solved in rationals (see
+``decompose_along``), with residual diagnostics.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .algebra import (
     project_chaos,
 )
 from .errors import PreconditionError, as_integer, as_positive_real, check_unit_norm
-from .influence import _influence_scan, _unit_rational, degree_monomials
+from .influence import _influence_scan, _unit_rational
 from .malliavin import independence_score
 
 ORTHOGONALITY_TOL = 1e-12
@@ -337,15 +338,19 @@ def _rank_one_substitute(
 def _split_linear(
     f: ChaosPoly, coeffs: Mapping[int, Fraction], norm_sq: Fraction
 ) -> DecompositionStep:
-    """``decompose_along_w1``'s split along ``coeffs``, of exact squared norm ``norm_sq``.
+    """The split of ``f`` along the linear direction ``coeffs``, of exact squared norm ``norm_sq``.
 
-    An exactly unit vector is used as it is; any other is normalised in
-    floats and snapped once by ``influence._unit_rational`` (one denominator
-    below ``2**107``; coordinates snapped to 0 leave the direction).  The
+    ``norm_sq`` must be within 1e-12 of 1, or ``PreconditionError``: one
+    check for both entry points, ``decompose_along_w1`` and the q = 1 branch
+    of ``decompose_along``.  An exactly unit vector is used as it is; any
+    other is normalised in floats and snapped once by
+    ``influence._unit_rational`` (one denominator below ``2**107``;
+    coordinates snapped to 0 leave the direction).  The
     unit vector is scaled to integers ``m`` over ``d`` and substituted by
     ``_rank_one_substitute`` with ``S = d X - sum_j m_j G_j`` and
     ``D = d**2``; the ``X^l`` part of its totals is ``A_l``.
     """
+    check_unit_norm(norm_sq, 1e-12, "direction")
     variables = sorted(coeffs)
     if norm_sq == 1:
         unit = [coeffs[v] for v in variables]
@@ -391,73 +396,89 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     coeffs = {v: c for v, c in coeffs.items() if c}
     if not coeffs:
         raise PreconditionError("direction vector must be nonzero")
-    norm_sq = sum(c * c for c in coeffs.values())
-    check_unit_norm(norm_sq, 1e-12, "direction")
-    return _split_linear(f, coeffs, norm_sq)
+    return _split_linear(f, coeffs, sum(c * c for c in coeffs.values()))
+
+
+def _solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """The solution ``c`` of ``matrix c = rhs`` in rationals, for a positive definite ``matrix``.
+
+    Gauss-Jordan elimination without pivoting: the leading minors of a
+    positive definite matrix are positive, so no pivot is 0.
+    """
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    for k, pivot in enumerate(rows):
+        pivot[:] = [v / pivot[k] for v in pivot]
+        for row in rows:
+            factor = row[k]
+            if row is not pivot and factor:
+                row[:] = [a - factor * b for a, b in zip(row, pivot)]
+    return [row[-1] for row in rows]
 
 
 def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     """Split a degree-p stratum element along a unit direction ``x`` of degree q < p.
 
     q = 1 is the exact split of ``decompose_along_w1``, snap included.  For
-    q >= 2 the split is a least-squares fit of ``f`` on products
-    ``m * He_l(x)`` where the monomials ``m`` avoid the variables of ``x`` (so
-    every coefficient decouples from ``x`` by construction): levels l >= 1
-    allow deg(m) <= p - l q and the level-0 block is capped at degree p - 1.
-    The unexplained residual is reported through ``remainder_gamma_norm``;
-    the reassembly is generally not exact on this path.
+    q >= 2 the split is the exact orthogonal projection of ``f`` on the
+    products ``m * He_l(x)`` where the Hermite monomials ``m`` avoid the
+    variables of ``x`` (so every coefficient decouples from ``x`` by
+    construction): levels l >= 1 allow deg(m) <= p - l q and level 0 allows
+    deg(m) <= p - 1.  ``m`` and ``He_l(x)`` share no variable, so
+    ``<f, m He_l(x)> / m! = <f_m, He_l(x)>``, where ``f_m`` is the part on
+    ``x``'s variables of the terms of ``f`` whose part off them is ``m``: only
+    such ``m`` get a nonzero weight.  The ``He_l(x)`` have distinct degrees
+    ``l q``, so their Gram matrix ``mu`` is positive definite, and each ``m``
+    of degree ``d`` solves its leading block ``mu[:s, :s]``,
+    ``s = 1 + (p - d) // q``, in rationals.  ``fit_rank`` is the dimension of
+    the fitted space.  The residual, orthogonal to that space, is reported
+    through ``remainder_gamma_norm``; the reassembly is generally not ``f``.
     """
     p = homogeneous_degree(f, "polynomial")
     q = homogeneous_degree(x, "direction")
     if q < 1 or q >= p:
         raise PreconditionError(f"direction degree must satisfy 1 <= q < p; got q={q}, p={p}")
     x_norm_sq = inner_product(x, x)
-    check_unit_norm(x_norm_sq, 1e-8, "direction")
     if q == 1:
         coeffs = {idx.entries[0][0]: c for idx, c in x._terms.items()}
         return _split_linear(f, coeffs, x_norm_sq)
+    check_unit_norm(x_norm_sq, 1e-8, "direction")
 
-    free_vars = sorted(set(f.variables()) - set(x.variables()))
-    levels = p // q
-    hx = [compose_hermite(level, x) for level in range(levels + 1)]
-    mu = [[inner_product(hx[i], hx[j]) for j in range(levels + 1)] for i in range(levels + 1)]
+    on_x = set(x.variables())
+    hx = [compose_hermite(level, x) for level in range(p // q + 1)]
+    mu = [[inner_product(a, b) for b in hx] for a in hx]
+    groups: dict[Entries, dict[MultiIndex, Fraction]] = {}
+    for idx, c in f._terms.items():
+        off = tuple(e for e in idx.entries if e[0] not in on_x)
+        on = tuple(e for e in idx.entries if e[0] in on_x)
+        groups.setdefault(off, {})[MultiIndex._from_sorted(on)] = c
+    parts: list[dict[MultiIndex, Fraction]] = [{} for _ in hx]
+    for off, terms in groups.items():
+        d = sum(k for _, k in off)
+        if d == p:  # a term wholly off x: level 0 allows degree p - 1 only
+            continue
+        s = 1 + (p - d) // q
+        f_m = ChaosPoly._from_clean(terms)
+        rhs = [inner_product(f_m, hx[level]) for level in range(s)]
+        for level, value in enumerate(_solve_exact([row[:s] for row in mu[:s]], rhs)):
+            if value:
+                parts[level][MultiIndex._from_sorted(off)] = value
+    coefficients = tuple(ChaosPoly._from_clean(part) for part in parts)
 
-    def degree_cap(level: int) -> int:
-        return p - 1 if level == 0 else p - level * q
-
-    # level 0 has the largest cap, p - 1, so every monomial fits at least level 0
-    monomials: list[MultiIndex] = [MultiIndex()]
-    if free_vars:
-        for deg in range(1, p):
-            monomials.extend(degree_monomials(free_vars, deg))
-
-    parts = [ChaosPoly.zero() for _ in range(levels + 1)]
-    total_rank = 0
-    for mono in monomials:
-        valid = [level for level in range(levels + 1) if mono.total_degree <= degree_cap(level)]
-        mono_poly = hermite_monomial(mono)
-        weight = Fraction(mono.weight)
-        rhs = np.array(
-            [float(inner_product(f, mono_poly * hx[level]) / weight) for level in valid]
-        )
-        system = np.array([[float(mu[i][j]) for j in valid] for i in valid])
-        solution, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-        total_rank += int(rank)
-        for level, value in zip(valid, solution):
-            if value != 0.0:
-                parts[level] = parts[level] + hermite_monomial(mono, as_fraction(float(value)))
-
+    # C(n + d - 1, d) monomials of degree d over n >= 1 free variables, each fitting s levels
+    n_free = len(set(f.variables()) - on_x)
+    fit_rank = 1 + p // q
+    if n_free:
+        fit_rank = sum(math.comb(n_free + d - 1, d) * (1 + (p - d) // q) for d in range(p))
     reassembled = ChaosPoly.zero()
-    for level in range(levels + 1):
-        reassembled = reassembled + parts[level] * hx[level]
-    residual = f - reassembled
+    for coeff, h in zip(coefficients, hx):
+        reassembled = reassembled + coeff * h
     return DecompositionStep(
         direction=x,
         q=q,
-        coefficients=tuple(parts),
-        remainder_gamma_norm=independence_score(residual, x),
+        coefficients=coefficients,
+        remainder_gamma_norm=independence_score(f - reassembled, x),
         exact=False,
-        fit_rank=total_rank,
+        fit_rank=fit_rank,
     )
 
 
@@ -474,10 +495,11 @@ def iterate_decomposition(
     are neither assembled nor checked against the basis cap), splits along
     that direction, keeps the degree-p part of the level-0 coefficient as the
     new remainder and books the rest as that step's contribution.  On the
-    exact q = 1 path the level-0 coefficient is ``A_0`` itself, since the
-    split reassembles the remainder exactly; for q >= 2 the new remainder is
-    the degree-p part of ``remainder - step.reassemble()``, as the fitted
-    ``A_0`` has degree below p.  On the exact path ``A_0`` is independent of
+    exact q = 1 path the new remainder is ``A_0`` itself: the split
+    reassembles the remainder exactly, and its substitution keeps every
+    term's degree, so ``A_0`` is homogeneous of degree p.  For q >= 2 the new
+    remainder is the degree-p part of ``remainder - step.reassemble()``, as
+    the fitted ``A_0`` has degree below p.  On the exact path ``A_0`` is independent of
     the direction ``x``, so the contribution ``r - A_0 = sum_{l>=1} A_l
     He_l(x)`` is orthogonal to it and its squared norm is the drop
     ``|r|^2 - |A_0|^2`` of the exact norms already held.
@@ -508,8 +530,10 @@ def iterate_decomposition(
             if found is None:
                 break
             step = decompose_along(remainder, found.direction)
-            level0 = step.coefficients[0] if step.exact else remainder - step.reassemble()
-            new_remainder = project_chaos(level0, p)
+            if step.exact:
+                new_remainder = step.coefficients[0]
+            else:
+                new_remainder = project_chaos(remainder - step.reassemble(), p)
             contribution = remainder - new_remainder
             new_norm_sq = inner_product(new_remainder, new_remainder)
             steps.append(step)

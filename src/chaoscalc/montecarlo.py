@@ -70,7 +70,6 @@ class SampleSet:
     seed: int
     stream: int
     generator_id: str
-    source_description: str
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -190,7 +189,6 @@ def sample(
             InputLaw.gaussian(),
             _hermite_rows,
         )
-        kind = "chaos-poly"
     elif isinstance(f, MultilinearPoly):
         ensemble = build_ensemble(f.law, f.max_level)
         ordered = sorted((len(t), sorted(t), c) for t, c in f.terms.items())
@@ -199,7 +197,6 @@ def sample(
             f.law,
             lambda column, levels: [ensemble.polys[k].eval(column) for k in levels],
         )
-        kind = f"multilinear({f.law.kind})"
     else:
         raise TypeError(f"cannot sample {type(f).__name__}")
     values = _run_blocks(encoder, n, seed, stream, workers)
@@ -208,7 +205,6 @@ def sample(
         seed=seed,
         stream=stream,
         generator_id=GENERATOR_ID,
-        source_description=f"{kind} terms={len(f.terms)} vars={list(encoder.variables)}",
     )
 
 
@@ -286,7 +282,6 @@ def read_sample_file(path) -> SampleSet:
         seed=seed,
         stream=stream,
         generator_id=generator,
-        source_description=f"loaded from {path}",
     )
 
 

@@ -465,9 +465,13 @@ PINNED_G = [
     ({3: 3}, Fraction(-1, 2)),
     ({1: 1, 2: 1, 3: 1}, Fraction(5)),
 ]
+# F_4 = E_4 O_4, E_4 = sum_k He_2(G_2k) and O_4 = sum_k He_2(G_2k+1) for k = 1..4:
+# the product family of the counterexample, whose strongest direction has q = 2
+PINNED_F4 = [({2 * i: 2, 2 * j + 1: 2}, Fraction(1)) for i in range(1, 5) for j in range(1, 5)]
 PINNED_DIGESTS = {
     "decompose": "0aff4479e8f8fe62f3142dea65f60d0e80ee87f552e06151a31dfc9c6452390a",
     "decompose_3": "ceda5cfcbd4953e17eebe617781f5cf7c9453e0fae83a428af769784cf771b56",
+    "decompose_q2": "3d1973f8c9facb53a23e1009e31dbc28d7cc7fff36a4e211109603599b55abdb",
     "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
     "rho_2": "09504989300a1f77ae52d08d5890ae966b8fe08ea5bf1c3e85da12df9525642b",
     "rho_3": "f08da429c35a3cbcd3b4cc2fa8d7089d1a419b07024a22123a7325d8f5a6623b",
@@ -540,6 +544,22 @@ def test_decompose_splits_without_the_general_substitution(capsys, tmp_path, mon
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS["decompose_3"]
     assert len(calls) == len(json.loads(out)["steps"]) == 2
+
+
+def test_quadratic_decompose_stdout_is_pinned(capsys, tmp_path):
+    """sha256 of stdout for ``decompose F_4 --threshold 0.9 --max-steps 1``,
+    recorded when the q >= 2 split became an exact projection.  The run takes
+    one q = 2 step, of norm ``sqrt(2/5)`` to 1e-12.  The digest also depends
+    on the last bits of that step's direction, which come from numpy's
+    LAPACK eigensolve of the q = 2 influence form."""
+    f_path = tmp_path / "f4.json"
+    f_path.write_text(_pinned_json(PINNED_F4, unit_norm=True))
+    code, out, _ = run_cli(capsys, "decompose", str(f_path), "--threshold", "0.9", "--max-steps", "1")
+    assert code == 0
+    trace = json.loads(out)
+    assert [step["q"] for step in trace["steps"]] == [2]
+    assert trace["per_step_norms"][0] == pytest.approx(math.sqrt(2 / 5), abs=1e-12)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS["decompose_q2"]
 
 
 # a chaos polynomial with a constant term and levels up to 4, and one

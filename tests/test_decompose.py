@@ -1,4 +1,4 @@
-"""Rotations, direction splits (exact degree-1 path and least-squares surrogate),
+"""Rotations, direction splits (exact degree-1 path and exact higher-degree projection),
 iterated decomposition bookkeeping, and the degree-2 canonical form."""
 
 import itertools
@@ -23,6 +23,7 @@ from chaoscalc import (
     iterate_decomposition,
     moment,
     poly_from_json,
+    rho_q,
     rotate_basis,
 )
 
@@ -40,9 +41,9 @@ from _oracles import (
     substitute_rotation,
 )
 from chaoscalc import decompose
-from chaoscalc.algebra import _numerators
+from chaoscalc.algebra import MultiIndex, _numerators
 from chaoscalc.decompose import _WIDTH
-from chaoscalc.influence import _unit_rational
+from chaoscalc.influence import _unit_rational, degree_monomials
 from test_cli import PINNED_F, _pinned_json
 
 G1, G2 = gaussian(1), gaussian(2)
@@ -309,6 +310,15 @@ def test_split_rejects_non_unit_direction():
         decompose_along_w1(G1 * G2, {1: 1, 2: 1})
 
 
+def test_both_linear_entry_points_refuse_a_direction_off_unit_by_1e_minus_10():
+    # one 1e-12 check for the q = 1 split, whichever entry point is called
+    scale = 1 + Fraction(1, 10**10)
+    with pytest.raises(PreconditionError, match="unit"):
+        decompose_along_w1(G1 * G2, {1: scale})
+    with pytest.raises(PreconditionError, match="unit"):
+        decompose_along(G1 * G2, scale * G1)
+
+
 @pytest.mark.parametrize(
     "direction",
     [
@@ -518,6 +528,52 @@ def test_direction_split_quadratic_with_free_variables():
     step = decompose_along(f, x)
     assert step.coefficients[1] == gaussian(3)
     assert (f - step.reassemble()).is_zero()
+
+
+def _quadratic_splits(seed: int, count: int):
+    """``count`` random degree-4 and -5 inputs whose ``rho_q(f, 2)`` direction
+    leaves some of their variables free, each with its split along it."""
+    rng = random.Random(seed)
+    splits = []
+    while len(splits) < count:
+        p = rng.randint(4, 5)
+        f = random_homogeneous(rng, p, max_vars=rng.randint(2, 4), max_terms=3)
+        x = rho_q(f, 2).direction
+        free = sorted(set(f.variables()) - set(x.variables()))
+        if free:
+            splits.append((f, x, free, decompose_along(f, x)))
+    return splits
+
+
+def test_quadratic_split_is_an_exact_projection():
+    # the residual is orthogonal to every fitted m He_l(x), m a monomial off x
+    # of degree below p and l <= (p - deg m) // 2, and every A_l decouples from x
+    pairs = 0
+    for f, x, free, step in _quadratic_splits(23, 12):
+        p = f.degree
+        residual = f - step.reassemble()
+        hx = [compose_hermite(level, x) for level in range(p // 2 + 1)]
+        monomials = [{}] + [m for d in range(1, p) for m in degree_monomials(free, d)]
+        for m in map(hermite_monomial, monomials):
+            for level in range(1 + (p - m.degree) // 2):
+                assert inner_product(residual, m * hx[level]) == 0
+                pairs += 1
+        assert all(gamma_gradient(c, x).is_zero() for c in step.coefficients)
+    assert pairs >= 150
+
+
+def test_quadratic_split_fit_rank_is_the_dimension_of_the_fitted_space():
+    # oracle: one count of the fitted levels per enumerated monomial off x
+    rng = random.Random(31)
+    splits = _quadratic_splits(29, 8)
+    for _ in range(8):
+        f = random_homogeneous(rng, rng.randint(4, 5), max_vars=3, max_terms=6)
+        x = rho_q(f, 2).direction
+        splits.append((f, x, sorted(set(f.variables()) - set(x.variables())), decompose_along(f, x)))
+    for f, x, free, step in splits:
+        p = f.degree
+        monomials = [MultiIndex()] + [m for d in range(1, p) for m in degree_monomials(free, d)]
+        assert step.fit_rank == sum(1 + (p - m.total_degree) // 2 for m in monomials)
 
 
 def test_iterate_two_symmetric_steps():
