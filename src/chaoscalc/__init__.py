@@ -7,7 +7,6 @@ from .algebra import (
     as_fraction,
     compose_hermite,
     expectation,
-    fresh_variables,
     gaussian,
     hermite_monomial,
     homogeneous_degree,

@@ -373,16 +373,6 @@ def hermite_monomial(index: Mapping[int, int] | MultiIndex, coeff: RationalLike 
     return ChaosPoly._from_clean({index: c})
 
 
-def fresh_variables(polys: Iterable[ChaosPoly], count: int) -> tuple[int, ...]:
-    """Allocate ``count`` variable ids not used by any of ``polys`` (max used + 1, ...)."""
-    count = as_integer(count, "count must be a nonnegative integer", 0)
-    top = 0
-    for f in polys:
-        for v in f.variables():
-            top = max(top, v)
-    return tuple(range(top + 1, top + 1 + count))
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -582,6 +572,13 @@ def _parse_coeff(raw, where: str) -> Fraction:
     return coeff
 
 
+def _parse_int(text: str) -> int:
+    """The int that ``text`` spells only as ``str`` writes it: ASCII, no padding or ``+``."""
+    if not text.isascii() or str(int(text)) != text:
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return int(text)
+
+
 def poly_from_json_dict(data) -> ChaosPoly:
     if not isinstance(data, dict) or "terms" not in data:
         raise ParseError("polynomial JSON must be an object with a 'terms' array")
@@ -600,7 +597,7 @@ def poly_from_json_dict(data) -> ChaosPoly:
         entries = {}
         for key, deg in index.items():
             try:
-                var = int(key)
+                var = _parse_int(key)
             except ValueError:
                 raise ParseError(f"{where}: bad variable id {key!r}") from None
             if var < 1:

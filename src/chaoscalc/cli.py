@@ -121,28 +121,30 @@ def positive_int(text: str) -> int:
 
 
 _OUTPUT = ("--output", {"default": None, "help": "write result to a file instead of stdout"})
-_THRESHOLD = ("--threshold", {"type": float, "default": 0.1})
-_EXTRA_VARS = ("--extra-vars", {"type": int, "default": None})
+_THRESHOLD = ("--threshold", {"type": float, "default": 0.1, "help": "least influence to split on"})
+_EXTRA_VARS = ("--extra-vars", {"type": int, "default": None,
+               "help": "0: own variables only; >= 1: max over degrees <= q; default q - 1"})
 _MONTE_CARLO = (
-    ("--samples", {"type": int, "default": 100_000}),
-    ("--seed", {"type": int, "default": 42}),
-    ("--workers", {"type": positive_int, "default": 1}),
+    ("--samples", {"type": int, "default": 100_000, "help": "number of draws"}),
+    ("--seed", {"type": int, "default": 42, "help": "seed of the random draws"}),
+    ("--workers", {"type": positive_int, "default": 1, "help": "threads; the output is the same"}),
 )
 
 _COMMANDS = (
     ("gamma", "carre du champ of two polynomial files", _cmd_gamma, ("f", "g"), (_OUTPUT,)),
     ("L", "apply the Ornstein-Uhlenbeck generator", _cmd_generator, ("f",), (_OUTPUT,)),
     ("rho", "directional influence of a given degree", _cmd_rho, ("f",),
-     (("--q", {"type": int, "default": 1}), _EXTRA_VARS, _OUTPUT)),
+     (("--q", {"type": int, "default": 1, "help": "influence degree"}), _EXTRA_VARS, _OUTPUT)),
     ("strongest", "least degree whose influence clears the threshold", _cmd_strongest, ("f",),
      (_THRESHOLD, _EXTRA_VARS, _OUTPUT)),
     ("decompose", "iterated strongest-influence decomposition", _cmd_decompose, ("f",),
-     (_THRESHOLD, ("--max-steps", {"type": int, "default": 16}), _EXTRA_VARS, _OUTPUT)),
+     (_THRESHOLD, ("--max-steps", {"type": int, "default": 16, "help": "most splits"}),
+      _EXTRA_VARS, _OUTPUT)),
     ("canonical2", "canonical form of a degree-<=2 polynomial", _cmd_canonical2, ("f",), (_OUTPUT,)),
     ("diagnose", "consolidated normality report", _cmd_diagnose, ("f",),
      (_EXTRA_VARS, _OUTPUT, *_MONTE_CARLO)),
     ("sample", "draw reproducible samples of a polynomial", _cmd_sample, ("f",),
-     (("--stream", {"type": int, "default": 0}), _OUTPUT, *_MONTE_CARLO)),
+     (("--stream", {"type": int, "default": 0, "help": "random stream"}), _OUTPUT, *_MONTE_CARLO)),
     ("w2", "quadratic transport distance between two sample files", _cmd_w2, ("a", "b"), (_OUTPUT,)),
     ("invariance", "law gap between a multilinear polynomial and its Gaussian image",
      _cmd_invariance, ("p",), (_OUTPUT, *_MONTE_CARLO)),

@@ -525,8 +525,8 @@ def iterate_decomposition(
         while len(steps) < max_steps and not remainder.is_zero():
             if math.sqrt(float(norm_sq)) < threshold:
                 break
-            scan = (r for r in _influence_scan(remainder, p, extra_vars) if r.value >= threshold)
-            found = next(scan, None)
+            scan = _influence_scan(remainder, p // 2, extra_vars)
+            found = next((r for r in scan if r.value >= threshold), None)
             if found is None:
                 break
             step = decompose_along(remainder, found.direction)

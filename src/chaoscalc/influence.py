@@ -12,13 +12,6 @@ k He_{k-1}`` (``algebra._times_coordinate``), one coordinate at a time, with
 no general Hermite product; ``rho_1`` is ``rho_q`` at ``q = 1`` over the
 variables of ``f``.
 
-The test space is spanned by the monomials over the variables of ``f`` plus a
-configurable number of fresh variables.  If ``n`` uses only fresh variables,
-``Gamma(f, m n) = n Gamma(f, m)``, so the form splits into one block per
-fresh-variable monomial, each the form of a lower degree over the variables of
-``f``.  With at least one fresh variable the value is therefore exactly
-``max_{q' <= q} rho_{q'}(f, extra_vars=0)``.
-
 Every entry of ``Q`` is an exact rational, summed on integer numerators and
 rounded once to a float, with powers of two taken out so that high degrees
 (``q >= 100``) do not overflow the conversion; only the eigensolve (LAPACK
@@ -44,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -62,7 +55,6 @@ from .algebra import (
     _times_coordinate,
     _weight,
     as_fraction,
-    fresh_variables,
     homogeneous_degree,
     poly_to_json_dict,
 )
@@ -251,9 +243,8 @@ def _hermite_multiples(
 def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
-    ``basis`` is nonempty and holds every monomial of one degree ``q >= 1``
-    over its variables (``degree_monomials``), so each ``b + 1_v`` below has
-    a slot.
+    ``basis`` is ``degree_monomials(f.variables(), q)`` for some ``q >= 1``
+    and nonempty, so each ``b + 1_v`` below has a slot.
 
     ``f`` is scaled once to integer numerators over the lcm ``D`` of its
     denominators and its gradient is taken once on them.  ``Gamma(f, He_a) =
@@ -271,15 +262,11 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     denom, nums = _numerators(f._terms)
     grads = _gradients(nums)
     slots = {idx.entries: a for a, idx in enumerate(basis)}
-    variables = sorted({v for idx in basis for v, _ in idx.entries})
-    # coordinates absent from f first: raising them only cancels, cheapest on the smallest products
-    order = sorted(variables, key=grads.__contains__)
+    variables = sorted(grads)
     degree = basis[0].total_degree - 1
     index: dict[Entries, dict[int, int]] = {}
     for v in variables:
-        if v not in grads:
-            continue
-        for lowered, prod in _hermite_multiples(grads[v], order, degree):
+        for lowered, prod in _hermite_multiples(grads[v], variables, degree):
             exponents = dict(lowered)
             k = exponents[v] = exponents.get(v, 0) + 1
             a = slots[tuple(sorted(exponents.items()))]
@@ -341,14 +328,13 @@ def rho_1(f: ChaosPoly) -> InfluenceResult:
 
 
 def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResult:
-    """Degree-``q`` influence over the monomial basis of the degree-``q`` stratum.
+    """Degree-``q`` influence over the degree-``q`` monomials of the variables of ``f``.
 
-    ``extra_vars`` fresh coordinates (default ``q - 1``) are appended to the
-    variables of ``f`` before enumerating the basis; the quadratic form is
-    assembled exactly and only the eigensolve runs in floats.  A ``q = 1``
-    direction is exactly unit (``_unit_rational``); higher degrees keep the
-    exact value of each float coordinate.  The basis dimension is capped by
-    ``CHAOSCALC_MAX_BASIS_DIM`` (default 512).
+    The form is exact and the eigensolve in floats.  A ``q = 1`` direction is
+    exactly unit (``_unit_rational``); higher degrees keep the exact value of
+    each float coordinate.  ``extra_vars >= 1`` (default ``q - 1``) fresh
+    variables give the last item of ``_influence_scan``.  ``_basis_cap()``
+    is checked first, over one fresh variable if ``extra_vars >= 1``.
     """
     q = as_integer(q, "influence degree must be a positive integer", 1)
     if extra_vars is None:
@@ -356,12 +342,13 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     else:
         extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     own = f.variables()
-    dim = _basis_dimension(len(own) + extra_vars, q, _basis_cap())
-    basis = degree_monomials(own + fresh_variables([f], extra_vars), q)
+    _basis_dimension(len(own) + min(extra_vars, 1), q, _basis_cap())
+    if extra_vars:
+        return list(_influence_scan(f, q, extra_vars))[-1]
+    basis = degree_monomials(own, q)
     if not basis:
         return InfluenceResult(
-            q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0,
-            extra_variables_used=extra_vars,
+            q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0, extra_variables_used=0
         )
     form = _influence_form(f, basis)
     top, vec, gap = _top_eigenpair(form)
@@ -378,20 +365,30 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
         q=q,
         value=math.sqrt(max(top, 0.0)),
         direction=direction,
-        basis_dimension=dim,
-        extra_variables_used=extra_vars,
+        basis_dimension=len(basis),
+        extra_variables_used=0,
         eigengap=gap,
         eigen_residual=residual,
     )
 
 
-def _influence_scan(f: ChaosPoly, p: int, extra_vars: int | None) -> Iterator[InfluenceResult]:
-    """``rho_q(f, q, extra_vars)`` for q = 1 .. floor(p/2), each computed only when consumed.
+def _influence_scan(f: ChaosPoly, top: int, extra_vars: int | None) -> Iterator[InfluenceResult]:
+    """``rho_q(f, q, extra_vars)`` for q = 1 .. ``top``, each computed only when consumed.
 
-    ``strongest_influence`` drains it; the decomposition stops at q*.
+    If ``n`` uses only fresh variables, ``Gamma(f, m n) = n Gamma(f, m)``: a
+    padded space holds the form of each degree ``<= q``.  So each degree is
+    capped and solved once, and at ``extra_vars >= 1`` (default ``q - 1``) the
+    item is the best so far, the higher degree on a tie within
+    ``TOP_CLUSTER_RTOL``, as its block holds the first padded basis vector.
     """
-    for q in range(1, p // 2 + 1):
-        yield rho_q(f, q, extra_vars)
+    best: InfluenceResult | None = None
+    for q in range(1, top + 1):
+        extra = q - 1 if extra_vars is None else extra_vars
+        _basis_dimension(len(f.variables()) + min(extra, 1), q, _basis_cap())
+        result = rho_q(f, q, 0)
+        if best is None or result.value >= best.value - TOP_CLUSTER_RTOL * max(1.0, best.value):
+            best = result
+        yield replace(best if extra else result, q=q, extra_variables_used=extra)
 
 
 def strongest_influence(
@@ -406,13 +403,15 @@ def strongest_influence(
     direction remains, so the scan stops there.
     """
     threshold = as_positive_real(threshold, "threshold must be finite and positive")
+    if extra_vars is not None:
+        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     p = homogeneous_degree(f, "polynomial")
     if p < 2:
         raise PreconditionError(f"strongest_influence needs homogeneous degree >= 2, got {p}")
     rho_values: dict[int, float] = {}
     q_star: int | None = None
     direction: ChaosPoly | None = None
-    for result in _influence_scan(f, p, extra_vars):
+    for result in _influence_scan(f, p // 2, extra_vars):
         rho_values[result.q] = result.value
         if q_star is None and result.value >= threshold:
             q_star = result.q

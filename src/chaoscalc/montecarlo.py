@@ -41,6 +41,7 @@ from .algebra import (
     ChaosPoly,
     JsonResult,
     MultiIndex,
+    _parse_int,
     expectation,
     hermite_monomial,
     hermite_values,
@@ -254,9 +255,9 @@ def read_sample_file(path) -> SampleSet:
         for token in lines[0][1:].split():
             key, _, value = token.partition("=")
             if key == "seed":
-                seed = _parse_field(int, value, 1, key)
+                seed = _parse_field(_parse_int, value, 1, key)
             elif key == "stream":
-                stream = _parse_field(int, value, 1, key)
+                stream = _parse_field(_parse_int, value, 1, key)
             elif key == "generator":
                 generator = value
         start = 2
@@ -374,7 +375,7 @@ def normality_report(
     variance = inner_product(centered, centered)
     if variance == 0:
         raise PreconditionError("normality diagnostics need a non-deterministic polynomial")
-    rho = {r.q: r.value for r in _influence_scan(f, max(f.degree or 0, 2), extra_vars)}
+    rho = {r.q: r.value for r in _influence_scan(f, max(f.degree or 0, 2) // 2, extra_vars)}
     observed = sample(f, n_samples, seed, stream=0, workers=workers)
     reference = sample(
         hermite_monomial({1: 1}, math.sqrt(float(variance))),

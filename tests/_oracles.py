@@ -14,6 +14,7 @@ route for ``gamma_gradient``; exact rational orthogonal matrices
 (compositions of Pythagorean plane rotations, and the Householder completion
 of a unit vector), random polynomial generators,
 a random-search plus power-iteration maximizer used as the influence oracle,
+fresh variable ids that pad the oracle influence form's test space,
 the change of coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly``
 products, the independent route for ``rotate_basis``; the general Wick
 substitution of ``n`` linear forms as memoised products of their powers
@@ -496,6 +497,12 @@ def _compositions(total: int, slots: int):
     for head in range(total, -1, -1):
         for tail in _compositions(total - head, slots - 1):
             yield (head,) + tail
+
+
+def fresh_ids(f: ChaosPoly, count: int) -> list[int]:
+    """``count`` variable ids above every variable of ``f``, to pad an oracle's test space."""
+    top = max(f.variables(), default=0)
+    return list(range(top + 1, top + 1 + count))
 
 
 def oracle_quadratic_form(f: ChaosPoly, q: int, variables) -> tuple[list[MultiIndex], np.ndarray]:

@@ -4,6 +4,7 @@ axioms, orthogonality, and the canonical JSON format."""
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,6 @@ from chaoscalc.algebra import (
     _expand_product,
     _times_coordinate,
     _weight,
-    fresh_variables,
     hermite_product_1d,
     homogeneous_degree,
 )
@@ -364,11 +364,6 @@ def test_homogeneous_degree_checks():
         homogeneous_degree(HE2_1 + G1)
 
 
-def test_fresh_variable_allocation():
-    assert fresh_variables([G1 * G2, hermite_monomial({5: 1})], 2) == (6, 7)
-    assert fresh_variables([], 1) == (1,)
-
-
 def test_json_round_trip_and_canonical_order():
     rng = random.Random(41)
     for _ in range(25):
@@ -401,6 +396,16 @@ def test_json_reader_accepts_any_order():
         ({"terms": [{"coeff": "1", "index": {"0": 1}}]}, "positive"),
         ({"terms": [{"coeff": "x", "index": {}}]}, "bad coefficient"),
         ({"terms": [{"coeff": "1", "index": {"1": 1}}, {"coeff": "2", "index": {"1": 1}}]}, "duplicate"),
+        # a variable id only as the writer spells it: ASCII digits, no sign, padding or underscore
+        *(
+            pytest.param(
+                {"terms": [{"coeff": "1", "index": {"2": 1}}, {"coeff": "1", "index": {key: 1}}]},
+                re.escape(f"term 1: bad variable id {key!r}"),
+                id=f"id {key!r}",
+            )
+            for key in ["1_0", "\u0663", " 7", "7 ", "+3", "07", "-0", "", "1.0", "1e1"]
+        ),
+        ({"terms": [{"coeff": "1", "index": {"-1": 1}}]}, "term 0: variable ids must be positive"),
     ],
 )
 def test_json_reader_rejects_malformed_terms(payload, message):

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,26 +101,42 @@ def test_rho_constant_is_zero(capsys, poly_file):
 
 
 def test_rho_oversized_basis_exits_3(capsys, poly_file):
-    path = poly_file("p.json", G1 * gaussian(2))
+    # five variables and one fresh one: C(5 + 9, 9) = 2002 monomials of degree 9
+    path = poly_file("p.json", G1 * gaussian(2) * gaussian(3) * gaussian(4) * gaussian(5))
     code, out, err = run_cli(capsys, "rho", path, "--q", "9", "--extra-vars", "40")
     assert code == 3 and out == ""
     assert "exceeds cap" in err
 
 
 @pytest.mark.parametrize("command", ["rho", "strongest", "decompose", "diagnose"])
-def test_huge_extra_vars_exit_3_at_once(capsys, poly_file, command):
-    path = poly_file("p.json", G1 * gaussian(2))
-    code, out, err = run_cli(capsys, command, path, "--extra-vars", str(10**12))
-    assert code == 3 and out == ""
-    assert "exceeds cap 512" in err
+def test_huge_extra_vars_match_one_extra_var_at_once(capsys, poly_file, command):
+    # any count of fresh variables is the running max over degrees; no fresh ids are made
+    f = Fraction(3, 5) * G1 * gaussian(2) + Fraction(4, 5) * gaussian(3) * gaussian(4)
+    path = poly_file("p.json", f)
+    argv = [command, path, "--q", "2"] if command == "rho" else [command, path]
+    if command == "diagnose":
+        argv += ["--samples", "1000"]
+    start = time.perf_counter()
+    code, huge, err = run_cli(capsys, *argv, "--extra-vars", str(10**12))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    code, one, err = run_cli(capsys, *argv, "--extra-vars", "1")
+    assert code == 0, err
+    huge, one = json.loads(huge), json.loads(one)
+    if command == "rho":
+        assert (huge.pop("extra_variables_used"), one.pop("extra_variables_used")) == (10**12, 1)
+    if command == "diagnose":
+        assert (huge["inputs"].pop("extra_vars"), one["inputs"].pop("extra_vars")) == (10**12, 1)
+    assert huge == one
 
 
 def test_huge_q_exits_3_at_once(capsys, poly_file):
-    # the basis count stops at the first partial count above the cap
+    # the basis count, over the two variables and one fresh one, stops at the
+    # first partial count above the cap: C(33, 31) = 528
     path = poly_file("p.json", G1 * gaussian(2))
     code, out, err = run_cli(capsys, "rho", path, "--q", "20000")
     assert code == 3 and out == ""
-    assert "basis dimension at least 20001 exceeds cap 512" in err
+    assert "basis dimension at least 528 exceeds cap 512" in err
 
 
 @pytest.mark.parametrize(
@@ -187,6 +204,12 @@ def test_every_subcommand_is_in_the_readme_and_has_help(capsys):
             main([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: chaoscalc {name} ")
+    # every option says what it does
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.option_strings:
+                assert action.help, f"chaoscalc {name} {action.option_strings[0]} has no help"
 
 
 def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch):
@@ -473,7 +496,7 @@ PINNED_DIGESTS = {
     "decompose_3": "ceda5cfcbd4953e17eebe617781f5cf7c9453e0fae83a428af769784cf771b56",
     "decompose_q2": "3d1973f8c9facb53a23e1009e31dbc28d7cc7fff36a4e211109603599b55abdb",
     "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
-    "rho_2": "09504989300a1f77ae52d08d5890ae966b8fe08ea5bf1c3e85da12df9525642b",
+    "rho_2": "96567f075b3fd1df8dd7429dc81b9a157f9b5515c3db872f9b793550f7c3f0d6",
     "rho_3": "f08da429c35a3cbcd3b4cc2fa8d7089d1a419b07024a22123a7325d8f5a6623b",
     "strongest": "fb51b0e320525ee9988b15358a1f6879fa8c70d95e4d3c939e55f77960d97e14",
 }
@@ -493,9 +516,12 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
     product kernels, and for ``decompose F --threshold 0.05`` at
     ``--max-steps 1`` and ``3`` (two steps are taken), recorded when degree-1
     directions became exactly unit rationals (the stereographic snap in
-    ``rho_q``).  ``rho F --q 2``, ``rho F --q 3 --extra-vars 0`` and
-    ``strongest F`` were recorded before the influence form took its carre du
-    champ from the Hermite raising rule, which must leave them unchanged.  ``test_decompose.py::
+    ``rho_q``).  ``rho F --q 3 --extra-vars 0`` and ``strongest F`` were
+    recorded before the influence form took its carre du champ from the
+    Hermite raising rule, which must leave them unchanged; ``rho F --q 2``
+    when each degree's form was built on the variables of ``F`` only (its
+    basis dimension went from 10, over one fresh variable, to 6, at the same
+    value).  ``test_decompose.py::
     test_cli_decomposition_is_exact_and_bounded_in_bits`` checks these
     decompositions for exact reassembly, decoupling and unit directions.
 

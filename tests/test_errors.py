@@ -20,7 +20,6 @@ from chaoscalc import (
     PreconditionError,
     build_ensemble,
     compose_hermite,
-    fresh_variables,
     gaussian,
     iterate_decomposition,
     moment,
@@ -52,10 +51,10 @@ ENTRY_POINTS = {
     "iterate extra_vars": lambda bad: iterate_decomposition(F, 0.1, 1, bad),
     "iterate threshold": lambda bad: iterate_decomposition(F, bad, 1),
     "strongest threshold": lambda bad: strongest_influence(F, bad),
+    "strongest extra_vars": lambda bad: strongest_influence(F, 0.5, bad),
     "build_ensemble": lambda bad: build_ensemble(LAW, bad),
     "InputLaw.moment": lambda bad: LAW.moment(bad),
     "truncate_by_influence": lambda bad: truncate_by_influence(P, bad),
-    "fresh_variables": lambda bad: fresh_variables([F], bad),
     "sample n": lambda bad: sample(F, bad, 1),
     "sample seed": lambda bad: sample(F, 3, bad),
     "sample stream": lambda bad: sample(F, 3, 1, stream=bad),
@@ -81,10 +80,10 @@ REFUSED = [
     ("iterate extra_vars", [True, False, 1.5, 2.0, "1"]),
     ("iterate threshold", [True, "0.5", None]),
     ("strongest threshold", [True, "0.5", None]),
+    ("strongest extra_vars", [True, False, 1.5, 2.0, "1", -1]),
     ("build_ensemble", [*ALL, -1]),
     ("InputLaw.moment", [*ALL, -1]),
     ("truncate_by_influence", ALL),
-    ("fresh_variables", [*ALL, -2]),
     ("sample n", [True, 1.5, 2.0, "1", None]),
     ("sample seed", ALL),
     ("sample stream", ALL),
@@ -111,7 +110,6 @@ ACCEPTED = {
     "moment": (lambda: moment(F, np.int64(2)), Fraction(1)),
     "rho_q q": (lambda: rho_q(F, np.int64(2)).q, 2),
     "rho_q extra_vars": (lambda: rho_q(F, 1, np.int64(1)).extra_variables_used, 1),
-    "fresh_variables": (lambda: fresh_variables([F], np.int64(2)), (3, 4)),
     "sample seed": (lambda: sample(F, 3, np.int64(1)).seed, 1),
     "sample stream": (lambda: sample(F, 3, 1, stream=np.int64(1)).stream, 1),
     "normality_report seed": (lambda: normality_report(F, 3, np.int64(1)).inputs["seed"], 1),

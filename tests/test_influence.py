@@ -1,9 +1,11 @@
 """Directional influences: rho_1 as rho_q at q = 1, the assembled form against
 an independent oracle, random-search/power-iteration oracle, monotonicity,
-the fresh-variable identity, and scale covariance."""
+the running max over degrees against the fresh-variable oracle, and scale
+covariance."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,15 +26,22 @@ from chaoscalc import (
     rho_q,
     strongest_influence,
 )
-from chaoscalc.algebra import fresh_variables
+from chaoscalc import influence
 from chaoscalc.influence import (
+    InfluenceResult,
     _basis_dimension,
     _influence_form,
     _top_eigenpair,
     degree_monomials,
 )
 
-from _oracles import oracle_quadratic_form, random_homogeneous, random_search_max
+from _oracles import (
+    fresh_ids,
+    generator_carre_du_champ,
+    oracle_quadratic_form,
+    random_homogeneous,
+    random_search_max,
+)
 
 G1, G2 = gaussian(1), gaussian(2)
 HE2_1 = hermite_monomial({1: 2})
@@ -66,9 +75,10 @@ def test_rho_q_constant_is_zero():
 
 
 def test_rho_q_product_direction_example():
-    # 6-dimensional degree-2 basis over {1, 2, fresh}; top eigenvalue 8
+    # top eigenvalue 8 of the degree-2 form over {1, 2}, dimension 3; the
+    # padded space over {1, 2, fresh}, dimension 6, adds the degree-1 form's 1
     result = rho_q(G1 * G2, 2, 1)
-    assert result.basis_dimension == 6
+    assert result.basis_dimension == 3
     assert result.value == pytest.approx(2 * math.sqrt(2), abs=1e-10)
     assert set(result.direction.terms) == set((G1 * G2).terms)
     _, qmat = oracle_quadratic_form(G1 * G2, 2, [1, 2, 3])
@@ -109,9 +119,7 @@ def test_value_squared_is_top_eigenvalue_of_oracle_form():
         f = random_homogeneous(rng, rng.randint(2, 4), max_vars=3)
         for q in (1, 2):
             result = rho_q(f, q)
-            variables = sorted(set(f.variables()) | set(result.direction.variables()))
-            if not variables:
-                continue
+            variables = [*f.variables(), *fresh_ids(f, min(result.extra_variables_used, 1))]
             _, qmat = oracle_quadratic_form(f, q, variables)
             top = float(np.max(np.linalg.eigvalsh(qmat)))
             assert result.value**2 == pytest.approx(top, abs=1e-8 * max(1.0, top))
@@ -125,9 +133,7 @@ def test_random_search_oracle_agreement():
         f = random_homogeneous(rng, rng.randint(2, 4), max_vars=3)
         for q in (1, 2):
             result = rho_q(f, q)
-            variables = sorted(set(f.variables()) | set(result.direction.variables()))
-            if not variables:
-                continue
+            variables = [*f.variables(), *fresh_ids(f, min(result.extra_variables_used, 1))]
             _, qmat = oracle_quadratic_form(f, q, variables)
             best_random, refined = random_search_max(qmat, draws=10_000, seed=rng.randint(0, 10**6))
             assert result.value >= best_random - 1e-9
@@ -155,28 +161,43 @@ def test_scale_covariance():
 
 
 def test_extra_variables_never_shrink_the_value():
+    # one fresh variable or two: the same running max over degrees, bit for bit
     rng = random.Random(19)
     for _ in range(6):
         f = random_homogeneous(rng, 4, max_vars=3)
         values = [rho_q(f, 2, extra).value for extra in (0, 1, 2)]
-        assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
+        assert values[0] <= values[1] == values[2]
+
+
+def _gamma_ratio(f: ChaosPoly, x: ChaosPoly) -> float:
+    """``||Gamma(f, x)|| / ||x||`` through the generator route, independent of the form."""
+    gamma = generator_carre_du_champ(f, x)
+    return math.sqrt(float(inner_product(gamma, gamma)) / float(inner_product(x, x)))
 
 
 def test_fresh_variables_give_the_max_over_lower_degrees():
-    # Gamma(f, m n) = n Gamma(f, m) when n uses only fresh variables, so the
-    # form splits into one block per fresh monomial, each a lower-degree form
+    # rho_q solves each degree on the variables of f and keeps the best; the
+    # oracle assembles the padded form over fresh variables and takes its top
     rng = random.Random(29)
-    for _ in range(8):
-        f = random_homogeneous(rng, rng.randint(2, 4), max_vars=3)
-        for q in (2, 3):
-            value = rho_q(f, q, extra_vars=1).value
-            lower = max(rho_q(f, k, extra_vars=0).value for k in range(1, q + 1))
-            assert abs(value - lower) <= 1e-12 * max(1.0, value)
+    for _ in range(24):
+        f = random_homogeneous(rng, rng.randint(2, 5), max_vars=3, max_terms=4)
+        for q in (1, 2, 3):
+            for extra in (1, 2):
+                result = rho_q(f, q, extra)
+                _, qmat = oracle_quadratic_form(f, q, [*f.variables(), *fresh_ids(f, extra)])
+                top = math.sqrt(max(float(np.max(np.linalg.eigvalsh(qmat))), 0.0))
+                assert result.value == pytest.approx(top, rel=1e-12, abs=1e-300)
+                assert result.value >= rho_q(f, q, 0).value
+                if result.value:
+                    ratio = _gamma_ratio(f, result.direction)
+                    assert ratio == pytest.approx(result.value, rel=1e-12)
 
 
 def test_basis_cap_error_reports_dimension(monkeypatch):
+    # five variables and one fresh one: C(5 + 8, 8) = 1287 monomials of degree 8
+    f = G1 * G2 * gaussian(3) * gaussian(4) * gaussian(5)
     with pytest.raises(BasisSizeError) as err:
-        rho_q(G1 * G2, 8, extra_vars=40)
+        rho_q(f, 8, extra_vars=40)
     assert err.value.dimension > err.value.cap == 512
     # a cap set through the environment is honored too
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "5")
@@ -204,16 +225,59 @@ def test_basis_count_is_the_binomial_up_to_the_cap():
                 assert ("at least" in str(err.value)) == (err.value.dimension < dim)
 
 
-def test_huge_extra_vars_fail_the_cap_before_allocating():
-    # the dimension is counted from the number of variables; no fresh ids are made first
+def test_huge_extra_vars_give_the_one_extra_variable_result_at_once():
+    # no fresh ids are made: any count of fresh variables is one running max
     f = G1 * G2 + gaussian(3) * gaussian(4)
-    for call in (
-        lambda: rho_q(f, 2, extra_vars=10**12),
-        lambda: strongest_influence(f, 0.5, extra_vars=10**12),
-    ):
-        with pytest.raises(BasisSizeError) as err:
-            call()
-        assert err.value.cap == 512 and err.value.dimension > 10**12
+    for q in (1, 2, 3):
+        start = time.perf_counter()
+        huge = rho_q(f, q, extra_vars=10**12).to_json_dict()
+        assert time.perf_counter() - start < 1.0
+        assert huge.pop("extra_variables_used") == 10**12
+        one = rho_q(f, q, extra_vars=1).to_json_dict()
+        assert one.pop("extra_variables_used") == 1 and huge == one
+    start = time.perf_counter()
+    huge = strongest_influence(f, 0.5, extra_vars=10**12)
+    assert time.perf_counter() - start < 1.0
+    assert huge == strongest_influence(f, 0.5, extra_vars=1)
+
+
+def test_scan_carries_the_best_degree_forward(monkeypatch):
+    # canned single-degree results: degree 1 beats degree 2, degree 3 ties it within
+    # TOP_CLUSTER_RTOL and wins as the higher degree, degree 4 falls below
+    values = {1: 3.0, 2: 2.0, 3: 3.0 * (1 - 1e-12), 4: 1.0}
+
+    def solve(f, q, extra_vars=None):
+        assert extra_vars == 0
+        return InfluenceResult(q, values[q], gaussian(q), 10 * q, 0, eigengap=float(q))
+
+    monkeypatch.setattr(influence, "rho_q", solve)
+
+    def scan(top, extra_vars):
+        return [
+            (r.q, r.value, r.direction, r.basis_dimension, r.eigengap, r.extra_variables_used)
+            for r in influence._influence_scan(G1 * G2, top, extra_vars)
+        ]
+
+    best = lambda q, k, extra: (q, values[k], gaussian(k), 10 * k, float(k), extra)
+    assert scan(4, 1) == [best(1, 1, 1), best(2, 1, 1), best(3, 3, 1), best(4, 3, 1)]
+    assert scan(4, 0) == [best(q, q, 0) for q in (1, 2, 3, 4)]
+    # the default q - 1 fresh variables: none at q = 1
+    assert scan(3, None) == [best(1, 1, 0), best(2, 1, 1), best(3, 3, 2)]
+
+
+def test_each_degree_is_solved_once(monkeypatch):
+    calls = []
+    form = influence._influence_form
+    monkeypatch.setattr(influence, "_influence_form", lambda f, basis: calls.append(1) or form(f, basis))
+    f = hermite_monomial({1: 4, 2: 2}) + G1 * G2 * hermite_monomial({3: 4})
+    for call, count in [
+        (lambda: strongest_influence(f, 100.0), 3),  # q = 1, 2, 3 for degree 6
+        (lambda: rho_q(f, 3), 3),
+        (lambda: rho_q(f, 3, extra_vars=0), 1),
+    ]:
+        calls.clear()
+        call()
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("raw", ["0", "-5", "many"])
@@ -237,10 +301,12 @@ def test_strongest_influence_honours_the_basis_cap_at_q_one(monkeypatch):
 
 
 def test_basis_cap_env_override(monkeypatch):
+    # at extra_vars >= 1 the count is over one fresh variable: C(2 + 2, 2) = 6
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
     with pytest.raises(BasisSizeError) as err:
         rho_q(G1 * G2, 2, 1)
     assert err.value.cap == 4 and err.value.dimension == 6
+    assert rho_q(G1 * G2, 2, 0).basis_dimension == 3
 
 
 def test_strongest_influence_examples():
@@ -301,12 +367,10 @@ def test_assembled_form_is_bit_identical_to_the_oracle():
     cases += [(random_homogeneous(rng, rng.choice([5, 6]), max_vars=2), (4,)) for _ in range(4)]
     for f, orders in cases:
         for q in orders:
-            for extra in (0, 1):
-                variables = list(f.variables()) + list(fresh_variables([f], extra))
-                basis = degree_monomials(variables, q)
-                oracle_basis, oracle = oracle_quadratic_form(f, q, variables)
-                assert basis == oracle_basis
-                assert np.array_equal(_influence_form(f, basis), oracle)
+            basis = degree_monomials(f.variables(), q)
+            oracle_basis, oracle = oracle_quadratic_form(f, q, f.variables())
+            assert basis == oracle_basis
+            assert np.array_equal(_influence_form(f, basis), oracle)
 
 
 def clt_family(n: int) -> ChaosPoly:
@@ -319,9 +383,9 @@ def clt_family(n: int) -> ChaosPoly:
 def test_eigengap_on_a_generic_input():
     f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + G2 * gaussian(3) * G1
     for q in (1, 2):
+        # the gap is within the form of the degree that attains the max
         result = rho_q(f, q)
-        variables = list(f.variables()) + list(fresh_variables([f], result.extra_variables_used))
-        _, qmat = oracle_quadratic_form(f, q, variables)
+        _, qmat = oracle_quadratic_form(f, result.direction.degree, f.variables())
         vals = np.linalg.eigvalsh(qmat)
         assert result.eigengap > 0
         assert result.eigengap == pytest.approx(vals[-1] - vals[-2], abs=1e-9 * vals[-1])
@@ -344,7 +408,7 @@ def _snap_inputs():
         yield f * Fraction(1.0 / math.sqrt(float(inner_product(f, f))))
 
 
-def _assert_snapped(direction: ChaosPoly, f: ChaosPoly, extra: int) -> None:
+def _assert_snapped(direction: ChaosPoly, f: ChaosPoly) -> None:
     """``direction`` is exactly unit, one denominator below 2**108, and within
     4 * 2**-53 of the float eigenvector ``v`` of the degree-1 form in every
     coordinate, beyond ``v``'s own norm error.
@@ -353,7 +417,7 @@ def _assert_snapped(direction: ChaosPoly, f: ChaosPoly, extra: int) -> None:
     LAPACK returns ``v`` with ``|sum v**2 - 1|`` up to about 11 * 2**-53, so
     that error is added to the bound.
     """
-    basis = degree_monomials(list(f.variables()) + list(fresh_variables([f], extra)), 1)
+    basis = degree_monomials(f.variables(), 1)
     _, vec, _ = _top_eigenpair(_influence_form(f, basis))
     floats = [Fraction(float(v)) for v in vec]
     coeffs = [direction.terms.get(idx, Fraction(0)) for idx in basis]
@@ -370,10 +434,10 @@ def test_degree_one_directions_are_snapped_to_exact_unit_rationals():
     for f in _snap_inputs():
         for extra in (0, 1):
             result = rho_q(f, 1, extra)
-            _assert_snapped(result.direction, f, extra)
+            _assert_snapped(result.direction, f)
             scan = strongest_influence(f, 1e-9, extra)
             assert scan.q_star == 1 and scan.direction == result.direction
-            _assert_snapped(scan.direction, f, extra)
+            _assert_snapped(scan.direction, f)
     # a one-variable basis gives the coordinate itself
     f = hermite_monomial({5: 3}, Fraction(-2, 7))
     assert rho_q(f, 1, 0).direction == gaussian(5)

@@ -3,6 +3,7 @@ moment diagnostics, and the consolidated normality report."""
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -279,6 +280,25 @@ def test_sample_file_non_finite_value_names_its_line(tmp_path, value, blank):
     lineno = 4 if blank else 2
     with pytest.raises(ParseError, match=rf"^sample file line {lineno}: value '{value}' is not finite$"):
         read_sample_file(path)
+
+
+@pytest.mark.parametrize(
+    "field, text, parsed",
+    [
+        ("seed", "10", 10), ("seed", "-5", -5), ("seed", "0", 0), ("stream", "2147483647", 2**31 - 1),
+        ("seed", "1_0", None), ("seed", "\u0663", None), ("seed", "+3", None), ("seed", "07", None),
+        ("seed", "-0", None), ("seed", "", None), ("stream", "0x1", None), ("stream", "1.0", None),
+    ],
+)
+def test_sample_file_header_integers_are_read_only_as_written(tmp_path, field, text, parsed):
+    # the writer's form: ASCII digits after an optional "-", as str(int) spells them
+    path = tmp_path / "header.samples"
+    path.write_text(f"# {field}={text} generator=g\n0.5\n", encoding="utf-8")
+    if parsed is None:
+        with pytest.raises(ParseError, match=re.escape(f"sample file line 1: bad {field} {text!r}") + "$"):
+            read_sample_file(path)
+    else:
+        assert getattr(read_sample_file(path), field) == parsed
 
 
 def test_sample_file_skips_blank_lines(tmp_path):
