@@ -19,16 +19,24 @@ Every sampled polynomial goes through one encoder (``_Encoder``): a term table
 over per-variable one-dimensional families, the Hermite recurrence
 (``algebra.hermite_values``) for chaos polynomials and the ensemble's ``T_k``
 (``EnsemblePoly.eval``) for multilinear ones.  A block is evaluated in
-sub-chunks of ``CHUNK_ROWS`` rows, each drawn, tabulated and accumulated into
-its slice of the output.  Consecutive chunks draw consecutive rows of the
-block's one generator, the same stream a whole-block draw reads, and each
-output row depends on its own draws alone, so the chunk size never changes
-an output bit.  It bounds the working set: draws and factor rows of
-``CHUNK_ROWS`` values per thread, not of ``BLOCK_SIZE``.
+sub-chunks, each drawn, tabulated and accumulated into its slice of the
+output.  A sub-chunk has ``max(1, CHUNK_CELLS // width)`` rows, where
+``width`` is the polynomial's draw columns plus its factor rows, so the draws
+and the factor table of one chunk hold about ``CHUNK_CELLS`` values per
+thread whatever the number of variables.  Consecutive chunks draw
+consecutive rows of the block's one generator, the same stream a
+whole-block draw reads, and each output row depends on its own draws alone,
+so the chunk size never changes an output bit.
+
+Sample files are text: a header line and one ``repr`` per line.
+``write_sample_file`` writes them block by block and ``read_sample_file``
+converts the body straight from the open file, so neither holds the whole
+file's text.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -54,8 +62,9 @@ from .influence import _influence_scan
 from .malliavin import gamma_gradient
 
 BLOCK_SIZE = 1 << 16
-# rows per sub-chunk of a block; any size gives the same bits (see the module docstring)
-CHUNK_ROWS = 1 << 13
+# table cells (draws plus factor rows) per sub-chunk of a block; any size gives
+# the same bits (see the module docstring)
+CHUNK_CELLS = 1 << 19
 GENERATOR_ID = "philox4x64-block65536"
 GAUSSIAN_REFERENCE_STREAM = 2**31 - 1
 
@@ -119,7 +128,7 @@ class _Encoder:
     column per variable from ``law`` (``_law_sampler``); ``family(column, levels)``
     evaluates the variable's one-dimensional polynomials at just the levels
     that terms use, and ``accumulate_terms`` sums the term table over those
-    rows.
+    rows.  A chunk's ``width`` counts its draw columns and factor rows.
     """
 
     def __init__(self, terms, law: InputLaw, family):
@@ -134,23 +143,27 @@ class _Encoder:
         self.term_slots = np.array(
             [slot_of[pos[v], k] for _, factors in terms for v, k in factors], dtype=np.int64
         )
-        # rows are stacked in slot order, which is by variable, then level
+        # rows are listed in slot order, which is by variable, then level
         self.levels: dict[int, list[int]] = {}
         for vp, k in slot_keys:
             self.levels.setdefault(vp, []).append(k)
+        self.width = len(self.variables) + len(slot_keys)
 
     def evaluate_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` with one block's values, ``CHUNK_ROWS`` rows at a time."""
+        """Fill ``out`` with one block's values, ``CHUNK_CELLS // width`` rows at a time."""
         if not self.variables:
             out[:] = self.coeffs.sum()
             return
-        for start in range(0, out.shape[0], CHUNK_ROWS):
-            chunk = out[start : start + CHUNK_ROWS]
-            draws = self.draw(rng, (chunk.shape[0], len(self.variables)))
-            values = np.array(
-                [row for vp, levels in self.levels.items() for row in self.family(draws[:, vp], levels)]
-            )
-            chunk[:] = accumulate_terms(values, self.coeffs, self.term_ptr, self.term_slots)
+        step = max(1, CHUNK_CELLS // self.width)
+        for start in range(0, out.shape[0], step):
+            self._evaluate_chunk(rng, out[start : start + step])
+
+    def _evaluate_chunk(self, rng: np.random.Generator, chunk: np.ndarray) -> None:
+        # a method, so one chunk's tables are freed before the next chunk draws;
+        # drawn row by row, as a whole-block draw reads the stream, then tabulated by column
+        columns = self.draw(rng, (chunk.shape[0], len(self.variables))).T.copy()
+        rows = [row for vp, levels in self.levels.items() for row in self.family(columns[vp], levels)]
+        accumulate_terms(rows, self.coeffs, self.term_ptr, self.term_slots, out=chunk)
 
 
 def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
@@ -212,47 +225,62 @@ def sample(
 # -- sample files ---------------------------------------------------------------
 
 
+def _sample_file_pieces(sample_set: SampleSet):
+    """Sample-file text in pieces: the header line, then one ``BLOCK_SIZE`` slice of lines at a time."""
+    yield (
+        f"# seed={sample_set.seed} stream={sample_set.stream} "
+        f"generator={sample_set.generator_id}\n"
+    )
+    values = sample_set.values
+    for start in range(0, values.shape[0], BLOCK_SIZE):
+        yield "\n".join(map(repr, values[start : start + BLOCK_SIZE].tolist())) + "\n"
+
+
 def format_sample_file(sample_set: SampleSet) -> str:
     """Sample-file text: a ``# seed=.. stream=.. generator=..`` header, then one ``repr`` per line.
 
     The lines are joined one ``BLOCK_SIZE`` slice at a time, so no list of
     every value's string is held at once.
     """
-    header = (
-        f"# seed={sample_set.seed} stream={sample_set.stream} "
-        f"generator={sample_set.generator_id}"
-    )
-    values = sample_set.values
-    blocks = (
-        "\n".join(map(repr, values[start : start + BLOCK_SIZE].tolist()))
-        for start in range(0, values.shape[0], BLOCK_SIZE)
-    )
-    return "\n".join([header, *blocks]) + "\n"
+    return "".join(_sample_file_pieces(sample_set))
 
 
 def write_sample_file(sample_set: SampleSet, path) -> None:
+    """Write ``format_sample_file``'s text one block at a time, never the whole text at once."""
     with open(path, "w") as handle:
-        handle.write(format_sample_file(sample_set))
+        handle.writelines(_sample_file_pieces(sample_set))
 
 
 def read_sample_file(path) -> SampleSet:
     """Read a sample file: an optional ``#`` header line, then one value per line.
 
-    Blank lines after the first line are skipped.  The body is converted in one
-    ``map(float, ...)``; when that fails, the lines are parsed one by one so
-    that the ``ParseError`` names the first bad line, or line 1 for a header field.
-    A NaN or infinite value is a ``ParseError`` naming its line too.
+    The body is converted straight from the open file into a float64 array,
+    with no text, list of lines or list of floats of the whole file held.
+    When anything fails (a bad header field, a blank or bad line, a byte that
+    does not decode) or a value is NaN or infinite, ``_read_by_line`` reads
+    the file again: it skips blank lines after the first line, and a bad or
+    non-finite value is a ``ParseError`` that names its line, or line 1 for a
+    header field.
     """
+    try:
+        with open(path) as handle:
+            first = handle.readline()
+            seed, stream, generator = _header_fields(first)
+            body = handle if first.startswith("#") else itertools.chain([first], handle)
+            values = np.fromiter(map(float, body), np.float64)
+    except ValueError:
+        return _read_by_line(path)
+    if not np.isfinite(values).all():
+        return _read_by_line(path)
+    return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
+
+
+def _header_fields(line: str) -> tuple[int, int, str]:
+    """``(seed, stream, generator)`` of a ``#`` header line; the defaults for any other line."""
     seed = stream = 0
     generator = "unknown"
-    with open(path) as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()
-    start = 1
-    if lines[0].startswith("#"):
-        for token in lines[0][1:].split():
+    if line.startswith("#"):
+        for token in line[1:].split():
             key, _, value = token.partition("=")
             if key == "seed":
                 seed = _parse_field(_parse_int, value, 1, key)
@@ -260,17 +288,33 @@ def read_sample_file(path) -> SampleSet:
                 stream = _parse_field(_parse_int, value, 1, key)
             elif key == "generator":
                 generator = value
-        start = 2
+    return seed, stream, generator
+
+
+def _read_by_line(path) -> SampleSet:
+    """``read_sample_file``'s error path: the whole text, parsed one line at a time.
+
+    The text is decoded whole, so a byte that does not decode is named by its
+    offset in the file, not in the chunk a streamed read had reached.  The
+    first error wins in this order: a byte that does not decode, a bad header
+    field, the first bad value, the first non-finite value.
+    """
+    with open(path) as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    seed, stream, generator = _header_fields(lines[0])
+    start = 2 if lines[0].startswith("#") else 1
     body = lines[start - 1 :]
-    try:
-        values = list(map(float, body))
-    except ValueError:
-        values = [
+    values = np.fromiter(
+        (
             _parse_field(float, line.strip(), lineno, "value")
             for lineno, line in enumerate(body, start=start)
             if lineno == 1 or line.strip()
-        ]
-    values = np.array(values, dtype=np.float64)
+        ),
+        np.float64,
+    )
     if not np.isfinite(values).all():
         lineno, line = next(
             (lineno, line)
@@ -278,12 +322,7 @@ def read_sample_file(path) -> SampleSet:
             if line.strip() and not math.isfinite(float(line))
         )
         raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
-    return SampleSet(
-        values=values,
-        seed=seed,
-        stream=stream,
-        generator_id=generator,
-    )
+    return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
 
 
 def _parse_field(convert, text: str, lineno: int, what: str):

@@ -24,7 +24,9 @@ substitution kernel; and the routes that ``inner_product``,
 ``decompose_along_w1`` and ``iterate_decomposition`` took before they were
 specialised: a ``Fraction`` sum, a rotation into the Householder basis with
 one back-rotation call per level bucket, and the level-0 part rebuilt by
-subtracting the fitted levels.
+subtracting the fitted levels.  ``read_sample_file_whole_text`` is the
+sample-file reader as it was before it streamed: the whole text, split into
+lines, then one conversion of every body line.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from chaoscalc import (
     rotate_basis,
     strongest_influence,
 )
-from chaoscalc.algebra import MultiIndex, _numerators
+from chaoscalc import ParseError, SampleSet
+from chaoscalc.algebra import MultiIndex, _numerators, _parse_int
 from chaoscalc.decompose import _WIDTH
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
@@ -561,3 +564,52 @@ def random_search_max(qmat: np.ndarray, draws: int, seed: int) -> tuple[float, f
             vec = candidate / norm
     refined = float(vec @ qmat @ vec)
     return math.sqrt(max(best, 0.0)), math.sqrt(max(refined, best, 0.0))
+
+
+def read_sample_file_whole_text(path) -> SampleSet:
+    """Sample-file reader over the whole decoded text: the header of line 1,
+    one ``float`` per body line, and on failure a line-by-line parse that skips
+    blank lines after line 1 and names the first bad line."""
+
+    def field(convert, text, lineno, what):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ParseError(f"sample file line {lineno}: bad {what} {text!r}") from None
+
+    seed = stream = 0
+    generator = "unknown"
+    with open(path) as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    start = 1
+    if lines[0].startswith("#"):
+        for token in lines[0][1:].split():
+            key, _, value = token.partition("=")
+            if key == "seed":
+                seed = field(_parse_int, value, 1, key)
+            elif key == "stream":
+                stream = field(_parse_int, value, 1, key)
+            elif key == "generator":
+                generator = value
+        start = 2
+    body = lines[start - 1 :]
+    try:
+        values = list(map(float, body))
+    except ValueError:
+        values = [
+            field(float, line.strip(), lineno, "value")
+            for lineno, line in enumerate(body, start=start)
+            if lineno == 1 or line.strip()
+        ]
+    values = np.array(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        lineno, line = next(
+            (lineno, line)
+            for lineno, line in enumerate(body, start=start)
+            if line.strip() and not math.isfinite(float(line))
+        )
+        raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
+    return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)

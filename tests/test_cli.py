@@ -27,6 +27,8 @@ from chaoscalc import (
 from chaoscalc import cli, decompose, montecarlo
 from chaoscalc.cli import main
 
+from _oracles import read_sample_file_whole_text
+
 G1 = gaussian(1)
 HE2_1 = hermite_monomial({1: 2})
 
@@ -464,6 +466,21 @@ def test_undecodable_input_file_exits_2_and_names_it(capsys, tmp_path, command):
     assert err.startswith(f"error: cannot read {path}: ")
 
 
+def test_undecodable_sample_file_body_exits_2_with_the_file_offset(capsys, tmp_path):
+    # the bad byte lies past the first 8 KiB a streamed read decodes, so the
+    # offset in the message is the whole text's, as it was before the reader streamed
+    good = tmp_path / "good.samples"
+    good.write_text("# seed=1 stream=0 generator=g\n0.5\n1.5\n")
+    bad = tmp_path / "bad.samples"
+    bad.write_bytes(b"# seed=1 stream=0 generator=g\n" + b"0.5\n" * 5000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        read_sample_file_whole_text(bad)
+    code, out, err = run_cli(capsys, "w2", str(good), str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {bad}: {exc.value}\n"
+    assert "position 20030" in err
+
+
 def test_unwritable_output_exits_2_with_a_message(capsys, poly_file, tmp_path):
     path = poly_file("p.json", G1 * gaussian(2))
     target = tmp_path / "missing" / "out.json"
@@ -652,6 +669,49 @@ def test_sampler_output_is_pinned_to_recorded_digests(capsys, tmp_path, name):
     assert code == 0
     data = out_file.read_bytes() if out_file else out.encode()
     assert hashlib.sha256(data).hexdigest() == PINNED_SAMPLER_DIGESTS[name]
+
+
+WIDE_DIGESTS = {
+    "invariance_walk": "965826dd71334b2a0de23946c41241b189efa29f70fdb4cee29d4d2a373695cd",
+    "sample_wide_workers_1": "1ec0114698cf690e5042be743d1d10a933d0a58daf66b546730d7ea2a88f7f49",
+    "sample_wide_workers_2": "1ec0114698cf690e5042be743d1d10a933d0a58daf66b546730d7ea2a88f7f49",
+}
+
+
+def _wide_chaos() -> ChaosPoly:
+    """120 variables at levels 1-3, and 17 products of two: width 264, so 1985-row chunks."""
+    f = ChaosPoly.zero()
+    for k in range(1, 121):
+        f = f + hermite_monomial({k: 1 + k % 3}, Fraction(1, k + 1))
+    for k in range(1, 120, 7):
+        f = f + hermite_monomial({k: 1, k + 1: 2}, Fraction(-1, 3))
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_DIGESTS))
+def test_wide_inputs_are_pinned_to_recorded_digests(capsys, tmp_path, name):
+    """sha256 of ``invariance`` stdout on the 100-step sign walk, and of the
+    ``sample`` file of a 120-variable chaos polynomial at one and two workers
+    (equal), recorded when every chunk had 8192 rows and a stacked factor
+    table.  70000 draws span two blocks."""
+    if name == "invariance_walk":
+        walk = MultilinearPoly(
+            InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
+        )
+        path = tmp_path / "walk.json"
+        path.write_text(walk.to_json())
+        code, out, _ = run_cli(capsys, "invariance", str(path), "--samples", "70000", "--seed", "9",
+                               "--workers", "2")
+        data = out.encode()
+    else:
+        path = tmp_path / "wide.json"
+        path.write_text(poly_to_json(_wide_chaos()))
+        target = tmp_path / "wide.samples"
+        code, _, _ = run_cli(capsys, "sample", str(path), "--samples", "70000", "--seed", "7",
+                             "--stream", "1", "--workers", name[-1], "--output", str(target))
+        data = target.read_bytes()
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == WIDE_DIGESTS[name]
 
 
 def test_sample_output_file_matches_write_sample_file(capsys, poly_file, tmp_path):

@@ -41,7 +41,7 @@ def test_accumulate_matches_direct_evaluation():
     rng = np.random.default_rng(1)
     values, coeffs, ptr, slots = _random_encoding(rng, n_samples=61)
     assert np.any(np.diff(ptr) == 0)
-    out = _kernels.accumulate_terms(values, coeffs, ptr, slots)
+    out = _kernels.accumulate_terms(values, coeffs, ptr, slots, np.empty(61))
     for i in range(61):
         assert out[i] == _direct(values, coeffs, ptr, slots, i)
 
@@ -52,12 +52,26 @@ def test_accumulate_constant_and_negative_zero_terms():
     coeffs = np.array([-1.5, 0.25])
     ptr = np.array([0, 1, 1], dtype=np.int64)
     slots = np.array([0], dtype=np.int64)
-    out = _kernels.accumulate_terms(values, coeffs, ptr, slots)
+    out = _kernels.accumulate_terms(values, coeffs, ptr, slots, np.empty(3))
     assert out.tolist() == [0.25, -2.75, 0.25]
-    zero_only = _kernels.accumulate_terms(values[:1], coeffs[:1], ptr[:2], slots)
+    zero_only = _kernels.accumulate_terms(values[:1], coeffs[:1], ptr[:2], slots, np.empty(3))
     assert zero_only.tolist() == [0.0, -3.0, 0.0]
     assert not np.signbit(zero_only[0]) and not np.signbit(zero_only[2])
     assert np.signbit(-1.5 * 0.0)
+
+
+def test_accumulate_fills_out_from_a_list_of_rows():
+    """The sampler's form: 1-D factor rows, never stacked, written into a
+    slice of a larger array that holds stale values.  The slice is zeroed
+    first, so its bits equal a fresh call's, and nothing outside it moves."""
+    rng = np.random.default_rng(3)
+    values, coeffs, ptr, slots = _random_encoding(rng, n_samples=40)
+    expected = _kernels.accumulate_terms(values, coeffs, ptr, slots, np.empty(40))
+    block = np.full(50, np.nan)
+    out = block[5:45]
+    assert _kernels.accumulate_terms(list(values), coeffs, ptr, slots, out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert np.isnan(block[:5]).all() and np.isnan(block[45:]).all()
 
 
 def test_jacobi_matches_lapack():

@@ -25,13 +25,15 @@ from chaoscalc import (
     normality_report,
     read_sample_file,
     sample,
+    substitute_gaussian,
     var_gamma,
     w2_1d,
     write_sample_file,
 )
-from chaoscalc import montecarlo
+from chaoscalc import _kernels, montecarlo
+from chaoscalc.montecarlo import format_sample_file
 
-from _oracles import random_poly
+from _oracles import random_poly, read_sample_file_whole_text
 
 G1 = gaussian(1)
 HE2_1 = hermite_monomial({1: 2})
@@ -72,32 +74,61 @@ CHUNK_CASES = {
 
 @pytest.mark.parametrize("law", sorted(CHUNK_CASES))
 def test_chunk_size_never_changes_a_sample(monkeypatch, law):
-    """Blocks are evaluated in sub-chunks of ``montecarlo.CHUNK_ROWS`` rows;
-    other sizes, one that does not divide the block among them, give the same
-    bits at one and two workers.  Three blocks, the last of 13 draws."""
+    """Blocks are evaluated in sub-chunks of ``max(1, CHUNK_CELLS // width)``
+    rows, and every case here has width 6 (three draw columns, three factor
+    rows).  Budgets of 6005 and 45 cells (1000 and 7 rows, neither dividing
+    the block) over three blocks, the last of 13 draws, and a budget of 5
+    cells, below one table width, over 64-draw blocks (so one row per chunk
+    stays quick), give the default budget's bits at one and two workers.  The
+    chunk lengths that reach ``accumulate_terms`` are recorded, so each
+    budget is seen to take effect."""
     f = CHUNK_CASES[law]
-    n = 2 * montecarlo.BLOCK_SIZE + 13
-    default = sample(f, n, seed=31, stream=2).values
-    for rows in (1000, 7):
-        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", rows)
+    lengths = []
+
+    def recording(rows, coeffs, term_ptr, term_slots, out):
+        lengths.append(out.shape[0])
+        return _kernels.accumulate_terms(rows, coeffs, term_ptr, term_slots, out)
+
+    monkeypatch.setattr(montecarlo, "accumulate_terms", recording)
+    cases = [
+        (montecarlo.BLOCK_SIZE, 6005, {1000, 536, 13}),
+        (montecarlo.BLOCK_SIZE, 45, {7, 2, 6}),
+        (64, 5, {1}),
+    ]
+    default_cells = montecarlo.CHUNK_CELLS
+    for block_size, cells, chunk_lengths in cases:
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(montecarlo, "CHUNK_CELLS", default_cells)
+        n = 2 * block_size + 13
+        default = sample(f, n, seed=31, stream=2).values
+        monkeypatch.setattr(montecarlo, "CHUNK_CELLS", cells)
         for workers in (1, 2):
+            lengths.clear()
             assert np.array_equal(sample(f, n, seed=31, stream=2, workers=workers).values, default)
+            assert set(lengths) == chunk_lengths
 
 
 def test_walk_sample_memory_is_bounded_by_the_chunk():
-    """tracemalloc peak of one block of the 100-step sign walk: 26.3 MB with
-    8192-row chunks, 151.3 MB when the block was evaluated whole (its draws,
-    their transposed copy and the stacked factor table each block-sized)."""
+    """tracemalloc peak of one block of the 100-step sign walk, and of its
+    Gaussian image.  A chunk holds ``CHUNK_CELLS`` float64 table cells (width
+    200: 100 draw columns and 100 factor rows, so 2621 rows), at most one
+    temporary the size of its draws (half the cells here: the integer bits
+    behind the signs, or the row-major draws being transposed), and the
+    block's output; that bounds the peak at 6.5 MiB.  Measured 5.3 and
+    4.6 MB; the walk was 26.3 MB with fixed 8192-row chunks and a stacked
+    factor table, and 151.3 MB when the block was evaluated whole."""
     walk = MultilinearPoly(
         InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
     )
-    tracemalloc.start()
-    try:
-        sample(walk, montecarlo.BLOCK_SIZE, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * 2**20
+    bound = 8 * (montecarlo.CHUNK_CELLS + montecarlo.CHUNK_CELLS // 2 + montecarlo.BLOCK_SIZE)
+    for p in (walk, substitute_gaussian(walk)):
+        tracemalloc.start()
+        try:
+            sample(p, montecarlo.BLOCK_SIZE, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_sample_of_constant():
@@ -329,6 +360,88 @@ def test_sample_file_with_crlf_line_endings(tmp_path):
     loaded = read_sample_file(path)
     assert np.array_equal(loaded.values, s.values)
     assert (loaded.seed, loaded.stream, loaded.generator_id) == (25, 4, s.generator_id)
+
+
+READER_CASES = {
+    "blank-lines": b"# seed=3 stream=2 generator=g\n1.5\n\n  \n-2.0\n3.25\n\n\n",
+    "whitespace-lines": b"1.5\n \t \n-2.0\n\x0c\n\x0b",
+    "padded-values": b"  1.5 \n\t-2.0\x0c\n",
+    "blank-line-1": b"\n0.25\n",
+    "blank-line-2-after-header": b"# seed=1\n\n0.25\n",
+    "no-header": b"0.25\n-4.0\n1e-3",
+    "empty": b"",
+    "header-only": b"# seed=1 stream=2 generator=g\n",
+    "header-only-no-newline": b"# seed=1 stream=2 generator=g",
+    "header-spacing": b"#seed=4   generator=x  stream=6 other=1\n-0.0\n",
+    "crlf": b"# seed=5 stream=1 generator=g\r\n0.5\r\n-1.0\r\n",
+    "lone-cr": b"# seed=5 stream=1 generator=g\r0.5\r-1.0\r",
+    "mixed-endings": b"0.5\r\n-1.0\r2.0\n\r\n3.0",
+    # line breaks to str.splitlines, but not to either reader: one value per line
+    "unicode-separators": "0.5\u2028\n1.5\x85\n\x1c2.5\n".encode(),
+    "underscore": b"1_0\n2.5\n",
+    "unicode-digits": "\u0663.5\n\u0661\n".encode(),
+    "plus-sign": b"+2.5\n+1e3\n",
+    "header-underscore": b"# seed=1_0\n0.5\n",
+    "header-unicode-digit": "# stream=\u0663\n0.5\n".encode(),
+    "header-plus": b"# seed=+3\n0.5\n",
+    "bad-value": b"# seed=1\n0.5\n\n0.1x\n",
+    "bad-header-and-value": b"# seed=x\n0.1x\n",
+    "nan-line-1": b"nan\n0.5\n",
+    "inf-line-1": b"-Infinity\n0.5\n",
+    "inf-later": b"# seed=1\n0.5\n0.25\n-inf\n",
+    "nan-after-blank": b"0.5\n\nNaN\n2.0\n",
+    "nan-before-bad-value": b"nan\n0.5\nabc\n",
+    "undecodable-header": b"# seed=\xff\n0.5\n",
+    "undecodable-late": b"# seed=1\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n",
+    "undecodable-late-bad-header": b"# seed=x\n" + b"0.5\n" * 5000 + b"\xff\n",
+}
+
+
+def _read_outcome(read, path):
+    try:
+        loaded = read(path)
+    except (ParseError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return loaded.values.dtype, loaded.values.tobytes(), loaded.seed, loaded.stream, loaded.generator_id
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_streamed_reader_matches_the_whole_text_reader(tmp_path, name):
+    """Values (bit for bit), header fields, and the error and its text equal
+    the whole-text reader's.  The late undecodable byte lies past the first
+    8 KiB that a streamed read decodes at once, so its offset in the message
+    shows the error path decoding the file whole."""
+    path = tmp_path / "case.samples"
+    path.write_bytes(READER_CASES[name])
+    assert _read_outcome(read_sample_file, path) == _read_outcome(read_sample_file_whole_text, path)
+
+
+def test_sample_file_read_memory_is_flat_in_file_length(tmp_path):
+    """tracemalloc peak of reading 262144 lines: the float64 array (2 MiB),
+    grown by at most half again while its length is unknown, plus 1 MiB for
+    the open file and the rest, so 4 MiB.  Measured 2.3 MB; the whole-text
+    reader took 33.6 MB."""
+    n = 4 * montecarlo.BLOCK_SIZE
+    s = sample(HE2_1, n, seed=27)
+    path = tmp_path / "long.samples"
+    write_sample_file(s, path)
+    tracemalloc.start()
+    try:
+        loaded = read_sample_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.values, s.values)
+    assert peak <= 12 * n + 2**20
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * montecarlo.BLOCK_SIZE + 5])
+def test_write_sample_file_writes_the_formatted_text(tmp_path, n):
+    values = sample(HE2_1, max(n, 1), seed=28, stream=3).values[:n]
+    s = montecarlo.SampleSet(values=values.copy(), seed=-28, stream=3, generator_id="g")
+    path = tmp_path / "out.samples"
+    write_sample_file(s, path)
+    assert path.read_bytes() == format_sample_file(s).encode()
 
 
 def test_invariance_gap_examples():
