@@ -12,7 +12,6 @@ from .algebra import (
     homogeneous_degree,
     inner_product,
     moment,
-    mul,
     partial_derivative,
     poly_from_json,
     poly_to_json,
@@ -26,37 +25,28 @@ from .decompose import (
     decompose_along,
     decompose_along_w1,
     iterate_decomposition,
-    rotate_basis,
 )
 from .ensembles import (
     InputLaw,
     MultilinearPoly,
     OrthonormalEnsemble,
-    TruncationResult,
     build_ensemble,
     multilinear_influences,
     substitute_gaussian,
-    truncate_by_influence,
 )
 from .errors import (
     BasisSizeError,
     ChaosCalcError,
-    MissingVariableError,
     ParseError,
     PreconditionError,
 )
 from .influence import (
     InfluenceResult,
     StrongestInfluence,
-    rho_1,
     rho_q,
     strongest_influence,
 )
 from .malliavin import (
-    IdentityReport,
-    check_algebraic_identity,
-    check_ipp,
-    check_spectral_inequality,
     gamma_gradient,
     independence_score,
     ou_generator,

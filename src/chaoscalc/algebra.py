@@ -14,8 +14,8 @@ mutually orthogonal.
 Products run on integer numerators.  ``ChaosPoly.__mul__`` scales each operand
 to integers over the lcm of its own denominators, expands every pairwise
 monomial product in Python ints (``_expand_product``) and normalises once,
-building one ``Fraction`` per output term.  (``decompose`` rotations need no
-Hermite products: they expand ordinary powers, see that module.)
+building one ``Fraction`` per output term.  (The ``decompose`` split needs no
+Hermite products: it expands ordinary powers, see that module.)
 ``inner_product`` likewise sums the shared terms' integer numerators and
 builds one ``Fraction``.  ``_gradients`` takes every partial derivative of a
 polynomial held as integer numerators (``He_k' = k He_{k-1}``);
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import MissingVariableError, ParseError, PreconditionError, as_integer
+from .errors import ParseError, PreconditionError, as_integer
 
 RationalLike = Fraction | int | float | str
 
@@ -319,30 +319,6 @@ class ChaosPoly:
             bits.append(f"{c}*{mono}")
         return "ChaosPoly(" + " + ".join(bits) + ")"
 
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, point: Mapping[int, float | Fraction]):
-        """Evaluate at a point via ``hermite_values``.
-
-        The result type follows the point values: exact rationals in, exact
-        rational out; floats in, float out.
-        """
-        missing = set(self.variables()) - set(point)
-        if missing:
-            raise MissingVariableError(missing)
-        tops: dict[int, int] = {}
-        for idx in self._terms:
-            for var, deg in idx.entries:
-                tops[var] = max(tops.get(var, 0), deg)
-        tables = {var: hermite_values(point[var], top) for var, top in tops.items()}
-        total = 0
-        for idx, coeff in self._terms.items():
-            prod = coeff
-            for var, deg in idx.entries:
-                prod = prod * tables[var][deg]
-            total = total + prod
-        return total
-
 
 def hermite_values(x, upto: int) -> list:
     """``[He_0(x), ..., He_upto(x)]`` by the recurrence ``He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)``.
@@ -374,10 +350,6 @@ def hermite_monomial(index: Mapping[int, int] | MultiIndex, coeff: RationalLike 
 
 
 # -- operations ---------------------------------------------------------------
-
-
-def mul(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
-    return f * g
 
 
 def _gradients(nums: Mapping[Entries, int]) -> dict[int, dict[Entries, int]]:

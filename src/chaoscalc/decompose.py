@@ -1,13 +1,12 @@
-"""Orthogonal basis changes, factoring along a chosen direction, and the degree-2 canonical form.
+"""Factoring along a chosen direction, iterated decomposition, and the degree-2 canonical form.
 
 Substitutions use the Wick picture (Janson, *Gaussian Hilbert Spaces*, 1997,
 ch. 3): the Hermite monomial ``He_a(G)`` is the Wick power ``:G^a:``, and
 Wick powers are multilinear in their linear forms, so an orthonormal
 substitution of linear forms expands ordinary powers of those forms and reads
-every ordinary monomial ``G^g`` back as ``He_g(G)``.  The split and each
-Householder reflection of a rotation (``rotate_basis``) are rank-one updates
-``G_j -> G_j + m_j S / D`` with one shared linear form ``S``, and take one
-kernel, ``_rank_one_substitute``: the binomial theorem per coordinate and
+every ordinary monomial ``G^g`` back as ``He_g(G)``.  The split is a
+rank-one update ``G_j -> G_j + m_j S / D`` with one shared linear form ``S``,
+expanded by ``_rank_one_substitute``: the binomial theorem per coordinate and
 powers of ``S``.
 
 The key exact construction: to split ``f`` along a unit linear direction
@@ -55,8 +54,6 @@ from .algebra import (
 from .errors import PreconditionError, as_integer, as_positive_real, check_unit_norm
 from .influence import _influence_scan, _unit_rational
 from .malliavin import independence_score
-
-ORTHOGONALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,94 +139,7 @@ class QuadraticCanonicalForm(JsonResult):
         }
 
 
-# -- orthogonal substitution ----------------------------------------------------
-
-
-def _variable_ids(ids) -> list[int]:
-    """The listed ids as ints; each must be a positive integer."""
-    return [as_integer(v, "variable ids must be positive integers", 1) for v in ids]
-
-
-def rotate_basis(f: ChaosPoly, rotation, variables: Sequence[int]) -> ChaosPoly:
-    """Substitute an orthogonal change of coordinates over the listed variables.
-
-    Row ``i`` of ``rotation`` defines ``H_i = sum_j rotation[i][j] G_{variables[j]}``,
-    and ``G = M H`` with ``M = rotation^T`` is substituted exactly (new
-    coordinates reuse the listed ids, which must be distinct positive
-    integers; variables of ``f`` outside the list pass through).  ``M`` is
-    reduced row by row, on integers over one lcm: a row already ``+-e_1`` is
-    passed over, and any other row ``r`` is mapped to ``-sign(r_1) e_1`` by
-    the reflection through ``w = r + sign(r_1) e_1``, applied to the rows
-    still to come.  So ``M`` is a diagonal of signs, each
-    ``He_k(-G) = (-1)^k He_k(G)``, times at most ``n - 1`` reflections, each
-    one ``_rank_one_substitute`` call on the integer numerators the last one
-    left.  The last found is substituted first: it acts on the fewest
-    coordinates while ``f`` is still sparse.
-
-    A row of exact unit norm is used as given, so exact rows give ``G = M H``
-    itself.  Float rows, orthogonal to within ``ORTHOGONALITY_TOL``, can
-    leave a row that is not: it is normalised in floats and snapped by
-    ``influence._unit_rational`` before it is reflected, so they are replaced
-    by an exactly orthogonal ``Q`` within their deviation plus a few ``2**-52``.
-    """
-    variables = _variable_ids(variables)
-    rows = [[as_fraction(entry) for entry in row] for row in rotation]
-    if any(len(row) != len(rows) for row in rows):
-        raise PreconditionError("rotation matrix must be square")
-    if len(variables) != len(rows):
-        raise PreconditionError(
-            f"rotation is {len(rows)}x{len(rows)} but {len(variables)} variables were listed"
-        )
-    if len(set(variables)) != len(variables):
-        raise PreconditionError("listed variable ids must be distinct")
-    d = math.lcm(*(entry.denominator for row in rows for entry in row))
-    ints = [[entry.numerator * (d // entry.denominator) for entry in row] for row in rows]
-    dev = max(
-        (abs(sum(a * b for a, b in zip(r, c)) - d * d * (i == j))
-         for i, r in enumerate(ints) for j, c in enumerate(ints)),
-        default=0,
-    )
-    if dev / (d * d) > ORTHOGONALITY_TOL:
-        raise PreconditionError(f"rotation is not orthogonal: max deviation {dev / (d * d):.3e}")
-    # the rows of M still to reduce, on the coordinates still to reduce, as integers over d
-    block = list(zip(*ints))
-    reflections = []
-    negative = set()
-    for k, var in enumerate(variables):
-        unit, scale = block[0], d
-        if sum(x * x for x in unit) != d * d:
-            floats = np.array([x / d for x in unit])
-            snapped = _unit_rational(floats / np.linalg.norm(floats))
-            scale = math.lcm(*(x.denominator for x in snapped))
-            unit = [x.numerator * (scale // x.denominator) for x in snapped]
-        sign = 1 if unit[0] >= 0 else -1
-        if any(unit[1:]):
-            w = [unit[0] + sign * scale, *unit[1:]]
-            g = math.gcd(*w)
-            w = [x // g for x in w]
-            w_sq = sum(x * x for x in w)
-            ids, m = zip(*((variables[k + i], x) for i, x in enumerate(w) if x))
-            reflections.append((ids, m, w_sq))
-            block = [
-                [a * w_sq - 2 * dot * b for a, b in zip(row, w)]
-                for row in block
-                for dot in (sum(a * b for a, b in zip(row, w)),)
-            ]
-            d *= w_sq
-            sign = -sign
-        # coordinate k is done: its row and its entry in the others are left out
-        block = [row[1:] for row in block[1:]]
-        g = math.gcd(d, *(x for row in block for x in row))
-        d, block = d // g, [[x // g for x in row] for row in block]
-        if sign < 0:
-            negative.add(var)
-    denom, nums = _numerators(f._terms)
-    nums = {e: -t if sum(k for v, k in e if v in negative) % 2 else t for e, t in nums.items()}
-    for ids, m, w_sq in reversed(reflections):
-        denom, out = _rank_one_substitute(denom, nums, ids, m, [-2 * x for x in m], w_sq)
-        g = math.gcd(denom, *out.values())
-        denom, nums = denom // g, {entries: t // g for (_, entries), t in out.items()}
-    return ChaosPoly._from_numerators(nums, denom)
+# -- the split along a linear direction ----------------------------------------
 
 
 # Bits per exponent in a packed ordinary monomial.  No exponent exceeds the
@@ -257,25 +167,18 @@ def _ordinary_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
 
 def _rank_one_substitute(
     denom: int, numerators: Mapping[Entries, int], variables: Sequence[int],
-    m: Sequence[int], s: Sequence[int], big_d: int,
+    m: Sequence[int], d: int,
 ) -> tuple[int, dict[tuple[int, Entries], int]]:
-    """Substitute ``G_j -> G_j + m_j S / D`` into ``sum_e numerators[e] He_e / denom``.
+    """The split ``G_j -> u_j X + (P G)_j`` of ``sum_e numerators[e] He_e / denom``.
 
-    The library's one linear substitution.  ``G_j`` is ``variables[j]``,
-    ``m`` and ``D = big_d`` are integers, and ``S = sum_j s_j G_j + s_n X``
-    is one integer linear form shared by every coordinate, ``X`` a new
-    coordinate on column ``n`` (``s_n`` may be left out when ``S`` has no
-    ``X``).  Both substitutions of the library take this form:
-
-    * the split ``G_j -> u_j X + (P G)_j`` with ``u = m / d`` exactly unit and
-      ``P = I - u u^T``: ``S = d X - sum_j m_j G_j`` and ``D = d**2``;
-    * a Householder reflection ``G_j -> G_j - 2 w_j (w . G) / w^T w`` with
-      integer ``w``: ``m = w``, ``S = -2 sum_j w_j G_j`` and ``D = w^T w``.
-
-    The caller makes the forms orthonormal, so the Wick power of a listed
-    part ``He_a`` is, by the binomial theorem per coordinate,
-    ``sum_{b <= a} C(a, b) m^b G^(a-b) S^|b| / D**|b|``.  Every term's
-    ``num C(a, b) m^b`` goes to the bucket ``g_k`` of ``k = |b|``, and
+    ``G_j`` is ``variables[j]``, ``u = m / d`` is exactly unit with integer
+    ``m`` and ``d``, ``P = I - u u^T`` and ``X`` is a new coordinate on column
+    ``n``.  The substitution is the rank-one update ``G_j -> G_j + m_j S / D``
+    with the one integer linear form ``S = d X - sum_j m_j G_j`` shared by
+    every coordinate and ``D = d**2``.  The forms are orthonormal, so the Wick
+    power of a listed part ``He_a`` is, by the binomial theorem per
+    coordinate, ``sum_{b <= a} C(a, b) m^b G^(a-b) S^|b| / D**|b|``.  Every
+    term's ``num C(a, b) m^b`` goes to the bucket ``g_k`` of ``k = |b|``, and
     ``sum_k g_k S^k D**(top - k)`` is summed by Horner in ``S``: at most
     ``top`` products with the form ``S``.  Returns ``(denom D**top, out)``:
     ``out[(l, e)]`` is the nonzero numerator of ``He_l(X)`` times the
@@ -315,7 +218,9 @@ def _rank_one_substitute(
             g = buckets[k]
             g[key] = g.get(key, 0) + c
     top = len(buckets) - 1
-    s_form = {1 << _WIDTH * j: c for j, c in enumerate(s) if c}
+    big_d = d * d
+    s_form = {1 << _WIDTH * j: -c for j, c in enumerate(m) if c}
+    s_form[1 << level_shift] = d
     acc = buckets[top]
     for k in range(top - 1, -1, -1):
         acc = _ordinary_product(acc, s_form)
@@ -347,8 +252,7 @@ def _split_linear(
     ``influence._unit_rational`` (one denominator below ``2**107``;
     coordinates snapped to 0 leave the direction).  The
     unit vector is scaled to integers ``m`` over ``d`` and substituted by
-    ``_rank_one_substitute`` with ``S = d X - sum_j m_j G_j`` and
-    ``D = d**2``; the ``X^l`` part of its totals is ``A_l``.
+    ``_rank_one_substitute``; the ``X^l`` part of its totals is ``A_l``.
     """
     check_unit_norm(norm_sq, 1e-12, "direction")
     variables = sorted(coeffs)
@@ -360,8 +264,7 @@ def _split_linear(
         variables, unit = zip(*((v, c) for v, c in zip(variables, snapped) if c))
     d = math.lcm(*(c.denominator for c in unit))
     m = [c.numerator * (d // c.denominator) for c in unit]
-    s = [-x for x in m] + [d]
-    denom, out = _rank_one_substitute(*_numerators(f._terms), variables, m, s, d * d)
+    denom, out = _rank_one_substitute(*_numerators(f._terms), variables, m, d)
     levels: list[dict[Entries, int]] = [{} for _ in range((f.degree or 0) + 1)]
     for (level, entries), t in out.items():
         levels[level][entries] = t
@@ -391,7 +294,7 @@ def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> Decomposi
     is; a float-derived ``a`` within the 1e-12 slack is snapped to an exactly
     unit ``u`` next to ``a / |a|``, returned as ``step.direction``.
     """
-    ids = _variable_ids(a)
+    ids = [as_integer(v, "variable ids must be positive integers", 1) for v in a]
     coeffs = {v: as_fraction(c) for v, c in zip(ids, a.values())}
     coeffs = {v: c for v, c in coeffs.items() if c}
     if not coeffs:

@@ -13,7 +13,8 @@ A multilinear polynomial is a combination ``sum_J a_J prod_{(j,k) in J} T_k(X_j)
 with each variable appearing at most once per term.  Substituting independent
 standard Gaussians for the inputs maps ``T_k(X_j)`` to the unit-norm Hermite
 monomial ``He_k(G_j)/sqrt(k!)`` and preserves second moments.  The influence
-of a variable is the sum of ``a_J**2`` over the terms that contain it.
+of a variable (``multilinear_influences``) is the sum of ``a_J**2`` over the
+terms that contain it, over the variance.
 """
 
 from __future__ import annotations
@@ -186,23 +187,6 @@ class OrthonormalEnsemble:
     def effective_degree(self) -> int:
         return len(self.polys) - 1
 
-    def pairing(self, j: int, k: int) -> Fraction:
-        """Exact ``E[T_j(X) T_k(X)]``; 1 on the diagonal by construction."""
-        if j == k:
-            return Fraction(1)
-        pj, pk = self.polys[j], self.polys[k]
-        total = Fraction(0)
-        for a, ca in enumerate(pj.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(pk.coeffs):
-                if cb:
-                    total += ca * cb * self.law.moment(a + b)
-        if total == 0:
-            return Fraction(0)
-        # cross terms are exactly zero by construction; a nonzero value here is a bug
-        raise AssertionError(f"ensemble pairing ({j},{k}) is not orthogonal: {total}")
-
 
 def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
     """Gram-Schmidt on monomials under the law's moments, unit-normalized.
@@ -301,21 +285,6 @@ class MultilinearPoly(JsonResult):
     def second_moment(self) -> Fraction:
         return sum((c * c for c in self._terms.values()), Fraction(0))
 
-    def level_of(self, var: int) -> int | None:
-        """The unique level ``var`` carries across terms, or None if absent.
-
-        Raises when the variable appears at several levels (peeling such a
-        variable would be ill-defined).
-        """
-        levels = {k for term in self._terms for v, k in term if v == var}
-        if not levels:
-            return None
-        if len(levels) > 1:
-            raise PreconditionError(
-                f"variable {var} appears at several ensemble levels {sorted(levels)}"
-            )
-        return levels.pop()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPoly)
@@ -390,76 +359,6 @@ def substitute_gaussian(p: MultilinearPoly) -> ChaosPoly:
     return ChaosPoly(out)
 
 
-@dataclass(frozen=True)
-class TruncationResult:
-    """Outcome of peeling the highest-influence variables off a multilinear polynomial."""
-
-    retained: tuple[tuple[int, MultilinearPoly], ...]
-    remainder: MultilinearPoly
-    peeled_levels: tuple[int, ...]
-    remainder_max_influence: Fraction
-
-    def reconstruct(self) -> MultilinearPoly:
-        """``sum_v Z_v * R_v + remainder``; equals the original input exactly."""
-        law = self.remainder.law
-        terms: dict[frozenset, Fraction] = dict(self.remainder._terms)
-        for (var, part), level in zip(self.retained, self.peeled_levels):
-            for term, coeff in part._terms.items():
-                full = frozenset(set(term) | {(var, level)})
-                terms[full] = terms.get(full, Fraction(0)) + coeff
-        return MultilinearPoly(law, terms)
-
-
-def truncate_by_influence(p: MultilinearPoly, count: int) -> TruncationResult:
-    """Peel the ``count`` most influential variables, largest influence first.
-
-    For each peeled variable ``v`` (ties broken by ascending id) the factor
-    ``Z_v`` is stripped from every term that contains ``v`` and none of the
-    earlier-peeled variables; terms avoiding all peeled variables form the
-    remainder, whose maximal influence (normalized by the original variance)
-    is reported.
-    """
-    count = as_integer(count, "count must be nonnegative", 0)
-    if count == 0:
-        return TruncationResult((), p, (), _max_influence(p, p.variance()))
-    influences = multilinear_influences(p)
-    order = sorted(influences, key=lambda v: (-influences[v], v))
-    peeled = order[:count]
-    levels = tuple(p.level_of(v) for v in peeled)
-    peel_rank = {v: i for i, v in enumerate(peeled)}
-    buckets: list[dict[frozenset, Fraction]] = [{} for _ in peeled]
-    remainder: dict[frozenset, Fraction] = {}
-    for term, coeff in p._terms.items():
-        hits = [peel_rank[v] for v, _ in term if v in peel_rank]
-        if hits:
-            rank = min(hits)
-            var = peeled[rank]
-            stripped = frozenset(fac for fac in term if fac[0] != var)
-            buckets[rank][stripped] = buckets[rank].get(stripped, Fraction(0)) + coeff
-        else:
-            remainder[term] = coeff
-    remainder_poly = MultilinearPoly(p.law, remainder)
-    retained = tuple(
-        (var, MultilinearPoly(p.law, bucket)) for var, bucket in zip(peeled, buckets)
-    )
-    return TruncationResult(
-        retained=retained,
-        remainder=remainder_poly,
-        peeled_levels=levels,
-        remainder_max_influence=_max_influence(remainder_poly, p.variance()),
-    )
-
-
-def _influence_totals(p: MultilinearPoly) -> dict[int, Fraction]:
-    """Per variable, ``sum a_J**2`` over the terms ``J`` that contain it."""
-    totals: dict[int, Fraction] = {}
-    for term, coeff in p._terms.items():
-        c2 = coeff * coeff
-        for var, _ in term:
-            totals[var] = totals.get(var, Fraction(0)) + c2
-    return totals
-
-
 def multilinear_influences(poly: MultilinearPoly) -> dict[int, Fraction]:
     """Per-variable influence of a multilinear polynomial.
 
@@ -471,11 +370,9 @@ def multilinear_influences(poly: MultilinearPoly) -> dict[int, Fraction]:
     variance = poly.variance()
     if variance == 0:
         raise PreconditionError("polynomial has zero variance; influences are undefined")
-    return {var: c2 / variance for var, c2 in sorted(_influence_totals(poly).items())}
-
-
-def _max_influence(p: MultilinearPoly, reference_variance: Fraction) -> Fraction:
-    totals = _influence_totals(p)
-    if reference_variance == 0 or not totals:
-        return Fraction(0)
-    return max(totals.values()) / reference_variance
+    totals: dict[int, Fraction] = {}
+    for term, coeff in poly._terms.items():
+        c2 = coeff * coeff
+        for var, _ in term:
+            totals[var] = totals.get(var, Fraction(0)) + c2
+    return {var: c2 / variance for var, c2 in sorted(totals.items())}

@@ -33,25 +33,19 @@ class ParseError(ChaosCalcError, ValueError):
     """A serialized input (polynomial, law, sample file) is malformed."""
 
 
-class MissingVariableError(PreconditionError):
-    """An evaluation point does not assign every variable of the polynomial."""
-
-    def __init__(self, missing):
-        self.missing = tuple(sorted(missing))
-        super().__init__(f"evaluation point is missing variables: {list(self.missing)}")
-
-
 class BasisSizeError(ChaosCalcError):
-    """A requested basis would exceed the configured dimension cap.
+    """A requested basis, or the work of an influence scan, would exceed its cap.
 
     With ``lower_bound`` the count stopped early, at ``dimension``.
     """
 
-    def __init__(self, dimension: int, cap: int, lower_bound: bool = False):
+    def __init__(
+        self, dimension: int, cap: int, lower_bound: bool = False, what: str = "basis dimension"
+    ):
         self.dimension = dimension
         self.cap = cap
         bound = "at least " if lower_bound else ""
-        super().__init__(f"basis dimension {bound}{dimension} exceeds cap {cap}")
+        super().__init__(f"{what} {bound}{dimension} exceeds cap {cap}")
 
 
 def as_integer(value, what: str, least: int | None = None) -> int:

@@ -9,8 +9,7 @@ one assembly for every degree.  Each ``d_v e_a`` is a single Hermite
 monomial, so ``Gamma(f, e_a) = sum_{(v, k) in a} k d_v f He_{a - 1_v}`` is
 built from the gradient of ``f`` by the raising rule ``G_w He_k = He_{k+1} +
 k He_{k-1}`` (``algebra._times_coordinate``), one coordinate at a time, with
-no general Hermite product; ``rho_1`` is ``rho_q`` at ``q = 1`` over the
-variables of ``f``.
+no general Hermite product.
 
 Every entry of ``Q`` is an exact rational, summed on integer numerators and
 rounded once to a float, with powers of two taken out so that high degrees
@@ -316,17 +315,6 @@ def _basis_dimension(nvars: int, q: int, cap: int) -> int:
     return dim
 
 
-def rho_1(f: ChaosPoly) -> InfluenceResult:
-    """Degree-1 influence: ``rho_q(f, 1, extra_vars=0)``.
-
-    Over the coordinates ``G_v`` of ``f``, ``Gamma(f, G_v) = d_v f``, so the
-    form is the gradient Gram matrix ``<d_i f, d_j f>`` and the direction a
-    linear combination of the coordinates of ``f`` with exactly unit norm:
-    the float top eigenvector snapped by ``_unit_rational``.
-    """
-    return rho_q(f, 1, extra_vars=0)
-
-
 def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResult:
     """Degree-``q`` influence over the degree-``q`` monomials of the variables of ``f``.
 
@@ -372,6 +360,32 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     )
 
 
+def _check_scan_work(nvars: int, top: int, extra_vars: int | None, cap: int) -> None:
+    """Refuse a scan of degrees 1 .. ``top`` whose work would exceed ``cap**2``.
+
+    A degree-``q`` basis monomial costs about ``q**2``: its Gamma is raised
+    ``q`` times (``_hermite_multiples``), on products that grow with ``q``.
+    So the scan's work is ``sum_q q**2 dim_q``, with ``dim_q = C(nvars - 1 +
+    q, q)`` over the variables of ``f``, and it may not exceed ``cap**2``, the
+    entry count of one form at the cap.  Only the degrees the scan can reach
+    count: it stops at the first whose basis, counted as in ``rho_q``,
+    exceeds the cap.  The count stops at the first partial sum above
+    ``cap**2``, a lower bound, so a long scan fails at once.
+    """
+    if not nvars:
+        return  # a constant has an empty basis at every degree
+    work, dim, padded = 0, 1, 1
+    for q in range(1, top + 1):
+        dim = dim * (nvars - 1 + q) // q
+        padded = padded * (nvars + q) // q
+        extra = q - 1 if extra_vars is None else extra_vars
+        if (padded if extra else dim) > cap:
+            return
+        work += q * q * dim
+        if work > cap * cap:
+            raise BasisSizeError(work, cap * cap, q < top, "influence scan work sum_q q**2 dim_q")
+
+
 def _influence_scan(f: ChaosPoly, top: int, extra_vars: int | None) -> Iterator[InfluenceResult]:
     """``rho_q(f, q, extra_vars)`` for q = 1 .. ``top``, each computed only when consumed.
 
@@ -380,11 +394,15 @@ def _influence_scan(f: ChaosPoly, top: int, extra_vars: int | None) -> Iterator[
     capped and solved once, and at ``extra_vars >= 1`` (default ``q - 1``) the
     item is the best so far, the higher degree on a tie within
     ``TOP_CLUSTER_RTOL``, as its block holds the first padded basis vector.
+    Before the first solve, ``_check_scan_work`` bounds the work of the whole
+    scan by the square of the basis cap.
     """
+    nvars, cap = len(f.variables()), _basis_cap()
+    _check_scan_work(nvars, top, extra_vars, cap)
     best: InfluenceResult | None = None
     for q in range(1, top + 1):
         extra = q - 1 if extra_vars is None else extra_vars
-        _basis_dimension(len(f.variables()) + min(extra, 1), q, _basis_cap())
+        _basis_dimension(nvars + min(extra, 1), q, cap)
         result = rho_q(f, q, 0)
         if best is None or result.value >= best.value - TOP_CLUSTER_RTOL * max(1.0, best.value):
             best = result

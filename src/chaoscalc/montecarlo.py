@@ -255,24 +255,29 @@ def read_sample_file(path) -> SampleSet:
     """Read a sample file: an optional ``#`` header line, then one value per line.
 
     The body is converted straight from the open file into a float64 array,
-    with no text, list of lines or list of floats of the whole file held.
-    When anything fails (a bad header field, a blank or bad line, a byte that
-    does not decode) or a value is NaN or infinite, ``_read_by_line`` reads
-    the file again: it skips blank lines after the first line, and a bad or
+    with no text, list of lines or list of floats of the whole file held.  A
+    file the first pass cannot convert (a blank line, say) is streamed once
+    more with the blank lines after the first line skipped; a clean file
+    never pays for that filter.  When that fails too (a bad header field, a
+    blank first line, a bad line, a byte that does not decode) or a value is
+    NaN or infinite, ``_read_by_line`` reads the file again, and a bad or
     non-finite value is a ``ParseError`` that names its line, or line 1 for a
     header field.
     """
-    try:
-        with open(path) as handle:
-            first = handle.readline()
-            seed, stream, generator = _header_fields(first)
-            body = handle if first.startswith("#") else itertools.chain([first], handle)
-            values = np.fromiter(map(float, body), np.float64)
-    except ValueError:
-        return _read_by_line(path)
-    if not np.isfinite(values).all():
-        return _read_by_line(path)
-    return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
+    for body_lines in (iter, lambda lines: filter(str.strip, lines)):
+        try:
+            with open(path) as handle:
+                first = handle.readline()
+                seed, stream, generator = _header_fields(first)
+                rest = body_lines(handle)
+                body = rest if first.startswith("#") else itertools.chain([first], rest)
+                values = np.fromiter(map(float, body), np.float64)
+        except ValueError:
+            continue
+        if np.isfinite(values).all():
+            return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
+        break
+    return _read_by_line(path)
 
 
 def _header_fields(line: str) -> tuple[int, int, str]:

@@ -10,48 +10,54 @@ code path with the package's Hermite-basis algebra:
 * derivatives follow the power rule.
 
 Also provides the carre du champ through the generator, the independent
-route for ``gamma_gradient``; exact rational orthogonal matrices
-(compositions of Pythagorean plane rotations, and the Householder completion
-of a unit vector), random polynomial generators,
-a random-search plus power-iteration maximizer used as the influence oracle,
-fresh variable ids that pad the oracle influence form's test space,
-the change of coordinates rebuilt from ``compose_hermite`` and ``ChaosPoly``
-products, the independent route for ``rotate_basis``; the general Wick
+route for ``gamma_gradient``, and the exact rational checkers of integration
+by parts, the trilinear identity and the second-moment inequality built on
+``gamma_gradient`` (``check_ipp``, ``check_algebraic_identity``,
+``check_spectral_inequality``); ``rho_1``, the degree-1 influence over the
+variables of ``f``; exact rational orthogonal matrices (compositions of
+Pythagorean plane rotations, and the Householder completion of a unit
+vector), random polynomial generators, a random-search plus power-iteration
+maximizer used as the influence oracle, fresh variable ids that pad the
+oracle influence form's test space, and ``substitute_rotation``, an
+orthogonal change of coordinates built from ``compose_hermite`` and
+``ChaosPoly`` products, which rotates test inputs.  The general Wick
 substitution of ``n`` linear forms as memoised products of their powers
-(``substitute_forms``), which ``rotate_basis`` took before it became
-Householder reflections and which now checks the library's one rank-one
-substitution kernel; and the routes that ``inner_product``,
-``decompose_along_w1`` and ``iterate_decomposition`` took before they were
-specialised: a ``Fraction`` sum, a rotation into the Householder basis with
-one back-rotation call per level bucket, and the level-0 part rebuilt by
-subtracting the fitted levels.  ``read_sample_file_whole_text`` is the
-sample-file reader as it was before it streamed: the whole text, split into
-lines, then one conversion of every body line.
+(``substitute_forms``) checks the library's rank-one substitution kernel;
+``inner_product``, ``decompose_along_w1`` and ``iterate_decomposition`` are
+checked against the routes they took before they were specialised: a
+``Fraction`` sum, a rotation into the Householder basis with one
+back-rotation per level bucket, and the level-0 part rebuilt by subtracting
+the fitted levels.  ``read_sample_file_whole_text`` is the sample-file
+reader as it was before it streamed: the whole text, split into lines, then
+one conversion of every body line.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from chaoscalc import (
     ChaosPoly,
+    InfluenceResult,
     IterationTrace,
     compose_hermite,
     decompose_along,
+    expectation,
+    gamma_gradient,
     hermite_monomial,
     homogeneous_degree,
     ou_generator,
     project_chaos,
-    rotate_basis,
+    rho_q,
     strongest_influence,
 )
 from chaoscalc import ParseError, SampleSet
-from chaoscalc.algebra import MultiIndex, _numerators, _parse_int
+from chaoscalc.algebra import JsonResult, MultiIndex, _numerators, _parse_int
 from chaoscalc.decompose import _WIDTH
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
@@ -168,16 +174,6 @@ def raw_partial(a: RawPoly, var: int) -> RawPoly:
     return out
 
 
-def raw_eval(a: RawPoly, point) -> Fraction | float:
-    total = 0
-    for key, c in a.items():
-        prod = c
-        for var, power in key:
-            prod = prod * point[var] ** power
-        total = total + prod
-    return total
-
-
 def raw_gamma(a: RawPoly, b: RawPoly, variables) -> RawPoly:
     out: RawPoly = {}
     for var in variables:
@@ -207,6 +203,65 @@ def generator_carre_du_champ(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
     flg = f * ou_generator(g)
     glf = g * ou_generator(f)
     return (lfg - flg - glf) * Fraction(1, 2)
+
+
+@dataclass(frozen=True)
+class IdentityReport(JsonResult):
+    """Both sides of a checked identity (or inequality) in exact rationals."""
+
+    lhs: Fraction
+    rhs: Fraction
+    residual: Fraction
+    holds: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+            "residual": str(self.residual),
+            "holds": self.holds,
+        }
+
+
+def check_ipp(f: ChaosPoly, g: ChaosPoly) -> IdentityReport:
+    """Integration by parts: ``-E[f Lg] == E[Gamma(f, g)]``, exact."""
+    lhs = -expectation(f * ou_generator(g))
+    rhs = expectation(gamma_gradient(f, g))
+    residual = lhs - rhs
+    return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual == 0)
+
+
+def check_algebraic_identity(f: ChaosPoly, g: ChaosPoly, h: ChaosPoly) -> IdentityReport:
+    """``E[Gamma(f,g) h] == (p+q-r)/2 * E[f g h]`` for single-stratum inputs."""
+    p = homogeneous_degree(f, "first argument")
+    q = homogeneous_degree(g, "second argument")
+    r = homogeneous_degree(h, "third argument")
+    lhs = expectation(gamma_gradient(f, g) * h)
+    rhs = Fraction(p + q - r, 2) * expectation(f * g * h)
+    residual = lhs - rhs
+    return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual == 0)
+
+
+def check_spectral_inequality(x: ChaosPoly, y: ChaosPoly) -> IdentityReport:
+    """Second-moment bound ``E[Gamma(x,y)^2] <= (p+q)/2 * E[x y Gamma(x,y)]``.
+
+    The factor (p+q)/2 follows from expanding ``(L + p + q)^2`` as
+    ``L(L + p + q) + (p + q)(L + p + q)`` and dropping the nonpositive first
+    term; equality holds e.g. for x == y in the degree-1 stratum.
+    ``holds`` reports the inequality; ``residual = lhs - rhs`` is <= 0 when it holds.
+    """
+    p = homogeneous_degree(x, "first argument")
+    q = homogeneous_degree(y, "second argument")
+    gamma = gamma_gradient(x, y)
+    lhs = expectation(gamma * gamma)
+    rhs = Fraction(p + q, 2) * expectation(x * y * gamma)
+    residual = lhs - rhs
+    return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual <= 0)
+
+
+def rho_1(f: ChaosPoly) -> InfluenceResult:
+    """The degree-1 influence over the variables of ``f``."""
+    return rho_q(f, 1, 0)
 
 
 def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:
@@ -354,12 +409,12 @@ def householder_rows(a: list[Fraction]) -> list[list[Fraction]]:
 def split_by_bucket_rotation(f: ChaosPoly, a: dict) -> list[ChaosPoly]:
     """``decompose_along_w1``'s coefficients by rotation: ``f`` rotated into the
     Householder rows of ``a``, grouped by the pivot's Hermite degree, and each
-    level bucket rotated back by its own ``rotate_basis`` call on the
+    level bucket rotated back by its own ``substitute_rotation`` call on the
     transposed rows."""
     variables = sorted(a)
     rows = householder_rows([Fraction(a[v]) for v in variables])
     pivot = variables[0]
-    rotated = rotate_basis(f, rows, variables)
+    rotated = substitute_rotation(f, rows, variables)
     buckets: dict[int, ChaosPoly] = {}
     for idx, coeff in rotated.terms.items():
         level = idx.degree_of(pivot)
@@ -367,7 +422,7 @@ def split_by_bucket_rotation(f: ChaosPoly, a: dict) -> list[ChaosPoly]:
         buckets[level] = buckets.get(level, ChaosPoly.zero()) + hermite_monomial(rest, coeff)
     back = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows))]
     return [
-        rotate_basis(buckets[level], back, variables) if level in buckets else ChaosPoly.zero()
+        substitute_rotation(buckets[level], back, variables) if level in buckets else ChaosPoly.zero()
         for level in range((f.degree or 0) + 1)
     ]
 

@@ -11,7 +11,6 @@ import pytest
 
 from chaoscalc import (
     ChaosPoly,
-    MissingVariableError,
     ParseError,
     PreconditionError,
     compose_hermite,
@@ -20,7 +19,6 @@ from chaoscalc import (
     hermite_monomial,
     inner_product,
     moment,
-    mul,
     partial_derivative,
     poly_from_json,
     poly_to_json,
@@ -36,7 +34,6 @@ from chaoscalc.algebra import (
 
 from _oracles import (
     fraction_inner,
-    raw_eval,
     raw_expectation,
     raw_from_chaos,
     raw_mul,
@@ -164,7 +161,7 @@ def test_partial_derivative_matches_raw_oracle():
 def test_expectation_examples():
     assert expectation(HE2_1) == 0
     assert expectation(ChaosPoly.constant(5)) == 5
-    assert expectation(mul(HE2_1, HE2_1)) == 2  # Wick: E[(G**2-1)**2] = 2
+    assert expectation(HE2_1 * HE2_1) == 2  # Wick: E[(G**2-1)**2] = 2
 
 
 def test_inner_product_examples():
@@ -252,28 +249,6 @@ def test_compose_hermite_examples():
 def test_compose_hermite_on_coordinates_is_the_monomial():
     for level in range(9):
         assert compose_hermite(level, gaussian(3)) == hermite_monomial({3: level} if level else {})
-
-
-def test_eval_examples_and_missing_variable():
-    assert HE2_1.eval({1: 2}) == 3
-    assert ChaosPoly.constant(1).eval({}) == 1
-    assert (G1 * G2).eval({1: 2, 2: -3}) == -6
-    with pytest.raises(MissingVariableError) as err:
-        (G1 * G2).eval({1: 0.5})
-    assert err.value.missing == (2,)
-
-
-def test_eval_agrees_with_raw_oracle():
-    rng = random.Random(19)
-    for _ in range(30):
-        f = random_poly(rng)
-        raw = raw_from_chaos(f)
-        exact_point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in range(1, 6)}
-        assert f.eval(exact_point) == raw_eval(raw, exact_point)
-        float_point = {v: rng.uniform(-2, 2) for v in range(1, 6)}
-        lhs = f.eval(float_point)
-        rhs = raw_eval(raw, float_point)
-        assert abs(lhs - float(rhs)) < 1e-12 * max(1.0, abs(float(rhs)))
 
 
 def test_moment_examples():

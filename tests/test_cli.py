@@ -2,11 +2,14 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from chaoscalc import (
     sample,
     write_sample_file,
 )
+import chaoscalc
 from chaoscalc import cli, decompose, montecarlo
 from chaoscalc.cli import main
 
@@ -93,6 +97,41 @@ def test_rho_at_high_degree_exits_0(capsys, poly_file, q):
     code, out, err = run_cli(capsys, "rho", path, "--q", str(q), "--extra-vars", "0")
     assert code == 0, err
     assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12)
+
+
+def test_rho_running_max_picks_a_lower_degree(capsys, poly_file):
+    """f = 29 G_1 - 3 He_3(G_1) + He_5(G_1)/5 has a larger degree-1 influence,
+    sqrt(1027), than degree-2 one, sqrt(782): Gamma(f, G_1) = f' =
+    29 - 9 He_2 + He_4 and ||f'||**2 = 841 + 162 + 24, while Gamma(f, He_2 / sqrt 2)
+    = sqrt 2 G_1 f' = sqrt 2 (11 G_1 - 5 He_3 + He_5) gives 2 (121 + 150 + 120).
+    So at the default one fresh variable the result is the degree-1 solve."""
+    f = 29 * G1 - 3 * hermite_monomial({1: 3}) + hermite_monomial({1: 5}, Fraction(1, 5))
+    path = poly_file("f.json", f)
+    code, out, err = run_cli(capsys, "rho", path, "--q", "2")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["value"] == pytest.approx(math.sqrt(1027), rel=1e-15)
+    assert (data["q"], data["extra_variables_used"], data["basis_dimension"]) == (2, 1, 1)
+    assert data["direction"] == {"terms": [{"coeff": "1", "index": {"1": 1}}]}
+    code, out, err = run_cli(capsys, "rho", path, "--q", "2", "--extra-vars", "0")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["value"] == pytest.approx(math.sqrt(782), rel=1e-15)
+    assert data["extra_variables_used"] == 0
+    assert [term["index"] for term in data["direction"]["terms"]] == [{"1": 2}]
+
+
+def test_rho_scan_work_over_the_cap_exits_3_at_once(capsys, poly_file):
+    """``He_2(G_1)`` at ``--q 511`` passes the basis cap at every degree
+    (dimension 1, or 512 with the fresh variable), but its scan would solve 511
+    degrees.  The work sum_q q**2 dim_q first exceeds 512**2 at q = 92:
+    92 * 93 * 185 / 6 = 263810, so no degree is solved."""
+    path = poly_file("he2.json", HE2_1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rho", path, "--q", "511")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "influence scan work sum_q q**2 dim_q at least 263810 exceeds cap 262144" in err
 
 
 def test_rho_constant_is_zero(capsys, poly_file):
@@ -212,6 +251,29 @@ def test_every_subcommand_is_in_the_readme_and_has_help(capsys):
         for action in sub._actions:
             if action.option_strings:
                 assert action.help, f"chaoscalc {name} {action.option_strings[0]} has no help"
+
+
+
+def test_readme_layout_lists_the_package_exports():
+    """The last column of README's Layout table names exactly what ``chaoscalc``
+    exports, each under the module that defines it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Layout", 1)[1]
+    listed = {}
+    for row in table.splitlines():
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`chaoscalc."):
+            module = importlib.import_module(cells[0].strip("`"))
+            for name in re.findall(r"`([^`]+)`", cells[2]):
+                assert name not in listed, name
+                listed[name] = module
+    exports = {
+        name for name, value in vars(chaoscalc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(listed) == exports
+    for name, module in listed.items():
+        assert getattr(module, name) is getattr(chaoscalc, name), name
 
 
 def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch):

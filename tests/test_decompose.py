@@ -1,7 +1,6 @@
-"""Rotations, direction splits (exact degree-1 path and exact higher-degree projection),
+"""Direction splits (exact degree-1 path and exact higher-degree projection),
 iterated decomposition bookkeeping, and the degree-2 canonical form."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,14 +20,11 @@ from chaoscalc import (
     hermite_monomial,
     inner_product,
     iterate_decomposition,
-    moment,
     poly_from_json,
     rho_q,
-    rotate_basis,
 )
 
 from _oracles import (
-    householder_rows,
     iterate_by_reconstruction,
     random_homogeneous,
     random_poly,
@@ -51,221 +47,18 @@ HE2_1 = hermite_monomial({1: 2})
 HE2_2 = hermite_monomial({2: 2})
 
 
-def test_rotate_identity():
-    rng = random.Random(3)
-    f = random_poly(rng, max_vars=3)
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rotate_basis(f, eye, [1, 2, 3]) == f
-
-
-def test_rotate_alignment_example():
-    f = (3 * G1 + 4 * G2) / 5
-    rotation = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
-    assert rotate_basis(f, rotation, [1, 2]) == G1
-
-
-def test_rotate_preserves_second_moment():
-    rng = random.Random(5)
-    for _ in range(15):
-        f = random_poly(rng, max_vars=3, max_degree=3)
-        rotation = random_rational_rotation(rng, 3)
-        g = rotate_basis(f, rotation, [1, 2, 3])
-        assert inner_product(g, g) == inner_product(f, f)
-
-
-def test_rotate_preserves_moments_up_to_four():
-    rng = random.Random(7)
-    for _ in range(8):
-        f = random_poly(rng, max_vars=3, max_degree=2, max_terms=3)
-        rotation = random_rational_rotation(rng, 3)
-        g = rotate_basis(f, rotation, [1, 2, 3])
-        for k in range(1, 5):
-            assert moment(f, k) == moment(g, k)
-
-
 def _float_unit(rng: random.Random, size: int) -> list[Fraction]:
     vec = [rng.uniform(-1.0, 1.0) for _ in range(size)]
     norm = math.sqrt(sum(v * v for v in vec))
     return [Fraction(v / norm) for v in vec]
 
 
-def test_rotate_matches_substitution_oracle_on_exact_rows():
-    # Householder rows of exact and of float-derived unit vectors, and products
-    # of Pythagorean rotations; listed ids in any order, some of f's unlisted
-    rng = random.Random(41)
-    for _ in range(12):
-        f = random_poly(rng, max_vars=5, max_degree=4, max_terms=4) * Fraction(rng.uniform(0.5, 2.0))
-        size = rng.randint(1, 4)
-        variables = rng.sample(range(1, 6), size)
-        for rows in (
-            householder_rows(random_rational_unit(rng, size)),
-            householder_rows(_float_unit(rng, size)),
-            random_rational_rotation(rng, size),
-        ):
-            assert rotate_basis(f, rows, variables) == substitute_rotation(f, rows, variables)
-
-
-def _snapped_rotation(rows, variables) -> list[list[Fraction]]:
-    """The rotation ``rotate_basis`` substitutes for ``rows``, read off the image of each coordinate."""
-    images = [rotate_basis(gaussian(v), rows, variables) for v in variables]
-    return [[image.coefficient({v: 1}) for image in images] for v in variables]
-
-
-def _check_snapped_rotation(f, rotation, variables) -> None:
-    # the rows are replaced by an exactly orthogonal Q within their own
-    # deviation from orthogonality plus a few ulps, and Q is substituted exactly
-    rows = [[Fraction(x) for x in row] for row in rotation]
-    size = len(rows)
-    eye = [[int(i == j) for j in range(size)] for i in range(size)]
-    gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(size)] for i in range(size)]
-    deviation = max(abs(gram[i][j] - eye[i][j]) for i in range(size) for j in range(size))
-    q = _snapped_rotation(rows, variables)
-    assert [[sum(a * b for a, b in zip(q[i], q[j])) for j in range(size)] for i in range(size)] == eye
-    gap = max(abs(q[i][j] - rows[i][j]) for i in range(size) for j in range(size))
-    assert gap <= deviation + Fraction(4, 2**52)
-    assert rotate_basis(f, rotation, variables) == substitute_rotation(f, q, variables)
-
-
-def test_rotate_matches_substitution_oracle_on_float_rows():
-    # canonical_quadratic's rows are orthogonal only to float precision
-    rng = random.Random(43)
-    checked = 0
-    for _ in range(20):
-        form = canonical_quadratic(random_poly(rng, max_vars=3, max_degree=2, max_terms=4))
-        if len(form.variables) < 2:
-            continue
-        f = random_poly(rng, max_vars=4, max_degree=3, max_terms=4)
-        _check_snapped_rotation(f, form.rotation, form.variables)
-        checked += 1
-    assert checked >= 8
-
-
-def test_rotate_matches_substitution_oracle_on_float_rows_at_degrees_four_and_five():
-    # terms of listed degree 4 and 5 through up to three snapped reflections
-    rng = random.Random(47)
-    checked = 0
-    while checked < 6:
-        form = canonical_quadratic(random_poly(rng, max_vars=4, max_degree=2, max_terms=6))
-        rows = [[Fraction(x) for x in row] for row in form.rotation]
-        size = len(rows)
-        gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(size)] for i in range(size)]
-        if size < 3 or gram == [[int(i == j) for j in range(size)] for i in range(size)]:
-            continue
-        degree = 4 + checked % 2
-        v = form.variables
-        f = random_poly(rng, max_vars=5, max_degree=degree, max_terms=4)
-        f = f + hermite_monomial({v[0]: degree - 2, v[1]: 1, v[2]: 1}, Fraction(3, 7))
-        f = f + hermite_monomial({v[-1]: degree})
-        _check_snapped_rotation(f, form.rotation, form.variables)
-        checked += 1
-
-
-def test_rotate_of_he2_under_a_scale_off_one_by_an_ulp():
-    # the 1x1 row [s] is not exactly unit; it snaps to [1], the identity
-    s = 1 + Fraction(1, 2**45)
-    assert 0 < abs(s * s - 1) <= 1e-12
-    assert rotate_basis(HE2_1, [[s]], [1]) == HE2_1
-
-
-def _count_kernel_calls(monkeypatch) -> list:
-    calls = []
-    kernel = decompose._rank_one_substitute
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(decompose, "_rank_one_substitute", counted)
-    return calls
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_rotate_by_signs_takes_no_reflection(k, monkeypatch):
-    # He_k(-G) = (-1)^k He_k(G), for each listed coordinate on its own
-    calls = _count_kernel_calls(monkeypatch)
-
-    def image(s1, s2, s5):
-        return (
-            hermite_monomial({1: k, 2: 2}, s1**k)
-            + hermite_monomial({2: 1, 5: k}, s2 * s5**k * Fraction(2, 3))
-            + hermite_monomial({1: 1, 7: k}, s1 * Fraction(-5, 4))
-            + ChaosPoly.constant(3)
-        )
-
-    for s1, s2, s5 in itertools.product((1, -1), repeat=3):
-        rows = [[s1, 0, 0], [0, s2, 0], [0, 0, s5]]
-        assert rotate_basis(image(1, 1, 1), rows, [1, 2, 5]) == image(s1, s2, s5)
-    assert calls == []
-
-
-def test_rotate_by_a_permutation_relabels_ids(monkeypatch):
-    # row i = e_{perm(i)} makes H_i the old coordinate of id ids[perm(i)]
-    calls = _count_kernel_calls(monkeypatch)
-    rng = random.Random(67)
-    ids = [4, 9, 2]
-    for perm in itertools.permutations(range(3)):
-        f = random_poly(rng, max_vars=10, max_degree=5, max_terms=6)
-        rows = [[int(j == perm[i]) for j in range(3)] for i in range(3)]
-        rename = {ids[perm[i]]: ids[i] for i in range(3)}
-        relabeled = ChaosPoly(
-            {tuple(sorted((rename.get(v, v), k) for v, k in idx.entries)): c for idx, c in f.terms.items()}
-        )
-        del calls[:]
-        assert rotate_basis(f, rows, ids) == relabeled
-        assert len(calls) <= 2
-
-
-def test_rotate_takes_at_most_n_minus_one_reflections(monkeypatch):
-    calls = _count_kernel_calls(monkeypatch)
-    rng = random.Random(71)
-    most = {}
-    for size in (1, 2, 3, 4, 5):
-        for _ in range(6):
-            f = random_poly(rng, max_vars=6, max_degree=3, max_terms=4)
-            for rows in (random_rational_rotation(rng, size), householder_rows(random_rational_unit(rng, size))):
-                del calls[:]
-                variables = rng.sample(range(1, 7), size)
-                assert rotate_basis(f, rows, variables) == substitute_rotation(f, rows, variables)
-                assert len(calls) <= size - 1
-                most[size] = max(most.get(size, 0), len(calls))
-    assert most == {size: size - 1 for size in (1, 2, 3, 4, 5)}
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_rows_and_direction_coefficients_are_rejected(bad):
-    with pytest.raises(PreconditionError, match="finite"):
-        rotate_basis(G1, [[bad, 0.0], [0.0, 1.0]], [1, 2])
-    with pytest.raises(PreconditionError, match="finite"):
-        rotate_basis(G1, [[1, 0], [0, bad]], [1, 2])
+def test_non_finite_direction_coefficients_are_rejected(bad):
     with pytest.raises(PreconditionError, match="finite"):
         decompose_along_w1(G1 * G2, {1: bad, 2: 0.8})
     with pytest.raises(PreconditionError, match="finite"):
         decompose_along_w1(G1 * G2, {1: 1, 2: bad})
-
-
-def test_rotate_by_exact_householder_rows_keeps_a_homogeneous_input_homogeneous():
-    rng = random.Random(53)
-    for size in (2, 3, 4):
-        for degree in (2, 3, 4, 5):
-            f = random_homogeneous(rng, degree, max_vars=size)
-            g = rotate_basis(f, householder_rows(random_rational_unit(rng, size)), list(range(1, size + 1)))
-            assert {idx.total_degree for idx in g.terms} == {degree}
-            assert inner_product(g, g) == inner_product(f, f)
-
-
-def test_rotate_rejects_non_orthogonal():
-    with pytest.raises(PreconditionError, match="deviation"):
-        rotate_basis(G1, [[1, 0], [0, Fraction(99, 100)]], [1, 2])
-
-
-@pytest.mark.parametrize("bad", [0, -3, 1.5, "1"])
-def test_rotate_rejects_a_listed_id_that_is_not_a_positive_integer(bad):
-    # such an id would name a coordinate the library cannot read back
-    f = HE2_1 + G2
-    with pytest.raises(PreconditionError, match="positive integers"):
-        rotate_basis(f, [[0, 1], [1, 0]], [bad, 2])
-    with pytest.raises(PreconditionError, match="positive integers"):
-        rotate_basis(f, [[0, 1], [1, 0]], [1, bad])
 
 
 def test_split_worked_example_digit_for_digit():
@@ -345,9 +138,8 @@ def test_split_takes_integer_like_direction_keys_as_ids():
 
 
 def _rank_one_substitute(f: ChaosPoly, variables, m, d):
-    """The split's call of the kernel: ``u = m / d``, ``S = d X - sum_j m_j G_j``, ``D = d**2``."""
-    s = [-x for x in m] + [d]
-    return decompose._rank_one_substitute(*_numerators(f._terms), variables, m, s, d * d)
+    """The kernel's split of ``f`` along ``u = m / d``."""
+    return decompose._rank_one_substitute(*_numerators(f._terms), variables, m, d)
 
 
 def _projection_substitute(f: ChaosPoly, variables, m, d):
@@ -414,7 +206,7 @@ def test_split_exactness_on_random_inputs():
 
 
 def test_split_coefficients_match_per_bucket_rotation():
-    # one substitution gives what a rotation and a rotate_basis call per level
+    # one substitution gives what a rotation and a back-rotation per level
     # bucket give; up to degree 6, on scattered ids, with f's variables outside
     # the direction
     rng = random.Random(47)
@@ -662,7 +454,7 @@ def _exact_unit_input(rng: random.Random, degree: int) -> ChaosPoly:
     second = hermite_monomial({v: 1 for v in range(2, degree + 2)}, Fraction(4, 5))
     variables = list(range(1, degree + 2))
     rotation = random_rational_rotation(rng, len(variables), moves=3)
-    f = rotate_basis(first + second, rotation, variables)
+    f = substitute_rotation(first + second, rotation, variables)
     assert inner_product(f, f) == 1
     return f
 
@@ -741,7 +533,7 @@ def test_cli_decomposition_is_exact_and_bounded_in_bits():
 def test_rotate_leaves_unlisted_variables_alone():
     f = G1 * hermite_monomial({7: 2})
     rotation = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
-    g = rotate_basis(f, rotation, [1, 2])
+    g = substitute_rotation(f, rotation, [1, 2])
     assert all(idx.degree_of(7) == 2 for idx in g.terms)
     assert inner_product(g, g) == inner_product(f, f)
 
@@ -809,7 +601,7 @@ def test_canonical_quadratic_reconstructs_under_rotation():
         form = canonical_quadratic(f)
         if not form.variables:
             continue
-        rotated = rotate_basis(f, form.rotation, form.variables)
+        rotated = substitute_rotation(f, form.rotation, form.variables)
         diff = rotated - form.to_poly()
         worst = max((abs(float(c)) for c in diff.terms.values()), default=0.0)
         assert worst < 1e-10

@@ -1,5 +1,5 @@
 """Input laws, orthonormal ensembles (exact Gram-Schmidt with truncation),
-multilinear polynomials, Gaussian substitution, and influence peeling."""
+multilinear polynomials, and Gaussian substitution."""
 
 import math
 import random
@@ -20,7 +20,6 @@ from chaoscalc import (
     hermite_monomial,
     inner_product,
     substitute_gaussian,
-    truncate_by_influence,
 )
 
 from _oracles import gaussian_raw_moment
@@ -85,9 +84,15 @@ def test_level_one_is_the_coordinate_for_every_law():
 def test_ensemble_orthonormality_is_exact():
     for law, degree in ((InputLaw.gaussian(), 4), (THREE_POINT, 2), (InputLaw.uniform(), 4)):
         ensemble = build_ensemble(law, degree)
-        for j in range(ensemble.effective_degree + 1):
-            for k in range(ensemble.effective_degree + 1):
-                assert ensemble.pairing(j, k) == (1 if j == k else 0)
+        for j, pj in enumerate(ensemble.polys):
+            for k, pk in enumerate(ensemble.polys):
+                # E[p_j p_k] from the law's moments; T_j = p_j / sqrt(norm_sq)
+                pairing = sum(
+                    ca * cb * law.moment(a + b)
+                    for a, ca in enumerate(pj.coeffs)
+                    for b, cb in enumerate(pk.coeffs)
+                )
+                assert pairing == (pj.norm_sq if j == k else 0)
 
 
 def test_ensemble_rejects_uncentered_laws():
@@ -231,66 +236,6 @@ def test_substitute_gaussian_higher_levels_are_near_isometric():
         lhs = float(inner_product(image, image))
         rhs = float(p.second_moment())
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
-
-
-def test_truncate_zero_count():
-    law = InputLaw.rademacher()
-    p = MultilinearPoly(law, {frozenset({(1, 1)}): 1})
-    result = truncate_by_influence(p, 0)
-    assert result.retained == () and result.remainder == p
-
-
-def test_truncate_worked_example():
-    law = InputLaw.rademacher()
-    p = MultilinearPoly(law, {frozenset({(1, 1), (2, 1)}): 1, frozenset({(2, 1), (3, 1)}): 1})
-    result = truncate_by_influence(p, 1)
-    assert len(result.retained) == 1
-    var, part = result.retained[0]
-    assert var == 2
-    assert part == MultilinearPoly(law, {frozenset({(1, 1)}): 1, frozenset({(3, 1)}): 1})
-    assert result.remainder.terms == {}
-    assert result.reconstruct() == p
-
-
-def test_truncate_remainder_influence_bound():
-    law = InputLaw.rademacher()
-    n = 32
-    p = MultilinearPoly(law, {frozenset({(k, 1)}): 1 for k in range(1, n + 1)})
-    previous = None
-    for count in (1, 2, 4, 8, 16, 32):
-        result = truncate_by_influence(p, count)
-        assert result.remainder_max_influence <= Fraction(1, count)
-        assert result.remainder_max_influence == (Fraction(1, n) if count < n else 0)
-        if previous is not None:
-            assert result.remainder_max_influence <= previous
-        previous = result.remainder_max_influence
-        assert result.reconstruct() == p
-
-
-def test_truncate_reconstructs_random_inputs():
-    rng = random.Random(7)
-    law = InputLaw.rademacher()
-    for _ in range(25):
-        terms = {}
-        for _ in range(rng.randint(1, 8)):
-            size = rng.randint(0, 3)
-            factors = frozenset((v, 1) for v in rng.sample(range(1, 8), size))
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if coeff:
-                terms[factors] = terms.get(factors, Fraction(0)) + coeff
-        p = MultilinearPoly(law, terms)
-        if p.variance() == 0:
-            continue
-        count = rng.randint(0, 4)
-        result = truncate_by_influence(p, count)
-        assert result.reconstruct() == p
-
-
-def test_truncate_rejects_mixed_levels():
-    law = InputLaw.gaussian()
-    p = MultilinearPoly(law, {frozenset({(1, 1)}): 1, frozenset({(1, 2)}): 1})
-    with pytest.raises(PreconditionError, match="several ensemble levels"):
-        truncate_by_influence(p, 1)
 
 
 def test_multilinear_json_round_trip():

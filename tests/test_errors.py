@@ -16,7 +16,6 @@ import pytest
 from chaoscalc import (
     InputLaw,
     MultiIndex,
-    MultilinearPoly,
     PreconditionError,
     build_ensemble,
     compose_hermite,
@@ -29,14 +28,12 @@ from chaoscalc import (
     rho_q,
     sample,
     strongest_influence,
-    truncate_by_influence,
 )
 from chaoscalc.algebra import poly_pow
 
 G1, G2 = gaussian(1), gaussian(2)
 F = G1 * G2
 LAW = InputLaw.gaussian()
-P = MultilinearPoly(LAW, {frozenset({(1, 1)}): Fraction(3, 5), frozenset({(2, 1)}): Fraction(4, 5)})
 
 ENTRY_POINTS = {
     "MultiIndex id": lambda bad: MultiIndex({bad: 1}),
@@ -54,7 +51,6 @@ ENTRY_POINTS = {
     "strongest extra_vars": lambda bad: strongest_influence(F, 0.5, bad),
     "build_ensemble": lambda bad: build_ensemble(LAW, bad),
     "InputLaw.moment": lambda bad: LAW.moment(bad),
-    "truncate_by_influence": lambda bad: truncate_by_influence(P, bad),
     "sample n": lambda bad: sample(F, bad, 1),
     "sample seed": lambda bad: sample(F, 3, bad),
     "sample stream": lambda bad: sample(F, 3, 1, stream=bad),
@@ -83,7 +79,6 @@ REFUSED = [
     ("strongest extra_vars", [True, False, 1.5, 2.0, "1", -1]),
     ("build_ensemble", [*ALL, -1]),
     ("InputLaw.moment", [*ALL, -1]),
-    ("truncate_by_influence", ALL),
     ("sample n", [True, 1.5, 2.0, "1", None]),
     ("sample seed", ALL),
     ("sample stream", ALL),

@@ -1,4 +1,4 @@
-"""Directional influences: rho_1 as rho_q at q = 1, the assembled form against
+"""Directional influences: the degree-1 influence, the assembled form against
 an independent oracle, random-search/power-iteration oracle, monotonicity,
 the running max over degrees against the fresh-variable oracle, and scale
 covariance."""
@@ -22,7 +22,6 @@ from chaoscalc import (
     hermite_monomial,
     inner_product,
     multilinear_influences,
-    rho_1,
     rho_q,
     strongest_influence,
 )
@@ -41,6 +40,7 @@ from _oracles import (
     oracle_quadratic_form,
     random_homogeneous,
     random_search_max,
+    rho_1,
 )
 
 G1, G2 = gaussian(1), gaussian(2)
@@ -93,14 +93,6 @@ def test_rho_q_of_he2_has_the_closed_form_at_high_degree(q):
     result = rho_q(HE2_1, q, extra_vars=0)
     assert result.value == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12, abs=0)
     assert float(inner_product(result.direction, result.direction)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_rho_q_degree_one_matches_matrix_path():
-    rng = random.Random(3)
-    for _ in range(20):
-        f = random_homogeneous(rng, rng.randint(2, 4))
-        assert rho_1(f).to_json() == rho_q(f, 1, 0).to_json()
-    assert rho_q(HE2_1, 1, 0).value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_direction_is_unit_norm():

@@ -24,6 +24,7 @@ from chaoscalc import (
     moment,
     normality_report,
     read_sample_file,
+    rho_q,
     sample,
     substitute_gaussian,
     var_gamma,
@@ -241,9 +242,7 @@ def test_clt_family_coherence():
         # var_gamma scales by the fourth power of 1/sqrt(2n), i.e. 1/(4 n**2)
         assert var_gamma(exact) * Fraction(1, 4 * n * n) == Fraction(8, n)
         report_poly = clt_family(n)
-        from chaoscalc import rho_1
-
-        assert rho_1(report_poly).value == pytest.approx(math.sqrt(2.0 / n), abs=1e-9)
+        assert rho_q(report_poly, 1, 0).value == pytest.approx(math.sqrt(2.0 / n), abs=1e-9)
 
 
 def test_clt_family_w2_decreases_and_tails_off():
@@ -433,6 +432,32 @@ def test_sample_file_read_memory_is_flat_in_file_length(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(loaded.values, s.values)
     assert peak <= 12 * n + 2**20
+
+
+def test_blank_body_lines_stay_on_the_streamed_path(tmp_path, monkeypatch):
+    """A blank line in the body, or a trailing one, is skipped by the
+    streamed read: the whole-text reader is never called, so such a file
+    costs no more memory than the clean one."""
+    s = sample(HE2_1, 1000, seed=29)
+    clean = tmp_path / "clean.samples"
+    write_sample_file(s, clean)
+    head, *body = clean.read_text().splitlines(keepends=True)
+    blanks = tmp_path / "blanks.samples"
+    blanks.write_text(head + "".join(body[:500]) + "\n \t\n" + "".join(body[500:]) + "\n")
+
+    def whole_text(path):
+        raise AssertionError("the streamed read fell back to the whole-text reader")
+
+    monkeypatch.setattr(montecarlo, "_read_by_line", whole_text)
+    loaded = read_sample_file(blanks)
+    assert np.array_equal(loaded.values, s.values)
+    assert (loaded.seed, loaded.stream, loaded.generator_id) == (29, 0, s.generator_id)
+    # without a header a blank line 1 is still a bad value, named by the whole-text reader
+    monkeypatch.undo()
+    no_header = tmp_path / "plain.samples"
+    no_header.write_text("\n" + "".join(body))
+    with pytest.raises(ParseError, match="line 1: bad value ''"):
+        read_sample_file(no_header)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2 * montecarlo.BLOCK_SIZE + 5])
