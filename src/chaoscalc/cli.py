@@ -70,12 +70,12 @@ def _cmd_rho(args) -> dict:
 
 
 def _cmd_strongest(args) -> dict:
-    return strongest_influence(_load_poly(args.f), args.threshold, args.extra_vars).to_json_dict()
+    return strongest_influence(_load_poly(args.f), args.threshold).to_json_dict()
 
 
 def _cmd_decompose(args) -> dict:
     f = _load_poly(args.f)
-    return iterate_decomposition(f, args.threshold, args.max_steps, args.extra_vars).to_json_dict()
+    return iterate_decomposition(f, args.threshold, args.max_steps).to_json_dict()
 
 
 def _cmd_canonical2(args) -> dict:
@@ -84,10 +84,7 @@ def _cmd_canonical2(args) -> dict:
 
 def _cmd_diagnose(args) -> dict:
     f = _load_poly(args.f)
-    report = normality_report(
-        f, args.samples, args.seed, extra_vars=args.extra_vars, workers=args.workers
-    )
-    return report.to_json_dict()
+    return normality_report(f, args.samples, args.seed, args.workers).to_json_dict()
 
 
 def _cmd_sample(args) -> str:
@@ -136,13 +133,11 @@ _COMMANDS = (
     ("rho", "directional influence of a given degree", _cmd_rho, ("f",),
      (("--q", {"type": int, "default": 1, "help": "influence degree"}), _EXTRA_VARS, _OUTPUT)),
     ("strongest", "least degree whose influence clears the threshold", _cmd_strongest, ("f",),
-     (_THRESHOLD, _EXTRA_VARS, _OUTPUT)),
+     (_THRESHOLD, _OUTPUT)),
     ("decompose", "iterated strongest-influence decomposition", _cmd_decompose, ("f",),
-     (_THRESHOLD, ("--max-steps", {"type": int, "default": 16, "help": "most splits"}),
-      _EXTRA_VARS, _OUTPUT)),
+     (_THRESHOLD, ("--max-steps", {"type": int, "default": 16, "help": "most splits"}), _OUTPUT)),
     ("canonical2", "canonical form of a degree-<=2 polynomial", _cmd_canonical2, ("f",), (_OUTPUT,)),
-    ("diagnose", "consolidated normality report", _cmd_diagnose, ("f",),
-     (_EXTRA_VARS, _OUTPUT, *_MONTE_CARLO)),
+    ("diagnose", "consolidated normality report", _cmd_diagnose, ("f",), (_OUTPUT, *_MONTE_CARLO)),
     ("sample", "draw reproducible samples of a polynomial", _cmd_sample, ("f",),
      (("--stream", {"type": int, "default": 0, "help": "random stream"}), _OUTPUT, *_MONTE_CARLO)),
     ("w2", "quadratic transport distance between two sample files", _cmd_w2, ("a", "b"), (_OUTPUT,)),

@@ -385,19 +385,16 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     )
 
 
-def iterate_decomposition(
-    f: ChaosPoly,
-    threshold: float,
-    max_steps: int,
-    extra_vars: int | None = None,
-) -> IterationTrace:
+def iterate_decomposition(f: ChaosPoly, threshold: float, max_steps: int) -> IterationTrace:
     """Repeatedly factor the strongest-influence direction out of the remainder.
 
     Each pass scans q = 1, 2, ... only up to the least degree q* whose
     influence on the current remainder clears ``threshold`` (higher degrees
-    are neither assembled nor checked against the basis cap), splits along
-    that direction, keeps the degree-p part of the level-0 coefficient as the
-    new remainder and books the rest as that step's contribution.  On the
+    are neither assembled nor checked against the basis cap); as the scan is
+    a running max over degrees, q* is also the least degree whose own solve
+    clears it.  Each pass splits along that degree's direction, keeps the
+    degree-p part of the level-0 coefficient as the new remainder and books
+    the rest as that step's contribution.  On the
     exact q = 1 path the new remainder is ``A_0`` itself: the split
     reassembles the remainder exactly, and its substitution keeps every
     term's degree, so ``A_0`` is homogeneous of degree p.  For q >= 2 the new
@@ -412,8 +409,6 @@ def iterate_decomposition(
     the sum of contributions plus the final remainder.
     """
     threshold = as_positive_real(threshold, "threshold must be finite and positive")
-    if extra_vars is not None:
-        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     max_steps = as_integer(max_steps, "max_steps must be a nonnegative integer", 0)
     if f.is_zero():
         return IterationTrace((), (), ChaosPoly.zero(), 0.0, ())
@@ -428,7 +423,7 @@ def iterate_decomposition(
         while len(steps) < max_steps and not remainder.is_zero():
             if math.sqrt(float(norm_sq)) < threshold:
                 break
-            scan = _influence_scan(remainder, p // 2, extra_vars)
+            scan = _influence_scan(remainder, p // 2)
             found = next((r for r in scan if r.value >= threshold), None)
             if found is None:
                 break

@@ -11,6 +11,12 @@ built from the gradient of ``f`` by the raising rule ``G_w He_k = He_{k+1} +
 k He_{k-1}`` (``algebra._times_coordinate``), one coordinate at a time, with
 no general Hermite product.
 
+Every scan (``strongest_influence``, each ``decompose.iterate_decomposition``
+step, the ``rho`` of ``montecarlo.normality_report``) is ``_influence_scan``,
+over the paper's test space padded with fresh variables; only ``rho_q`` takes
+``extra_vars``.  The first degree whose running max clears a threshold is the
+first whose own solve clears it, and the item there is that degree's own.
+
 Every entry of ``Q`` is an exact rational, summed on integer numerators and
 rounded once to a float, with powers of two taken out so that high degrees
 (``q >= 100``) do not overflow the conversion; only the eigensolve (LAPACK
@@ -219,7 +225,7 @@ def _hermite_multiples(
     (``algebra._times_coordinate``), which carries the two previous products.
     The walk is depth first, so monomials that share a prefix share its
     products, and each product dies once its branch is done.  ``b`` comes in
-    that order, not sorted, and zero totals may remain.
+    that order, not sorted; zero totals are dropped.
     """
     if not degree:
         yield entries, prod
@@ -231,6 +237,8 @@ def _hermite_multiples(
             raised = _times_coordinate(prod, w)
             for e, num in prev.items():
                 raised[e] = raised.get(e, 0) - (j - 1) * num
+                if not raised[e]:
+                    del raised[e]
             prev, prod = prod, raised
         head = entries + ((w, j),) if j else entries
         if rest:
@@ -315,25 +323,14 @@ def _basis_dimension(nvars: int, q: int, cap: int) -> int:
     return dim
 
 
-def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResult:
+def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
     """Degree-``q`` influence over the degree-``q`` monomials of the variables of ``f``.
 
     The form is exact and the eigensolve in floats.  A ``q = 1`` direction is
     exactly unit (``_unit_rational``); higher degrees keep the exact value of
-    each float coordinate.  ``extra_vars >= 1`` (default ``q - 1``) fresh
-    variables give the last item of ``_influence_scan``.  ``_basis_cap()``
-    is checked first, over one fresh variable if ``extra_vars >= 1``.
+    each float coordinate.  No argument or cap checks: callers make them.
     """
-    q = as_integer(q, "influence degree must be a positive integer", 1)
-    if extra_vars is None:
-        extra_vars = q - 1
-    else:
-        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
-    own = f.variables()
-    _basis_dimension(len(own) + min(extra_vars, 1), q, _basis_cap())
-    if extra_vars:
-        return list(_influence_scan(f, q, extra_vars))[-1]
-    basis = degree_monomials(own, q)
+    basis = degree_monomials(f.variables(), q)
     if not basis:
         return InfluenceResult(
             q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0, extra_variables_used=0
@@ -360,7 +357,29 @@ def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResul
     )
 
 
-def _check_scan_work(nvars: int, top: int, extra_vars: int | None, cap: int) -> None:
+def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResult:
+    """Degree-``q`` influence over a test space padded with ``extra_vars`` fresh variables.
+
+    0 is one solve on the variables of ``f``; ``extra_vars >= 1`` (default
+    ``q - 1``) is the last item of ``_influence_scan``, whatever the count.
+    ``_basis_cap()`` is checked first, over one fresh variable if
+    ``extra_vars >= 1``.  A constant is answered at once.
+    """
+    q = as_integer(q, "influence degree must be a positive integer", 1)
+    if extra_vars is None:
+        extra_vars = q - 1
+    else:
+        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
+    nvars = len(f.variables())
+    _basis_dimension(nvars + min(extra_vars, 1), q, _basis_cap())
+    if extra_vars and nvars:
+        *_, result = _influence_scan(f, q)
+    else:
+        result = _degree_influence(f, q)
+    return replace(result, extra_variables_used=extra_vars)
+
+
+def _check_scan_work(nvars: int, top: int, cap: int) -> None:
     """Refuse a scan of degrees 1 .. ``top`` whose work would exceed ``cap**2``.
 
     A degree-``q`` basis monomial costs about ``q**2``: its Gamma is raised
@@ -368,9 +387,9 @@ def _check_scan_work(nvars: int, top: int, extra_vars: int | None, cap: int) -> 
     So the scan's work is ``sum_q q**2 dim_q``, with ``dim_q = C(nvars - 1 +
     q, q)`` over the variables of ``f``, and it may not exceed ``cap**2``, the
     entry count of one form at the cap.  Only the degrees the scan can reach
-    count: it stops at the first whose basis, counted as in ``rho_q``,
-    exceeds the cap.  The count stops at the first partial sum above
-    ``cap**2``, a lower bound, so a long scan fails at once.
+    count: it stops at the first whose basis, counted as in
+    ``_influence_scan``, exceeds the cap.  The count stops at the first
+    partial sum above ``cap**2``, a lower bound, so a long scan fails at once.
     """
     if not nvars:
         return  # a constant has an empty basis at every degree
@@ -378,42 +397,36 @@ def _check_scan_work(nvars: int, top: int, extra_vars: int | None, cap: int) -> 
     for q in range(1, top + 1):
         dim = dim * (nvars - 1 + q) // q
         padded = padded * (nvars + q) // q
-        extra = q - 1 if extra_vars is None else extra_vars
-        if (padded if extra else dim) > cap:
+        if (padded if q > 1 else dim) > cap:
             return
         work += q * q * dim
         if work > cap * cap:
             raise BasisSizeError(work, cap * cap, q < top, "influence scan work sum_q q**2 dim_q")
 
 
-def _influence_scan(f: ChaosPoly, top: int, extra_vars: int | None) -> Iterator[InfluenceResult]:
-    """``rho_q(f, q, extra_vars)`` for q = 1 .. ``top``, each computed only when consumed.
+def _influence_scan(f: ChaosPoly, top: int) -> Iterator[InfluenceResult]:
+    """``rho_q(f, q)`` for q = 1 .. ``top``, each computed only when consumed.
 
     If ``n`` uses only fresh variables, ``Gamma(f, m n) = n Gamma(f, m)``: a
-    padded space holds the form of each degree ``<= q``.  So each degree is
-    capped and solved once, and at ``extra_vars >= 1`` (default ``q - 1``) the
-    item is the best so far, the higher degree on a tie within
-    ``TOP_CLUSTER_RTOL``, as its block holds the first padded basis vector.
+    space padded with ``q - 1`` of them holds the form of each degree ``<= q``.
+    So each degree is capped (over one fresh variable from q = 2 on) and
+    solved once, and the item is the best so far, the higher degree on a tie
+    within ``TOP_CLUSTER_RTOL``, as its block holds the first padded basis vector.
     Before the first solve, ``_check_scan_work`` bounds the work of the whole
     scan by the square of the basis cap.
     """
     nvars, cap = len(f.variables()), _basis_cap()
-    _check_scan_work(nvars, top, extra_vars, cap)
+    _check_scan_work(nvars, top, cap)
     best: InfluenceResult | None = None
     for q in range(1, top + 1):
-        extra = q - 1 if extra_vars is None else extra_vars
-        _basis_dimension(nvars + min(extra, 1), q, cap)
-        result = rho_q(f, q, 0)
+        _basis_dimension(nvars + (q > 1), q, cap)
+        result = _degree_influence(f, q)
         if best is None or result.value >= best.value - TOP_CLUSTER_RTOL * max(1.0, best.value):
             best = result
-        yield replace(best if extra else result, q=q, extra_variables_used=extra)
+        yield replace(best, q=q, extra_variables_used=q - 1)
 
 
-def strongest_influence(
-    f: ChaosPoly,
-    threshold: float,
-    extra_vars: int | None = None,
-) -> StrongestInfluence:
+def strongest_influence(f: ChaosPoly, threshold: float) -> StrongestInfluence:
     """Scan q = 1 .. floor(p/2) and report the least q whose influence clears ``threshold``.
 
     ``f`` must sit in a single stratum of degree p >= 2; a vanishing degree-
@@ -421,15 +434,13 @@ def strongest_influence(
     direction remains, so the scan stops there.
     """
     threshold = as_positive_real(threshold, "threshold must be finite and positive")
-    if extra_vars is not None:
-        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     p = homogeneous_degree(f, "polynomial")
     if p < 2:
         raise PreconditionError(f"strongest_influence needs homogeneous degree >= 2, got {p}")
     rho_values: dict[int, float] = {}
     q_star: int | None = None
     direction: ChaosPoly | None = None
-    for result in _influence_scan(f, p // 2, extra_vars):
+    for result in _influence_scan(f, p // 2):
         rho_values[result.q] = result.value
         if q_star is None and result.value >= threshold:
             q_star = result.q

@@ -401,25 +401,18 @@ class NormalityReport(JsonResult):
         }
 
 
-def normality_report(
-    f: ChaosPoly,
-    n_samples: int,
-    seed: int,
-    extra_vars: int | None = None,
-    workers: int = 1,
-) -> NormalityReport:
+def normality_report(f: ChaosPoly, n_samples: int, seed: int, workers: int = 1) -> NormalityReport:
     """Variance, excess kurtosis, carre-du-champ variance, influence values up
-    to degree floor(deg/2), and the empirical distance to a matched Gaussian."""
+    to degree floor(deg/2) (each the running max of ``_influence_scan``), and
+    the empirical distance to a matched Gaussian."""
     n_samples = as_integer(n_samples, "sample size must be >= 1", 1)
     seed = as_integer(seed, "seed must be an integer")
     workers = as_integer(workers, "worker count must be >= 1", 1)
-    if extra_vars is not None:
-        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     centered = f - ChaosPoly.constant(expectation(f))
     variance = inner_product(centered, centered)
     if variance == 0:
         raise PreconditionError("normality diagnostics need a non-deterministic polynomial")
-    rho = {r.q: r.value for r in _influence_scan(f, max(f.degree or 0, 2) // 2, extra_vars)}
+    rho = {r.q: r.value for r in _influence_scan(f, max(f.degree or 0, 2) // 2)}
     observed = sample(f, n_samples, seed, stream=0, workers=workers)
     reference = sample(
         hermite_monomial({1: 1}, math.sqrt(float(variance))),
@@ -439,7 +432,6 @@ def normality_report(
             "seed": seed,
             "stream": 0,
             "reference_stream": GAUSSIAN_REFERENCE_STREAM,
-            "extra_vars": extra_vars,
             "generator": GENERATOR_ID,
         },
     )

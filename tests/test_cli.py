@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -121,6 +122,16 @@ def test_rho_running_max_picks_a_lower_degree(capsys, poly_file):
     assert [term["index"] for term in data["direction"]["terms"]] == [{"1": 2}]
 
 
+def test_diagnose_reports_the_running_max_over_degrees(capsys, poly_file):
+    # the witness above: its degree-2 solve, sqrt(782), is below its degree-1 one
+    f = 29 * G1 - 3 * hermite_monomial({1: 3}) + hermite_monomial({1: 5}, Fraction(1, 5))
+    path = poly_file("f.json", f)
+    code, out, err = run_cli(capsys, "diagnose", path, "--samples", "1000")
+    assert code == 0, err
+    rho = json.loads(out)["rho"]
+    assert rho == {"1": pytest.approx(math.sqrt(1027), rel=1e-15), "2": rho["1"]}
+
+
 def test_rho_scan_work_over_the_cap_exits_3_at_once(capsys, poly_file):
     """``He_2(G_1)`` at ``--q 511`` passes the basis cap at every degree
     (dimension 1, or 512 with the fresh variable), but its scan would solve 511
@@ -149,14 +160,12 @@ def test_rho_oversized_basis_exits_3(capsys, poly_file):
     assert "exceeds cap" in err
 
 
-@pytest.mark.parametrize("command", ["rho", "strongest", "decompose", "diagnose"])
+@pytest.mark.parametrize("command", ["rho"])
 def test_huge_extra_vars_match_one_extra_var_at_once(capsys, poly_file, command):
     # any count of fresh variables is the running max over degrees; no fresh ids are made
     f = Fraction(3, 5) * G1 * gaussian(2) + Fraction(4, 5) * gaussian(3) * gaussian(4)
     path = poly_file("p.json", f)
-    argv = [command, path, "--q", "2"] if command == "rho" else [command, path]
-    if command == "diagnose":
-        argv += ["--samples", "1000"]
+    argv = [command, path, "--q", "2"]
     start = time.perf_counter()
     code, huge, err = run_cli(capsys, *argv, "--extra-vars", str(10**12))
     assert time.perf_counter() - start < 1.0
@@ -164,11 +173,31 @@ def test_huge_extra_vars_match_one_extra_var_at_once(capsys, poly_file, command)
     code, one, err = run_cli(capsys, *argv, "--extra-vars", "1")
     assert code == 0, err
     huge, one = json.loads(huge), json.loads(one)
-    if command == "rho":
-        assert (huge.pop("extra_variables_used"), one.pop("extra_variables_used")) == (10**12, 1)
-    if command == "diagnose":
-        assert (huge["inputs"].pop("extra_vars"), one["inputs"].pop("extra_vars")) == (10**12, 1)
+    assert (huge.pop("extra_variables_used"), one.pop("extra_variables_used")) == (10**12, 1)
     assert huge == one
+
+
+@pytest.mark.parametrize("command", ["strongest", "decompose", "diagnose"])
+def test_only_rho_takes_extra_vars(capsys, poly_file, command):
+    # every scan already runs over the padded test space, so there is nothing to choose
+    path = poly_file("p.json", G1 * gaussian(2))
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--extra-vars", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --extra-vars 1" in capsys.readouterr().err
+
+
+def test_rho_of_a_constant_at_a_huge_degree_exits_0_at_once(capsys, poly_file):
+    # a constant has an empty basis at every degree: no degree is walked
+    path = poly_file("c.json", ChaosPoly.constant(4))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rho", path, "--q", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert json.loads(out) == {
+        "q": 10**7, "value": 0.0, "direction": {"terms": []}, "basis_dimension": 0,
+        "extra_variables_used": 10**7 - 1, "eigengap": None, "eigen_residual": None,
+    }
 
 
 def test_huge_q_exits_3_at_once(capsys, poly_file):
@@ -232,26 +261,33 @@ def test_one_parser_serves_many_calls(capsys, poly_file, monkeypatch):
 def test_every_subcommand_is_in_the_readme_and_has_help(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
-    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
-    documented = [words[1:] for words in lines if words[:1] == ["chaoscalc"]]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("chaoscalc ")}
     names = [row[0] for row in cli._COMMANDS]
-    assert set(names) == {argv[0] for argv in documented}
-    # every documented line parses, so a renamed or dropped flag needs a README edit
-    parser = cli.build_parser()
-    for argv in documented:
-        assert parser.parse_args(argv).command == argv[0]
+    assert set(names) == documented
     for name in names:
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: chaoscalc {name} ")
     # every option says what it does
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
             if action.option_strings:
                 assert action.help, f"chaoscalc {name} {action.option_strings[0]} has no help"
 
+
+
+def test_readme_command_lines_parse():
+    """Every ``chaoscalc`` line of README's Command line block parses, so a
+    renamed or removed flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    documented = [shlex.split(line, comments=True) for line in block.splitlines()]
+    documented = [words[1:] for words in documented if words[:1] == ["chaoscalc"]]
+    assert documented
+    for argv in documented:
+        assert cli._PARSER.parse_args(argv).command == argv[0]
 
 
 def test_readme_layout_lists_the_package_exports():
@@ -349,15 +385,6 @@ def test_non_finite_threshold_exits_2(capsys, poly_file, command, threshold):
     code, out, err = run_cli(capsys, command, path, f"--threshold={threshold}")
     assert code == 2 and out == ""
     assert "threshold must be finite and positive" in err
-
-
-@pytest.mark.parametrize("poly", [G1 * gaussian(2), G1], ids=["degree-2", "degree-1"])
-def test_decompose_negative_extra_vars_exits_2_before_any_scan(capsys, poly_file, poly):
-    # neither request scans an influence: no step is allowed, or the degree is below 2
-    path = poly_file("f.json", poly)
-    code, out, err = run_cli(capsys, "decompose", path, "--extra-vars", "-1", "--max-steps", "0")
-    assert code == 2 and out == ""
-    assert "extra_vars must be nonnegative, got -1" in err
 
 
 def test_decompose_non_homogeneous_exits_2(capsys, poly_file):
@@ -692,7 +719,7 @@ PINNED_SAMPLER_DIGESTS = {
     "invariance_uniform": "3edd7c59013ada1abf461018daafb03a148fd91dee7246fb417ea8034093c1d1",
     "invariance_rademacher": "138d63eee736973ff5afcde72a286c2ffde0db1f732c73a5b05e47daf2a46af4",
     "invariance_discrete": "dc42042c6554f01a1d28c3b62853913da0fd0d0c73d2504b48aeab7493cf4acd",
-    "diagnose": "377693c8a8cbf5d72ad04c89b4038ab759e83fe811c35694ac9bcab8dfe794b4",
+    "diagnose": "a2084c01b5c2445e620e30b3b9ce135aabdc62a6f39a6f522bfca0786fbb4708",
 }
 
 

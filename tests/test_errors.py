@@ -45,10 +45,8 @@ ENTRY_POINTS = {
     "moment": lambda bad: moment(F, bad),
     "rho_q q": lambda bad: rho_q(F, bad),
     "rho_q extra_vars": lambda bad: rho_q(F, 1, bad),
-    "iterate extra_vars": lambda bad: iterate_decomposition(F, 0.1, 1, bad),
     "iterate threshold": lambda bad: iterate_decomposition(F, bad, 1),
     "strongest threshold": lambda bad: strongest_influence(F, bad),
-    "strongest extra_vars": lambda bad: strongest_influence(F, 0.5, bad),
     "build_ensemble": lambda bad: build_ensemble(LAW, bad),
     "InputLaw.moment": lambda bad: LAW.moment(bad),
     "sample n": lambda bad: sample(F, bad, 1),
@@ -73,10 +71,8 @@ REFUSED = [
     ("moment", [True]),
     ("rho_q q", [True]),
     ("rho_q extra_vars", [True, False, 1.5, 2.0, "1"]),
-    ("iterate extra_vars", [True, False, 1.5, 2.0, "1"]),
     ("iterate threshold", [True, "0.5", None]),
     ("strongest threshold", [True, "0.5", None]),
-    ("strongest extra_vars", [True, False, 1.5, 2.0, "1", -1]),
     ("build_ensemble", [*ALL, -1]),
     ("InputLaw.moment", [*ALL, -1]),
     ("sample n", [True, 1.5, 2.0, "1", None]),

@@ -21,11 +21,13 @@ from chaoscalc import (
     gaussian,
     hermite_monomial,
     inner_product,
+    iterate_decomposition,
     multilinear_influences,
     rho_q,
     strongest_influence,
 )
 from chaoscalc import influence
+from chaoscalc.algebra import _gradients, _numerators
 from chaoscalc.influence import (
     InfluenceResult,
     _basis_dimension,
@@ -227,10 +229,6 @@ def test_huge_extra_vars_give_the_one_extra_variable_result_at_once():
         assert huge.pop("extra_variables_used") == 10**12
         one = rho_q(f, q, extra_vars=1).to_json_dict()
         assert one.pop("extra_variables_used") == 1 and huge == one
-    start = time.perf_counter()
-    huge = strongest_influence(f, 0.5, extra_vars=10**12)
-    assert time.perf_counter() - start < 1.0
-    assert huge == strongest_influence(f, 0.5, extra_vars=1)
 
 
 def test_scan_carries_the_best_degree_forward(monkeypatch):
@@ -238,23 +236,70 @@ def test_scan_carries_the_best_degree_forward(monkeypatch):
     # TOP_CLUSTER_RTOL and wins as the higher degree, degree 4 falls below
     values = {1: 3.0, 2: 2.0, 3: 3.0 * (1 - 1e-12), 4: 1.0}
 
-    def solve(f, q, extra_vars=None):
-        assert extra_vars == 0
+    def solve(f, q):
         return InfluenceResult(q, values[q], gaussian(q), 10 * q, 0, eigengap=float(q))
 
-    monkeypatch.setattr(influence, "rho_q", solve)
+    monkeypatch.setattr(influence, "_degree_influence", solve)
 
-    def scan(top, extra_vars):
+    def scan(top):
         return [
             (r.q, r.value, r.direction, r.basis_dimension, r.eigengap, r.extra_variables_used)
-            for r in influence._influence_scan(G1 * G2, top, extra_vars)
+            for r in influence._influence_scan(G1 * G2, top)
         ]
 
-    best = lambda q, k, extra: (q, values[k], gaussian(k), 10 * k, float(k), extra)
-    assert scan(4, 1) == [best(1, 1, 1), best(2, 1, 1), best(3, 3, 1), best(4, 3, 1)]
-    assert scan(4, 0) == [best(q, q, 0) for q in (1, 2, 3, 4)]
-    # the default q - 1 fresh variables: none at q = 1
-    assert scan(3, None) == [best(1, 1, 0), best(2, 1, 1), best(3, 3, 2)]
+    best = lambda q, k: (q, values[k], gaussian(k), 10 * k, float(k), q - 1)
+    # q - 1 fresh variables: none at q = 1
+    assert scan(4) == [best(1, 1), best(2, 1), best(3, 3), best(4, 3)]
+    # any count of fresh variables gives the scan's last item
+    padded = rho_q(G1 * G2, 4).to_json_dict()
+    assert rho_q(G1 * G2, 4, 1).to_json_dict() == {**padded, "extra_variables_used": 1}
+
+
+def test_scans_take_the_first_degree_whose_own_solve_clears_the_threshold():
+    """The first degree whose running max clears a threshold is the first whose
+    own solve clears it, and the scan's item there is that degree's own result:
+    ``q*``, its direction and a decomposition step do not depend on the padding."""
+    rng = random.Random(41)
+    split_degrees = set()
+    for _ in range(14):
+        # He_p on each of n > p variables, so rho_1 can fall below the unit norm and q* >= 2 split
+        p = rng.randint(2, 6)
+        n = rng.randint(p + 1, 12)
+        f = random_homogeneous(rng, p, max_vars=n, max_terms=2)
+        for k in range(1, n + 1):
+            f = f + hermite_monomial({k: p}, Fraction(rng.randint(2, 4), 4))
+        f = f * Fraction(1 / math.sqrt(float(inner_product(f, f))))
+        own = [influence._degree_influence(f, q) for q in range(1, p // 2 + 1)]
+        # the norm 1 is a cut too: a remainder below the threshold is not split
+        cuts = sorted({r.value for r in own} | {1.0})
+        thresholds = [cuts[0] / 2, *((a + b) / 2 for a, b in zip(cuts, cuts[1:])), 2 * cuts[-1]]
+        for t in thresholds:
+            first = next((r for r in own if r.value >= t), None)
+            result = strongest_influence(f, t)
+            trace = iterate_decomposition(f, t, 1)
+            if first is None:
+                assert result.q_star is None and result.direction is None and trace.steps == ()
+                continue
+            assert (result.q_star, result.direction) == (first.q, first.direction)
+            if t <= 1.0:
+                (step,) = trace.steps
+                assert (step.q, step.direction) == (first.q, first.direction)
+                split_degrees.add(step.q)
+    assert split_degrees == {1, 2}
+
+
+def test_hermite_multiples_yield_no_zero_totals():
+    # G_1 He_60 = He_61 + 60 He_59: the raising step's subtraction cancels every lower total
+    assert list(influence._hermite_multiples({((1, 1),): 2}, [1], 60)) == [
+        (((1, 60),), {((1, 61),): 2, ((1, 59),): 120})
+    ]
+    rng = random.Random(43)
+    for _ in range(30):
+        f = random_homogeneous(rng, rng.randint(1, 5), max_vars=3)
+        grads = _gradients(_numerators(f._terms)[1])
+        for grad in grads.values():
+            for _, prod in influence._hermite_multiples(grad, sorted(grads), rng.randint(0, 6)):
+                assert prod and all(prod.values())
 
 
 def test_each_degree_is_solved_once(monkeypatch):
@@ -302,15 +347,15 @@ def test_basis_cap_env_override(monkeypatch):
 
 
 def test_strongest_influence_examples():
-    result = strongest_influence(G1 * G2, 0.5, extra_vars=1)
+    result = strongest_influence(G1 * G2, 0.5)
     assert result.q_star == 1 and result.rho_values[1] == pytest.approx(1.0, abs=1e-12)
 
-    result = strongest_influence(HE2_1, 3.0, extra_vars=0)
+    result = strongest_influence(HE2_1, 3.0)
     assert result.q_star is None and result.direction is None
     assert result.rho_values[1] == pytest.approx(2.0, abs=1e-12)
 
     he4 = hermite_monomial({1: 4})
-    result = strongest_influence(he4, 0.5, extra_vars=0)
+    result = strongest_influence(he4, 0.5)
     assert result.q_star == 1
     assert result.rho_values[1] == pytest.approx(math.sqrt(96), abs=1e-9)
 
@@ -427,7 +472,7 @@ def test_degree_one_directions_are_snapped_to_exact_unit_rationals():
         for extra in (0, 1):
             result = rho_q(f, 1, extra)
             _assert_snapped(result.direction, f)
-            scan = strongest_influence(f, 1e-9, extra)
+            scan = strongest_influence(f, 1e-9)
             assert scan.q_star == 1 and scan.direction == result.direction
             _assert_snapped(scan.direction, f)
     # a one-variable basis gives the coordinate itself
