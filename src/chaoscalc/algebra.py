@@ -25,10 +25,15 @@ multiplies integer numerators by one coordinate ``G_w`` with the raising
 rule ``G He_k = He_{k+1} + k He_{k-1}``, without the general product; the
 influence form builds its carre du champ from it.  Sums and scalings stay on
 ``Fraction``.
+
+Every result reaches JSON through one encoder, ``JsonResult.to_json_dict``:
+one key per dataclass field, valued by ``json_value``, and a ``Fraction``
+field ``x`` twice, as the float ``x`` and the exact string ``x_exact``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -512,10 +517,35 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def json_value(value):
+    """The JSON value of a result: ``ChaosPoly`` by ``poly_to_json_dict``, a
+    ``JsonResult`` by its ``to_json_dict()``, tuples and lists as arrays, dict
+    keys as ``str(k)`` (so ``sort_keys`` orders them as strings); others as is."""
+    if isinstance(value, ChaosPoly):
+        return poly_to_json_dict(value)
+    if isinstance(value, JsonResult):
+        return value.to_json_dict()
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): json_value(v) for k, v in value.items()}
+    return value
+
+
 class JsonResult:
-    """A result whose text is ``canonical_json`` of its ``to_json_dict()``."""
+    """A result whose ``to_json_dict()`` has one key per dataclass field (module docstring)."""
 
     __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, Fraction):
+                out[field.name], out[field.name + "_exact"] = float(value), str(value)
+            else:
+                out[field.name] = json_value(value)
+        return out
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())

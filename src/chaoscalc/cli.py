@@ -7,14 +7,15 @@ import, so ``main`` only parses.  Handlers look library functions up as module
 globals when they run (a tracer may patch them), and ``_load`` reads every
 input file, naming it in a read or parse error.
 
-A handler returns its result's JSON value (``sample`` returns the text of its
-line-oriented sample file), and ``main`` encodes every JSON value in one
-place, as ``canonical_json(value)`` plus a newline.  Results go to standard
-output, or to ``--output``; all diagnostics go to standard error.  Exit
-codes: 0 success, 2 parse/precondition/input errors or an ``--output`` file
-that cannot be written, 3 resource caps exceeded or memory that cannot be
-allocated.  Repeated invocations with identical arguments produce
-byte-identical output.
+A handler returns its result, and ``main`` encodes it: the library's result
+object (a bare ``ChaosPoly`` for ``gamma`` and ``L``, a dict for ``w2``,
+``invariance`` and ``influences``) as ``canonical_json(json_value(result))``
+plus a newline, in one place for every command; ``sample`` returns the text of
+its line-oriented sample file.  Results go to standard output, or to
+``--output``; all diagnostics go to standard error.  Exit codes: 0 success,
+2 parse/precondition/input errors or an ``--output`` file that cannot be
+written, 3 resource caps exceeded or memory that cannot be allocated.
+Repeated invocations with identical arguments produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import ChaosPoly, canonical_json, poly_from_json, poly_to_json_dict
+from .algebra import ChaosPoly, canonical_json, json_value, poly_from_json
 from .decompose import canonical_quadratic, iterate_decomposition
 from .ensembles import MultilinearPoly, multilinear_influences
 from .errors import BasisSizeError, ChaosCalcError, ParseError
@@ -57,34 +58,32 @@ def _load_multilinear(path: str) -> MultilinearPoly:
     return _load(path, lambda p: MultilinearPoly.from_json(Path(p).read_text()))
 
 
-def _cmd_gamma(args) -> dict:
-    return poly_to_json_dict(gamma_gradient(_load_poly(args.f), _load_poly(args.g)))
+def _cmd_gamma(args):
+    return gamma_gradient(_load_poly(args.f), _load_poly(args.g))
 
 
-def _cmd_generator(args) -> dict:
-    return poly_to_json_dict(ou_generator(_load_poly(args.f)))
+def _cmd_generator(args):
+    return ou_generator(_load_poly(args.f))
 
 
-def _cmd_rho(args) -> dict:
-    return rho_q(_load_poly(args.f), args.q, args.extra_vars).to_json_dict()
+def _cmd_rho(args):
+    return rho_q(_load_poly(args.f), args.q, args.extra_vars)
 
 
-def _cmd_strongest(args) -> dict:
-    return strongest_influence(_load_poly(args.f), args.threshold).to_json_dict()
+def _cmd_strongest(args):
+    return strongest_influence(_load_poly(args.f), args.threshold)
 
 
-def _cmd_decompose(args) -> dict:
-    f = _load_poly(args.f)
-    return iterate_decomposition(f, args.threshold, args.max_steps).to_json_dict()
+def _cmd_decompose(args):
+    return iterate_decomposition(_load_poly(args.f), args.threshold, args.max_steps)
 
 
-def _cmd_canonical2(args) -> dict:
-    return canonical_quadratic(_load_poly(args.f)).to_json_dict()
+def _cmd_canonical2(args):
+    return canonical_quadratic(_load_poly(args.f))
 
 
-def _cmd_diagnose(args) -> dict:
-    f = _load_poly(args.f)
-    return normality_report(f, args.samples, args.seed, args.workers).to_json_dict()
+def _cmd_diagnose(args):
+    return normality_report(_load_poly(args.f), args.samples, args.seed, args.workers)
 
 
 def _cmd_sample(args) -> str:
@@ -107,7 +106,7 @@ def _cmd_invariance(args) -> dict:
 
 def _cmd_influences(args) -> dict:
     influences = multilinear_influences(_load_multilinear(args.p))
-    return {str(var): {"value": float(x), "exact": str(x)} for var, x in influences.items()}
+    return {var: {"value": float(x), "exact": str(x)} for var, x in influences.items()}
 
 
 def positive_int(text: str) -> int:
@@ -172,7 +171,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         result = args.handler(args)
-        text = result if isinstance(result, str) else canonical_json(result) + "\n"
+        text = result if isinstance(result, str) else canonical_json(json_value(result)) + "\n"
         if args.output:
             Path(args.output).write_text(text)
     except BasisSizeError as exc:

@@ -48,7 +48,6 @@ from .algebra import (
     hermite_monomial,
     homogeneous_degree,
     inner_product,
-    poly_to_json_dict,
     project_chaos,
 )
 from .errors import PreconditionError, as_integer, as_positive_real, check_unit_norm
@@ -57,7 +56,7 @@ from .malliavin import independence_score
 
 
 @dataclass(frozen=True)
-class DecompositionStep:
+class DecompositionStep(JsonResult):
     """One split of ``f`` along a unit direction ``x`` of degree ``q``.
 
     ``coefficients[l]`` multiplies ``He_l(x)``; on the exact (q = 1) path the
@@ -78,16 +77,6 @@ class DecompositionStep:
             out = out + coeff * compose_hermite(level, self.direction)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "direction": poly_to_json_dict(self.direction),
-            "q": self.q,
-            "coefficients": [poly_to_json_dict(c) for c in self.coefficients],
-            "remainder_gamma_norm": self.remainder_gamma_norm,
-            "exact": self.exact,
-            "fit_rank": self.fit_rank,
-        }
-
 
 @dataclass(frozen=True)
 class IterationTrace(JsonResult):
@@ -98,15 +87,6 @@ class IterationTrace(JsonResult):
     residual: ChaosPoly
     residual_norm: float
     per_step_norms: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": [s.to_json_dict() for s in self.steps],
-            "contributions": [poly_to_json_dict(c) for c in self.contributions],
-            "residual": poly_to_json_dict(self.residual),
-            "residual_norm": self.residual_norm,
-            "per_step_norms": list(self.per_step_norms),
-        }
 
 
 @dataclass(frozen=True)
@@ -128,15 +108,6 @@ class QuadraticCanonicalForm(JsonResult):
             if b:
                 out = out + hermite_monomial({var: 1}, as_fraction(b))
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "eigenvalues": list(self.eigenvalues),
-            "rotation": [list(row) for row in self.rotation],
-            "linear": list(self.linear),
-            "constant": self.constant,
-        }
 
 
 # -- the split along a linear direction ----------------------------------------

@@ -228,8 +228,9 @@ class MultilinearPoly(JsonResult):
     """Sparse multilinear polynomial over an orthonormal ensemble.
 
     Terms map a frozenset of ``(variable id, level)`` factors to a rational
-    coefficient; the empty set is the constant term and no variable repeats
-    within a term.  Levels must not exceed the law's ``level_bound``
+    coefficient; the empty set is the constant term.  A variable appears at
+    most once per term: the factors are checked as given, so a repeat is
+    refused, not merged.  Levels must not exceed the law's ``level_bound``
     (Rademacher admits level 1 only); no ensemble is built to check this.
     """
 
@@ -240,16 +241,15 @@ class MultilinearPoly(JsonResult):
         data: dict[frozenset, Fraction] = {}
         max_level = 0
         for pos, (factors, coeff) in enumerate(items):
-            checked = set()
+            checked: dict[int, int] = {}
             for v, k in factors:
                 what = f"term {pos}: bad factor {(v, k)!r}: variable ids and levels must be integers >= 1"
                 v, k = as_integer(v, what, 1), as_integer(k, what, 1)
-                checked.add((v, k))
+                if v in checked:
+                    raise PreconditionError(f"term {pos}: variable {v} repeats")
+                checked[v] = k
                 max_level = max(max_level, k)
-            factors = frozenset(checked)
-            seen_vars = [v for v, _ in factors]
-            if len(seen_vars) != len(set(seen_vars)):
-                raise PreconditionError(f"variable repeats within term {sorted(factors)}")
+            factors = frozenset(checked.items())
             c = as_fraction(coeff)
             if c:
                 data[factors] = data.get(factors, Fraction(0)) + c
@@ -322,15 +322,17 @@ class MultilinearPoly(JsonResult):
             entries = term.get("vars", [])
             if not isinstance(entries, list):
                 raise ParseError(f"{where}: 'vars' must be an array")
-            factors = []
+            factors: dict[int, int] = {}
             for entry in entries:
                 factor = entry if isinstance(entry, list) else [entry]
                 if not 1 <= len(factor) <= 2 or not all(type(x) is int for x in factor):
                     raise ParseError(
                         f"{where}: bad factor {entry!r}: variable ids and levels must be integers"
                     )
-                factors.append((factor[0], factor[1] if len(factor) == 2 else 1))
-            terms.append((frozenset(factors), coeff))
+                if factor[0] in factors:
+                    raise ParseError(f"{where}: variable {factor[0]} repeats")
+                factors[factor[0]] = factor[1] if len(factor) == 2 else 1
+            terms.append((factors.items(), coeff))
         return cls(law, terms)
 
     @classmethod

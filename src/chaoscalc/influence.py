@@ -34,7 +34,8 @@ at the level of the eigensolve's rounding, and the coordinates share one
 denominator below ``2**107``, so the exact split along the direction
 (``decompose.decompose_along_w1``) needs no rescaling.  Degree ``q >= 2``
 directions are unit for the weighted norm ``sum_a a! c_a**2``, which need not
-have rational points; they keep each float coordinate's exact value.
+have rational points; each coordinate is the exact value of a float, divided
+exactly by a power of two, so none underflows (``_degree_influence``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .algebra import (
     _weight,
     as_fraction,
     homogeneous_degree,
-    poly_to_json_dict,
 )
 from .errors import BasisSizeError, PreconditionError, as_integer, as_positive_real
 
@@ -86,17 +86,6 @@ class InfluenceResult(JsonResult):
     # on an empty basis
     eigen_residual: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "value": self.value,
-            "direction": poly_to_json_dict(self.direction),
-            "basis_dimension": self.basis_dimension,
-            "extra_variables_used": self.extra_variables_used,
-            "eigengap": self.eigengap,
-            "eigen_residual": self.eigen_residual,
-        }
-
 
 @dataclass(frozen=True)
 class StrongestInfluence(JsonResult):
@@ -106,14 +95,6 @@ class StrongestInfluence(JsonResult):
     rho_values: dict[int, float]
     direction: ChaosPoly | None
     threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q_star": self.q_star,
-            "rho_values": {str(q): v for q, v in sorted(self.rho_values.items())},
-            "direction": None if self.direction is None else poly_to_json_dict(self.direction),
-            "threshold": self.threshold,
-        }
 
 
 def _basis_cap() -> int:
@@ -327,8 +308,11 @@ def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
     """Degree-``q`` influence over the degree-``q`` monomials of the variables of ``f``.
 
     The form is exact and the eigensolve in floats.  A ``q = 1`` direction is
-    exactly unit (``_unit_rational``); higher degrees keep the exact value of
-    each float coordinate.  No argument or cap checks: callers make them.
+    exactly unit (``_unit_rational``).  At higher degrees the coordinate
+    ``v / sqrt(weight)`` of an eigenvector entry ``v`` is the exact float
+    ``v / s`` divided exactly by ``2**h``, where ``sqrt(weight) = s * 2**h``
+    (``_sqrt_ratio``), so it does not underflow however large the weight.
+    No argument or cap checks: callers make them.
     """
     basis = degree_monomials(f.variables(), q)
     if not basis:
@@ -343,8 +327,8 @@ def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
         coeffs = zip(basis, _unit_rational(vec))
     else:
         roots = (_sqrt_ratio(idx.weight) for idx in basis)
-        floats = (math.ldexp(float(entry) / root, -h) for entry, (root, h) in zip(vec, roots))
-        coeffs = ((idx, as_fraction(c)) for idx, c in zip(basis, floats))
+        exact = (as_fraction(float(entry) / root) / 2**h for entry, (root, h) in zip(vec, roots))
+        coeffs = zip(basis, exact)
     direction = ChaosPoly._from_clean({idx: c for idx, c in coeffs if c})
     return InfluenceResult(
         q=q,

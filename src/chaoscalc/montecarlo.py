@@ -387,19 +387,6 @@ class NormalityReport(JsonResult):
     w2_to_gaussian: float
     inputs: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variance": float(self.variance),
-            "variance_exact": str(self.variance),
-            "excess_kurtosis": float(self.excess_kurtosis),
-            "excess_kurtosis_exact": str(self.excess_kurtosis),
-            "var_gamma": float(self.var_gamma),
-            "var_gamma_exact": str(self.var_gamma),
-            "rho": {str(q): v for q, v in sorted(self.rho.items())},
-            "w2_to_gaussian": self.w2_to_gaussian,
-            "inputs": self.inputs,
-        }
-
 
 def normality_report(f: ChaosPoly, n_samples: int, seed: int, workers: int = 1) -> NormalityReport:
     """Variance, excess kurtosis, carre-du-champ variance, influence values up

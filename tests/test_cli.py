@@ -1,6 +1,7 @@
 """Command-line behavior: JSON on stdout only, exit codes, byte-determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -21,15 +22,21 @@ from chaoscalc import (
     ChaosPoly,
     InputLaw,
     MultilinearPoly,
+    canonical_quadratic,
     gaussian,
     hermite_monomial,
+    iterate_decomposition,
+    normality_report,
     poly_to_json,
     read_sample_file,
+    rho_q,
     sample,
+    strongest_influence,
     write_sample_file,
 )
 import chaoscalc
 from chaoscalc import cli, decompose, montecarlo
+from chaoscalc.algebra import JsonResult
 from chaoscalc.cli import main
 
 from _oracles import read_sample_file_whole_text
@@ -91,13 +98,17 @@ def test_rho_command_value(capsys, poly_file):
     assert json.loads(out)["value"] == pytest.approx(2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("q", [100, 169])
+@pytest.mark.parametrize("q", [100, 169, 400, 1000])
 def test_rho_at_high_degree_exits_0(capsys, poly_file, q):
     # rho_q(He_2) = 2 sqrt(q (2q - 1)); the form entry of He_q is beyond the float range of its parts
     path = poly_file("he2.json", HE2_1)
     code, out, err = run_cli(capsys, "rho", path, "--q", str(q), "--extra-vars", "0")
     assert code == 0, err
     assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12)
+    # the direction c He_q has squared norm q! c**2, though c is far below the float range
+    (term,) = json.loads(out)["direction"]["terms"]
+    assert term["index"] == {"1": q}
+    assert float(math.factorial(q) * Fraction(term["coeff"]) ** 2) == pytest.approx(1, abs=1e-12)
 
 
 def test_rho_running_max_picks_a_lower_degree(capsys, poly_file):
@@ -416,6 +427,52 @@ def test_diagnose_reports_and_is_byte_identical(capsys, poly_file):
     assert out1 == out4
 
 
+RESULT_KEYS = {
+    "rho": {"q", "value", "direction", "basis_dimension", "extra_variables_used", "eigengap",
+            "eigen_residual"},
+    "strongest": {"q_star", "rho_values", "direction", "threshold"},
+    "decompose": {"steps", "contributions", "residual", "residual_norm", "per_step_norms"},
+    "canonical2": {"variables", "eigenvalues", "rotation", "linear", "constant"},
+    "diagnose": {"variance", "variance_exact", "excess_kurtosis", "excess_kurtosis_exact",
+                 "var_gamma", "var_gamma_exact", "rho", "w2_to_gaussian", "inputs"},
+}
+STEP_KEYS = {"direction", "q", "coefficients", "remainder_gamma_norm", "exact", "fit_rank"}
+
+
+def _json_result_classes(cls=JsonResult):
+    for sub in cls.__subclasses__():
+        if dataclasses.is_dataclass(sub) and sub.__module__.startswith("chaoscalc."):
+            yield sub
+        yield from _json_result_classes(sub)
+
+
+def test_result_json_has_one_key_per_dataclass_field(capsys, poly_file):
+    """The commands' key sets are pinned, and every result dataclass writes one
+    key per field, plus ``x_exact`` for a ``Fraction`` field ``x``; so a new
+    field changes the output only on purpose."""
+    f = (HE2_1 + G1 * gaussian(2) + gaussian(2) * gaussian(3)) * Fraction(1, 2)  # unit norm
+    path = poly_file("f.json", f)
+    options = {"rho": ["--q", "2"], "diagnose": ["--samples", "1000"]}
+    for command, keys in RESULT_KEYS.items():
+        code, out, err = run_cli(capsys, command, path, *options.get(command, []))
+        assert code == 0, err
+        data = json.loads(out)
+        assert set(data) == keys, command
+        if command == "decompose":
+            assert data["steps"] and all(set(step) == STEP_KEYS for step in data["steps"])
+
+    trace = iterate_decomposition(f, 0.1, 16)
+    results = [
+        rho_q(f, 2), strongest_influence(f, 0.1), trace, *trace.steps,
+        canonical_quadratic(f), normality_report(f, 1000, 1),
+    ]
+    assert {type(r) for r in results} == set(_json_result_classes())
+    for result in results:
+        fields = [field.name for field in dataclasses.fields(result)]
+        exact = [name + "_exact" for name in fields if isinstance(getattr(result, name), Fraction)]
+        assert set(result.to_json_dict()) == {*fields, *exact}, type(result).__name__
+
+
 def test_sample_and_w2_commands(capsys, poly_file, tmp_path):
     path = poly_file("g1.json", G1)
     a = tmp_path / "a.samples"
@@ -517,10 +574,14 @@ def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, pol
          "bad discrete law: 'probabilities' must be an array"),
         ({"kind": ["gaussian"]}, [], "unknown law kind ['gaussian']"),
         ({"kind": {}}, [], "unknown law kind {}"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [1, 1]}], "p.json: term 0: variable 1 repeats"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [2]}, {"coeff": "1", "vars": [[1, 1], [1, 1]]}],
+         "p.json: term 1: variable 1 repeats"),
     ],
     ids=[
         "terms-number", "vars-number", "float-variable", "bool-variable", "float-level",
         "bool-factor", "points-number", "probabilities-string", "kind-list", "kind-object",
+        "repeated-id", "repeated-factor",
     ],
 )
 def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law, terms, message):

@@ -164,6 +164,12 @@ def test_multilinear_validation():
     MultilinearPoly(InputLaw.gaussian(), {frozenset({(1, 2)}): 1})
 
 
+def test_multilinear_refuses_a_variable_repeated_in_a_listed_term():
+    # X_1 X_1 is not T_1(X_1): the factors are checked before they become a set
+    with pytest.raises(PreconditionError, match="term 1: variable 1 repeats"):
+        MultilinearPoly(InputLaw.gaussian(), [((), 1), ([(1, 1), (1, 1)], 1)])
+
+
 @pytest.mark.parametrize(
     "factor", [(1.7, 1), (True, 1), (1, True), (1, 2.0), ("1", 1), (None, 1), (0, 1), (-2, 1), (1, 0)]
 )
