@@ -3,7 +3,6 @@ for polynomials in independent Gaussian and general i.i.d. inputs."""
 
 from .algebra import (
     ChaosPoly,
-    MultiIndex,
     as_fraction,
     compose_hermite,
     expectation,

@@ -7,6 +7,11 @@ coordinates.  Coefficients are exact rationals.  The basis is orthogonal under
 the Gaussian law with per-variable weight ``<He_j, He_k> = k! * delta_{jk}``,
 so expectations, inner products and moments reduce to exact combinatorial sums.
 
+A monomial is its entries: the tuple ``((variable, degree), ...)`` in
+ascending variable order with positive degrees, ``()`` for the constant.
+``ChaosPoly`` keys its coefficients on these tuples, and every integer core
+below runs on them.
+
 Degree-``p`` homogeneous polynomials (all monomials of total degree ``p``) span
 the order-``p`` stratum of this algebra; strata for different ``p`` are
 mutually orthogonal.
@@ -64,68 +69,40 @@ _HERMITE_PRODUCT_CACHE_SIZE = 1 << 10
 _RAISE_CACHE_SIZE = 1 << 14
 
 
+Entries = tuple[tuple[int, int], ...]
+EMPTY_INDEX: Entries = ()
+MonomialLike = Mapping[int, int] | Iterable[tuple[int, int]]
+
+
+def _monomial(index: MonomialLike) -> Entries:
+    """The entries of a monomial given as ``{variable: degree}`` or as pairs.
+
+    Variable ids and degrees must be positive integers; absent variables have
+    degree zero.
+    """
+    pairs = {}
+    for var, deg in dict(index).items():
+        var = as_integer(var, "variable ids must be positive integers", 1)
+        pairs[var] = as_integer(deg, f"degrees must be positive integers for variable {var}", 1)
+    return tuple(sorted(pairs.items()))
+
+
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
-def _weight(entries: tuple[tuple[int, int], ...]) -> int:
+def _weight(entries: Entries) -> int:
+    """Orthogonality weight ``prod_i k_i!`` of the monomial."""
     w = 1
     for _, deg in entries:
         w *= math.factorial(deg)
     return w
 
 
-class MultiIndex:
-    """Exponent pattern of one Hermite monomial: variable id -> degree.
-
-    Stored degrees are strictly positive (an absent variable has degree zero)
-    and variable ids are positive integers kept in ascending order.
-    """
-
-    __slots__ = ("entries", "total_degree", "_hash")
-
-    def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = {}
-        for var, deg in dict(entries).items():
-            var = as_integer(var, "variable ids must be positive integers", 1)
-            pairs[var] = as_integer(deg, f"degrees must be positive integers for variable {var}", 1)
-        self.entries = tuple(sorted(pairs.items()))
-        self.total_degree = sum(d for _, d in self.entries)
-        self._hash = hash(self.entries)
-
-    @classmethod
-    def _from_sorted(cls, entries: tuple[tuple[int, int], ...]) -> "MultiIndex":
-        obj = object.__new__(cls)
-        obj.entries = entries
-        obj.total_degree = sum(d for _, d in entries)
-        obj._hash = hash(entries)
-        return obj
-
-    @property
-    def weight(self) -> int:
-        """Orthogonality weight ``prod_i k_i!`` of the monomial."""
-        return _weight(self.entries)
-
-    def degree_of(self, var: int) -> int:
-        for v, d in self.entries:
-            if v == var:
-                return d
-        return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    def sort_key(self) -> tuple:
-        return (self.total_degree, self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"MultiIndex({dict(self.entries)!r})"
+def _degree(entries: Entries) -> int:
+    return sum(d for _, d in entries)
 
 
-EMPTY_INDEX = MultiIndex()
+def _sort_key(entries: Entries) -> tuple:
+    """The canonical term order: total degree, then entries."""
+    return (_degree(entries), entries)
 
 
 @lru_cache(maxsize=_HERMITE_PRODUCT_CACHE_SIZE)
@@ -138,9 +115,6 @@ def hermite_product_1d(m: int, n: int) -> tuple[tuple[int, int], ...]:
         (m + n - 2 * r, math.comb(m, r) * math.comb(n, r) * math.factorial(r))
         for r in range(min(m, n) + 1)
     )
-
-
-Entries = tuple[tuple[int, int], ...]
 
 
 def _index_product(a: Entries, b: Entries) -> list[tuple[Entries, int]]:
@@ -168,9 +142,8 @@ def _index_product(a: Entries, b: Entries) -> list[tuple[Entries, int]]:
 def _expand_product(a: Mapping[Entries, int], b: Mapping[Entries, int]) -> dict[Entries, int]:
     """Product of two polynomials held as integer numerators, back on the Hermite basis.
 
-    Monomials are keyed by their entries tuples.  The result's denominator is
-    the product of the operands' denominators; the caller divides once.  Zero
-    totals are dropped.
+    The result's denominator is the product of the operands' denominators; the
+    caller divides once.  Zero totals are dropped.
     """
     out: dict[Entries, int] = {}
     get = out.get
@@ -182,10 +155,10 @@ def _expand_product(a: Mapping[Entries, int], b: Mapping[Entries, int]) -> dict[
     return {entries: t for entries, t in out.items() if t}
 
 
-def _numerators(terms: Mapping[MultiIndex, Fraction]) -> tuple[int, dict[Entries, int]]:
-    """``(D, {entries: c * D})`` with ``D`` the lcm of the coefficients' denominators."""
+def _numerators(terms: Mapping[Entries, Fraction]) -> tuple[int, dict[Entries, int]]:
+    """``(D, {entries: c * D})``, the same monomials over ``D``, the lcm of the denominators."""
     denom = math.lcm(*(c.denominator for c in terms.values()))
-    return denom, {idx.entries: c.numerator * (denom // c.denominator) for idx, c in terms.items()}
+    return denom, {idx: c.numerator * (denom // c.denominator) for idx, c in terms.items()}
 
 
 class ChaosPoly:
@@ -200,10 +173,9 @@ class ChaosPoly:
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[MultiIndex, Fraction] = {}
+        data: dict[Entries, Fraction] = {}
         for idx, coeff in items:
-            if not isinstance(idx, MultiIndex):
-                idx = MultiIndex(idx)
+            idx = _monomial(idx)
             c = as_fraction(coeff)
             if idx in data:
                 data[idx] += c
@@ -212,7 +184,7 @@ class ChaosPoly:
         self._terms = {i: c for i, c in data.items() if c != 0}
 
     @classmethod
-    def _from_clean(cls, terms: dict[MultiIndex, Fraction]) -> "ChaosPoly":
+    def _from_clean(cls, terms: dict[Entries, Fraction]) -> "ChaosPoly":
         obj = object.__new__(cls)
         obj._terms = terms
         return obj
@@ -220,9 +192,7 @@ class ChaosPoly:
     @classmethod
     def _from_numerators(cls, totals: Mapping[Entries, int], denom: int) -> "ChaosPoly":
         """``sum totals[e] / denom * He_e``, one normalised ``Fraction`` per nonzero total."""
-        return cls._from_clean(
-            {MultiIndex._from_sorted(e): Fraction(t, denom) for e, t in totals.items() if t}
-        )
+        return cls._from_clean({e: Fraction(t, denom) for e, t in totals.items() if t})
 
     @classmethod
     def zero(cls) -> "ChaosPoly":
@@ -234,7 +204,7 @@ class ChaosPoly:
         return cls._from_clean({EMPTY_INDEX: c} if c else {})
 
     @property
-    def terms(self) -> Mapping[MultiIndex, Fraction]:
+    def terms(self) -> Mapping[Entries, Fraction]:
         return dict(self._terms)
 
     @property
@@ -242,7 +212,7 @@ class ChaosPoly:
         """Maximal total degree over stored terms; ``None`` for the zero polynomial."""
         if not self._terms:
             return None
-        return max(idx.total_degree for idx in self._terms)
+        return max(map(_degree, self._terms))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -253,13 +223,11 @@ class ChaosPoly:
     def variables(self) -> tuple[int, ...]:
         seen: set[int] = set()
         for idx in self._terms:
-            seen.update(idx.variables())
+            seen.update(v for v, _ in idx)
         return tuple(sorted(seen))
 
-    def coefficient(self, index: MultiIndex | Mapping[int, int]) -> Fraction:
-        if not isinstance(index, MultiIndex):
-            index = MultiIndex(index)
-        return self._terms.get(index, Fraction(0))
+    def coefficient(self, index: MonomialLike) -> Fraction:
+        return self._terms.get(_monomial(index), Fraction(0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -318,9 +286,9 @@ class ChaosPoly:
         if not self._terms:
             return "ChaosPoly(0)"
         bits = []
-        for idx in sorted(self._terms, key=MultiIndex.sort_key):
+        for idx in sorted(self._terms, key=_sort_key):
             c = self._terms[idx]
-            mono = "*".join(f"He{d}(G{v})" for v, d in idx.entries) or "1"
+            mono = "*".join(f"He{d}(G{v})" for v, d in idx) or "1"
             bits.append(f"{c}*{mono}")
         return "ChaosPoly(" + " + ".join(bits) + ")"
 
@@ -344,10 +312,9 @@ def gaussian(var: int) -> ChaosPoly:
     return hermite_monomial({var: 1})
 
 
-def hermite_monomial(index: Mapping[int, int] | MultiIndex, coeff: RationalLike = 1) -> ChaosPoly:
+def hermite_monomial(index: MonomialLike, coeff: RationalLike = 1) -> ChaosPoly:
     """A single basis monomial ``coeff * prod_i He_{k_i}(G_i)``."""
-    if not isinstance(index, MultiIndex):
-        index = MultiIndex(index)
+    index = _monomial(index)
     c = as_fraction(coeff)
     if not c:
         return ChaosPoly.zero()
@@ -423,7 +390,7 @@ def inner_product(f: ChaosPoly, g: ChaosPoly) -> Fraction:
     if len(f._terms) > len(g._terms):
         f, g = g, f
     g_terms = g._terms
-    shared = [(idx.entries, cf, g_terms[idx]) for idx, cf in f._terms.items() if idx in g_terms]
+    shared = [(idx, cf, g_terms[idx]) for idx, cf in f._terms.items() if idx in g_terms]
     if not shared:
         return Fraction(0)
     df = math.lcm(*(cf.denominator for _, cf, _ in shared))
@@ -438,9 +405,7 @@ def inner_product(f: ChaosPoly, g: ChaosPoly) -> Fraction:
 def project_chaos(f: ChaosPoly, m: int) -> ChaosPoly:
     """Orthogonal projection onto the degree-``m`` stratum: keep total degree ``m``."""
     m = as_integer(m, "projection degree must be a nonnegative integer", 0)
-    return ChaosPoly._from_clean(
-        {idx: c for idx, c in f._terms.items() if idx.total_degree == m}
-    )
+    return ChaosPoly._from_clean({idx: c for idx, c in f._terms.items() if _degree(idx) == m})
 
 
 def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
@@ -486,7 +451,7 @@ def homogeneous_degree(f: ChaosPoly, name: str = "polynomial") -> int:
 
     The zero polynomial and constants report degree 0.
     """
-    degrees = {idx.total_degree for idx in f._terms}
+    degrees = set(map(_degree, f._terms))
     if not degrees:
         return 0
     if len(degrees) > 1:
@@ -502,13 +467,8 @@ def homogeneous_degree(f: ChaosPoly, name: str = "polynomial") -> int:
 def poly_to_json_dict(f: ChaosPoly) -> dict:
     """Canonical form: terms sorted by (total degree, index), rationals as strings."""
     terms = []
-    for idx in sorted(f._terms, key=MultiIndex.sort_key):
-        terms.append(
-            {
-                "coeff": str(f._terms[idx]),
-                "index": {str(v): d for v, d in idx.entries},
-            }
-        )
+    for idx in sorted(f._terms, key=_sort_key):
+        terms.append({"coeff": str(f._terms[idx]), "index": {str(v): d for v, d in idx}})
     return {"terms": terms}
 
 
@@ -587,7 +547,7 @@ def poly_from_json_dict(data) -> ChaosPoly:
     raw_terms = data["terms"]
     if not isinstance(raw_terms, list):
         raise ParseError("'terms' must be an array")
-    out: dict[MultiIndex, Fraction] = {}
+    out: dict[Entries, Fraction] = {}
     for pos, term in enumerate(raw_terms):
         where = f"term {pos}"
         if not isinstance(term, dict) or "coeff" not in term or "index" not in term:
@@ -611,9 +571,9 @@ def poly_from_json_dict(data) -> ChaosPoly:
             if var in entries:
                 raise ParseError(f"{where}: duplicate variable id {var}")
             entries[var] = deg
-        idx = MultiIndex._from_sorted(tuple(sorted(entries.items())))
+        idx = tuple(sorted(entries.items()))
         if idx in out:
-            raise ParseError(f"{where}: duplicate index {dict(idx.entries)}")
+            raise ParseError(f"{where}: duplicate index {dict(idx)}")
         out[idx] = coeff
     return ChaosPoly._from_clean(out)
 

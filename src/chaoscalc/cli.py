@@ -5,7 +5,7 @@ positional inputs and options in ``--help`` order; shared options are declared
 once above it.  The parser is built from the table once per process, at
 import, so ``main`` only parses.  Handlers look library functions up as module
 globals when they run (a tracer may patch them), and ``_load`` reads every
-input file, naming it in a read or parse error.
+input file, naming it in a read, parse or precondition error.
 
 A handler returns its result, and ``main`` encodes it: the library's result
 object (a bare ``ChaosPoly`` for ``gamma`` and ``L``, a dict for ``w2``,
@@ -27,7 +27,7 @@ from pathlib import Path
 from .algebra import ChaosPoly, canonical_json, json_value, poly_from_json
 from .decompose import canonical_quadratic, iterate_decomposition
 from .ensembles import MultilinearPoly, multilinear_influences
-from .errors import BasisSizeError, ChaosCalcError, ParseError
+from .errors import BasisSizeError, ChaosCalcError, ParseError, PreconditionError
 from .influence import rho_q, strongest_influence
 from .malliavin import gamma_gradient, ou_generator
 from .montecarlo import (
@@ -41,12 +41,12 @@ from .montecarlo import (
 
 
 def _load(path: str, parse):
-    """``parse(path)``; a file that cannot be read or parsed raises a ``ParseError`` naming it."""
+    """``parse(path)``; a read, parse or precondition error is a ``ParseError`` naming the file."""
     try:
         return parse(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except ParseError as exc:
+    except (ParseError, PreconditionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -40,8 +40,8 @@ from .algebra import (
     ChaosPoly,
     Entries,
     JsonResult,
-    MultiIndex,
     RationalLike,
+    _degree,
     _numerators,
     as_fraction,
     compose_hermite,
@@ -313,21 +313,21 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
         raise PreconditionError(f"direction degree must satisfy 1 <= q < p; got q={q}, p={p}")
     x_norm_sq = inner_product(x, x)
     if q == 1:
-        coeffs = {idx.entries[0][0]: c for idx, c in x._terms.items()}
+        coeffs = {idx[0][0]: c for idx, c in x._terms.items()}
         return _split_linear(f, coeffs, x_norm_sq)
     check_unit_norm(x_norm_sq, 1e-8, "direction")
 
     on_x = set(x.variables())
     hx = [compose_hermite(level, x) for level in range(p // q + 1)]
     mu = [[inner_product(a, b) for b in hx] for a in hx]
-    groups: dict[Entries, dict[MultiIndex, Fraction]] = {}
+    groups: dict[Entries, dict[Entries, Fraction]] = {}
     for idx, c in f._terms.items():
-        off = tuple(e for e in idx.entries if e[0] not in on_x)
-        on = tuple(e for e in idx.entries if e[0] in on_x)
-        groups.setdefault(off, {})[MultiIndex._from_sorted(on)] = c
-    parts: list[dict[MultiIndex, Fraction]] = [{} for _ in hx]
+        off = tuple(e for e in idx if e[0] not in on_x)
+        on = tuple(e for e in idx if e[0] in on_x)
+        groups.setdefault(off, {})[on] = c
+    parts: list[dict[Entries, Fraction]] = [{} for _ in hx]
     for off, terms in groups.items():
-        d = sum(k for _, k in off)
+        d = _degree(off)
         if d == p:  # a term wholly off x: level 0 allows degree p - 1 only
             continue
         s = 1 + (p - d) // q
@@ -335,7 +335,7 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
         rhs = [inner_product(f_m, hx[level]) for level in range(s)]
         for level, value in enumerate(_solve_exact([row[:s] for row in mu[:s]], rhs)):
             if value:
-                parts[level][MultiIndex._from_sorted(off)] = value
+                parts[level][off] = value
     coefficients = tuple(ChaosPoly._from_clean(part) for part in parts)
 
     # C(n + d - 1, d) monomials of degree d over n >= 1 free variables, each fitting s levels
@@ -435,15 +435,15 @@ def canonical_quadratic(f: ChaosPoly) -> QuadraticCanonicalForm:
     lin: dict[int, Fraction] = {}
     quad: dict[tuple[int, int], Fraction] = {}
     for idx, coeff in f._terms.items():
-        if idx.total_degree == 1:
-            lin[idx.entries[0][0]] = coeff
-        elif idx.total_degree == 2:
-            if len(idx.entries) == 1:
-                var = idx.entries[0][0]
-                quad[(var, var)] = coeff
+        if len(idx) == 2:
+            (v, _), (w, _) = idx
+            quad[(v, w)] = coeff / 2
+        elif idx:
+            ((v, k),) = idx
+            if k == 1:
+                lin[v] = coeff
             else:
-                (v, _), (w, _) = idx.entries
-                quad[(v, w)] = coeff / 2
+                quad[(v, v)] = coeff
     variables = sorted({v for pair in quad for v in pair} | set(lin))
     n = len(variables)
     if n == 0:

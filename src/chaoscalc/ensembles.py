@@ -28,10 +28,10 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import (
     ChaosPoly,
     JsonResult,
-    MultiIndex,
     RationalLike,
     _decode_json,
     _parse_coeff,
+    _weight,
     as_fraction,
 )
 from .errors import ParseError, PreconditionError, as_integer
@@ -230,8 +230,10 @@ class MultilinearPoly(JsonResult):
     Terms map a frozenset of ``(variable id, level)`` factors to a rational
     coefficient; the empty set is the constant term.  A variable appears at
     most once per term: the factors are checked as given, so a repeat is
-    refused, not merged.  Levels must not exceed the law's ``level_bound``
-    (Rademacher admits level 1 only); no ensemble is built to check this.
+    refused, not merged.  Terms with equal factor sets are summed, but
+    ``from_json_dict`` refuses a file that repeats one.  Levels must not
+    exceed the law's ``level_bound`` (Rademacher admits level 1 only); no
+    ensemble is built to check this.
     """
 
     __slots__ = ("law", "_terms", "_max_level")
@@ -313,7 +315,7 @@ class MultilinearPoly(JsonResult):
         law = InputLaw.from_json_dict(data["law"])
         if not isinstance(data["terms"], list):
             raise ParseError("'terms' must be an array")
-        terms = []
+        terms, seen = [], set()
         for pos, term in enumerate(data["terms"]):
             where = f"term {pos}"
             if not isinstance(term, dict) or "coeff" not in term:
@@ -332,6 +334,10 @@ class MultilinearPoly(JsonResult):
                 if factor[0] in factors:
                     raise ParseError(f"{where}: variable {factor[0]} repeats")
                 factors[factor[0]] = factor[1] if len(factor) == 2 else 1
+            key = frozenset(factors.items())
+            if key in seen:
+                raise ParseError(f"{where}: duplicate term {dict(sorted(key))}")
+            seen.add(key)
             terms.append((factors.items(), coeff))
         return cls(law, terms)
 
@@ -349,15 +355,11 @@ def substitute_gaussian(p: MultilinearPoly) -> ChaosPoly:
     irrational ``1/sqrt(k!)`` normalizations, which are carried as exact
     dyadic conversions of their float values.
     """
-    out: dict[MultiIndex, Fraction] = {}
+    out = {}
     for term, coeff in p._terms.items():
-        index = MultiIndex({v: k for v, k in term})
-        weight = index.weight
-        if weight == 1:
-            c = coeff
-        else:
-            c = coeff * as_fraction(1.0 / math.sqrt(weight))
-        out[index] = out.get(index, Fraction(0)) + c
+        index = tuple(sorted(term))
+        weight = _weight(index)
+        out[index] = coeff if weight == 1 else coeff * as_fraction(1.0 / math.sqrt(weight))
     return ChaosPoly(out)
 
 

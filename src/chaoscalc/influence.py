@@ -55,7 +55,7 @@ from .algebra import (
     ChaosPoly,
     Entries,
     JsonResult,
-    MultiIndex,
+    _degree,
     _gradients,
     _numerators,
     _times_coordinate,
@@ -111,8 +111,8 @@ def _basis_cap() -> int:
     return cap
 
 
-def degree_monomials(variables: Sequence[int], degree: int) -> list[MultiIndex]:
-    """All Hermite multi-indices of exact total ``degree`` over ``variables``, fixed order.
+def degree_monomials(variables: Sequence[int], degree: int) -> list[Entries]:
+    """The entries of every Hermite monomial of total ``degree`` over ``variables``, fixed order.
 
     One multiset of the sorted variables per monomial, so the exponent
     vectors descend lexicographically.
@@ -121,7 +121,7 @@ def degree_monomials(variables: Sequence[int], degree: int) -> list[MultiIndex]:
     if not variables:
         return []
     return [
-        MultiIndex._from_sorted(tuple((v, len(list(run))) for v, run in itertools.groupby(combo)))
+        tuple((v, len(list(run))) for v, run in itertools.groupby(combo))
         for combo in itertools.combinations_with_replacement(variables, degree)
     ]
 
@@ -228,7 +228,7 @@ def _hermite_multiples(
             yield head, prod
 
 
-def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
+def _influence_form(f: ChaosPoly, basis: Sequence[Entries]) -> np.ndarray:
     """``Q[a, b] = <Gamma(f, e_a), Gamma(f, e_b)>`` over the normalized monomials ``basis``.
 
     ``basis`` is ``degree_monomials(f.variables(), q)`` for some ``q >= 1``
@@ -249,9 +249,9 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
     """
     denom, nums = _numerators(f._terms)
     grads = _gradients(nums)
-    slots = {idx.entries: a for a, idx in enumerate(basis)}
+    slots = {idx: a for a, idx in enumerate(basis)}
     variables = sorted(grads)
-    degree = basis[0].total_degree - 1
+    degree = _degree(basis[0]) - 1
     index: dict[Entries, dict[int, int]] = {}
     for v in variables:
         for lowered, prod in _hermite_multiples(grads[v], variables, degree):
@@ -272,7 +272,7 @@ def _influence_form(f: ChaosPoly, basis: Sequence[MultiIndex]) -> np.ndarray:
             for b, num_b in pairs[i:]:
                 row[b] += scaled * num_b
     denom_sq = denom * denom
-    weights = [idx.weight for idx in basis]
+    weights = [_weight(idx) for idx in basis]
     form = np.zeros((dim, dim))
     for a in range(dim):
         for b in range(a, dim):
@@ -326,7 +326,7 @@ def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
     if q == 1:
         coeffs = zip(basis, _unit_rational(vec))
     else:
-        roots = (_sqrt_ratio(idx.weight) for idx in basis)
+        roots = (_sqrt_ratio(_weight(idx)) for idx in basis)
         exact = (as_fraction(float(entry) / root) / 2**h for entry, (root, h) in zip(vec, roots))
         coeffs = zip(basis, exact)
     direction = ChaosPoly._from_clean({idx: c for idx, c in coeffs if c})

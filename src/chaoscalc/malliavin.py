@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import math
 
-from .algebra import ChaosPoly, Entries, _expand_product, _gradients, _numerators, inner_product
+from .algebra import (
+    ChaosPoly,
+    Entries,
+    _degree,
+    _expand_product,
+    _gradients,
+    _numerators,
+    inner_product,
+)
 
 
 def ou_generator(f: ChaosPoly) -> ChaosPoly:
     """Diagonal action of the generator: multiply the degree-m stratum by -m."""
-    return ChaosPoly._from_clean(
-        {idx: -idx.total_degree * c for idx, c in f._terms.items() if idx.total_degree}
-    )
+    return ChaosPoly._from_clean({idx: -_degree(idx) * c for idx, c in f._terms.items() if idx})
 
 
 def gamma_gradient(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:

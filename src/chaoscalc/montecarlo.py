@@ -48,8 +48,8 @@ from ._kernels import accumulate_terms
 from .algebra import (
     ChaosPoly,
     JsonResult,
-    MultiIndex,
     _parse_int,
+    _sort_key,
     expectation,
     hermite_monomial,
     hermite_values,
@@ -199,7 +199,7 @@ def sample(
     if isinstance(f, ChaosPoly):
         terms = f.terms
         encoder = _Encoder(
-            [(terms[idx], idx.entries) for idx in sorted(terms, key=MultiIndex.sort_key)],
+            [(terms[idx], idx) for idx in sorted(terms, key=_sort_key)],
             InputLaw.gaussian(),
             _hermite_rows,
         )

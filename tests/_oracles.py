@@ -57,7 +57,7 @@ from chaoscalc import (
     strongest_influence,
 )
 from chaoscalc import ParseError, SampleSet
-from chaoscalc.algebra import JsonResult, MultiIndex, _numerators, _parse_int
+from chaoscalc.algebra import JsonResult, _monomial, _numerators, _parse_int, _weight
 from chaoscalc.decompose import _WIDTH
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
@@ -186,7 +186,7 @@ def raw_from_chaos(f: ChaosPoly) -> RawPoly:
     total: RawPoly = {}
     for idx, coeff in f.terms.items():
         term = raw_constant(1)
-        for var, deg in idx.entries:
+        for var, deg in idx:
             factor = {}
             for power, c in enumerate(he_raw_coeffs(deg)):
                 if c:
@@ -284,7 +284,7 @@ def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:
     out = ChaosPoly.zero()
     for idx, coeff in f.terms.items():
         acc = ChaosPoly.constant(coeff)
-        for var, deg in idx.entries:
+        for var, deg in idx:
             if var in lin:
                 acc = acc * compose_hermite(deg, lin[var])
             else:
@@ -374,7 +374,7 @@ def fraction_inner(f: ChaosPoly, g: ChaosPoly) -> Fraction:
     """``E[f g]`` as a plain ``Fraction`` sum of ``c_f c_g prod_i k_i!`` over ``f``'s terms."""
     total = Fraction(0)
     for idx, coeff in f.terms.items():
-        total += coeff * g.coefficient(idx) * idx.weight
+        total += coeff * g.coefficient(idx) * _weight(idx)
     return total
 
 
@@ -417,8 +417,8 @@ def split_by_bucket_rotation(f: ChaosPoly, a: dict) -> list[ChaosPoly]:
     rotated = substitute_rotation(f, rows, variables)
     buckets: dict[int, ChaosPoly] = {}
     for idx, coeff in rotated.terms.items():
-        level = idx.degree_of(pivot)
-        rest = {v: d for v, d in idx.entries if v != pivot}
+        level = dict(idx).get(pivot, 0)
+        rest = {v: d for v, d in idx if v != pivot}
         buckets[level] = buckets.get(level, ChaosPoly.zero()) + hermite_monomial(rest, coeff)
     back = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows))]
     return [
@@ -563,16 +563,16 @@ def fresh_ids(f: ChaosPoly, count: int) -> list[int]:
     return list(range(top + 1, top + 1 + count))
 
 
-def oracle_quadratic_form(f: ChaosPoly, q: int, variables) -> tuple[list[MultiIndex], np.ndarray]:
+def oracle_quadratic_form(f: ChaosPoly, q: int, variables) -> tuple[list[tuple], np.ndarray]:
     """Assemble <Gamma(f, e_a), Gamma(f, e_b)> over the normalized degree-q
     monomials of ``variables``, entirely in the raw basis."""
     variables = sorted(variables)
     basis = []
     for expo in _compositions(q, len(variables)):
-        basis.append(MultiIndex({v: e for v, e in zip(variables, expo) if e}))
+        basis.append(_monomial({v: e for v, e in zip(variables, expo) if e}))
     raw_f = raw_from_chaos(f)
     raw_basis = [raw_from_chaos(hermite_monomial(idx)) for idx in basis]
-    weights = [idx.weight for idx in basis]
+    weights = [_weight(idx) for idx in basis]
     all_vars = sorted(set(f.variables()) | set(variables))
     gammas = [raw_gamma(raw_f, rb, all_vars) for rb in raw_basis]
     dim = len(basis)

@@ -65,6 +65,24 @@ def test_add_identity_and_cancellation():
     assert (G1 + G2).terms == {**G1.terms, **G2.terms}
 
 
+def test_terms_are_keyed_by_sorted_variable_degree_tuples():
+    rng = random.Random(29)
+    for _ in range(40):
+        f = random_poly(rng, max_vars=5, max_degree=4) * random_poly(rng, max_vars=5, max_degree=2)
+        for idx in f.terms:
+            assert type(idx) is tuple and list(idx) == sorted(idx)
+            assert all(type(v) is int and type(d) is int and v >= 1 and d >= 1 for v, d in idx)
+            assert len({v for v, _ in idx}) == len(idx)
+        assert ChaosPoly(f.terms) == f
+    assert hermite_monomial({2: 1, 1: 3}).terms == {((1, 3), (2, 1)): 1}
+    spellings = [{2: 1, 1: 3}, [(2, 1), (1, 3)], ((1, 3), (2, 1))]
+    polys = [hermite_monomial(index, Fraction(2, 3)) for index in spellings]
+    # the constructor merges the three spellings into one term
+    merged = ChaosPoly([(index, Fraction(2, 9)) for index in spellings])
+    assert polys[0] == polys[1] == polys[2] == merged
+    assert {f.coefficient(index) for f in polys for index in spellings} == {Fraction(2, 3)}
+
+
 def test_mul_basic_linearization():
     assert G1 * G1 == HE2_1 + ChaosPoly.constant(1)
     assert G1 * G2 == hermite_monomial({1: 1, 2: 1})

@@ -577,11 +577,27 @@ def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, pol
         ({"kind": "gaussian"}, [{"coeff": "1", "vars": [1, 1]}], "p.json: term 0: variable 1 repeats"),
         ({"kind": "gaussian"}, [{"coeff": "1", "vars": [2]}, {"coeff": "1", "vars": [[1, 1], [1, 1]]}],
          "p.json: term 1: variable 1 repeats"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [1]}, {"coeff": "1", "vars": [1]}],
+         "p.json: term 1: duplicate term {1: 1}"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [1]}, {"coeff": "2", "vars": [[1, 1]]}],
+         "p.json: term 1: duplicate term {1: 1}"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [1, 2]}, {"coeff": "-1", "vars": [2, 1]}],
+         "p.json: term 1: duplicate term {1: 1, 2: 1}"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [0]}], "p.json: term 0: bad factor (0, 1)"),
+        ({"kind": "gaussian"}, [{"coeff": "1", "vars": [[1, 0]]}], "p.json: term 0: bad factor (1, 0)"),
+        ({"kind": "rademacher"}, [{"coeff": "1", "vars": [[1, 2]]}],
+         "p.json: law 'rademacher' supports ensemble levels up to 1, but level 2 was used"),
+        ({"kind": "discrete", "points": ["0", "2"], "probabilities": ["1/2", "1/2"]}, [],
+         "p.json: discrete law is not centered: mean 1"),
+        ({"kind": "discrete", "points": ["-2", "2"], "probabilities": ["1/2", "1/2"]}, [],
+         "p.json: discrete law does not have unit variance: 4"),
     ],
     ids=[
         "terms-number", "vars-number", "float-variable", "bool-variable", "float-level",
         "bool-factor", "points-number", "probabilities-string", "kind-list", "kind-object",
-        "repeated-id", "repeated-factor",
+        "repeated-id", "repeated-factor", "repeated-term", "repeated-term-two-spellings",
+        "cancelling-terms", "variable-zero", "level-zero", "level-above-law", "law-not-centered",
+        "law-not-unit-variance",
     ],
 )
 def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law, terms, message):

@@ -15,7 +15,6 @@ from chaoscalc import (
     BasisSizeError,
     ChaosPoly,
     InputLaw,
-    MultiIndex,
     MultilinearPoly,
     PreconditionError,
     gaussian,
@@ -201,10 +200,10 @@ def test_basis_cap_error_reports_dimension(monkeypatch):
 
 def test_basis_count_is_the_binomial_up_to_the_cap():
     # the basis order: exponent vectors over the sorted variables, descending
-    assert [dict(idx.entries) for idx in degree_monomials([9, 2, 5], 2)] == [
+    assert [dict(idx) for idx in degree_monomials([9, 2, 5], 2)] == [
         {2: 2}, {2: 1, 5: 1}, {2: 1, 9: 1}, {5: 2}, {5: 1, 9: 1}, {9: 2},
     ]
-    assert degree_monomials([], 3) == [] and degree_monomials([4, 1], 0) == [MultiIndex()]
+    assert degree_monomials([], 3) == [] and degree_monomials([4, 1], 0) == [()]
     for nvars in range(8):
         for q in range(1, 7):
             dim = math.comb(q + nvars - 1, q)

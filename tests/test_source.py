@@ -35,3 +35,44 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assigned names that no module of
+    ``sources`` (module name -> source) loads or imports, as ``module.name``;
+    dunder names such as ``__version__`` are left out."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((f"{module}.{name}", name) for name in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(
+        key for key, name in defined.items() if name not in read and not name.startswith("__")
+    )
+
+
+def test_unread_definitions_are_found():
+    sources = {
+        "a": "__version__ = '1'\nX = 1\n_Y: int = 2\ndef f():\n    return X\nclass C:\n    pass\n",
+        "b": "from a import f\n",
+    }
+    assert unread_definitions(sources) == ["a.C", "a._Y"]
+
+
+def test_every_top_level_definition_is_read_or_exported():
+    # the package's __init__ imports, and so reads, every name it exports
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_definitions(sources) == []
