@@ -22,7 +22,6 @@ from .decompose import (
     QuadraticCanonicalForm,
     canonical_quadratic,
     decompose_along,
-    decompose_along_w1,
     iterate_decomposition,
 )
 from .ensembles import (

@@ -77,12 +77,14 @@ MonomialLike = Mapping[int, int] | Iterable[tuple[int, int]]
 def _monomial(index: MonomialLike) -> Entries:
     """The entries of a monomial given as ``{variable: degree}`` or as pairs.
 
-    Variable ids and degrees must be positive integers; absent variables have
-    degree zero.
+    Variable ids and degrees must be positive integers, each variable listed
+    once; absent variables have degree zero.
     """
     pairs = {}
-    for var, deg in dict(index).items():
+    for var, deg in index.items() if isinstance(index, Mapping) else index:
         var = as_integer(var, "variable ids must be positive integers", 1)
+        if var in pairs:
+            raise PreconditionError(f"variable {var} repeats")
         pairs[var] = as_integer(deg, f"degrees must be positive integers for variable {var}", 1)
     return tuple(sorted(pairs.items()))
 
@@ -516,11 +518,20 @@ def poly_to_json(f: ChaosPoly) -> str:
 
 
 def _decode_json(text: str):
-    """``json.loads(text)``, or a ``ParseError`` that names the line and column."""
+    """``json.loads(text)``, or a ``ParseError`` naming the line and column or a repeated key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's pairs as a dict; a repeated key is a ``ParseError``."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return out
 
 
 def _parse_coeff(raw, where: str) -> Fraction:
@@ -568,8 +579,6 @@ def poly_from_json_dict(data) -> ChaosPoly:
                 raise ParseError(
                     f"{where}: degree for variable {var} must be a positive integer, got {deg!r}"
                 )
-            if var in entries:
-                raise ParseError(f"{where}: duplicate variable id {var}")
             entries[var] = deg
         idx = tuple(sorted(entries.items()))
         if idx in out:

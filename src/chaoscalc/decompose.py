@@ -9,7 +9,7 @@ rank-one update ``G_j -> G_j + m_j S / D`` with one shared linear form ``S``,
 expanded by ``_rank_one_substitute``: the binomial theorem per coordinate and
 powers of ``S``.
 
-The key exact construction: to split ``f`` along a unit linear direction
+The key exact construction: to split any ``f`` along a unit linear direction
 ``x = u . G``, write ``G = u x + P G`` with the projection
 ``P = I - u u^T``.  ``x`` is independent of ``P G`` and Wick powers of
 independent parts factor, so the one substitution
@@ -21,8 +21,8 @@ iterated decomposition therefore reads ``A_0`` off the split instead of
 subtracting the other levels from ``f``.
 
 For directions of degree q >= 2 no such split exists; that path is the
-exact orthogonal projection of ``f`` on the products of ``He_l(x)`` with
-monomials off ``x``'s variables, solved in rationals (see
+exact orthogonal projection of a homogeneous ``f`` on the products of
+``He_l(x)`` with monomials off ``x``'s variables, solved in rationals (see
 ``decompose_along``), with residual diagnostics.
 """
 
@@ -40,12 +40,11 @@ from .algebra import (
     ChaosPoly,
     Entries,
     JsonResult,
-    RationalLike,
     _degree,
     _numerators,
     as_fraction,
-    compose_hermite,
     hermite_monomial,
+    hermite_values,
     homogeneous_degree,
     inner_product,
     project_chaos,
@@ -73,8 +72,9 @@ class DecompositionStep(JsonResult):
 
     def reassemble(self) -> ChaosPoly:
         out = ChaosPoly.zero()
-        for level, coeff in enumerate(self.coefficients):
-            out = out + coeff * compose_hermite(level, self.direction)
+        ladder = hermite_values(self.direction, len(self.coefficients) - 1)
+        for coeff, h in zip(self.coefficients, ladder):
+            out = out + coeff * h
         return out
 
 
@@ -211,26 +211,20 @@ def _rank_one_substitute(
     return denom * big_d**top, totals
 
 
-def _split_linear(
-    f: ChaosPoly, coeffs: Mapping[int, Fraction], norm_sq: Fraction
-) -> DecompositionStep:
-    """The split of ``f`` along the linear direction ``coeffs``, of exact squared norm ``norm_sq``.
+def _split_linear(f: ChaosPoly, x: ChaosPoly, norm_sq: Fraction) -> DecompositionStep:
+    """The split of ``f`` along the linear direction ``x``, of exact squared norm ``norm_sq``.
 
-    ``norm_sq`` must be within 1e-12 of 1, or ``PreconditionError``: one
-    check for both entry points, ``decompose_along_w1`` and the q = 1 branch
-    of ``decompose_along``.  An exactly unit vector is used as it is; any
-    other is normalised in floats and snapped once by
+    The q = 1 branch of ``decompose_along``.  An exactly unit ``x`` is used as
+    it is; any other is normalised in floats and snapped once by
     ``influence._unit_rational`` (one denominator below ``2**107``;
-    coordinates snapped to 0 leave the direction).  The
-    unit vector is scaled to integers ``m`` over ``d`` and substituted by
-    ``_rank_one_substitute``; the ``X^l`` part of its totals is ``A_l``.
+    coordinates snapped to 0 leave the direction).  The unit vector is scaled
+    to integers ``m`` over ``d`` and substituted by ``_rank_one_substitute``;
+    the ``X^l`` part of its totals is ``A_l``.
     """
     check_unit_norm(norm_sq, 1e-12, "direction")
-    variables = sorted(coeffs)
-    if norm_sq == 1:
-        unit = [coeffs[v] for v in variables]
-    else:
-        floats = np.array([float(coeffs[v]) for v in variables])
+    variables, unit = zip(*sorted((idx[0][0], c) for idx, c in x._terms.items()))
+    if norm_sq != 1:
+        floats = np.array([float(c) for c in unit])
         snapped = _unit_rational(floats / np.linalg.norm(floats))
         variables, unit = zip(*((v, c) for v, c in zip(variables, snapped) if c))
     d = math.lcm(*(c.denominator for c in unit))
@@ -246,31 +240,6 @@ def _split_linear(
         remainder_gamma_norm=0.0,
         exact=True,
     )
-
-
-def decompose_along_w1(f: ChaosPoly, a: Mapping[int, RationalLike]) -> DecompositionStep:
-    """Exact split of ``f`` along the unit linear direction ``x = sum_i u_i G_i``.
-
-    With ``u`` of exact unit norm, ``G = u x + (G - u u^T G)`` and ``x`` is
-    independent of the projected part, so ``He_a(G) = :(u x + P G)^a:``
-    splits into ``He_l(x)`` times Wick powers of ``P G``.  One substitution
-    ``G_j -> u_j X + (P G)_j``, with ``X`` on one extra column, gives ``A_l``
-    as the coefficient of ``X^l``, each ordinary monomial read back as a
-    Hermite monomial; ``P u = 0`` makes ``gamma_gradient(A_l, x)`` vanish.
-    The forms are ``G_j + u_j (X - u . G)``, expanded as one rank-one update
-    (``_rank_one_substitute``).  Keys of ``a`` are variable ids, each a
-    positive integer by ``operator.index``, and its values must be finite,
-    or ``PreconditionError``.
-    ``u`` is ``a`` when exactly unit, as every q = 1 direction of ``rho_q``
-    is; a float-derived ``a`` within the 1e-12 slack is snapped to an exactly
-    unit ``u`` next to ``a / |a|``, returned as ``step.direction``.
-    """
-    ids = [as_integer(v, "variable ids must be positive integers", 1) for v in a]
-    coeffs = {v: as_fraction(c) for v, c in zip(ids, a.values())}
-    coeffs = {v: c for v, c in coeffs.items() if c}
-    if not coeffs:
-        raise PreconditionError("direction vector must be nonzero")
-    return _split_linear(f, coeffs, sum(c * c for c in coeffs.values()))
 
 
 def _solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -290,12 +259,18 @@ def _solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
 
 
 def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
-    """Split a degree-p stratum element along a unit direction ``x`` of degree q < p.
+    """Split ``f`` along a unit direction ``x`` of degree q: ``f ~ sum_l A_l He_l(x)``.
 
-    q = 1 is the exact split of ``decompose_along_w1``, snap included.  For
-    q >= 2 the split is the exact orthogonal projection of ``f`` on the
-    products ``m * He_l(x)`` where the Hermite monomials ``m`` avoid the
-    variables of ``x`` (so every coefficient decouples from ``x`` by
+    A linear ``x`` splits any ``f`` exactly, mixed degree and constants
+    included (see the module docstring).  Its squared norm must be within
+    1e-12 of 1, or ``PreconditionError``; an exactly unit ``x``, as every
+    q = 1 direction of ``rho_q`` is, is used as it is, and a float-derived one
+    is snapped once to an exactly unit ``step.direction`` next to ``x / |x|``.
+
+    q >= 2 needs a homogeneous ``f`` of degree ``p > q`` and ``x`` within
+    1e-8 of unit norm.  The split is the exact orthogonal projection of ``f``
+    on the products ``m * He_l(x)`` where the Hermite monomials ``m`` avoid
+    the variables of ``x`` (so every coefficient decouples from ``x`` by
     construction): levels l >= 1 allow deg(m) <= p - l q and level 0 allows
     deg(m) <= p - 1.  ``m`` and ``He_l(x)`` share no variable, so
     ``<f, m He_l(x)> / m! = <f_m, He_l(x)>``, where ``f_m`` is the part on
@@ -307,18 +282,17 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     the fitted space.  The residual, orthogonal to that space, is reported
     through ``remainder_gamma_norm``; the reassembly is generally not ``f``.
     """
-    p = homogeneous_degree(f, "polynomial")
     q = homogeneous_degree(x, "direction")
-    if q < 1 or q >= p:
-        raise PreconditionError(f"direction degree must satisfy 1 <= q < p; got q={q}, p={p}")
     x_norm_sq = inner_product(x, x)
     if q == 1:
-        coeffs = {idx[0][0]: c for idx, c in x._terms.items()}
-        return _split_linear(f, coeffs, x_norm_sq)
+        return _split_linear(f, x, x_norm_sq)
+    p = homogeneous_degree(f, "polynomial")
+    if q < 1 or q >= p:
+        raise PreconditionError(f"direction degree must satisfy 1 <= q < p; got q={q}, p={p}")
     check_unit_norm(x_norm_sq, 1e-8, "direction")
 
     on_x = set(x.variables())
-    hx = [compose_hermite(level, x) for level in range(p // q + 1)]
+    hx = [ChaosPoly.constant(1), *hermite_values(x, p // q)[1:]]
     mu = [[inner_product(a, b) for b in hx] for a in hx]
     groups: dict[Entries, dict[Entries, Fraction]] = {}
     for idx, c in f._terms.items():

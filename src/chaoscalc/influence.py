@@ -32,7 +32,7 @@ rounded on the grid ``STEREO_GRID``.  Each coordinate moves by about
 ``2 * 2**-53`` beyond the float vector's own norm error ``|sum v**2 - 1|``,
 at the level of the eigensolve's rounding, and the coordinates share one
 denominator below ``2**107``, so the exact split along the direction
-(``decompose.decompose_along_w1``) needs no rescaling.  Degree ``q >= 2``
+(``decompose.decompose_along``) needs no rescaling.  Degree ``q >= 2``
 directions are unit for the weighted norm ``sum_a a! c_a**2``, which need not
 have rational points; each coordinate is the exact value of a float, divided
 exactly by a power of two, so none underflows (``_degree_influence``).

@@ -23,9 +23,9 @@ orthogonal change of coordinates built from ``compose_hermite`` and
 ``ChaosPoly`` products, which rotates test inputs.  The general Wick
 substitution of ``n`` linear forms as memoised products of their powers
 (``substitute_forms``) checks the library's rank-one substitution kernel;
-``inner_product``, ``decompose_along_w1`` and ``iterate_decomposition`` are
-checked against the routes they took before they were specialised: a
-``Fraction`` sum, a rotation into the Householder basis with one
+``inner_product``, the linear split of ``decompose_along`` and
+``iterate_decomposition`` are checked against the routes they took before
+they were specialised: a ``Fraction`` sum, a rotation into the Householder basis with one
 back-rotation per level bucket, and the level-0 part rebuilt by subtracting
 the fitted levels.  ``read_sample_file_whole_text`` is the sample-file
 reader as it was before it streamed: the whole text, split into lines, then
@@ -407,10 +407,10 @@ def householder_rows(a: list[Fraction]) -> list[list[Fraction]]:
 
 
 def split_by_bucket_rotation(f: ChaosPoly, a: dict) -> list[ChaosPoly]:
-    """``decompose_along_w1``'s coefficients by rotation: ``f`` rotated into the
-    Householder rows of ``a``, grouped by the pivot's Hermite degree, and each
-    level bucket rotated back by its own ``substitute_rotation`` call on the
-    transposed rows."""
+    """The coefficients of ``decompose_along`` along ``x = sum_v a[v] G_v``, by
+    rotation: ``f`` rotated into the Householder rows of ``a``, grouped by the
+    pivot's Hermite degree, and each level bucket rotated back by its own
+    ``substitute_rotation`` call on the transposed rows."""
     variables = sorted(a)
     rows = householder_rows([Fraction(a[v]) for v in variables])
     pivot = variables[0]

@@ -35,7 +35,7 @@ from chaoscalc import (
     build_ensemble,
     canonical_quadratic,
     compose_hermite,
-    decompose_along_w1,
+    decompose_along,
     excess_kurtosis,
     expectation,
     gamma_gradient,
@@ -256,7 +256,7 @@ def test_criterion_7_decomposition_exactness():
     for _ in range(100):
         f = random_poly(rng, max_vars=4, max_degree=3)
         unit = random_rational_unit(rng, rng.randint(1, 4))
-        step = decompose_along_w1(f, {v + 1: c for v, c in enumerate(unit)})
+        step = decompose_along(f, ChaosPoly({((v + 1, 1),): c for v, c in enumerate(unit)}))
         assert step.reassemble() == f
         energy = Fraction(0)
         for level, coeff in enumerate(step.coefficients):
@@ -267,7 +267,7 @@ def test_criterion_7_decomposition_exactness():
         assert energy == inner_product(f, f)
 
     # worked example, digit for digit (hand substitution, see test_decompose)
-    step = decompose_along_w1(G1 * G2, {1: Fraction(3, 5), 2: Fraction(4, 5)})
+    step = decompose_along(G1 * G2, (3 * G1 + 4 * G2) / 5)
     assert step.coefficients[2] == ChaosPoly.constant(Fraction(12, 25))
     assert step.coefficients[1] == hermite_monomial({1: 1}, Fraction(28, 125)) + hermite_monomial(
         {2: 1}, Fraction(-21, 125)

@@ -59,6 +59,21 @@ def test_non_finite_coefficients_are_precondition_errors(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build, var",
+    [
+        (lambda: hermite_monomial([(1, 2), (1, 3)]), 1),
+        (lambda: ChaosPoly([([(2, 1), (2, 2)], 1)]), 2),
+        (lambda: G1.coefficient([(1, 1), (1, 1)]), 1),
+    ],
+    ids=["hermite_monomial", "ChaosPoly", "coefficient"],
+)
+def test_a_variable_repeated_in_a_pairs_index_is_refused(build, var):
+    # read through dict(), the pairs kept only the last degree of the variable
+    with pytest.raises(PreconditionError, match=f"^variable {var} repeats$"):
+        build()
+
+
 def test_add_identity_and_cancellation():
     assert HE2_1 + ChaosPoly.zero() == HE2_1
     assert (HE2_1 + (-1) * HE2_1).is_zero()
@@ -399,8 +414,21 @@ def test_json_reader_accepts_any_order():
             for key in ["1_0", "\u0663", " 7", "7 ", "+3", "07", "-0", "", "1.0", "1e1"]
         ),
         ({"terms": [{"coeff": "1", "index": {"-1": 1}}]}, "term 0: variable ids must be positive"),
+        # a key repeated within one object: text, as a dict cannot hold it
+        pytest.param(
+            '{"terms": [{"coeff": "1", "index": {"1": 2, "1": 3}}]}', "^duplicate key '1'$",
+            id="repeated variable id",
+        ),
+        pytest.param(
+            '{"terms": [{"coeff": "1", "index": {"1": 2}}], "terms": []}', "^duplicate key 'terms'$",
+            id="second terms array",
+        ),
+        pytest.param(
+            '{"terms": [{"coeff": "1", "coeff": "2", "index": {}}]}', "^duplicate key 'coeff'$",
+            id="repeated coeff",
+        ),
     ],
 )
 def test_json_reader_rejects_malformed_terms(payload, message):
     with pytest.raises(ParseError, match=message):
-        poly_from_json(json.dumps(payload))
+        poly_from_json(payload if isinstance(payload, str) else json.dumps(payload))

@@ -591,18 +591,21 @@ def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, pol
          "p.json: discrete law is not centered: mean 1"),
         ({"kind": "discrete", "points": ["-2", "2"], "probabilities": ["1/2", "1/2"]}, [],
          "p.json: discrete law does not have unit variance: 4"),
+        ('{"law": {"kind": "gaussian"}, "law": {"kind": "rademacher"}, "terms": []}', None,
+         "p.json: duplicate key 'law'"),
     ],
     ids=[
         "terms-number", "vars-number", "float-variable", "bool-variable", "float-level",
         "bool-factor", "points-number", "probabilities-string", "kind-list", "kind-object",
         "repeated-id", "repeated-factor", "repeated-term", "repeated-term-two-spellings",
         "cancelling-terms", "variable-zero", "level-zero", "level-above-law", "law-not-centered",
-        "law-not-unit-variance",
+        "law-not-unit-variance", "repeated-key",
     ],
 )
 def test_malformed_multilinear_file_exits_2_with_a_message(capsys, tmp_path, law, terms, message):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"law": law, "terms": terms}))
+    # a row whose law is text gives the whole file, which a dict could not hold
+    path.write_text(law if isinstance(law, str) else json.dumps({"law": law, "terms": terms}))
     code, out, err = run_cli(capsys, "influences", str(path))
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err

@@ -14,7 +14,6 @@ from chaoscalc import (
     canonical_quadratic,
     compose_hermite,
     decompose_along,
-    decompose_along_w1,
     gamma_gradient,
     gaussian,
     hermite_monomial,
@@ -47,6 +46,11 @@ HE2_1 = hermite_monomial({1: 2})
 HE2_2 = hermite_monomial({2: 2})
 
 
+def _linear(a) -> ChaosPoly:
+    """The linear direction ``sum_v a[v] G_v``."""
+    return ChaosPoly({((v, 1),): c for v, c in a.items()})
+
+
 def _float_unit(rng: random.Random, size: int) -> list[Fraction]:
     vec = [rng.uniform(-1.0, 1.0) for _ in range(size)]
     norm = math.sqrt(sum(v * v for v in vec))
@@ -56,9 +60,9 @@ def _float_unit(rng: random.Random, size: int) -> list[Fraction]:
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_direction_coefficients_are_rejected(bad):
     with pytest.raises(PreconditionError, match="finite"):
-        decompose_along_w1(G1 * G2, {1: bad, 2: 0.8})
+        decompose_along(G1 * G2, _linear({1: bad, 2: 0.8}))
     with pytest.raises(PreconditionError, match="finite"):
-        decompose_along_w1(G1 * G2, {1: 1, 2: bad})
+        decompose_along(G1 * G2, _linear({1: 1, 2: bad}))
 
 
 def test_split_worked_example_digit_for_digit():
@@ -69,7 +73,7 @@ def test_split_worked_example_digit_for_digit():
     A2 = 12/25, A1 = -(7/25) hatG2, A0 = -(12/25) He2(hatG2), re-expanded
     below in the original coordinates.
     """
-    step = decompose_along_w1(G1 * G2, {1: Fraction(3, 5), 2: Fraction(4, 5)})
+    step = decompose_along(G1 * G2, _linear({1: Fraction(3, 5), 2: Fraction(4, 5)}))
     assert step.exact and step.q == 1
     assert step.direction == (3 * G1 + 4 * G2) / 5
 
@@ -89,25 +93,23 @@ def test_split_worked_example_digit_for_digit():
 
 
 def test_split_trivial_examples():
-    step = decompose_along_w1(HE2_1, {1: 1})
+    step = decompose_along(HE2_1, _linear({1: 1}))
     assert step.coefficients[2] == ChaosPoly.constant(1)
     assert step.coefficients[1].is_zero() and step.coefficients[0].is_zero()
 
-    step = decompose_along_w1(G2, {1: 1})
+    step = decompose_along(G2, _linear({1: 1}))
     assert step.coefficients[0] == G2
     assert all(c.is_zero() for c in step.coefficients[1:])
 
 
 def test_split_rejects_non_unit_direction():
     with pytest.raises(PreconditionError, match="unit"):
-        decompose_along_w1(G1 * G2, {1: 1, 2: 1})
+        decompose_along(G1 * G2, _linear({1: 1, 2: 1}))
 
 
-def test_both_linear_entry_points_refuse_a_direction_off_unit_by_1e_minus_10():
-    # one 1e-12 check for the q = 1 split, whichever entry point is called
+def test_linear_split_refuses_a_direction_off_unit_by_1e_minus_10():
+    # the q = 1 split checks the norm to 1e-12, not to the q >= 2 path's 1e-8
     scale = 1 + Fraction(1, 10**10)
-    with pytest.raises(PreconditionError, match="unit"):
-        decompose_along_w1(G1 * G2, {1: scale})
     with pytest.raises(PreconditionError, match="unit"):
         decompose_along(G1 * G2, scale * G1)
 
@@ -127,11 +129,13 @@ def test_both_linear_entry_points_refuse_a_direction_off_unit_by_1e_minus_10():
 def test_split_rejects_direction_keys_that_are_not_positive_integers(direction):
     # truncating would split along other coordinates, or merge two keys into one
     with pytest.raises(PreconditionError, match="positive integers"):
-        decompose_along_w1(G1 * G2, direction)
+        decompose_along(G1 * G2, _linear(direction))
 
 
 def test_split_takes_integer_like_direction_keys_as_ids():
-    step = decompose_along_w1(G1 * G2, {np.int64(1): Fraction(3, 5), np.int32(2): Fraction(4, 5)})
+    step = decompose_along(
+        G1 * G2, _linear({np.int64(1): Fraction(3, 5), np.int32(2): Fraction(4, 5)})
+    )
     assert step.direction == (3 * G1 + 4 * G2) / 5
     assert all(type(v) is int for v in step.direction.variables())
     assert step.reassemble() == G1 * G2
@@ -199,7 +203,7 @@ def test_split_exactness_on_random_inputs():
         size = rng.randint(1, 4)
         unit = random_rational_unit(rng, size)
         direction = {v + 1: c for v, c in enumerate(unit)}
-        step = decompose_along_w1(f, direction)
+        step = decompose_along(f, _linear(direction))
         assert step.reassemble() == f
         for coeff in step.coefficients:
             assert gamma_gradient(coeff, step.direction).is_zero()
@@ -220,7 +224,7 @@ def test_split_coefficients_match_per_bucket_rotation():
         ids = rng.sample(range(1, max_vars + 1), size) if scatter else range(1, size + 1)
         direction = {v: c for v, c in zip(ids, unit) if c}
         outside += bool(set(f.variables()) - set(direction))
-        step = decompose_along_w1(f, direction)
+        step = decompose_along(f, _linear(direction))
         # a float-derived direction is snapped; the oracle rotates along the snapped one
         unit = {idx[0][0]: c for idx, c in step.direction.terms.items()}
         assert list(step.coefficients) == split_by_bucket_rotation(f, unit)
@@ -228,7 +232,7 @@ def test_split_coefficients_match_per_bucket_rotation():
 
 
 def test_near_unit_directions_are_snapped_once_at_the_boundary():
-    # both entry points: an exactly unit vector is the direction as given; a
+    # an exactly unit vector is the direction as given; a
     # float-derived near-unit one comes back exactly unit, on one denominator
     # below 2**107, within 1e-15 of a / |a| in every coordinate
     rng = random.Random(59)
@@ -244,21 +248,21 @@ def test_near_unit_directions_are_snapped_once_at_the_boundary():
         given = {v + 1: c for v, c in enumerate(a) if c}
         x = ChaosPoly({((v, 1),): c for v, c in given.items()})
         norm_sq = sum(c * c for c in given.values())
-        for step in (decompose_along_w1(f, given), decompose_along(f, x)):
-            if norm_sq == 1:
-                assert step.direction == x
-                continue
-            snapped += 1
-            coeffs = step.direction.terms.values()
-            assert sum(c * c for c in coeffs) == 1
-            assert math.lcm(*(c.denominator for c in coeffs)) < 2**107
-            norm = math.sqrt(float(norm_sq))
-            for v, c in given.items():
-                target = Fraction(float(c) / norm)
-                assert abs(step.direction.coefficient({v: 1}) - target) <= Fraction(1e-15)
-            assert step.reassemble() == f
-            assert all(gamma_gradient(c, step.direction).is_zero() for c in step.coefficients)
-    assert snapped >= 80
+        step = decompose_along(f, x)
+        if norm_sq == 1:
+            assert step.direction == x
+            continue
+        snapped += 1
+        coeffs = step.direction.terms.values()
+        assert sum(c * c for c in coeffs) == 1
+        assert math.lcm(*(c.denominator for c in coeffs)) < 2**107
+        norm = math.sqrt(float(norm_sq))
+        for v, c in given.items():
+            target = Fraction(float(c) / norm)
+            assert abs(step.direction.coefficient({v: 1}) - target) <= Fraction(1e-15)
+        assert step.reassemble() == f
+        assert all(gamma_gradient(c, step.direction).is_zero() for c in step.coefficients)
+    assert snapped >= 40
 
 
 def test_split_parseval_bookkeeping():
@@ -267,7 +271,7 @@ def test_split_parseval_bookkeeping():
     for _ in range(30):
         f = random_poly(rng, max_vars=4, max_degree=3)
         unit = random_rational_unit(rng, rng.randint(1, 4))
-        step = decompose_along_w1(f, {v + 1: c for v, c in enumerate(unit)})
+        step = decompose_along(f, _linear({v + 1: c for v, c in enumerate(unit)}))
         total = Fraction(0)
         for level, coeff in enumerate(step.coefficients):
             part = coeff * compose_hermite(level, step.direction)
@@ -280,9 +284,24 @@ def test_direction_split_delegates_for_linear_directions():
     assert step.exact and step.coefficients[1] == G2 and step.coefficients[0].is_zero()
 
 
+def test_linear_split_takes_a_mixed_degree_input():
+    # only a q >= 2 direction needs a homogeneous input; G1 + G2 G3 splits exactly along G1
+    f = G1 + G2 * gaussian(3)
+    step = decompose_along(f, G1)
+    assert step.exact and step.reassemble() == f
+    assert step.coefficients == (G2 * gaussian(3), ChaosPoly.constant(1), ChaosPoly.zero())
+    assert all(gamma_gradient(c, G1).is_zero() for c in step.coefficients)
+    # a constant and a degree-1 input split too
+    assert decompose_along(ChaosPoly.constant(3), G1).coefficients == (ChaosPoly.constant(3),)
+    assert decompose_along(G1, G1).coefficients == (ChaosPoly.zero(), ChaosPoly.constant(1))
+
+
 def test_direction_split_preconditions():
     with pytest.raises(PreconditionError, match="1 <= q < p"):
         decompose_along(G1 * G2, G1 * G2)
+    # a unit q = 2 direction still needs a homogeneous input
+    with pytest.raises(PreconditionError, match="not homogeneous"):
+        decompose_along(G1 + G2 * gaussian(3), G2 * gaussian(3))
     with pytest.raises(PreconditionError, match="unit"):
         decompose_along(hermite_monomial({1: 2, 2: 2}), 3 * G1 * G2)
 

@@ -1,6 +1,8 @@
 """Static checks of the package source, with the standard library's ``ast``."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,49 @@ def test_every_top_level_definition_is_read_or_exported():
     # the package's __init__ imports, and so reads, every name it exports
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+# ``module.name`` alone in a code span, or called in one, with ``chaoscalc.`` optional
+QUALIFIED = re.compile(r"`(?:chaoscalc\.)?(\w+)\.(\w+)[`(]")
+# importing __main__ would run the command line
+PACKAGE_MODULES = {p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__")}
+
+
+def stale_references(text: str) -> list[str]:
+    """The code-span references ``module.name`` in ``text`` whose module is a
+    ``chaoscalc`` module without an attribute ``name``."""
+    return [
+        f"{module}.{name}"
+        for module, name in QUALIFIED.findall(text)
+        if module in PACKAGE_MODULES
+        and not hasattr(importlib.import_module(f"chaoscalc.{module}"), name)
+    ]
+
+
+def docstrings(source: str) -> str:
+    """Every module, class and function docstring of ``source``, one after another."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)]
+    return "\n".join(filter(None, map(ast.get_docstring, nodes)))
+
+
+def test_stale_references_are_found():
+    source = (
+        '"""See ``decompose.decompose_along`` and ``decompose.gone``."""\n'
+        "def f():\n"
+        '    """Calls ``influence.vanished(f)``, not ``step.direction`` or ``np.linalg.norm``."""\n'
+        "# ``algebra.not_in_a_docstring``\n"
+    )
+    assert stale_references(docstrings(source)) == ["decompose.gone", "influence.vanished"]
+    readme = "`chaoscalc.algebra.ChaosPoly`, `chaoscalc.cli.nothing`, `chaoscalc.algebra`"
+    assert stale_references(readme) == ["cli.nothing"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_docstring_references_name_what_their_module_defines(module):
+    assert stale_references(docstrings((PACKAGE / module).read_text())) == []
+
+
+def test_readme_references_name_what_their_module_defines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert stale_references(readme.read_text()) == []
