@@ -2,11 +2,11 @@
 
 ``accumulate_terms`` evaluates a sampler's term table over one sub-chunk of a
 block of draws (as many rows as fit ``montecarlo.CHUNK_CELLS`` table cells),
-in a fixed operation order that the sample-file bytes depend on.  It takes
-the factor rows as a list of 1-D rows, never stacked, writes into the
-caller's output slice, reads the term table as Python lists and reuses one
-product buffer, so its per-call overhead and working set stay small next to
-the chunk's arithmetic.  ``jacobi_eigh`` is LAPACK's symmetric eigensolver
+in a fixed operation order that the sample-file bytes depend on.  The
+sampler passes the factor rows as a 2-D view of its chunk table, never a
+copy; the kernel writes into the caller's output slice, reads the term table
+as Python lists and reuses one product buffer, so its per-call overhead and
+working set stay small next to the chunk's arithmetic.  ``jacobi_eigh`` is LAPACK's symmetric eigensolver
 (``numpy.linalg.eigh``).
 The exact-rational algebra never routes through this module; only float paths
 (sampling, eigensolves) do.  Callers that need a solver-independent

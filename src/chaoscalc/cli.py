@@ -7,14 +7,17 @@ import, so ``main`` only parses.  Handlers look library functions up as module
 globals when they run (a tracer may patch them), and ``_load`` reads every
 input file, naming it in a read, parse or precondition error.
 
-A handler returns its result, and ``main`` encodes it: the library's result
-object (a bare ``ChaosPoly`` for ``gamma`` and ``L``, a dict for ``w2``,
-``invariance`` and ``influences``) as ``canonical_json(json_value(result))``
-plus a newline, in one place for every command; ``sample`` returns the text of
-its line-oriented sample file.  Results go to standard output, or to
-``--output``; all diagnostics go to standard error.  Exit codes: 0 success,
-2 parse/precondition/input errors or an ``--output`` file that cannot be
-written, 3 resource caps exceeded or memory that cannot be allocated.
+A handler returns its result, and ``main`` writes it, in one place for every
+command: the library's result object (a bare ``ChaosPoly`` for ``gamma`` and
+``L``, a dict for ``w2``, ``invariance`` and ``influences``) as
+``canonical_json(json_value(result))`` plus a newline, and ``sample``'s
+``SampleSet`` as the pieces of its line-oriented sample file
+(``montecarlo._sample_file_pieces``), formatted as they are written.  The
+sample is drawn whole before the first byte is written.  Results go to
+standard output, or to ``--output``; all diagnostics go to standard error.
+Exit codes: 0 success, 2 parse/precondition/input errors or an ``--output``
+file that cannot be written, 3 resource caps exceeded or memory that cannot
+be allocated.
 Repeated invocations with identical arguments produce byte-identical output.
 """
 
@@ -31,7 +34,8 @@ from .errors import BasisSizeError, ChaosCalcError, ParseError, PreconditionErro
 from .influence import rho_q, strongest_influence
 from .malliavin import gamma_gradient, ou_generator
 from .montecarlo import (
-    format_sample_file,
+    SampleSet,
+    _sample_file_pieces,
     invariance_gap,
     normality_report,
     read_sample_file,
@@ -86,10 +90,9 @@ def _cmd_diagnose(args):
     return normality_report(_load_poly(args.f), args.samples, args.seed, args.workers)
 
 
-def _cmd_sample(args) -> str:
+def _cmd_sample(args) -> SampleSet:
     f = _load_poly(args.f)
-    result = sample(f, args.samples, args.seed, stream=args.stream, workers=args.workers)
-    return format_sample_file(result)
+    return sample(f, args.samples, args.seed, stream=args.stream, workers=args.workers)
 
 
 def _cmd_w2(args) -> dict:
@@ -171,9 +174,13 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         result = args.handler(args)
-        text = result if isinstance(result, str) else canonical_json(json_value(result)) + "\n"
+        if isinstance(result, SampleSet):
+            pieces = _sample_file_pieces(result)
+        else:
+            pieces = (canonical_json(json_value(result)) + "\n",)
         if args.output:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as handle:
+                handle.writelines(pieces)
     except BasisSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -184,7 +191,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -25,6 +25,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .algebra import (
     ChaosPoly,
     JsonResult,
@@ -169,13 +171,21 @@ class EnsemblePoly:
         """The coefficients as floats, highest power first, and ``sqrt(norm_sq)``."""
         return [float(c) for c in reversed(self.coeffs)], math.sqrt(float(self.norm_sq))
 
-    def eval(self, x):
-        """``T_k(x)`` by Horner's rule; elementwise for numpy arrays."""
+    def eval(self, x, out, scratch) -> None:
+        """``out = T_k(x)`` elementwise for ``k >= 1``, by Horner's rule in place.
+
+        The partial sums live in ``scratch``; ``out`` may be ``x`` itself, as
+        it is written after the last read of ``x``.  ``p_k`` is monic, so the
+        first step, ``0·x + 1``, is a fill of 1 (``x`` is finite).
+        """
         coeffs, norm = self._float_form
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc / norm
+        scratch.fill(coeffs[0])
+        for c in coeffs[1:-1]:
+            scratch *= x
+            scratch += c
+        np.multiply(scratch, x, out=out)
+        out += coeffs[-1]
+        out /= norm
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,28 @@ used by diagnostics is ``sample`` of ``scale * G_1`` on the reserved stream
 ``GAUSSIAN_REFERENCE_STREAM``.
 
 Every sampled polynomial goes through one encoder (``_Encoder``): a term table
-over per-variable one-dimensional families, the Hermite recurrence
-(``algebra.hermite_values``) for chaos polynomials and the ensemble's ``T_k``
-(``EnsemblePoly.eval``) for multilinear ones.  A block is evaluated in
-sub-chunks, each drawn, tabulated and accumulated into its slice of the
-output.  A sub-chunk has ``max(1, CHUNK_CELLS // width)`` rows, where
-``width`` is the polynomial's draw columns plus its factor rows, so the draws
-and the factor table of one chunk hold about ``CHUNK_CELLS`` values per
-thread whatever the number of variables.  Consecutive chunks draw
-consecutive rows of the block's one generator, the same stream a
-whole-block draw reads, and each output row depends on its own draws alone,
-so the chunk size never changes an output bit.
+over per-variable one-dimensional families, the Hermite three-term recurrence
+(``_recurrence_rows``, the operations of ``algebra.hermite_values``) for chaos
+polynomials and the ensemble's ``T_k`` (``EnsemblePoly.eval``, Horner's rule)
+for multilinear ones.  A block is evaluated in sub-chunks, each drawn,
+tabulated and accumulated into its slice of the output, all in one table
+that the block allocates once and every chunk reuses.  ``width`` counts
+every row of it: the factor rows, which begin as the transposed draws, and
+the rows that hold the row-major draws and then the family's scratch.  A
+sub-chunk has ``max(1, CHUNK_CELLS // width)`` rows, so a thread holds about
+``CHUNK_CELLS`` values whatever the number of variables, and a process makes
+no new multi-MB array per chunk.  Draws are written into the table as the
+generator's shaped draws would be; only Rademacher signs pass through an
+integer temporary, half a chunk at a time.  Consecutive chunks draw
+consecutive rows of the block's one generator, the same stream a whole-block
+draw reads, and each output row depends on its own draws alone, so the
+chunk size never changes an output bit.
 
 Sample files are text: a header line and one ``repr`` per line.
-``write_sample_file`` writes them block by block and ``read_sample_file``
-converts the body straight from the open file, so neither holds the whole
-file's text.
+``_sample_file_pieces`` formats them ``PIECE_LINES`` lines at a time; it is
+the one writer, behind ``write_sample_file`` and the ``sample`` command.
+``read_sample_file`` converts the body straight from the open file, so
+neither direction holds the whole file's text.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from .algebra import (
     _sort_key,
     expectation,
     hermite_monomial,
-    hermite_values,
     inner_product,
     moment,
 )
@@ -62,9 +67,11 @@ from .influence import _influence_scan
 from .malliavin import gamma_gradient
 
 BLOCK_SIZE = 1 << 16
-# table cells (draws plus factor rows) per sub-chunk of a block; any size gives
-# the same bits (see the module docstring)
-CHUNK_CELLS = 1 << 19
+# table cells (every row ``width`` counts) per sub-chunk of a block; any size
+# gives the same bits (see the module docstring)
+CHUNK_CELLS = 1 << 18
+# sample-file lines formatted and written at a time
+PIECE_LINES = 1 << 13
 GENERATOR_ID = "philox4x64-block65536"
 GAUSSIAN_REFERENCE_STREAM = 2**31 - 1
 
@@ -100,35 +107,97 @@ def _blocks(n: int):
 
 
 def _law_sampler(law: InputLaw):
-    """``draw(rng, shape)``: draws of ``law``, with its tables built once."""
+    """``draw(rng, out)``: fills ``out`` with draws of ``law`` in C order, tables built once.
+
+    Each kind reads the generator as ``standard_normal``, ``integers``,
+    ``uniform`` or ``random`` of ``out``'s shape would, and rounds the same
+    way (``uniform`` is ``low + (high - low)·u``), so ``out`` holds those bits.
+    """
     if law.kind == "gaussian":
-        return lambda rng, shape: rng.standard_normal(shape)
+        return lambda rng, out: rng.standard_normal(out=out)
     if law.kind == "rademacher":
-        return lambda rng, shape: rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        def draw(rng, out):
+            # half the rows at a time: the int64 draws take at most a quarter of the table
+            for rows in np.array_split(out, 2):
+                np.copyto(rows, rng.integers(0, 2, size=rows.shape))
+            out *= 2.0
+            out -= 1.0
+        return draw
     if law.kind == "uniform":
-        half = math.sqrt(3.0)
-        return lambda rng, shape: rng.uniform(-half, half, size=shape)
+        low, span = -math.sqrt(3.0), 2.0 * math.sqrt(3.0)
+
+        def draw(rng, out):
+            rng.random(out=out)
+            out *= span
+            out += low
+        return draw
     # discrete, the one kind left
     cumulative = np.cumsum([float(p) for p in law.probabilities])
     cumulative[-1] = 1.0
     points = np.array([float(p) for p in law.points])
-    return lambda rng, shape: points[np.searchsorted(cumulative, rng.random(shape), side="right")]
+
+    def draw(rng, out):
+        rng.random(out=out)
+        np.take(points, np.searchsorted(cumulative, out, side="right"), out=out)
+    return draw
 
 
-def _hermite_rows(column: np.ndarray, levels: list[int]) -> list[np.ndarray]:
-    values = hermite_values(column, levels[-1])
-    return [values[k] for k in levels]
+def _recurrence_rows(x, wanted, table, scratch, coefficients) -> None:
+    """``table[row] = p_k(x)`` for each ``(k, row)`` of ``wanted`` (levels >= 2, ascending).
+
+    ``p_0 = 1``, ``p_1 = x`` and ``p_{k+1} = (x - a_k)·p_k - b_k·p_{k-1}``,
+    with ``(a_k, b_k) = coefficients(k)``.  Each step rounds the two products
+    and then subtracts, the operations of ``algebra.hermite_values``, and
+    ``x - a_k`` is skipped when ``a_k`` is 0.  ``scratch[0]`` holds the first
+    product; levels that no row wants alternate between ``scratch[1]`` and
+    ``scratch[2]``.  The top row may be ``x``'s own: it is written after the
+    last read of ``x``.
+    """
+    product, ring = scratch[0], scratch[1:3]
+    rows = dict(wanted)
+    prev, cur = 1.0, x
+    for k in range(1, wanted[-1][0]):
+        a, b = coefficients(k)
+        if a:
+            np.subtract(x, a, out=product)
+            product *= cur
+        else:
+            np.multiply(x, cur, out=product)
+        dest = table[rows[k + 1]] if k + 1 in rows else ring[1] if ring[0] is cur else ring[0]
+        np.multiply(prev, b, out=dest)
+        np.subtract(product, dest, out=dest)
+        prev, cur = cur, dest
+
+
+def _hermite_rows(x, wanted, table, scratch) -> None:
+    """Hermite's family: the monic recurrence with ``a_k = 0`` and ``b_k = k``."""
+    _recurrence_rows(x, wanted, table, scratch, lambda k: (0, k))
+
+
+# scratch rows a family may use while the draws' rows are free (``_recurrence_rows``)
+_SCRATCH_ROWS = 3
 
 
 class _Encoder:
     """A polynomial in independent inputs, encoded for batched evaluation.
 
     ``terms`` lists ``(coefficient, ((variable, level), ...))`` in summation
-    order, each term's factors in multiplication order.  A chunk draws one
-    column per variable from ``law`` (``_law_sampler``); ``family(column, levels)``
-    evaluates the variable's one-dimensional polynomials at just the levels
-    that terms use, and ``accumulate_terms`` sums the term table over those
-    rows.  A chunk's ``width`` counts its draw columns and factor rows.
+    order, each term's factors in multiplication order.  A block is evaluated
+    in one table of ``width`` rows, allocated once and reused by every chunk:
+
+    * one row per distinct (variable, level) factor, the rows that
+      ``accumulate_terms`` reads as the 2-D view ``table[:slots, :rows]``.
+      Row ``i`` is the ``i``-th variable's transposed draws (``T_1 = x`` in
+      every family), which end as its level-1 factor, or as its top level
+      when no term uses level 1;
+    * the chunk's row-major draws, ``rows × variables`` cells in the rows
+      after those, which hold the family's scratch rows once the draws are
+      transposed.
+
+    So ``width`` is the factor rows plus the larger of the variable count and
+    the scratch rows, and a chunk of ``CHUNK_CELLS // width`` rows fills the
+    table.  ``family(x, wanted, table, scratch)`` writes each ``(level, row)``
+    of ``wanted`` (levels >= 2) from the draws row ``x``.
     """
 
     def __init__(self, terms, law: InputLaw, family):
@@ -136,18 +205,24 @@ class _Encoder:
         self.family = family
         self.variables = tuple(sorted({v for _, factors in terms for v, _ in factors}))
         pos = {v: i for i, v in enumerate(self.variables)}
-        slot_keys = sorted({(pos[v], k) for _, factors in terms for v, k in factors})
-        slot_of = {key: s for s, key in enumerate(slot_keys)}
+        levels: dict[int, list[int]] = {}
+        for vp, k in sorted({(pos[v], k) for _, factors in terms for v, k in factors}):
+            levels.setdefault(vp, []).append(k)
+        row_of = {}
+        fresh = itertools.count(len(self.variables))
+        for vp, ks in levels.items():
+            home = ks[0] if ks[0] == 1 else ks[-1]
+            for k in ks:
+                row_of[vp, k] = vp if k == home else next(fresh)
+        self.slots = len(row_of)
+        self.plans = [(vp, [(k, row_of[vp, k]) for k in ks if k > 1])
+                      for vp, ks in levels.items() if ks[-1] > 1]
         self.coeffs = np.array([float(c) for c, _ in terms], dtype=np.float64)
         self.term_ptr = np.cumsum([0] + [len(factors) for _, factors in terms], dtype=np.int64)
         self.term_slots = np.array(
-            [slot_of[pos[v], k] for _, factors in terms for v, k in factors], dtype=np.int64
+            [row_of[pos[v], k] for _, factors in terms for v, k in factors], dtype=np.int64
         )
-        # rows are listed in slot order, which is by variable, then level
-        self.levels: dict[int, list[int]] = {}
-        for vp, k in slot_keys:
-            self.levels.setdefault(vp, []).append(k)
-        self.width = len(self.variables) + len(slot_keys)
+        self.width = self.slots + max(len(self.variables), _SCRATCH_ROWS if self.plans else 0)
 
     def evaluate_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out`` with one block's values, ``CHUNK_CELLS // width`` rows at a time."""
@@ -155,15 +230,21 @@ class _Encoder:
             out[:] = self.coeffs.sum()
             return
         step = max(1, CHUNK_CELLS // self.width)
+        table = np.empty((self.width, min(step, out.shape[0])))
         for start in range(0, out.shape[0], step):
-            self._evaluate_chunk(rng, out[start : start + step])
+            self._evaluate_chunk(rng, table, out[start : start + step])
 
-    def _evaluate_chunk(self, rng: np.random.Generator, chunk: np.ndarray) -> None:
-        # a method, so one chunk's tables are freed before the next chunk draws;
-        # drawn row by row, as a whole-block draw reads the stream, then tabulated by column
-        columns = self.draw(rng, (chunk.shape[0], len(self.variables))).T.copy()
-        rows = [row for vp, levels in self.levels.items() for row in self.family(columns[vp], levels)]
-        accumulate_terms(rows, self.coeffs, self.term_ptr, self.term_slots, out=chunk)
+    def _evaluate_chunk(self, rng: np.random.Generator, table: np.ndarray, chunk: np.ndarray) -> None:
+        # drawn row by row, as a whole-block draw reads the stream, then transposed
+        rows, nvars = chunk.shape[0], len(self.variables)
+        draws = table[self.slots :].reshape(-1)[: rows * nvars].reshape(rows, nvars)
+        self.draw(rng, draws)
+        view = table[:, :rows]
+        np.copyto(view[:nvars], draws.T)
+        scratch = list(view[self.slots : self.slots + _SCRATCH_ROWS])
+        for vp, wanted in self.plans:
+            self.family(view[vp], wanted, view, scratch)
+        accumulate_terms(view[: self.slots], self.coeffs, self.term_ptr, self.term_slots, out=chunk)
 
 
 def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
@@ -205,12 +286,13 @@ def sample(
         )
     elif isinstance(f, MultilinearPoly):
         ensemble = build_ensemble(f.law, f.max_level)
+
+        def ensemble_rows(x, wanted, table, scratch):
+            for k, row in wanted:
+                ensemble.polys[k].eval(x, table[row], scratch[0])
+
         ordered = sorted((len(t), sorted(t), c) for t, c in f.terms.items())
-        encoder = _Encoder(
-            [(c, factors) for _, factors, c in ordered],
-            f.law,
-            lambda column, levels: [ensemble.polys[k].eval(column) for k in levels],
-        )
+        encoder = _Encoder([(c, factors) for _, factors, c in ordered], f.law, ensemble_rows)
     else:
         raise TypeError(f"cannot sample {type(f).__name__}")
     values = _run_blocks(encoder, n, seed, stream, workers)
@@ -226,27 +308,19 @@ def sample(
 
 
 def _sample_file_pieces(sample_set: SampleSet):
-    """Sample-file text in pieces: the header line, then one ``BLOCK_SIZE`` slice of lines at a time."""
+    """Sample-file text in pieces: a ``# seed=.. stream=.. generator=..`` header
+    line, then one ``repr`` per line, at most ``PIECE_LINES`` lines a piece."""
     yield (
         f"# seed={sample_set.seed} stream={sample_set.stream} "
         f"generator={sample_set.generator_id}\n"
     )
     values = sample_set.values
-    for start in range(0, values.shape[0], BLOCK_SIZE):
-        yield "\n".join(map(repr, values[start : start + BLOCK_SIZE].tolist())) + "\n"
-
-
-def format_sample_file(sample_set: SampleSet) -> str:
-    """Sample-file text: a ``# seed=.. stream=.. generator=..`` header, then one ``repr`` per line.
-
-    The lines are joined one ``BLOCK_SIZE`` slice at a time, so no list of
-    every value's string is held at once.
-    """
-    return "".join(_sample_file_pieces(sample_set))
+    for start in range(0, values.shape[0], PIECE_LINES):
+        yield "\n".join(map(repr, values[start : start + PIECE_LINES].tolist())) + "\n"
 
 
 def write_sample_file(sample_set: SampleSet, path) -> None:
-    """Write ``format_sample_file``'s text one block at a time, never the whole text at once."""
+    """Write a sample file one ``_sample_file_pieces`` piece at a time, never the whole text."""
     with open(path, "w") as handle:
         handle.writelines(_sample_file_pieces(sample_set))
 
@@ -358,7 +432,10 @@ def w2_1d(a: SampleSet | np.ndarray, b: SampleSet | np.ndarray) -> float:
         pos_large = (np.arange(xs.size) + 0.5) / xs.size
         pos_small = (np.arange(ys.size) + 0.5) / ys.size
         ys = np.interp(pos_large, pos_small, ys)
-    return float(np.sqrt(np.mean((xs - ys) ** 2)))
+    # both are this call's own sorted copies: subtract and square in place
+    np.subtract(xs, ys, out=xs)
+    np.square(xs, out=xs)
+    return float(np.sqrt(np.mean(xs)))
 
 
 def var_gamma(f: ChaosPoly) -> Fraction:

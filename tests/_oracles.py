@@ -29,7 +29,9 @@ they were specialised: a ``Fraction`` sum, a rotation into the Householder basis
 back-rotation per level bucket, and the level-0 part rebuilt by subtracting
 the fitted levels.  ``read_sample_file_whole_text`` is the sample-file
 reader as it was before it streamed: the whole text, split into lines, then
-one conversion of every body line.
+one conversion of every body line.  ``format_sample_file`` is the sample
+file's text built whole, the oracle for the streamed writer's bytes, and
+``w2_1d_unfused`` is the transport cost with a fresh array per step.
 """
 from __future__ import annotations
 
@@ -668,3 +670,27 @@ def read_sample_file_whole_text(path) -> SampleSet:
         )
         raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
     return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
+
+
+def format_sample_file(sample_set: SampleSet) -> str:
+    """Sample-file text built whole: a ``# seed=.. stream=.. generator=..``
+    header line, then one ``repr`` per value, each line ending in a newline."""
+    header = (
+        f"# seed={sample_set.seed} stream={sample_set.stream} "
+        f"generator={sample_set.generator_id}\n"
+    )
+    return header + "".join(f"{value!r}\n" for value in sample_set.values.tolist())
+
+
+def w2_1d_unfused(a: np.ndarray, b: np.ndarray) -> float:
+    """The transport cost as ``w2_1d`` computed it with fresh temporaries:
+    sort both, interpolate the smaller sample's quantiles at the larger's
+    plotting positions, then ``sqrt(mean((xs - ys) ** 2))``."""
+    xs, ys = np.sort(a), np.sort(b)
+    if xs.size != ys.size:
+        if xs.size < ys.size:
+            xs, ys = ys, xs
+        pos_large = (np.arange(xs.size) + 0.5) / xs.size
+        pos_small = (np.arange(ys.size) + 0.5) / ys.size
+        ys = np.interp(pos_large, pos_small, ys)
+    return float(np.sqrt(np.mean((xs - ys) ** 2)))

@@ -32,9 +32,8 @@ from chaoscalc import (
     write_sample_file,
 )
 from chaoscalc import _kernels, montecarlo
-from chaoscalc.montecarlo import format_sample_file
-
-from _oracles import random_poly, read_sample_file_whole_text
+from chaoscalc.algebra import hermite_values
+from _oracles import format_sample_file, random_poly, read_sample_file_whole_text, w2_1d_unfused
 
 G1 = gaussian(1)
 HE2_1 = hermite_monomial({1: 2})
@@ -112,12 +111,14 @@ def test_chunk_size_never_changes_a_sample(monkeypatch, law):
 def test_walk_sample_memory_is_bounded_by_the_chunk():
     """tracemalloc peak of one block of the 100-step sign walk, and of its
     Gaussian image.  A chunk holds ``CHUNK_CELLS`` float64 table cells (width
-    200: 100 draw columns and 100 factor rows, so 2621 rows), at most one
+    200: 100 draw columns and 100 factor rows, so 1310 rows), at most one
     temporary the size of its draws (half the cells here: the integer bits
     behind the signs, or the row-major draws being transposed), and the
-    block's output; that bounds the peak at 6.5 MiB.  Measured 5.3 and
-    4.6 MB; the walk was 26.3 MB with fixed 8192-row chunks and a stacked
-    factor table, and 151.3 MB when the block was evaluated whole."""
+    block's output; that bounds the peak at 3.5 MiB.  Measured 3.2 and
+    2.6 MB; 5.3 and 4.6 MB against 6.5 MiB with 2^19 cells and new draw,
+    column and factor arrays in every chunk; the walk was 26.3 MB with fixed
+    8192-row chunks and a stacked factor table, and 151.3 MB when the block
+    was evaluated whole."""
     walk = MultilinearPoly(
         InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
     )
@@ -130,6 +131,67 @@ def test_walk_sample_memory_is_bounded_by_the_chunk():
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+def test_a_block_fills_one_table_reused_by_every_chunk(monkeypatch):
+    """Each block allocates one table of ``width`` rows, which every chunk of
+    the block reuses, and whose cells stay within ``CHUNK_CELLS``; the factor
+    rows reach ``accumulate_terms`` as one 2-D view of it."""
+    f = CHUNK_CASES["gaussian"]
+    tables, kernel_rows = [], []
+    evaluate = montecarlo._Encoder._evaluate_chunk
+
+    def recording_chunk(self, rng, table, chunk):
+        tables.append(table)
+        return evaluate(self, rng, table, chunk)
+
+    def recording_kernel(rows, coeffs, term_ptr, term_slots, out):
+        kernel_rows.append(rows)
+        return _kernels.accumulate_terms(rows, coeffs, term_ptr, term_slots, out)
+
+    monkeypatch.setattr(montecarlo._Encoder, "_evaluate_chunk", recording_chunk)
+    monkeypatch.setattr(montecarlo, "accumulate_terms", recording_kernel)
+    monkeypatch.setattr(montecarlo, "CHUNK_CELLS", 6005)
+    sample(f, 2 * montecarlo.BLOCK_SIZE + 13, seed=31, stream=2)
+    # 66 chunks per full block, one for the 13 draws
+    assert len(tables) == 2 * 66 + 1
+    assert [len({id(t) for t in tables[i : i + 66]}) for i in (0, 66)] == [1, 1]
+    assert tables[0].shape == (6, 1000) and tables[-1].shape == (6, 13)
+    assert all(np.shares_memory(rows, table) and rows.shape[0] == 3
+               for rows, table in zip(kernel_rows, tables))
+
+
+@pytest.mark.parametrize("levels", [[2], [1, 2], [3], [1, 4], [2, 5, 6], [1, 2, 3, 4, 7]])
+def test_recurrence_rows_round_as_the_scalar_recurrence(levels):
+    """In-place rows of the three-term recurrence equal, bit for bit, the same
+    recurrence on Python floats: ``(x - a_k)·p_k`` and ``b_k·p_{k-1}``, each
+    rounded, then subtracted.  With ``a_k = 0`` and ``b_k = k`` they are
+    ``hermite_values``.  The top level lands in ``x``'s own row when level 1
+    is not wanted, as the encoder lays it out."""
+    rng = np.random.default_rng(len(levels) * 10 + levels[-1])
+    x0 = rng.standard_normal(50) * 3
+    shifted = {k: (float(rng.standard_normal()), float(rng.uniform(0.5, 3.0))) for k in range(1, 8)}
+    for coefficients in (lambda k: (0, k), shifted.__getitem__):
+        table = np.full((2 + len(levels) + 3, 50), np.nan)
+        table[0] = x0
+        home = 0 if levels[0] == 1 else None
+        wanted = [(k, 0 if home is None and k == levels[-1] else 1 + i)
+                  for i, k in enumerate(levels) if k > 1]
+        montecarlo._recurrence_rows(table[0], wanted, table, list(table[-3:]), coefficients)
+        for j, x in enumerate(x0.tolist()):
+            ps = [1.0, x]
+            for k in range(1, levels[-1]):
+                a, b = coefficients(k)
+                ps.append((x - a if a else x) * ps[k] - b * ps[k - 1])
+            for k, row in wanted:
+                assert table[row, j] == ps[k]
+            if 1 in levels:
+                assert table[0, j] == x
+    hermite = hermite_values(x0, levels[-1])
+    table = np.zeros((len(levels) + 4, 50))
+    table[0] = x0
+    montecarlo._hermite_rows(table[0], [(levels[-1], 1)], table, list(table[-3:]))
+    assert np.array_equal(table[1], hermite[levels[-1]])
 
 
 def test_sample_of_constant():
@@ -209,6 +271,21 @@ def test_w2_unequal_sizes_same_law_is_small():
     a = sample(G1, 120_000, seed=12)
     b = sample(G1, 40_000, seed=13, stream=5)
     assert w2_1d(a, b) < 0.03
+
+
+def test_w2_in_place_equals_the_unfused_cost_bit_for_bit():
+    """``w2_1d`` subtracts and squares in place on its own sorted copy; on 300
+    random pairs, of equal and of unequal sizes, it returns the bits of the
+    computation with a fresh array per step, and leaves its inputs alone."""
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        na = int(rng.integers(1, 400))
+        nb = na if trial % 2 else int(rng.integers(1, 400))
+        a = rng.standard_normal(na) * rng.uniform(0.1, 5.0)
+        b = rng.standard_t(3, nb) + rng.uniform(-1.0, 1.0)
+        a_before, b_before = a.copy(), b.copy()
+        assert w2_1d(a, b) == w2_1d_unfused(a, b)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
 def test_w2_rejects_empty():
@@ -458,6 +535,19 @@ def test_blank_body_lines_stay_on_the_streamed_path(tmp_path, monkeypatch):
     no_header.write_text("\n" + "".join(body))
     with pytest.raises(ParseError, match="line 1: bad value ''"):
         read_sample_file(no_header)
+
+
+@pytest.mark.parametrize("n", [0, 1, montecarlo.PIECE_LINES, montecarlo.PIECE_LINES + 1])
+def test_sample_file_pieces_hold_at_most_piece_lines(n):
+    values = sample(HE2_1, max(n, 1), seed=27).values[:n]
+    s = montecarlo.SampleSet(values=values.copy(), seed=27, stream=0, generator_id="g")
+    pieces = list(montecarlo._sample_file_pieces(s))
+    assert pieces[0] == "# seed=27 stream=0 generator=g\n"
+    assert [piece.count("\n") for piece in pieces[1:]] == (
+        [montecarlo.PIECE_LINES] * (n // montecarlo.PIECE_LINES)
+        + [n % montecarlo.PIECE_LINES] * bool(n % montecarlo.PIECE_LINES)
+    )
+    assert "".join(pieces) == format_sample_file(s)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2 * montecarlo.BLOCK_SIZE + 5])
