@@ -95,9 +95,17 @@ def _cmd_sample(args) -> SampleSet:
     return sample(f, args.samples, args.seed, stream=args.stream, workers=args.workers)
 
 
+def _read_samples(path: str) -> SampleSet:
+    """A sample file with at least one value; an empty one is a ``PreconditionError``."""
+    samples = read_sample_file(path)
+    if not len(samples):
+        raise PreconditionError("no samples to compare")
+    return samples
+
+
 def _cmd_w2(args) -> dict:
-    a = _load(args.a, read_sample_file)
-    b = _load(args.b, read_sample_file)
+    a = _load(args.a, _read_samples)
+    b = _load(args.b, _read_samples)
     return {"w2": w2_1d(a, b), "n_a": len(a), "n_b": len(b)}
 
 

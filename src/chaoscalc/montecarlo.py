@@ -36,8 +36,10 @@ chunk size never changes an output bit.
 Sample files are text: a header line and one ``repr`` per line.
 ``_sample_file_pieces`` formats them ``PIECE_LINES`` lines at a time; it is
 the one writer, behind ``write_sample_file`` and the ``sample`` command.
-``read_sample_file`` converts the body straight from the open file, so
-neither direction holds the whole file's text.
+``read_sample_file`` reads the header line itself and converts the body in
+one call to numpy's C text parser, so neither direction holds the whole
+file's text; ``_read_by_line`` reads a file the parser rejects and reports
+its first error.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ BLOCK_SIZE = 1 << 16
 CHUNK_CELLS = 1 << 18
 # sample-file lines formatted and written at a time
 PIECE_LINES = 1 << 13
+# file-name endings that np.loadtxt opens through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 GENERATOR_ID = "philox4x64-block65536"
 GAUSSIAN_REFERENCE_STREAM = 2**31 - 1
 
@@ -328,53 +332,65 @@ def write_sample_file(sample_set: SampleSet, path) -> None:
 def read_sample_file(path) -> SampleSet:
     """Read a sample file: an optional ``#`` header line, then one value per line.
 
-    The body is converted straight from the open file into a float64 array,
-    with no text, list of lines or list of floats of the whole file held.  A
-    file the first pass cannot convert (a blank line, say) is streamed once
-    more with the blank lines after the first line skipped; a clean file
-    never pays for that filter.  When that fails too (a bad header field, a
-    blank first line, a bad line, a byte that does not decode) or a value is
-    NaN or infinite, ``_read_by_line`` reads the file again, and a bad or
-    non-finite value is a ``ParseError`` that names its line, or line 1 for a
-    header field.
+    After the header line the body is converted in one call to numpy's C text
+    parser (``np.loadtxt`` on the path, which skips blank and whitespace-only
+    lines), with no text, list of lines or list of floats of the whole file
+    held.  Its values are ``float`` of each line, bit for bit.  The result is
+    taken when it is one column of finite values.  Anything else goes to
+    ``_read_by_line``, the one error reporter: a bad header field, a blank
+    line 1, a bad value, two values on a line, a byte that does not decode,
+    a NaN or an infinity, and also a file name that numpy would open through
+    a decompressor.  A bad or non-finite value is a ``ParseError`` that names
+    its line, or line 1 for a header field.
     """
-    for body_lines in (iter, lambda lines: filter(str.strip, lines)):
-        try:
-            with open(path) as handle:
-                first = handle.readline()
-                seed, stream, generator = _header_fields(first)
-                rest = body_lines(handle)
-                body = rest if first.startswith("#") else itertools.chain([first], rest)
-                values = np.fromiter(map(float, body), np.float64)
-        except ValueError:
-            continue
-        if np.isfinite(values).all():
-            return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
-        break
-    return _read_by_line(path)
+    try:
+        with open(path) as handle:
+            first = handle.readline()
+            seed, stream, generator = _header_fields(first)
+            header = first.startswith("#")
+            if not (header or first.strip()) or os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
+                raise ValueError("left to the line-by-line reader")
+            if header and not any(map(str.strip, handle)):
+                # an empty body, which loadtxt would warn about
+                values = np.empty((0, 1))
+            else:
+                values = np.loadtxt(
+                    # joined to ".", so never a URL that numpy would fetch
+                    os.path.join(os.curdir, path),
+                    dtype=np.float64,
+                    comments=None,
+                    skiprows=int(header),
+                    ndmin=2,
+                    encoding=handle.encoding,
+                )
+    except ValueError:
+        return _read_by_line(path)
+    if values.shape[1] != 1 or not np.isfinite(values).all():
+        return _read_by_line(path)
+    return SampleSet(values=values[:, 0], seed=seed, stream=stream, generator_id=generator)
 
 
 def _header_fields(line: str) -> tuple[int, int, str]:
-    """``(seed, stream, generator)`` of a ``#`` header line; the defaults for any other line."""
-    seed = stream = 0
-    generator = "unknown"
+    """``(seed, stream, generator)`` of a ``#`` header line; the defaults for any
+    other line.  Other fields are ignored; a repeated one is a ``ParseError``."""
+    fields = {}
     if line.startswith("#"):
         for token in line[1:].split():
             key, _, value = token.partition("=")
-            if key == "seed":
-                seed = _parse_field(_parse_int, value, 1, key)
-            elif key == "stream":
-                stream = _parse_field(_parse_int, value, 1, key)
+            if key in fields:
+                raise ParseError(f"sample file line 1: repeated {key}")
+            if key in ("seed", "stream"):
+                fields[key] = _parse_field(_parse_int, value, 1, key)
             elif key == "generator":
-                generator = value
-    return seed, stream, generator
+                fields[key] = value
+    return fields.get("seed", 0), fields.get("stream", 0), fields.get("generator", "unknown")
 
 
 def _read_by_line(path) -> SampleSet:
     """``read_sample_file``'s error path: the whole text, parsed one line at a time.
 
     The text is decoded whole, so a byte that does not decode is named by its
-    offset in the file, not in the chunk a streamed read had reached.  The
+    offset in the file, not in the chunk the C parser had reached.  The
     first error wins in this order: a byte that does not decode, a bad header
     field, the first bad value, the first non-finite value.
     """
@@ -398,7 +414,7 @@ def _read_by_line(path) -> SampleSet:
         lineno, line = next(
             (lineno, line)
             for lineno, line in enumerate(body, start=start)
-            if line.strip() and not math.isfinite(float(line))
+            if line.strip() and not math.isfinite(float(line.strip()))
         )
         raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
     return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)

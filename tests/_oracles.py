@@ -27,9 +27,10 @@ substitution of ``n`` linear forms as memoised products of their powers
 ``iterate_decomposition`` are checked against the routes they took before
 they were specialised: a ``Fraction`` sum, a rotation into the Householder basis with one
 back-rotation per level bucket, and the level-0 part rebuilt by subtracting
-the fitted levels.  ``read_sample_file_whole_text`` is the sample-file
-reader as it was before it streamed: the whole text, split into lines, then
-one conversion of every body line.  ``format_sample_file`` is the sample
+the fitted levels.  ``read_sample_file_whole_text`` reads a sample
+file as ``read_sample_file`` did before it streamed: the whole text, split
+into lines, then one ``float`` of every body line; it is the oracle for the
+reader that numpy's C text parser backs.  ``format_sample_file`` is the sample
 file's text built whole, the oracle for the streamed writer's bytes, and
 ``w2_1d_unfused`` is the transport cost with a fresh array per step.
 """
@@ -625,7 +626,8 @@ def random_search_max(qmat: np.ndarray, draws: int, seed: int) -> tuple[float, f
 
 def read_sample_file_whole_text(path) -> SampleSet:
     """Sample-file reader over the whole decoded text: the header of line 1,
-    one ``float`` per body line, and on failure a line-by-line parse that skips
+    where a repeated ``seed``, ``stream`` or ``generator`` is an error, one
+    ``float`` per body line, and on failure a line-by-line parse that skips
     blank lines after line 1 and names the first bad line."""
 
     def field(convert, text, lineno, what):
@@ -643,8 +645,13 @@ def read_sample_file_whole_text(path) -> SampleSet:
         lines.pop()
     start = 1
     if lines[0].startswith("#"):
+        seen = set()
         for token in lines[0][1:].split():
             key, _, value = token.partition("=")
+            if key in seen:
+                raise ParseError(f"sample file line 1: repeated {key}")
+            if key in ("seed", "stream", "generator"):
+                seen.add(key)
             if key == "seed":
                 seed = field(_parse_int, value, 1, key)
             elif key == "stream":
@@ -666,7 +673,7 @@ def read_sample_file_whole_text(path) -> SampleSet:
         lineno, line = next(
             (lineno, line)
             for lineno, line in enumerate(body, start=start)
-            if line.strip() and not math.isfinite(float(line))
+            if line.strip() and not math.isfinite(float(line.strip()))
         )
         raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
     return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)

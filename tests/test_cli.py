@@ -519,6 +519,18 @@ def test_w2_that_is_not_finite_exits_2_without_invalid_json(capsys, tmp_path, va
     assert err == f"error: {odd}: sample file line 3: value '{value}' is not finite\n"
 
 
+@pytest.mark.parametrize("empty_first", [False, True])
+def test_w2_on_an_empty_sample_file_exits_2_and_names_it(capsys, tmp_path, empty_first):
+    good = tmp_path / "good.samples"
+    empty = tmp_path / "empty.samples"
+    good.write_text("# seed=1 stream=0 generator=g\n0.5\n1.5\n")
+    empty.write_text("# seed=1 stream=0 generator=g\n\n")
+    files = (empty, good) if empty_first else (good, empty)
+    code, out, err = run_cli(capsys, "w2", *map(str, files))
+    assert code == 2 and out == ""
+    assert err == f"error: {empty}: no samples to compare\n"
+
+
 def test_invariance_and_influences_commands(capsys, tmp_path):
     p = MultilinearPoly(
         InputLaw.rademacher(),
@@ -637,8 +649,8 @@ def test_undecodable_input_file_exits_2_and_names_it(capsys, tmp_path, command):
 
 
 def test_undecodable_sample_file_body_exits_2_with_the_file_offset(capsys, tmp_path):
-    # the bad byte lies past the first 8 KiB a streamed read decodes, so the
-    # offset in the message is the whole text's, as it was before the reader streamed
+    # the bad byte lies past the first 8 KiB that the header read and the C
+    # parser each decode at once, so the offset in the message is the whole text's
     good = tmp_path / "good.samples"
     good.write_text("# seed=1 stream=0 generator=g\n0.5\n1.5\n")
     bad = tmp_path / "bad.samples"

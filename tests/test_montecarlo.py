@@ -470,6 +470,21 @@ READER_CASES = {
     "undecodable-header": b"# seed=\xff\n0.5\n",
     "undecodable-late": b"# seed=1\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n",
     "undecodable-late-bad-header": b"# seed=x\n" + b"0.5\n" * 5000 + b"\xff\n",
+    # a repeated seed, stream or generator is an error; other fields are ignored
+    "header-repeated-seed": b"# seed=1 seed=2 stream=3 stream=4\n0.5\n",
+    "header-repeated-generator": b"# generator=a stream=1 generator=a\n0.5\n",
+    "header-bad-then-repeated": b"# seed=x seed=1\n0.5\n",
+    "header-repeated-other": b"# other=1 other=2 seed=3\n0.5\n",
+    # what a C text parser could read differently from one float per line
+    "two-values-one-line": b"# seed=1\n1.0 2.0\n",
+    "two-columns": b"1.0 2.0\n3.0 4.0\n5.0 6.0\n",
+    "tab-between-values": b"# seed=1\n0.5\n1.0\t2.0\n",
+    "hash-in-body": b"# seed=1\n0.5\n# 1.0\n2.0\n",
+    "quoted-value": b'# seed=1\n0.5\n"0.5"\n',
+    "nul-after-value": b"0.5\x00\n1.0\n",
+    "comma-decimal": b"0,5\n",
+    "complex-value": b"1+0j\n",
+    "nan-after-separator": b"0.5\n\x1cnan\n",
 }
 
 
@@ -485,8 +500,8 @@ def _read_outcome(read, path):
 def test_streamed_reader_matches_the_whole_text_reader(tmp_path, name):
     """Values (bit for bit), header fields, and the error and its text equal
     the whole-text reader's.  The late undecodable byte lies past the first
-    8 KiB that a streamed read decodes at once, so its offset in the message
-    shows the error path decoding the file whole."""
+    8 KiB that the header read and the C parser each decode at once, so its
+    offset in the message shows the error path decoding the file whole."""
     path = tmp_path / "case.samples"
     path.write_bytes(READER_CASES[name])
     assert _read_outcome(read_sample_file, path) == _read_outcome(read_sample_file_whole_text, path)
@@ -495,8 +510,8 @@ def test_streamed_reader_matches_the_whole_text_reader(tmp_path, name):
 def test_sample_file_read_memory_is_flat_in_file_length(tmp_path):
     """tracemalloc peak of reading 262144 lines: the float64 array (2 MiB),
     grown by at most half again while its length is unknown, plus 1 MiB for
-    the open file and the rest, so 4 MiB.  Measured 2.3 MB; the whole-text
-    reader took 33.6 MB."""
+    the parser's text chunk and the rest, so 4 MiB.  Measured 2.5 MiB; the
+    whole-text reader took 33.6 MB."""
     n = 4 * montecarlo.BLOCK_SIZE
     s = sample(HE2_1, n, seed=27)
     path = tmp_path / "long.samples"
@@ -511,21 +526,21 @@ def test_sample_file_read_memory_is_flat_in_file_length(tmp_path):
     assert peak <= 12 * n + 2**20
 
 
+def _never_by_line(path):
+    raise AssertionError("the C parser fell back to the whole-text reader")
+
+
 def test_blank_body_lines_stay_on_the_streamed_path(tmp_path, monkeypatch):
-    """A blank line in the body, or a trailing one, is skipped by the
-    streamed read: the whole-text reader is never called, so such a file
-    costs no more memory than the clean one."""
+    """A blank line in the body, or a trailing one, is skipped by numpy's C
+    parser: the whole-text reader is never called, so such a file costs no
+    more memory than the clean one."""
     s = sample(HE2_1, 1000, seed=29)
     clean = tmp_path / "clean.samples"
     write_sample_file(s, clean)
     head, *body = clean.read_text().splitlines(keepends=True)
     blanks = tmp_path / "blanks.samples"
     blanks.write_text(head + "".join(body[:500]) + "\n \t\n" + "".join(body[500:]) + "\n")
-
-    def whole_text(path):
-        raise AssertionError("the streamed read fell back to the whole-text reader")
-
-    monkeypatch.setattr(montecarlo, "_read_by_line", whole_text)
+    monkeypatch.setattr(montecarlo, "_read_by_line", _never_by_line)
     loaded = read_sample_file(blanks)
     assert np.array_equal(loaded.values, s.values)
     assert (loaded.seed, loaded.stream, loaded.generator_id) == (29, 0, s.generator_id)
@@ -535,6 +550,82 @@ def test_blank_body_lines_stay_on_the_streamed_path(tmp_path, monkeypatch):
     no_header.write_text("\n" + "".join(body))
     with pytest.raises(ParseError, match="line 1: bad value ''"):
         read_sample_file(no_header)
+
+
+def test_clean_sample_file_never_reaches_the_line_by_line_reader(tmp_path, monkeypatch):
+    """A 262144-line file as ``write_sample_file`` writes it is converted by
+    numpy's C parser alone.  Were it to fall back, every value would still be
+    right and only the speed would be lost, so nothing else would notice."""
+    n = 4 * montecarlo.BLOCK_SIZE
+    s = sample(HE2_1, n, seed=30, stream=2)
+    path = tmp_path / "clean.samples"
+    write_sample_file(s, path)
+    monkeypatch.setattr(montecarlo, "_read_by_line", _never_by_line)
+    loaded = read_sample_file(path)
+    assert np.array_equal(loaded.values, s.values)
+    assert (loaded.seed, loaded.stream, loaded.generator_id) == (30, 2, s.generator_id)
+
+
+def _decimal_strings(rng: random.Random, count: int) -> list[str]:
+    """Finite decimal strings: 1-30 digits, any point position, exponents in
+    [-330, 330] capped below overflow, optional signs, and the boundaries of
+    zero, the subnormals, the largest float and 2**53 + 1."""
+    edges = [
+        "-0.0", "0", "+0e-400", "4.9406564584124654e-324", "2.4703282292062327e-324",
+        "2.4703282292062328e-324", "2.2250738585072009e-308", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+        "9007199254740993", "-9007199254740993", "9007199254740993.0000000000000001",
+        "9007199254740992.9999999999999999", "9007199254740995", "1e-330", "-1e-330",
+    ]
+    strings = list(edges)
+    while len(strings) < count:
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+        if rng.random() < 0.8:
+            point = rng.randint(0, len(digits))
+            mantissa = digits[:point] + "." + digits[point:]
+        else:
+            point, mantissa = len(digits), digits
+        text = rng.choice(["", "-", "+"]) + mantissa
+        if rng.random() < 0.7:
+            exponent = min(rng.randint(-330, 330), 307 - point)
+            text += rng.choice("eE") + str(exponent)
+        strings.append(text)
+    return strings
+
+
+def test_sample_file_values_equal_float_of_each_line_bit_for_bit(tmp_path, monkeypatch):
+    """numpy's C parser and ``float`` round every decimal string to the same double."""
+    strings = _decimal_strings(random.Random(31), 20_000)
+    path = tmp_path / "decimals.samples"
+    path.write_text("# seed=1 stream=0 generator=g\n" + "\n".join(strings) + "\n")
+    expected = np.array([float(text) for text in strings])
+    monkeypatch.setattr(montecarlo, "_read_by_line", _never_by_line)
+    loaded = read_sample_file(path)
+    assert loaded.values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_sample_file_repeated_header_field_names_line_1_and_the_field(tmp_path):
+    path = tmp_path / "repeated.samples"
+    for field in ("seed", "stream", "generator"):
+        path.write_text(f"# {field}=1 {field}=2\n0.5\n")
+        with pytest.raises(ParseError, match=rf"^sample file line 1: repeated {field}$"):
+            read_sample_file(path)
+
+
+def test_sample_file_names_numpy_would_reinterpret_are_read_as_local_text(tmp_path, monkeypatch):
+    """np.loadtxt opens a path through numpy's DataSource, which decompresses
+    by file-name ending and fetches URLs.  A sample file is plain local text
+    whatever its name: a ``.gz`` name takes the line-by-line reader, and a
+    name that parses as a URL is read from the local file it names."""
+    s = sample(HE2_1, 1000, seed=32)
+    gz = tmp_path / "plain.samples.gz"
+    write_sample_file(s, gz)
+    assert np.array_equal(read_sample_file(gz).values, s.values)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    write_sample_file(s, "http:/host/x.samples")
+    monkeypatch.setattr(montecarlo, "_read_by_line", _never_by_line)
+    assert np.array_equal(read_sample_file("http://host/x.samples").values, s.values)
 
 
 @pytest.mark.parametrize("n", [0, 1, montecarlo.PIECE_LINES, montecarlo.PIECE_LINES + 1])
