@@ -36,10 +36,11 @@ chunk size never changes an output bit.
 Sample files are text: a header line and one ``repr`` per line.
 ``_sample_file_pieces`` formats them ``PIECE_LINES`` lines at a time; it is
 the one writer, behind ``write_sample_file`` and the ``sample`` command.
-``read_sample_file`` reads the header line itself and converts the body in
-one call to numpy's C text parser, so neither direction holds the whole
-file's text; ``_read_by_line`` reads a file the parser rejects and reports
-its first error.
+``read_sample_file`` opens a file once.  For a regular file it reads the
+header line itself and converts the body in one call to numpy's C text
+parser, so neither direction holds the whole file's text; a file the parser
+rejects, and one that is not regular (a pipe), is read whole from that open
+handle by ``_read_by_line``, which reports its first error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,41 +334,64 @@ def write_sample_file(sample_set: SampleSet, path) -> None:
 def read_sample_file(path) -> SampleSet:
     """Read a sample file: an optional ``#`` header line, then one value per line.
 
-    After the header line the body is converted in one call to numpy's C text
-    parser (``np.loadtxt`` on the path, which skips blank and whitespace-only
-    lines), with no text, list of lines or list of floats of the whole file
-    held.  Its values are ``float`` of each line, bit for bit.  The result is
-    taken when it is one column of finite values.  Anything else goes to
+    The file is opened once.  A regular file named by a ``str`` or
+    ``os.PathLike`` path has its header line read from that handle and its
+    body converted in one call to numpy's C text parser (``np.loadtxt`` on
+    the path, which skips blank and whitespace-only lines), with no text,
+    list of lines or list of floats of the whole file held.  Its values are
+    ``float`` of each line, bit for bit.  The result is taken when it is one
+    column of finite values and the path still names the file the handle
+    holds, unchanged.  Anything else is read whole from the open handle by
     ``_read_by_line``, the one error reporter: a bad header field, a blank
     line 1, a bad value, two values on a line, a byte that does not decode,
-    a NaN or an infinity, and also a file name that numpy would open through
-    a decompressor.  A bad or non-finite value is a ``ParseError`` that names
-    its line, or line 1 for a header field.
+    a NaN or an infinity, a file name that numpy would open through a
+    decompressor, and any file that is not regular (a pipe, say) or is named
+    by a bytes path or a file descriptor.  A bad or non-finite value is a
+    ``ParseError`` that names its line, or line 1 for a header field.
     """
-    try:
-        with open(path) as handle:
-            first = handle.readline()
-            seed, stream, generator = _header_fields(first)
-            header = first.startswith("#")
-            if not (header or first.strip()) or os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
-                raise ValueError("left to the line-by-line reader")
-            if header and not any(map(str.strip, handle)):
-                # an empty body, which loadtxt would warn about
-                values = np.empty((0, 1))
-            else:
-                values = np.loadtxt(
-                    # joined to ".", so never a URL that numpy would fetch
-                    os.path.join(os.curdir, path),
-                    dtype=np.float64,
-                    comments=None,
-                    skiprows=int(header),
-                    ndmin=2,
-                    encoding=handle.encoding,
-                )
-    except ValueError:
-        return _read_by_line(path)
+    with open(path) as handle:
+        if isinstance(handle.name, str) and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            try:
+                loaded = _read_regular(handle)
+            except ValueError:
+                loaded = None
+            if loaded is not None:
+                return loaded
+            handle.seek(0)
+        return _read_by_line(handle.read())
+
+
+def _file_version(status: os.stat_result) -> tuple:
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _read_regular(handle) -> SampleSet | None:
+    """``read_sample_file``'s fast path on a regular file's fresh handle; ``None``
+    (or a ``ValueError``) leaves the file to ``_read_by_line``."""
+    version = _file_version(os.fstat(handle.fileno()))
+    first = handle.readline()
+    seed, stream, generator = _header_fields(first)
+    header = first.startswith("#")
+    if not (header or first.strip()) or handle.name.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    if header and not any(map(str.strip, handle)):
+        # an empty body, which loadtxt would warn about
+        values = np.empty((0, 1))
+    else:
+        values = np.loadtxt(
+            # joined to ".", so never a URL that numpy would fetch
+            os.path.join(os.curdir, handle.name),
+            dtype=np.float64,
+            comments=None,
+            skiprows=int(header),
+            ndmin=2,
+            encoding=handle.encoding,
+        )
+        # loadtxt opened the path again: its body must be the header's file
+        if _file_version(os.stat(handle.name)) != version:
+            return None
     if values.shape[1] != 1 or not np.isfinite(values).all():
-        return _read_by_line(path)
+        return None
     return SampleSet(values=values[:, 0], seed=seed, stream=stream, generator_id=generator)
 
 
@@ -386,16 +411,15 @@ def _header_fields(line: str) -> tuple[int, int, str]:
     return fields.get("seed", 0), fields.get("stream", 0), fields.get("generator", "unknown")
 
 
-def _read_by_line(path) -> SampleSet:
-    """``read_sample_file``'s error path: the whole text, parsed one line at a time.
+def _read_by_line(text: str) -> SampleSet:
+    """``read_sample_file``'s whole-text path: the file's text, parsed one line at a time.
 
-    The text is decoded whole, so a byte that does not decode is named by its
-    offset in the file, not in the chunk the C parser had reached.  The
-    first error wins in this order: a byte that does not decode, a bad header
-    field, the first bad value, the first non-finite value.
+    The caller decodes the text whole, so a byte that does not decode is
+    named by its offset in the file, not in the chunk the C parser had
+    reached.  The first error wins in this order: a byte that does not
+    decode, a bad header field, the first bad value, the first non-finite
+    value.
     """
-    with open(path) as handle:
-        text = handle.read()
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()

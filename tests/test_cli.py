@@ -507,6 +507,27 @@ def test_w2_on_malformed_sample_file_exits_2_and_names_line(capsys, tmp_path):
     assert "sample file line 1: bad seed 'abc'" in err
 
 
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_w2_reads_a_sample_file_from_a_pipe(capsys, poly_file, tmp_path):
+    """``w2 /dev/stdin b`` fed by a pipe, as ``w2 <(chaoscalc sample ...) b``
+    would be: every value of the pipe is read, so the result equals that of
+    the file the pipe carried."""
+    path = poly_file("g1.json", G1)
+    a = tmp_path / "a.samples"
+    b = tmp_path / "b.samples"
+    for target, seed in ((a, "1"), (b, "2")):
+        code, _, _ = run_cli(capsys, "sample", path, "--samples", "5000", "--seed", seed,
+                             "--output", str(target))
+        assert code == 0
+    code, out, _ = run_cli(capsys, "w2", str(a), str(b))
+    assert code == 0 and json.loads(out)["n_a"] == 5000
+    child = subprocess.run(
+        [sys.executable, "-m", "chaoscalc", "w2", "/dev/stdin", str(b)],
+        input=a.read_bytes(), capture_output=True, timeout=120,
+    )
+    assert (child.returncode, child.stdout.decode(), child.stderr) == (0, out, b"")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_w2_that_is_not_finite_exits_2_without_invalid_json(capsys, tmp_path, value):
     # NaN and Infinity are not JSON, so no result is written

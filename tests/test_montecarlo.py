@@ -2,8 +2,10 @@
 moment diagnostics, and the consolidated normality report."""
 
 import math
+import os
 import random
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -467,12 +469,16 @@ READER_CASES = {
     "inf-later": b"# seed=1\n0.5\n0.25\n-inf\n",
     "nan-after-blank": b"0.5\n\nNaN\n2.0\n",
     "nan-before-bad-value": b"nan\n0.5\nabc\n",
+    # longer than the buffer the header read fills: a second open of a pipe
+    # would begin after those bytes
+    "long-body": b"# seed=1 stream=2 generator=g\n" + b"0.5\n-1.25\n" * 3000,
     "undecodable-header": b"# seed=\xff\n0.5\n",
     "undecodable-late": b"# seed=1\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n",
     "undecodable-late-bad-header": b"# seed=x\n" + b"0.5\n" * 5000 + b"\xff\n",
     # a repeated seed, stream or generator is an error; other fields are ignored
     "header-repeated-seed": b"# seed=1 seed=2 stream=3 stream=4\n0.5\n",
     "header-repeated-generator": b"# generator=a stream=1 generator=a\n0.5\n",
+    "header-repeated-stream": b"# stream=1 stream=2\n0.5\n",
     "header-bad-then-repeated": b"# seed=x seed=1\n0.5\n",
     "header-repeated-other": b"# other=1 other=2 seed=3\n0.5\n",
     # what a C text parser could read differently from one float per line
@@ -505,6 +511,79 @@ def test_streamed_reader_matches_the_whole_text_reader(tmp_path, name):
     path = tmp_path / "case.samples"
     path.write_bytes(READER_CASES[name])
     assert _read_outcome(read_sample_file, path) == _read_outcome(read_sample_file_whole_text, path)
+    if name.startswith("header-repeated-") and name != "header-repeated-other":
+        field = name.removeprefix("header-repeated-")
+        with pytest.raises(ParseError, match=rf"^sample file line 1: repeated {field}$"):
+            read_sample_file(path)
+
+
+def _read_through_fifo(tmp_path, data: bytes):
+    """``_read_outcome`` of ``read_sample_file`` on a named pipe that a thread
+    fills with ``data``.  A reader that opened the pipe a second time would
+    wait there for a writer; after 10 s it is given an empty one, so the test
+    fails instead of hanging."""
+    fifo = tmp_path / "pipe.samples"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def feed():
+        with open(fifo, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    reader = threading.Thread(target=lambda: outcome.append(_read_outcome(read_sample_file, fifo)))
+    writer.start()
+    reader.start()
+    reader.join(timeout=10)
+    if reader.is_alive():
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join()
+    writer.join(timeout=10)
+    assert outcome, "read_sample_file raised on a pipe"
+    return outcome[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_piped_reader_matches_the_whole_text_reader(tmp_path, name):
+    """A pipe is read once, from the handle it was opened as: its values and
+    its errors equal the whole-text reader's on the same bytes in a file."""
+    path = tmp_path / "case.samples"
+    path.write_bytes(READER_CASES[name])
+    expected = _read_outcome(read_sample_file_whole_text, path)
+    assert _read_through_fifo(tmp_path, READER_CASES[name]) == expected
+
+
+def test_sample_file_named_by_bytes_or_a_file_descriptor(tmp_path):
+    s = sample(HE2_1, 1000, seed=34)
+    path = tmp_path / "any.samples"
+    write_sample_file(s, path)
+    assert np.array_equal(read_sample_file(os.fsencode(path)).values, s.values)
+    assert np.array_equal(read_sample_file(os.open(path, os.O_RDONLY)).values, s.values)
+    path.write_text("# seed=1\n0.5\nabc\n")
+    with pytest.raises(ParseError, match="line 3: bad value 'abc'"):
+        read_sample_file(os.open(path, os.O_RDONLY))
+
+
+def test_a_file_replaced_after_its_header_is_read_whole_from_the_first_open(tmp_path, monkeypatch):
+    """np.loadtxt opens the path again.  When the path no longer names the
+    file whose header was read, the body comes from that first open instead,
+    so the header and values of two versions are never paired."""
+    first = sample(HE2_1, 1000, seed=35)
+    second = sample(HE2_1, 1000, seed=36)
+    path = tmp_path / "replaced.samples"
+    write_sample_file(first, path)
+    loadtxt = np.loadtxt
+
+    def replacing_loadtxt(*args, **kwargs):
+        replacement = tmp_path / "replacement.samples"
+        write_sample_file(second, replacement)
+        os.replace(replacement, path)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", replacing_loadtxt)
+    loaded = read_sample_file(path)
+    assert np.array_equal(loaded.values, first.values) and loaded.seed == 35
 
 
 def test_sample_file_read_memory_is_flat_in_file_length(tmp_path):
@@ -526,7 +605,7 @@ def test_sample_file_read_memory_is_flat_in_file_length(tmp_path):
     assert peak <= 12 * n + 2**20
 
 
-def _never_by_line(path):
+def _never_by_line(text):
     raise AssertionError("the C parser fell back to the whole-text reader")
 
 
@@ -602,14 +681,6 @@ def test_sample_file_values_equal_float_of_each_line_bit_for_bit(tmp_path, monke
     monkeypatch.setattr(montecarlo, "_read_by_line", _never_by_line)
     loaded = read_sample_file(path)
     assert loaded.values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-
-
-def test_sample_file_repeated_header_field_names_line_1_and_the_field(tmp_path):
-    path = tmp_path / "repeated.samples"
-    for field in ("seed", "stream", "generator"):
-        path.write_text(f"# {field}=1 {field}=2\n0.5\n")
-        with pytest.raises(ParseError, match=rf"^sample file line 1: repeated {field}$"):
-            read_sample_file(path)
 
 
 def test_sample_file_names_numpy_would_reinterpret_are_read_as_local_text(tmp_path, monkeypatch):
