@@ -4,7 +4,6 @@ for polynomials in independent Gaussian and general i.i.d. inputs."""
 from .algebra import (
     ChaosPoly,
     as_fraction,
-    compose_hermite,
     expectation,
     gaussian,
     hermite_monomial,

@@ -410,14 +410,6 @@ def project_chaos(f: ChaosPoly, m: int) -> ChaosPoly:
     return ChaosPoly._from_clean({idx: c for idx, c in f._terms.items() if _degree(idx) == m})
 
 
-def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
-    """``He_level`` evaluated at the polynomial ``x``, re-expanded on the basis."""
-    level = as_integer(level, "Hermite level must be a nonnegative integer", 0)
-    if level == 0:
-        return ChaosPoly.constant(1)
-    return hermite_values(x, level)[level]
-
-
 def poly_pow(f: ChaosPoly, n: int) -> ChaosPoly:
     """``f**n`` by repeated squaring; the product starts from the first factor it needs."""
     n = as_integer(n, "exponent must be a nonnegative integer", 0)

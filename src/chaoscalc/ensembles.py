@@ -1,13 +1,14 @@
 """Orthonormal polynomial ensembles over a general input law, and multilinear polynomials.
 
-For a centered unit-variance law with enough finite moments, Gram-Schmidt on
-``1, x, x**2, ...`` under the law's (exact rational) moments yields polynomials
-``T_0 = 1, T_1 = x, T_2, ...`` with ``E[T_j(X) T_k(X)] = delta_{jk}``.  Each
-``T_k`` is stored as an integer-free rational polynomial together with its
-exact squared norm, so orthonormality remains a rational statement even though
-the normalizing constants are square roots.  Finite-support laws make the
-moment Gram matrix singular at some degree; the ensemble truncates there
-(Rademacher stops at degree 1).
+For a centered unit-variance law with enough finite moments, the monic
+polynomials ``p_k`` orthogonal under the law satisfy a three-term recurrence
+``p_{k+1} = (x - a_k) p_k - b_k p_{k-1}`` whose coefficients are exact
+rationals of the law's moments (Chebyshev's algorithm, ``build_ensemble``).
+The ensemble ``T_k = p_k / sqrt(h_k)``, ``T_0 = 1, T_1 = x, T_2, ...``, has
+``E[T_j(X) T_k(X)] = delta_{jk}``, and the squared norms ``h_k = b_1...b_k``
+keep orthonormality a rational statement even though the normalizing
+constants are square roots.  On a finite support some ``h_k`` is exactly 0;
+the ensemble truncates there (Rademacher stops at degree 1).
 
 A multilinear polynomial is a combination ``sum_J a_J prod_{(j,k) in J} T_k(X_j)``
 with each variable appearing at most once per term.  Substituting independent
@@ -19,13 +20,12 @@ terms that contain it, over the variance.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .algebra import (
     ChaosPoly,
@@ -36,7 +36,7 @@ from .algebra import (
     _weight,
     as_fraction,
 )
-from .errors import ParseError, PreconditionError, as_integer
+from .errors import BasisSizeError, ParseError, PreconditionError, as_integer
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class InputLaw:
     (on [-sqrt(3), sqrt(3)]), and ``discrete`` (finite support with rational
     points and probabilities, the one kind that takes them).  Every law is
     checked when it is built.
-    ``level_bound`` is the top level of its ensemble, where Gram-Schmidt stops:
-    the number of distinct points of positive probability minus one (1 for
-    rademacher), or None for gaussian and uniform.
+    ``level_bound`` is the top level of its ensemble, where ``build_ensemble``
+    stops: the number of distinct points of positive probability minus one
+    (1 for rademacher), or None for gaussian and uniform.
     """
 
     kind: str
@@ -155,83 +155,68 @@ class InputLaw:
 
 
 @dataclass(frozen=True)
-class EnsemblePoly:
-    """One orthonormal ensemble member ``T_k = p_k / sqrt(norm_sq)``.
+class OrthonormalEnsemble:
+    """The law's orthonormal ensemble ``T_k = p_k / sqrt(h_k)``, ``k <= effective_degree``.
 
-    ``coeffs[i]`` is the coefficient of ``x**i`` in the un-normalized ``p_k``;
-    keeping the normalization as an explicit squared norm keeps all pairings
-    rational.
+    The monic orthogonal polynomials are kept as the exact coefficients of
+    their three-term recurrence ``p_{k+1} = (x - a[k])·p_k - b[k]·p_{k-1}``
+    (``p_0 = 1``, ``p_{-1} = 0``): ``a[k]`` for ``k < effective_degree`` and
+    ``b[k]`` for ``k <= effective_degree``, with ``b[0] = 1``.  A centered law
+    has ``a[0] = 0``, so ``p_1 = x``.  Each squared norm ``h_k = E[p_k(X)**2]``
+    is the product ``b[1]·...·b[k]``, so orthonormality stays a rational
+    statement.
     """
 
-    coeffs: tuple[Fraction, ...]
-    norm_sq: Fraction
-
-    @cached_property
-    def _float_form(self) -> tuple[list[float], float]:
-        """The coefficients as floats, highest power first, and ``sqrt(norm_sq)``."""
-        return [float(c) for c in reversed(self.coeffs)], math.sqrt(float(self.norm_sq))
-
-    def eval(self, x, out, scratch) -> None:
-        """``out = T_k(x)`` elementwise for ``k >= 1``, by Horner's rule in place.
-
-        The partial sums live in ``scratch``; ``out`` may be ``x`` itself, as
-        it is written after the last read of ``x``.  ``p_k`` is monic, so the
-        first step, ``0·x + 1``, is a fill of 1 (``x`` is finite).
-        """
-        coeffs, norm = self._float_form
-        scratch.fill(coeffs[0])
-        for c in coeffs[1:-1]:
-            scratch *= x
-            scratch += c
-        np.multiply(scratch, x, out=out)
-        out += coeffs[-1]
-        out /= norm
-
-
-@dataclass(frozen=True)
-class OrthonormalEnsemble:
     law: InputLaw
-    polys: tuple[EnsemblePoly, ...]
+    a: tuple[Fraction, ...]
+    b: tuple[Fraction, ...]
 
     @property
     def effective_degree(self) -> int:
-        return len(self.polys) - 1
+        return len(self.a)
+
+    @property
+    def norms_sq(self) -> tuple[Fraction, ...]:
+        """The exact ``h_k = b[1]·...·b[k]`` for ``k = 0 ... effective_degree``."""
+        return tuple(itertools.accumulate(self.b, operator.mul))
+
+
+# the top level an ensemble is built to, checked before any moment is computed:
+# sampling divides by sqrt(float(h_k)), and the Gaussian law's h_k = k! leaves
+# the float range past k = 170
+MAX_ENSEMBLE_LEVEL = 170
 
 
 def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
-    """Gram-Schmidt on monomials under the law's moments, unit-normalized.
+    """The recurrence coefficients up to level ``d``, by Chebyshev's algorithm.
 
-    Trusts its law, checked when it was built.  Truncates early (effective
-    degree ``law.level_bound`` < d) when the next residual has exactly zero
-    norm, which happens precisely when the law's support is finite.
+    Exact in ``Fraction``s from the moments ``E[X**l]``, ``l <= 2d``: with
+    ``s_k(l) = E[p_k(X) X**l]``, ``h_k = s_k(k)``,
+    ``a_k = s_k(k+1)/h_k - s_{k-1}(k)/h_{k-1}`` and ``b_{k+1} = h_{k+1}/h_k``,
+    where ``s_{k+1}(l) = s_k(l+1) - a_k s_k(l) - b_k s_{k-1}(l)``.  Trusts its
+    law, checked when it was built.  A level above ``MAX_ENSEMBLE_LEVEL`` is
+    a ``BasisSizeError`` before any moment is computed.  Truncates early
+    (effective degree ``law.level_bound`` < d) where ``h_k`` is exactly 0,
+    which happens precisely when the law's support is finite.
     """
     d = as_integer(d, "ensemble degree must be nonnegative", 0)
-    # every moment the loops below read, each checked and computed once
-    moments = [law.moment(j) for j in range(2 * d + 1)]
-    polys: list[EnsemblePoly] = [EnsemblePoly((Fraction(1),), Fraction(1))]
-    for k in range(1, d + 1):
-        # start from x**k and subtract projections on previous members
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        for prev in polys:
-            # <x**k, p_j> / n_j
-            overlap = sum(
-                c * moments[k + i] for i, c in enumerate(prev.coeffs) if c
-            )
-            if overlap:
-                ratio = overlap / prev.norm_sq
-                for i, c in enumerate(prev.coeffs):
-                    coeffs[i] -= ratio * c
-        norm_sq = Fraction(0)
-        for a, ca in enumerate(coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(coeffs):
-                if cb:
-                    norm_sq += ca * cb * moments[a + b]
-        if norm_sq == 0:
+    if d > MAX_ENSEMBLE_LEVEL:
+        raise BasisSizeError(d, MAX_ENSEMBLE_LEVEL, what="ensemble level")
+    # s_k(l) for l <= 2d - k; s_k(l) = 0 for l < k by orthogonality
+    prev = [Fraction(0)] * (2 * d + 1)
+    cur = [law.moment(l) for l in range(2 * d + 1)]
+    a, b = [], [Fraction(1)]
+    for k in range(d):
+        ak = cur[k + 1] / cur[k] - (prev[k] / prev[k - 1] if k else 0)
+        nxt = [Fraction(0)] * (k + 1) + [
+            cur[l + 1] - ak * cur[l] - b[k] * prev[l] for l in range(k + 1, 2 * d - k)
+        ]
+        if not nxt[k + 1]:
             break
-        polys.append(EnsemblePoly(tuple(coeffs), norm_sq))
-    return OrthonormalEnsemble(law=law, polys=tuple(polys))
+        a.append(ak)
+        b.append(nxt[k + 1] / cur[k])
+        prev, cur = cur, nxt
+    return OrthonormalEnsemble(law=law, a=tuple(a), b=tuple(b))
 
 
 class MultilinearPoly(JsonResult):

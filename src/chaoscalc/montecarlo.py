@@ -16,10 +16,12 @@ used by diagnostics is ``sample`` of ``scale * G_1`` on the reserved stream
 ``GAUSSIAN_REFERENCE_STREAM``.
 
 Every sampled polynomial goes through one encoder (``_Encoder``): a term table
-over per-variable one-dimensional families, the Hermite three-term recurrence
-(``_recurrence_rows``, the operations of ``algebra.hermite_values``) for chaos
-polynomials and the ensemble's ``T_k`` (``EnsemblePoly.eval``, Horner's rule)
-for multilinear ones.  A block is evaluated in sub-chunks, each drawn,
+over per-variable one-dimensional families, all of them evaluated by one
+monic three-term recurrence (``_recurrence_rows``, the operations of
+``algebra.hermite_values``): Hermite's for chaos polynomials, and for
+multilinear ones the law's own, with the float forms of the ensemble's exact
+coefficients (``build_ensemble``), each wanted row then divided by
+``sqrt(h_k)``.  A block is evaluated in sub-chunks, each drawn,
 tabulated and accumulated into its slice of the output, all in one table
 that the block allocates once and every chunk reuses.  ``width`` counts
 every row of it: the factor rows, which begin as the transposed draws, and
@@ -292,10 +294,14 @@ def sample(
         )
     elif isinstance(f, MultilinearPoly):
         ensemble = build_ensemble(f.law, f.max_level)
+        steps = [(float(a), float(b)) for a, b in zip(ensemble.a, ensemble.b)]
+        norms = [math.sqrt(float(h)) for h in ensemble.norms_sq]
 
         def ensemble_rows(x, wanted, table, scratch):
+            # T_k = p_k / sqrt(h_k), the monic rows of the law's own recurrence
+            _recurrence_rows(x, wanted, table, scratch, steps.__getitem__)
             for k, row in wanted:
-                ensemble.polys[k].eval(x, table[row], scratch[0])
+                table[row] /= norms[k]
 
         ordered = sorted((len(t), sorted(t), c) for t, c in f.terms.items())
         encoder = _Encoder([(c, factors) for _, factors, c in ordered], f.law, ensemble_rows)

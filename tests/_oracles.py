@@ -33,6 +33,11 @@ into lines, then one ``float`` of every body line; it is the oracle for the
 reader that numpy's C text parser backs.  ``format_sample_file`` is the sample
 file's text built whole, the oracle for the streamed writer's bytes, and
 ``w2_1d_unfused`` is the transport cost with a fresh array per step.
+``compose_hermite`` is ``He_level`` of a polynomial by the Hermite
+recurrence, a second route to the library's raising rule, and
+``gram_schmidt_monic`` builds an input law's monic orthogonal polynomials by
+exact Gram-Schmidt on ``1, x, x**2, ...``, the oracle for the three-term
+recurrence that ``build_ensemble`` computes.
 """
 from __future__ import annotations
 
@@ -47,8 +52,8 @@ import numpy as np
 from chaoscalc import (
     ChaosPoly,
     InfluenceResult,
+    InputLaw,
     IterationTrace,
-    compose_hermite,
     decompose_along,
     expectation,
     gamma_gradient,
@@ -60,7 +65,14 @@ from chaoscalc import (
     strongest_influence,
 )
 from chaoscalc import ParseError, SampleSet
-from chaoscalc.algebra import JsonResult, _monomial, _numerators, _parse_int, _weight
+from chaoscalc.algebra import (
+    JsonResult,
+    _monomial,
+    _numerators,
+    _parse_int,
+    _weight,
+    hermite_values,
+)
 from chaoscalc.decompose import _WIDTH
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
@@ -260,6 +272,36 @@ def check_spectral_inequality(x: ChaosPoly, y: ChaosPoly) -> IdentityReport:
     rhs = Fraction(p + q, 2) * expectation(x * y * gamma)
     residual = lhs - rhs
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, holds=residual <= 0)
+
+
+def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
+    """``He_level`` evaluated at the polynomial ``x``, re-expanded on the basis."""
+    if level == 0:
+        return ChaosPoly.constant(1)
+    return hermite_values(x, level)[level]
+
+
+def gram_schmidt_monic(law: InputLaw, d: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """``(coefficients of x**0, x**1, ..., norm_sq)`` of each monic orthogonal
+    polynomial ``p_0 ... p_D`` of ``law``, ``D <= d``, by exact Gram-Schmidt on
+    the monomials under the law's moments.  Stops where the next residual has
+    zero norm, as it does on a finite support."""
+    moments = [law.moment(j) for j in range(2 * d + 1)]
+    polys = [((Fraction(1),), Fraction(1))]
+    for k in range(1, d + 1):
+        # x**k minus its projections on the earlier members
+        coeffs = [Fraction(0)] * k + [Fraction(1)]
+        for prev, prev_norm_sq in polys:
+            overlap = sum(c * moments[k + i] for i, c in enumerate(prev))
+            for i, c in enumerate(prev):
+                coeffs[i] -= overlap / prev_norm_sq * c
+        norm_sq = sum(
+            ca * cb * moments[i + j] for i, ca in enumerate(coeffs) for j, cb in enumerate(coeffs)
+        )
+        if norm_sq == 0:
+            break
+        polys.append((tuple(coeffs), norm_sq))
+    return polys
 
 
 def rho_1(f: ChaosPoly) -> InfluenceResult:

@@ -34,7 +34,6 @@ from chaoscalc import (
     MultilinearPoly,
     build_ensemble,
     canonical_quadratic,
-    compose_hermite,
     decompose_along,
     excess_kurtosis,
     expectation,
@@ -57,6 +56,7 @@ from _oracles import (
     check_algebraic_identity,
     check_ipp,
     check_spectral_inequality,
+    compose_hermite,
     generator_carre_du_champ,
     oracle_quadratic_form,
     random_homogeneous,

@@ -13,7 +13,6 @@ from chaoscalc import (
     ChaosPoly,
     ParseError,
     PreconditionError,
-    compose_hermite,
     expectation,
     gaussian,
     hermite_monomial,
@@ -33,6 +32,7 @@ from chaoscalc.algebra import (
 )
 
 from _oracles import (
+    compose_hermite,
     fraction_inner,
     raw_expectation,
     raw_from_chaos,

@@ -583,6 +583,20 @@ def test_impossible_sample_count_exits_3_at_once(capsys, poly_file, tmp_path, co
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind, level", [("uniform", 10**6), ("uniform", 171), ("gaussian", 171)])
+def test_ensemble_level_over_the_cap_exits_3_at_once(capsys, tmp_path, kind, level):
+    """An ensemble level above 170 stops before any moment is computed, where
+    the 10**6-level ensemble would first build 2·10**6 + 1 moments and the
+    Gaussian ``h_171 = 171!`` would leave the float range."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"law": {"kind": kind}, "terms": [{"coeff": "1", "vars": [[1, level]]}]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "invariance", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == f"error: ensemble level {level} exceeds cap 170\n"
+
+
 def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, poly_file, monkeypatch):
     # the q = 1 basis of G1 G2 has dimension 2, above the cap of 1
     path = poly_file("f.json", G1 * gaussian(2))

@@ -12,7 +12,6 @@ from chaoscalc import (
     ChaosPoly,
     PreconditionError,
     canonical_quadratic,
-    compose_hermite,
     decompose_along,
     gamma_gradient,
     gaussian,
@@ -24,6 +23,7 @@ from chaoscalc import (
 )
 
 from _oracles import (
+    compose_hermite,
     iterate_by_reconstruction,
     random_homogeneous,
     random_poly,

@@ -1,5 +1,5 @@
-"""Input laws, orthonormal ensembles (exact Gram-Schmidt with truncation),
-multilinear polynomials, and Gaussian substitution."""
+"""Input laws, orthonormal ensembles (the exact three-term recurrence, with
+truncation), multilinear polynomials, and Gaussian substitution."""
 
 import math
 import random
@@ -10,6 +10,7 @@ import pytest
 
 from chaoscalc import ensembles
 from chaoscalc import (
+    BasisSizeError,
     ChaosPoly,
     InputLaw,
     MultilinearPoly,
@@ -22,12 +23,35 @@ from chaoscalc import (
     substitute_gaussian,
 )
 
-from _oracles import gaussian_raw_moment
+from _oracles import gaussian_raw_moment, gram_schmidt_monic
 
 THREE_POINT = InputLaw.discrete(
     points=[Fraction(-1), Fraction(0), Fraction(2)],
     probabilities=[Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)],
 )
+# every discrete law of these tests: a repeated point and a point of
+# probability 0 count once and not at all in the level bound
+DISCRETE_LAWS = [
+    THREE_POINT,
+    InputLaw.discrete([-1, 1, 1], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
+    InputLaw.discrete([-1, 0, 1], [Fraction(1, 2), 0, Fraction(1, 2)]),
+    InputLaw.discrete([-1, 0, 1, 2], [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]),
+]
+
+
+def monic_coeffs(ensemble) -> list[list[Fraction]]:
+    """The coefficients of ``x**0, x**1, ...`` of each ``p_k``, expanded from the recurrence."""
+    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]][: ensemble.effective_degree + 1]
+    for k in range(1, ensemble.effective_degree):
+        a, b = ensemble.a[k], ensemble.b[k]
+        cur, prev = polys[k], polys[k - 1]
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(cur):
+            nxt[i] -= a * c
+        for i, c in enumerate(prev):
+            nxt[i] -= b * c
+        polys.append(nxt)
+    return polys
 
 
 def test_law_moments_are_exact():
@@ -63,36 +87,83 @@ def test_discrete_law_rejects_non_finite_points_and_probabilities(bad):
 def test_rademacher_ensemble_truncates_at_degree_one():
     ensemble = build_ensemble(InputLaw.rademacher(), 3)
     assert ensemble.effective_degree == 1
-    assert ensemble.polys[1].coeffs == (Fraction(0), Fraction(1))
-    assert ensemble.polys[1].norm_sq == 1
+    assert (ensemble.a, ensemble.b) == ((0,), (1, 1))
+    assert monic_coeffs(ensemble)[1] == [Fraction(0), Fraction(1)]
+    assert ensemble.norms_sq == (1, 1)
 
 
 def test_gaussian_ensemble_degree_two():
     ensemble = build_ensemble(InputLaw.gaussian(), 2)
     assert ensemble.effective_degree == 2
-    assert ensemble.polys[2].coeffs == (Fraction(-1), Fraction(0), Fraction(1))
-    assert ensemble.polys[2].norm_sq == 2  # T2 = (x**2 - 1)/sqrt(2)
+    assert monic_coeffs(ensemble)[2] == [Fraction(-1), Fraction(0), Fraction(1)]
+    assert ensemble.norms_sq[2] == 2  # T2 = (x**2 - 1)/sqrt(2)
 
 
 def test_level_one_is_the_coordinate_for_every_law():
-    for law in (InputLaw.gaussian(), InputLaw.rademacher(), InputLaw.uniform(), THREE_POINT):
+    for law in (InputLaw.gaussian(), InputLaw.rademacher(), InputLaw.uniform(), *DISCRETE_LAWS):
         ensemble = build_ensemble(law, 1)
-        assert ensemble.polys[1].coeffs == (Fraction(0), Fraction(1))
-        assert ensemble.polys[1].norm_sq == 1
+        assert monic_coeffs(ensemble)[1] == [Fraction(0), Fraction(1)]
+        assert ensemble.norms_sq[1] == 1
+
+
+def _orthonormality_defects(law, ensemble) -> list[tuple[int, int]]:
+    """The ``(j, k)`` where ``E[T_j T_k] != delta_jk``, paired exactly from the law's
+    moments: ``E[p_j p_k] = h_k delta_jk`` with ``T_k = p_k / sqrt(h_k)``."""
+    polys, norms_sq = monic_coeffs(ensemble), ensemble.norms_sq
+    moments = [law.moment(i) for i in range(2 * len(polys) - 1)]
+    defects = []
+    for j, pj in enumerate(polys):
+        # E[p_j X**i] for every power i another member reads
+        against = [sum(c * moments[i + n] for n, c in enumerate(pj)) for i in range(len(polys))]
+        for k, pk in enumerate(polys):
+            if sum(c * against[i] for i, c in enumerate(pk)) != (norms_sq[k] if j == k else 0):
+                defects.append((j, k))
+    return defects
 
 
 def test_ensemble_orthonormality_is_exact():
-    for law, degree in ((InputLaw.gaussian(), 4), (THREE_POINT, 2), (InputLaw.uniform(), 4)):
+    cases = [(InputLaw.gaussian(), 12), (InputLaw.uniform(), 40)]
+    for law, degree in cases + [(law, law.level_bound) for law in DISCRETE_LAWS]:
         ensemble = build_ensemble(law, degree)
-        for j, pj in enumerate(ensemble.polys):
-            for k, pk in enumerate(ensemble.polys):
-                # E[p_j p_k] from the law's moments; T_j = p_j / sqrt(norm_sq)
-                pairing = sum(
-                    ca * cb * law.moment(a + b)
-                    for a, ca in enumerate(pj.coeffs)
-                    for b, cb in enumerate(pk.coeffs)
-                )
-                assert pairing == (pj.norm_sq if j == k else 0)
+        assert ensemble.effective_degree == degree
+        assert _orthonormality_defects(law, ensemble) == []
+
+
+@pytest.mark.parametrize(
+    "law, degree",
+    [(InputLaw.gaussian(), 10), (InputLaw.uniform(), 10), (InputLaw.rademacher(), 4),
+     *((law, 6) for law in DISCRETE_LAWS)],
+)
+def test_monic_polynomials_match_gram_schmidt(law, degree):
+    ensemble = build_ensemble(law, degree)
+    oracle = gram_schmidt_monic(law, degree)
+    assert [list(coeffs) for coeffs, _ in oracle] == monic_coeffs(ensemble)
+    assert tuple(norm_sq for _, norm_sq in oracle) == ensemble.norms_sq
+
+
+def test_recurrence_coefficients_of_uniform_and_gaussian_laws_are_exact():
+    """Legendre's ``b_k = 3k²/(4k² - 1)`` on ``[-sqrt(3), sqrt(3)]`` and Hermite's
+    ``b_k = k``, both with ``a_k = 0``, up to the level cap, where ``h_170`` is
+    the product of the closed forms (``170!`` for the Gaussian law)."""
+    top = ensembles.MAX_ENSEMBLE_LEVEL
+    uniform = build_ensemble(InputLaw.uniform(), top)
+    gauss = build_ensemble(InputLaw.gaussian(), top)
+    legendre = [Fraction(3 * k * k, 4 * k * k - 1) for k in range(1, top + 1)]
+    assert uniform.a == gauss.a == (0,) * top
+    assert uniform.b == (1, *legendre)
+    assert gauss.b == (1, *range(1, top + 1))
+    assert uniform.norms_sq[top] == math.prod(legendre)
+    assert gauss.norms_sq[top] == math.factorial(top)
+
+
+def test_ensemble_levels_above_the_cap_fail_before_any_moment(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("a moment was computed")
+
+    monkeypatch.setattr(InputLaw, "moment", refuse)
+    for d in (ensembles.MAX_ENSEMBLE_LEVEL + 1, 10**6):
+        with pytest.raises(BasisSizeError, match=f"ensemble level {d} exceeds cap 170"):
+            build_ensemble(InputLaw.uniform(), d)
 
 
 def test_ensemble_rejects_uncentered_laws():
@@ -130,16 +201,17 @@ def test_law_built_directly_holds_fractions():
     "law, bound",
     [
         (InputLaw.rademacher(), 1),
-        (THREE_POINT, 2),
-        (InputLaw.discrete([-1, 1, 1], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), 1),
-        (InputLaw.discrete([-1, 0, 1], [Fraction(1, 2), 0, Fraction(1, 2)]), 1),
+        *zip(DISCRETE_LAWS[:3], (2, 1, 1)),
         (InputLaw.gaussian(), None),
         (InputLaw.uniform(), None),
+        (DISCRETE_LAWS[3], 3),
     ],
 )
 def test_level_bound_is_where_gram_schmidt_stops(law, bound):
     assert law.level_bound == bound
-    assert build_ensemble(law, 8).effective_degree == (8 if bound is None else bound)
+    top = 8 if bound is None else bound
+    assert build_ensemble(law, 8).effective_degree == top
+    assert len(gram_schmidt_monic(law, 8)) == top + 1
 
 
 def test_multilinear_levels_are_checked_without_an_ensemble(monkeypatch):

@@ -17,7 +17,6 @@ from chaoscalc import (
     InputLaw,
     PreconditionError,
     build_ensemble,
-    compose_hermite,
     gaussian,
     hermite_monomial,
     iterate_decomposition,
@@ -40,7 +39,6 @@ ENTRY_POINTS = {
     "hermite_monomial degree": lambda bad: hermite_monomial({1: bad}),
     "partial_derivative": lambda bad: partial_derivative(F, bad),
     "project_chaos": lambda bad: project_chaos(F, bad),
-    "compose_hermite": lambda bad: compose_hermite(bad, G1),
     "poly_pow": lambda bad: poly_pow(F, bad),
     "moment": lambda bad: moment(F, bad),
     "rho_q q": lambda bad: rho_q(F, bad),
@@ -66,7 +64,6 @@ REFUSED = [
     ("hermite_monomial degree", [*ALL, 0]),
     ("partial_derivative", [*ALL, 0]),
     ("project_chaos", [True, False]),
-    ("compose_hermite", [True, False]),
     ("poly_pow", [True, False]),
     ("moment", [True]),
     ("rho_q q", [True]),
@@ -98,7 +95,6 @@ ACCEPTED = {
     ),
     "partial_derivative": (lambda: partial_derivative(F, np.int64(1)), G2),
     "project_chaos": (lambda: project_chaos(F + G1, np.int64(2)), F),
-    "compose_hermite": (lambda: compose_hermite(np.int64(2), G1), G1 * G1 - 1),
     "poly_pow": (lambda: poly_pow(G1, np.int64(2)), G1 * G1),
     "moment": (lambda: moment(F, np.int64(2)), Fraction(1)),
     "rho_q q": (lambda: rho_q(F, np.int64(2)).q, 2),

@@ -1,6 +1,7 @@
 """Sampling determinism, transport-distance estimator properties, exact fourth-
 moment diagnostics, and the consolidated normality report."""
 
+import hashlib
 import math
 import os
 import random
@@ -241,6 +242,54 @@ def test_multilinear_sampling_laws():
     s = sample(disc, 50_000, seed=5)
     assert set(np.unique(s.values)) == {-2.0, 0.5}
     assert abs(s.values.mean()) < 0.02
+
+
+def test_a_high_ensemble_level_samples_with_unit_variance():
+    """``T_60(X_1)`` under the uniform law, ``sqrt(121)·P_60(X_1/sqrt(3))`` for
+    Legendre's ``P_60``, has mean 0 and variance 1: both lie within 5 standard
+    errors over 2**17 draws.  ``E[T_60**4]`` comes from 121-point Gauss-Legendre
+    quadrature through numpy's Legendre series, exact to degree 241."""
+    k, n = 60, 1 << 17
+    p = MultilinearPoly(InputLaw.uniform(), {frozenset({(1, k)}): 1})
+    values = sample(p, n, seed=3).values
+    nodes, weights = np.polynomial.legendre.leggauss(2 * k + 1)
+    t = math.sqrt(2 * k + 1) * np.polynomial.legendre.legval(nodes, [0] * k + [1])
+    fourth = float(weights @ t**4) / 2
+    assert abs(values.mean()) < 5 * math.sqrt(1 / n)
+    assert abs(values.var() - 1) < 5 * math.sqrt((fourth - 1) / n)
+
+
+ENSEMBLE_LAWS = {
+    "uniform": InputLaw.uniform(),
+    # a_1 = 1: the recurrence's x - a_k step
+    "discrete": InputLaw.discrete([-1, 0, 2], [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)]),
+    "gaussian": InputLaw.gaussian(),
+}
+ENSEMBLE_DIGESTS = {
+    ("uniform", 2): "20e8829035422440a27f66a1fa74a1d4ab8e7a3f8dab100a8902a94703c2dcf8",
+    ("uniform", 3): "edb2d9a4ff956fc56b3e017e912bb4dd52b703a5a6824c2f45e3e049a67c0950",
+    ("discrete", 2): "0d6e21b55f0601ae439ba6be47bf9419ab0db58928bc38e51ab0adacc916df83",
+    ("gaussian", 2): "8128d611e6524e3405276af385cafc245569be50f9a65d0af56c27331968332a",
+    ("gaussian", 3): "8a6e92096ac2134508973e4a8833b1065d935bdbe4eb8c89e452ccc450de076b",
+}
+
+
+@pytest.mark.parametrize("law, top", sorted(ENSEMBLE_DIGESTS))
+def test_ensemble_samples_are_pinned_to_recorded_digests(law, top):
+    """sha256 of the sampled bytes of a multilinear polynomial up to level
+    ``top``, recorded when the ensemble became its exact recurrence.  One
+    variable has only the top level, so its top row is its draws' own; the
+    others have level 1 as well.  The level-2 digests are those of the
+    monomial-coefficient ensemble that came before; 70000 draws span two
+    blocks."""
+    p = MultilinearPoly(ENSEMBLE_LAWS[law], {
+        frozenset(): Fraction(1, 7),
+        frozenset({(1, top)}): Fraction(1, 2),
+        frozenset({(2, 1), (3, top)}): Fraction(-1, 3),
+        frozenset({(2, top - 1), (3, 1)}): Fraction(1, 5),
+    })
+    values = sample(p, 70_000, seed=13).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == ENSEMBLE_DIGESTS[law, top]
 
 
 def test_w2_identical_and_shift():

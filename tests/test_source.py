@@ -1,6 +1,7 @@
 """Static checks of the package source, with the standard library's ``ast``."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -82,18 +83,46 @@ def test_every_top_level_definition_is_read_or_exported():
 
 # ``module.name`` alone in a code span, or called in one, with ``chaoscalc.`` optional
 QUALIFIED = re.compile(r"`(?:chaoscalc\.)?(\w+)\.(\w+)[`(]")
+# ``Class.attr`` alone in a code span, or called in one: a capitalised first name
+CLASS_ATTR = re.compile(r"`([A-Z]\w*)\.(\w+)[`(]")
 # importing __main__ would run the command line
 PACKAGE_MODULES = {p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__")}
 
 
+def package_classes() -> dict[str, type]:
+    """Every class that a ``chaoscalc`` module defines, by name."""
+    classes = {}
+    for module in PACKAGE_MODULES:
+        namespace = importlib.import_module(f"chaoscalc.{module}")
+        classes.update(
+            (name, obj) for name, obj in vars(namespace).items()
+            if isinstance(obj, type) and obj.__module__ == namespace.__name__
+        )
+    return classes
+
+
+def has_attribute(cls: type, name: str) -> bool:
+    """``hasattr``, with a dataclass's fields counted, defaults or not."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return name in fields or hasattr(cls, name)
+
+
 def stale_references(text: str) -> list[str]:
-    """The code-span references ``module.name`` in ``text`` whose module is a
-    ``chaoscalc`` module without an attribute ``name``."""
+    """The code-span references in ``text`` that name nothing: ``module.name``
+    where the module is a ``chaoscalc`` module without an attribute ``name``,
+    then ``Class.attr`` where no ``chaoscalc`` module defines a class ``Class``
+    with an attribute ``attr``.  The docs name an outside class only with its
+    module (``np.random.Philox``), so an unknown capitalised name is stale."""
+    classes = package_classes()
     return [
         f"{module}.{name}"
         for module, name in QUALIFIED.findall(text)
         if module in PACKAGE_MODULES
         and not hasattr(importlib.import_module(f"chaoscalc.{module}"), name)
+    ] + [
+        f"{cls}.{attr}"
+        for cls, attr in CLASS_ATTR.findall(text)
+        if cls not in classes or not has_attribute(classes[cls], attr)
     ]
 
 
@@ -112,6 +141,12 @@ def test_stale_references_are_found():
         "# ``algebra.not_in_a_docstring``\n"
     )
     assert stale_references(docstrings(source)) == ["decompose.gone", "influence.vanished"]
+    classes = (
+        '"""Not ``EnsemblePoly.eval`` nor ``InputLaw.gone(x)``; ``InputLaw.level_bound``,\n'
+        "``SampleSet.values`` (a field without a default), ``ChaosPoly.__mul__`` and\n"
+        '``JsonResult.to_json_dict(r)`` name what is there."""\n'
+    )
+    assert stale_references(docstrings(classes)) == ["EnsemblePoly.eval", "InputLaw.gone"]
     readme = "`chaoscalc.algebra.ChaosPoly`, `chaoscalc.cli.nothing`, `chaoscalc.algebra`"
     assert stale_references(readme) == ["cli.nothing"]
 
