@@ -5,14 +5,11 @@ from .algebra import (
     ChaosPoly,
     as_fraction,
     expectation,
-    gaussian,
     hermite_monomial,
     homogeneous_degree,
     inner_product,
     moment,
-    partial_derivative,
     poly_from_json,
-    poly_to_json,
     project_chaos,
 )
 from .decompose import (
@@ -59,7 +56,6 @@ from .montecarlo import (
     sample,
     var_gamma,
     w2_1d,
-    write_sample_file,
 )
 
 __version__ = "0.1.0"

@@ -23,8 +23,7 @@ building one ``Fraction`` per output term.  (The ``decompose`` split needs no
 Hermite products: it expands ordinary powers, see that module.)
 ``inner_product`` likewise sums the shared terms' integer numerators and
 builds one ``Fraction``.  ``_gradients`` takes every partial derivative of a
-polynomial held as integer numerators (``He_k' = k He_{k-1}``);
-``partial_derivative`` reads one variable from it, and
+polynomial held as integer numerators (``He_k' = k He_{k-1}``), and
 ``malliavin.gamma_gradient`` pairs two such gradients.  ``_times_coordinate``
 multiplies integer numerators by one coordinate ``G_w`` with the raising
 rule ``G He_k = He_{k+1} + k He_{k-1}``, without the general product; the
@@ -33,7 +32,9 @@ influence form builds its carre du champ from it.  Sums and scalings stay on
 
 Every result reaches JSON through one encoder, ``JsonResult.to_json_dict``:
 one key per dataclass field, valued by ``json_value``, and a ``Fraction``
-field ``x`` twice, as the float ``x`` and the exact string ``x_exact``.
+field ``x`` twice, as the float ``x`` and the exact string ``x_exact``.  The
+one route to the bytes is the command line's
+``canonical_json(json_value(result))``.
 """
 
 from __future__ import annotations
@@ -309,11 +310,6 @@ def hermite_values(x, upto: int) -> list:
 # -- constructors -------------------------------------------------------------
 
 
-def gaussian(var: int) -> ChaosPoly:
-    """The coordinate ``G_var`` itself (degree-1 monomial)."""
-    return hermite_monomial({var: 1})
-
-
 def hermite_monomial(index: MonomialLike, coeff: RationalLike = 1) -> ChaosPoly:
     """A single basis monomial ``coeff * prod_i He_{k_i}(G_i)``."""
     index = _monomial(index)
@@ -368,13 +364,6 @@ def _times_coordinate(nums: Mapping[Entries, int], w: int) -> dict[Entries, int]
         if k:
             out[down] = get(down, 0) + k * num
     return {entries: t for entries, t in out.items() if t}
-
-
-def partial_derivative(f: ChaosPoly, var: int) -> ChaosPoly:
-    """Exact partial derivative, using ``He_k' = k He_{k-1}`` (``_gradients``)."""
-    var = as_integer(var, "variable ids must be positive integers", 1)
-    denom, nums = _numerators(f._terms)
-    return ChaosPoly._from_numerators(_gradients(nums).get(var, {}), denom)
 
 
 def expectation(f: ChaosPoly) -> Fraction:
@@ -500,13 +489,6 @@ class JsonResult:
             else:
                 out[field.name] = json_value(value)
         return out
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
-
-def poly_to_json(f: ChaosPoly) -> str:
-    return canonical_json(poly_to_json_dict(f))
 
 
 def _decode_json(text: str):

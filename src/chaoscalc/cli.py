@@ -71,7 +71,7 @@ def _cmd_generator(args):
 
 
 def _cmd_rho(args):
-    return rho_q(_load_poly(args.f), args.q, args.extra_vars)
+    return rho_q(_load_poly(args.f), args.q)
 
 
 def _cmd_strongest(args):
@@ -129,8 +129,6 @@ def positive_int(text: str) -> int:
 
 _OUTPUT = ("--output", {"default": None, "help": "write result to a file instead of stdout"})
 _THRESHOLD = ("--threshold", {"type": float, "default": 0.1, "help": "least influence to split on"})
-_EXTRA_VARS = ("--extra-vars", {"type": int, "default": None,
-               "help": "0: own variables only; >= 1: max over degrees <= q; default q - 1"})
 _MONTE_CARLO = (
     ("--samples", {"type": int, "default": 100_000, "help": "number of draws"}),
     ("--seed", {"type": int, "default": 42, "help": "seed of the random draws"}),
@@ -141,7 +139,7 @@ _COMMANDS = (
     ("gamma", "carre du champ of two polynomial files", _cmd_gamma, ("f", "g"), (_OUTPUT,)),
     ("L", "apply the Ornstein-Uhlenbeck generator", _cmd_generator, ("f",), (_OUTPUT,)),
     ("rho", "directional influence of a given degree", _cmd_rho, ("f",),
-     (("--q", {"type": int, "default": 1, "help": "influence degree"}), _EXTRA_VARS, _OUTPUT)),
+     (("--q", {"type": int, "default": 1, "help": "influence degree"}), _OUTPUT)),
     ("strongest", "least degree whose influence clears the threshold", _cmd_strongest, ("f",),
      (_THRESHOLD, _OUTPUT)),
     ("decompose", "iterated strongest-influence decomposition", _cmd_decompose, ("f",),

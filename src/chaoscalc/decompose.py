@@ -71,11 +71,16 @@ class DecompositionStep(JsonResult):
     fit_rank: int | None = None
 
     def reassemble(self) -> ChaosPoly:
-        out = ChaosPoly.zero()
         ladder = hermite_values(self.direction, len(self.coefficients) - 1)
-        for coeff, h in zip(self.coefficients, ladder):
-            out = out + coeff * h
-        return out
+        return _reassemble(self.coefficients, ladder)
+
+
+def _reassemble(coefficients: Sequence[ChaosPoly], ladder: Sequence) -> ChaosPoly:
+    """``sum_l coefficients[l] * ladder[l]``, where ``ladder[l]`` is ``He_l(x)``."""
+    out = ChaosPoly.zero()
+    for coeff, h in zip(coefficients, ladder):
+        out = out + coeff * h
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,14 +322,11 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     fit_rank = 1 + p // q
     if n_free:
         fit_rank = sum(math.comb(n_free + d - 1, d) * (1 + (p - d) // q) for d in range(p))
-    reassembled = ChaosPoly.zero()
-    for coeff, h in zip(coefficients, hx):
-        reassembled = reassembled + coeff * h
     return DecompositionStep(
         direction=x,
         q=q,
         coefficients=coefficients,
-        remainder_gamma_norm=independence_score(f - reassembled, x),
+        remainder_gamma_norm=independence_score(f - _reassemble(coefficients, hx), x),
         exact=False,
         fit_rank=fit_rank,
     )

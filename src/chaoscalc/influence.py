@@ -11,10 +11,11 @@ built from the gradient of ``f`` by the raising rule ``G_w He_k = He_{k+1} +
 k He_{k-1}`` (``algebra._times_coordinate``), one coordinate at a time, with
 no general Hermite product.
 
-Every scan (``strongest_influence``, each ``decompose.iterate_decomposition``
-step, the ``rho`` of ``montecarlo.normality_report``) is ``_influence_scan``,
-over the paper's test space padded with fresh variables; only ``rho_q`` takes
-``extra_vars``.  The first degree whose running max clears a threshold is the
+Every influence (``rho_q``, ``strongest_influence``, each
+``decompose.iterate_decomposition`` step, the ``rho`` of
+``montecarlo.normality_report``) is read off ``_influence_scan``, over the
+paper's test space: the whole degree-``q`` chaos, padded with fresh
+variables.  The first degree whose running max clears a threshold is the
 first whose own solve clears it, and the item there is that degree's own.
 
 Every entry of ``Q`` is an exact rational, summed on integer numerators and
@@ -78,7 +79,6 @@ class InfluenceResult(JsonResult):
     value: float
     direction: ChaosPoly
     basis_dimension: int
-    extra_variables_used: int
     # top eigenvalue of the form (a squared influence) minus the largest one
     # outside the top cluster; None when every eigenvalue is in the cluster
     eigengap: float | None = None
@@ -316,9 +316,7 @@ def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
     """
     basis = degree_monomials(f.variables(), q)
     if not basis:
-        return InfluenceResult(
-            q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0, extra_variables_used=0
-        )
+        return InfluenceResult(q=q, value=0.0, direction=ChaosPoly.zero(), basis_dimension=0)
     form = _influence_form(f, basis)
     top, vec, gap = _top_eigenpair(form)
     # with the gap this bounds the angle error (Davis-Kahan: sin theta <= residual / gap)
@@ -335,32 +333,25 @@ def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
         value=math.sqrt(max(top, 0.0)),
         direction=direction,
         basis_dimension=len(basis),
-        extra_variables_used=0,
         eigengap=gap,
         eigen_residual=residual,
     )
 
 
-def rho_q(f: ChaosPoly, q: int, extra_vars: int | None = None) -> InfluenceResult:
-    """Degree-``q`` influence over a test space padded with ``extra_vars`` fresh variables.
+def rho_q(f: ChaosPoly, q: int) -> InfluenceResult:
+    """The paper's degree-``q`` influence: the last item of ``_influence_scan(f, q)``.
 
-    0 is one solve on the variables of ``f``; ``extra_vars >= 1`` (default
-    ``q - 1``) is the last item of ``_influence_scan``, whatever the count.
-    ``_basis_cap()`` is checked first, over one fresh variable if
-    ``extra_vars >= 1``.  A constant is answered at once.
+    ``_basis_cap()`` is checked first, over one fresh variable from q = 2 on,
+    so a too-large ``q`` fails before any solve.  A constant is answered at
+    once, for any ``q``.
     """
     q = as_integer(q, "influence degree must be a positive integer", 1)
-    if extra_vars is None:
-        extra_vars = q - 1
-    else:
-        extra_vars = as_integer(extra_vars, "extra_vars must be nonnegative", 0)
     nvars = len(f.variables())
-    _basis_dimension(nvars + min(extra_vars, 1), q, _basis_cap())
-    if extra_vars and nvars:
-        *_, result = _influence_scan(f, q)
-    else:
-        result = _degree_influence(f, q)
-    return replace(result, extra_variables_used=extra_vars)
+    _basis_dimension(nvars + (q > 1), q, _basis_cap())
+    if not nvars:
+        return _degree_influence(f, q)
+    *_, result = _influence_scan(f, q)
+    return result
 
 
 def _check_scan_work(nvars: int, top: int, cap: int) -> None:
@@ -407,7 +398,7 @@ def _influence_scan(f: ChaosPoly, top: int) -> Iterator[InfluenceResult]:
         result = _degree_influence(f, q)
         if best is None or result.value >= best.value - TOP_CLUSTER_RTOL * max(1.0, best.value):
             best = result
-        yield replace(best, q=q, extra_variables_used=q - 1)
+        yield replace(best, q=q)
 
 
 def strongest_influence(f: ChaosPoly, threshold: float) -> StrongestInfluence:

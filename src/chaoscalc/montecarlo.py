@@ -37,7 +37,7 @@ chunk size never changes an output bit.
 
 Sample files are text: a header line and one ``repr`` per line.
 ``_sample_file_pieces`` formats them ``PIECE_LINES`` lines at a time; it is
-the one writer, behind ``write_sample_file`` and the ``sample`` command.
+the one writer, behind the ``sample`` command.
 ``read_sample_file`` opens a file once.  For a regular file it reads the
 header line itself and converts the body in one call to numpy's C text
 parser, so neither direction holds the whole file's text; a file the parser
@@ -331,12 +331,6 @@ def _sample_file_pieces(sample_set: SampleSet):
         yield "\n".join(map(repr, values[start : start + PIECE_LINES].tolist())) + "\n"
 
 
-def write_sample_file(sample_set: SampleSet, path) -> None:
-    """Write a sample file one ``_sample_file_pieces`` piece at a time, never the whole text."""
-    with open(path, "w") as handle:
-        handle.writelines(_sample_file_pieces(sample_set))
-
-
 def read_sample_file(path) -> SampleSet:
     """Read a sample file: an optional ``#`` header line, then one value per line.
 
@@ -351,8 +345,9 @@ def read_sample_file(path) -> SampleSet:
     ``_read_by_line``, the one error reporter: a bad header field, a blank
     line 1, a bad value, two values on a line, a byte that does not decode,
     a NaN or an infinity, a file name that numpy would open through a
-    decompressor, and any file that is not regular (a pipe, say) or is named
-    by a bytes path or a file descriptor.  A bad or non-finite value is a
+    decompressor, a 0-byte file (an empty sample with the default header
+    fields), and any file that is not regular (a pipe, say) or is named by a
+    bytes path or a file descriptor.  A bad or non-finite value is a
     ``ParseError`` that names its line, or line 1 for a header field.
     """
     with open(path) as handle:
@@ -424,8 +419,10 @@ def _read_by_line(text: str) -> SampleSet:
     named by its offset in the file, not in the chunk the C parser had
     reached.  The first error wins in this order: a byte that does not
     decode, a bad header field, the first bad value, the first non-finite
-    value.
+    value.  A 0-byte file is an empty sample with the default header fields.
     """
+    if not text:
+        return SampleSet(np.empty(0), *_header_fields(text))
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()

@@ -33,6 +33,11 @@ into lines, then one ``float`` of every body line; it is the oracle for the
 reader that numpy's C text parser backs.  ``format_sample_file`` is the sample
 file's text built whole, the oracle for the streamed writer's bytes, and
 ``w2_1d_unfused`` is the transport cost with a fresh array per step.
+``write_sample_file`` writes a sample file from the library's
+``_sample_file_pieces``, as the ``sample`` command does, and
+``partial_derivative`` reads one variable's derivative off the library's
+``_gradients``: the tests' handles on library code that no command calls by
+those names.
 ``compose_hermite`` is ``He_level`` of a polynomial by the Hermite
 recurrence, a second route to the library's raising rule, and
 ``gram_schmidt_monic`` builds an input law's monic orthogonal polynomials by
@@ -67,6 +72,7 @@ from chaoscalc import (
 from chaoscalc import ParseError, SampleSet
 from chaoscalc.algebra import (
     JsonResult,
+    _gradients,
     _monomial,
     _numerators,
     _parse_int,
@@ -74,6 +80,7 @@ from chaoscalc.algebra import (
     hermite_values,
 )
 from chaoscalc.decompose import _WIDTH
+from chaoscalc.montecarlo import _sample_file_pieces
 
 # raw polynomial: map from ((var, power), ...) ascending -> Fraction
 RawPoly = dict
@@ -212,6 +219,12 @@ def raw_from_chaos(f: ChaosPoly) -> RawPoly:
     return total
 
 
+def partial_derivative(f: ChaosPoly, var: int) -> ChaosPoly:
+    """Exact partial derivative, using ``He_k' = k He_{k-1}`` (``_gradients``)."""
+    denom, nums = _numerators(f._terms)
+    return ChaosPoly._from_numerators(_gradients(nums).get(var, {}), denom)
+
+
 def generator_carre_du_champ(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
     """Carre du champ through the generator, ``(L(fg) - f Lg - g Lf) / 2``, exact."""
     lfg = ou_generator(f * g)
@@ -306,7 +319,7 @@ def gram_schmidt_monic(law: InputLaw, d: int) -> list[tuple[tuple[Fraction, ...]
 
 def rho_1(f: ChaosPoly) -> InfluenceResult:
     """The degree-1 influence over the variables of ``f``."""
-    return rho_q(f, 1, 0)
+    return rho_q(f, 1)
 
 
 def substitute_rotation(f: ChaosPoly, rotation, variables) -> ChaosPoly:
@@ -683,10 +696,10 @@ def read_sample_file_whole_text(path) -> SampleSet:
     with open(path) as handle:
         text = handle.read()
     lines = text.split("\n")
-    if text.endswith("\n"):
+    if text.endswith("\n") or not text:
         lines.pop()
     start = 1
-    if lines[0].startswith("#"):
+    if lines and lines[0].startswith("#"):
         seen = set()
         for token in lines[0][1:].split():
             key, _, value = token.partition("=")
@@ -719,6 +732,12 @@ def read_sample_file_whole_text(path) -> SampleSet:
         )
         raise ParseError(f"sample file line {lineno}: value {line.strip()!r} is not finite")
     return SampleSet(values=values, seed=seed, stream=stream, generator_id=generator)
+
+
+def write_sample_file(sample_set: SampleSet, path) -> None:
+    """Write a sample file one ``_sample_file_pieces`` piece at a time, as ``sample`` does."""
+    with open(path, "w") as handle:
+        handle.writelines(_sample_file_pieces(sample_set))
 
 
 def format_sample_file(sample_set: SampleSet) -> str:

@@ -24,25 +24,22 @@ from chaoscalc import (
     InputLaw,
     MultilinearPoly,
     canonical_quadratic,
-    gaussian,
     hermite_monomial,
     iterate_decomposition,
     normality_report,
-    poly_to_json,
     read_sample_file,
     rho_q,
     sample,
     strongest_influence,
-    write_sample_file,
 )
 import chaoscalc
-from chaoscalc import cli, decompose, montecarlo
-from chaoscalc.algebra import JsonResult
+from chaoscalc import cli, decompose, influence, montecarlo
+from chaoscalc.algebra import JsonResult, canonical_json, json_value
 from chaoscalc.cli import main
 
-from _oracles import format_sample_file, read_sample_file_whole_text
+from _oracles import format_sample_file, read_sample_file_whole_text, write_sample_file
 
-G1 = gaussian(1)
+G1, G2 = hermite_monomial({1: 1}), hermite_monomial({2: 1})
 HE2_1 = hermite_monomial({1: 2})
 
 
@@ -50,7 +47,7 @@ HE2_1 = hermite_monomial({1: 2})
 def poly_file(tmp_path):
     def write(name, poly):
         path = tmp_path / name
-        path.write_text(poly_to_json(poly))
+        path.write_text(canonical_json(json_value(poly)))
         return str(path)
 
     return write
@@ -71,7 +68,7 @@ def test_gamma_of_coordinate_with_itself(capsys, poly_file):
 
 def test_gamma_of_disjoint_variables_is_zero(capsys, poly_file):
     a = poly_file("a.json", G1)
-    b = poly_file("b.json", gaussian(2))
+    b = poly_file("b.json", G2)
     code, out, _ = run_cli(capsys, "gamma", a, b)
     assert code == 0
     assert json.loads(out) == {"terms": []}
@@ -100,11 +97,11 @@ def test_rho_command_value(capsys, poly_file):
 
 
 @pytest.mark.parametrize("q", [100, 169, 400, 1000])
-def test_rho_at_high_degree_exits_0(capsys, poly_file, q):
-    # rho_q(He_2) = 2 sqrt(q (2q - 1)); the form entry of He_q is beyond the float range of its parts
-    path = poly_file("he2.json", HE2_1)
-    code, out, err = run_cli(capsys, "rho", path, "--q", str(q), "--extra-vars", "0")
-    assert code == 0, err
+def test_high_degree_solve_is_written_exactly(q):
+    # He_2's degree-q solve is 2 sqrt(q (2q - 1)); the form entry of He_q is beyond the float
+    # range of its parts.  rho refuses such a q (its scan's work is over the cap), so the
+    # degree's own solve is written as main writes every result.
+    out = canonical_json(json_value(influence._degree_influence(HE2_1, q)))
     assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12)
     # the direction c He_q has squared norm q! c**2, though c is far below the float range
     (term,) = json.loads(out)["direction"]["terms"]
@@ -117,21 +114,15 @@ def test_rho_running_max_picks_a_lower_degree(capsys, poly_file):
     sqrt(1027), than degree-2 one, sqrt(782): Gamma(f, G_1) = f' =
     29 - 9 He_2 + He_4 and ||f'||**2 = 841 + 162 + 24, while Gamma(f, He_2 / sqrt 2)
     = sqrt 2 G_1 f' = sqrt 2 (11 G_1 - 5 He_3 + He_5) gives 2 (121 + 150 + 120).
-    So at the default one fresh variable the result is the degree-1 solve."""
+    So ``rho --q 2`` gives the degree-1 solve."""
     f = 29 * G1 - 3 * hermite_monomial({1: 3}) + hermite_monomial({1: 5}, Fraction(1, 5))
     path = poly_file("f.json", f)
     code, out, err = run_cli(capsys, "rho", path, "--q", "2")
     assert code == 0, err
     data = json.loads(out)
     assert data["value"] == pytest.approx(math.sqrt(1027), rel=1e-15)
-    assert (data["q"], data["extra_variables_used"], data["basis_dimension"]) == (2, 1, 1)
+    assert (data["q"], data["basis_dimension"]) == (2, 1)
     assert data["direction"] == {"terms": [{"coeff": "1", "index": {"1": 1}}]}
-    code, out, err = run_cli(capsys, "rho", path, "--q", "2", "--extra-vars", "0")
-    assert code == 0, err
-    data = json.loads(out)
-    assert data["value"] == pytest.approx(math.sqrt(782), rel=1e-15)
-    assert data["extra_variables_used"] == 0
-    assert [term["index"] for term in data["direction"]["terms"]] == [{"1": 2}]
 
 
 def test_diagnose_reports_the_running_max_over_degrees(capsys, poly_file):
@@ -166,33 +157,16 @@ def test_rho_constant_is_zero(capsys, poly_file):
 
 def test_rho_oversized_basis_exits_3(capsys, poly_file):
     # five variables and one fresh one: C(5 + 9, 9) = 2002 monomials of degree 9
-    path = poly_file("p.json", G1 * gaussian(2) * gaussian(3) * gaussian(4) * gaussian(5))
-    code, out, err = run_cli(capsys, "rho", path, "--q", "9", "--extra-vars", "40")
+    path = poly_file("p.json", hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1, 5: 1}))
+    code, out, err = run_cli(capsys, "rho", path, "--q", "9")
     assert code == 3 and out == ""
     assert "exceeds cap" in err
 
 
-@pytest.mark.parametrize("command", ["rho"])
-def test_huge_extra_vars_match_one_extra_var_at_once(capsys, poly_file, command):
-    # any count of fresh variables is the running max over degrees; no fresh ids are made
-    f = Fraction(3, 5) * G1 * gaussian(2) + Fraction(4, 5) * gaussian(3) * gaussian(4)
-    path = poly_file("p.json", f)
-    argv = [command, path, "--q", "2"]
-    start = time.perf_counter()
-    code, huge, err = run_cli(capsys, *argv, "--extra-vars", str(10**12))
-    assert time.perf_counter() - start < 1.0
-    assert code == 0, err
-    code, one, err = run_cli(capsys, *argv, "--extra-vars", "1")
-    assert code == 0, err
-    huge, one = json.loads(huge), json.loads(one)
-    assert (huge.pop("extra_variables_used"), one.pop("extra_variables_used")) == (10**12, 1)
-    assert huge == one
-
-
-@pytest.mark.parametrize("command", ["strongest", "decompose", "diagnose"])
-def test_only_rho_takes_extra_vars(capsys, poly_file, command):
-    # every scan already runs over the padded test space, so there is nothing to choose
-    path = poly_file("p.json", G1 * gaussian(2))
+@pytest.mark.parametrize("command", ["rho", "strongest", "decompose", "diagnose"])
+def test_no_command_takes_extra_vars(capsys, poly_file, command):
+    # every influence runs over the padded test space, so there is nothing to choose
+    path = poly_file("p.json", G1 * G2)
     with pytest.raises(SystemExit) as exc:
         main([command, path, "--extra-vars", "1"])
     assert exc.value.code == 2
@@ -208,14 +182,14 @@ def test_rho_of_a_constant_at_a_huge_degree_exits_0_at_once(capsys, poly_file):
     assert code == 0, err
     assert json.loads(out) == {
         "q": 10**7, "value": 0.0, "direction": {"terms": []}, "basis_dimension": 0,
-        "extra_variables_used": 10**7 - 1, "eigengap": None, "eigen_residual": None,
+        "eigengap": None, "eigen_residual": None,
     }
 
 
 def test_huge_q_exits_3_at_once(capsys, poly_file):
     # the basis count, over the two variables and one fresh one, stops at the
     # first partial count above the cap: C(33, 31) = 528
-    path = poly_file("p.json", G1 * gaussian(2))
+    path = poly_file("p.json", G1 * G2)
     code, out, err = run_cli(capsys, "rho", path, "--q", "20000")
     assert code == 3 and out == ""
     assert "basis dimension at least 528 exceeds cap 512" in err
@@ -225,7 +199,7 @@ def test_huge_q_exits_3_at_once(capsys, poly_file):
     "command", ["rho", "strongest", "decompose", "diagnose", "sample", "canonical2"]
 )
 def test_coefficient_beyond_float_range_exits_2(capsys, poly_file, command):
-    path = poly_file("p.json", G1 * gaussian(2) * Fraction(10**400) + HE2_1)
+    path = poly_file("p.json", G1 * G2 * Fraction(10**400) + HE2_1)
     argv = [command, path]
     if command in ("diagnose", "sample"):
         argv += ["--samples", "1000"]
@@ -235,7 +209,7 @@ def test_coefficient_beyond_float_range_exits_2(capsys, poly_file, command):
 
 
 def test_python_dash_m_runs_the_command(capsys, poly_file):
-    path = poly_file("p.json", HE2_1 + G1 * gaussian(2))
+    path = poly_file("p.json", HE2_1 + G1 * G2)
     code, out, _ = run_cli(capsys, "rho", path, "--q", "2")
     assert code == 0
     child = subprocess.run(
@@ -246,7 +220,7 @@ def test_python_dash_m_runs_the_command(capsys, poly_file):
 
 
 def test_one_parser_serves_many_calls(capsys, poly_file, monkeypatch):
-    path = poly_file("p.json", HE2_1 + G1 * gaussian(2))
+    path = poly_file("p.json", HE2_1 + G1 * G2)
     fresh = subprocess.run(
         [sys.executable, "-m", "chaoscalc", "rho", path],
         capture_output=True, text=True, timeout=120,
@@ -328,7 +302,7 @@ def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch
     # five variables, degree 2: the q = 1 basis has dimension 5
     f = ChaosPoly.zero()
     for k in range(1, 5):
-        f = f + gaussian(k) * gaussian(k + 1)
+        f = f + hermite_monomial({k: 1, k + 1: 1})
     path = poly_file("p.json", f)
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
     code, out, err = run_cli(capsys, "strongest", path, "--threshold", "0.5")
@@ -355,7 +329,7 @@ def test_decompose_checks_the_basis_cap_only_up_to_q_star(capsys, tmp_path, monk
 
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_basis_cap_below_one_exits_2(capsys, poly_file, monkeypatch, raw):
-    path = poly_file("p.json", G1 * gaussian(2))
+    path = poly_file("p.json", G1 * G2)
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", raw)
     code, out, err = run_cli(capsys, "rho", path, "--q", "1")
     assert code == 2 and out == ""
@@ -363,7 +337,7 @@ def test_basis_cap_below_one_exits_2(capsys, poly_file, monkeypatch, raw):
 
 
 def test_strongest_command(capsys, poly_file):
-    path = poly_file("p.json", G1 * gaussian(2))
+    path = poly_file("p.json", G1 * G2)
     code, out, _ = run_cli(capsys, "strongest", path, "--threshold", "0.5")
     assert code == 0
     data = json.loads(out)
@@ -407,7 +381,7 @@ def test_decompose_non_homogeneous_exits_2(capsys, poly_file):
 
 
 def test_canonical2_command(capsys, poly_file):
-    path = poly_file("f.json", G1 * gaussian(2))
+    path = poly_file("f.json", G1 * G2)
     code, out, _ = run_cli(capsys, "canonical2", path)
     assert code == 0
     data = json.loads(out)
@@ -429,8 +403,7 @@ def test_diagnose_reports_and_is_byte_identical(capsys, poly_file):
 
 
 RESULT_KEYS = {
-    "rho": {"q", "value", "direction", "basis_dimension", "extra_variables_used", "eigengap",
-            "eigen_residual"},
+    "rho": {"q", "value", "direction", "basis_dimension", "eigengap", "eigen_residual"},
     "strongest": {"q_star", "rho_values", "direction", "threshold"},
     "decompose": {"steps", "contributions", "residual", "residual_norm", "per_step_norms"},
     "canonical2": {"variables", "eigenvalues", "rotation", "linear", "constant"},
@@ -451,7 +424,7 @@ def test_result_json_has_one_key_per_dataclass_field(capsys, poly_file):
     """The commands' key sets are pinned, and every result dataclass writes one
     key per field, plus ``x_exact`` for a ``Fraction`` field ``x``; so a new
     field changes the output only on purpose."""
-    f = (HE2_1 + G1 * gaussian(2) + gaussian(2) * gaussian(3)) * Fraction(1, 2)  # unit norm
+    f = (HE2_1 + G1 * G2 + hermite_monomial({2: 1, 3: 1})) * Fraction(1, 2)  # unit norm
     path = poly_file("f.json", f)
     options = {"rho": ["--q", "2"], "diagnose": ["--samples", "1000"]}
     for command, keys in RESULT_KEYS.items():
@@ -545,11 +518,13 @@ def test_w2_on_an_empty_sample_file_exits_2_and_names_it(capsys, tmp_path, empty
     good = tmp_path / "good.samples"
     empty = tmp_path / "empty.samples"
     good.write_text("# seed=1 stream=0 generator=g\n0.5\n1.5\n")
-    empty.write_text("# seed=1 stream=0 generator=g\n\n")
-    files = (empty, good) if empty_first else (good, empty)
-    code, out, err = run_cli(capsys, "w2", *map(str, files))
-    assert code == 2 and out == ""
-    assert err == f"error: {empty}: no samples to compare\n"
+    # a header and a blank line, then a 0-byte file, which has no line 1 to name
+    for text in ("# seed=1 stream=0 generator=g\n\n", ""):
+        empty.write_text(text)
+        files = (empty, good) if empty_first else (good, empty)
+        code, out, err = run_cli(capsys, "w2", *map(str, files))
+        assert code == 2 and out == ""
+        assert err == f"error: {empty}: no samples to compare\n"
 
 
 def test_invariance_and_influences_commands(capsys, tmp_path):
@@ -558,7 +533,7 @@ def test_invariance_and_influences_commands(capsys, tmp_path):
         {frozenset({(k, 1)}): Fraction(1, 4) for k in range(1, 17)},
     )
     path = tmp_path / "p.json"
-    path.write_text(p.to_json())
+    path.write_text(canonical_json(json_value(p)))
     code, out, _ = run_cli(capsys, "invariance", str(path), "--samples", "20000", "--seed", "2")
     assert code == 0
     assert 0 < json.loads(out)["gap"] < 0.3
@@ -574,10 +549,10 @@ def test_impossible_sample_count_exits_3_at_once(capsys, poly_file, tmp_path, co
     if command == "invariance":
         p = MultilinearPoly(InputLaw.rademacher(), {frozenset({(1, 1), (2, 1)}): 1})
         path = tmp_path / "p.json"
-        path.write_text(p.to_json())
+        path.write_text(canonical_json(json_value(p)))
         path = str(path)
     else:
-        path = poly_file("f.json", HE2_1 + G1 * gaussian(2))
+        path = poly_file("f.json", HE2_1 + G1 * G2)
     code, out, err = run_cli(capsys, command, path, "--samples", str(10**15))
     assert code == 3 and out == ""
     assert err.startswith("error: ")
@@ -599,7 +574,7 @@ def test_ensemble_level_over_the_cap_exits_3_at_once(capsys, tmp_path, kind, lev
 
 def test_diagnose_rejects_the_sample_count_before_the_influence_scan(capsys, poly_file, monkeypatch):
     # the q = 1 basis of G1 G2 has dimension 2, above the cap of 1
-    path = poly_file("f.json", G1 * gaussian(2))
+    path = poly_file("f.json", G1 * G2)
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "1")
     code, out, err = run_cli(capsys, "diagnose", path, "--samples", "0")
     assert code == 2 and out == ""
@@ -699,7 +674,7 @@ def test_undecodable_sample_file_body_exits_2_with_the_file_offset(capsys, tmp_p
 
 
 def test_unwritable_output_exits_2_with_a_message(capsys, poly_file, tmp_path):
-    path = poly_file("p.json", G1 * gaussian(2))
+    path = poly_file("p.json", G1 * G2)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, "gamma", path, path, "--output", str(target))
     assert code == 2 and out == ""
@@ -708,7 +683,7 @@ def test_unwritable_output_exits_2_with_a_message(capsys, poly_file, tmp_path):
 
 
 def test_unwritable_sample_output_exits_2_with_empty_stdout(capsys, poly_file, tmp_path):
-    path = poly_file("p.json", HE2_1 + gaussian(2))
+    path = poly_file("p.json", HE2_1 + G2)
     target = tmp_path / "missing" / "out.samples"
     code, out, err = run_cli(capsys, "sample", path, "--samples", "1000", "--output", str(target))
     assert code == 2 and out == ""
@@ -725,7 +700,7 @@ def test_unwritable_sample_output_exits_2_with_empty_stdout(capsys, poly_file, t
 def test_sample_stdout_and_output_bytes_equal_the_oracle_text(capsys, poly_file, tmp_path, n, workers):
     """Either destination gets the whole-text oracle's bytes, at piece
     boundaries and across blocks, at one and at two workers."""
-    f = HE2_1 * Fraction(1, 3) + gaussian(2) * gaussian(3)
+    f = HE2_1 * Fraction(1, 3) + hermite_monomial({2: 1, 3: 1})
     path = poly_file("f.json", f)
     argv = ["sample", path, "--samples", str(n), "--seed", "8", "--stream", "4", "--workers", workers]
     expected = format_sample_file(sample(f, n, seed=8, stream=4)).encode()
@@ -756,7 +731,7 @@ def test_sample_output_memory_is_bounded_by_the_chunk_and_a_piece(poly_file, tmp
     The whole text, which the command built before it streamed, is 5.2 MB
     alone (20 bytes a line), and that run peaked at 13.1 MB."""
     n = 262144
-    path = poly_file("f.json", HE2_1 * Fraction(1, 3) + gaussian(2) * gaussian(3))
+    path = poly_file("f.json", HE2_1 * Fraction(1, 3) + hermite_monomial({2: 1, 3: 1}))
     target = tmp_path / "out.samples"
     bound = (8 * n + 8 * (montecarlo.CHUNK_CELLS + montecarlo.BLOCK_SIZE)
              + 200 * montecarlo.PIECE_LINES + (1 << 18))
@@ -795,8 +770,8 @@ PINNED_DIGESTS = {
     "decompose_3": "ceda5cfcbd4953e17eebe617781f5cf7c9453e0fae83a428af769784cf771b56",
     "decompose_q2": "3d1973f8c9facb53a23e1009e31dbc28d7cc7fff36a4e211109603599b55abdb",
     "gamma": "e1835d05694f180f51b89be80fe2517323cc3bfbfc414bb490b3b712545adf97",
-    "rho_2": "96567f075b3fd1df8dd7429dc81b9a157f9b5515c3db872f9b793550f7c3f0d6",
-    "rho_3": "f08da429c35a3cbcd3b4cc2fa8d7089d1a419b07024a22123a7325d8f5a6623b",
+    "rho_2": "ff2774bf9e55a6794a11d1e2fbce91926b7943640f14d77727c4d0b2b9da1267",
+    "rho_3": "5d875dac09e8ef36511507c337c27f4da71242428837ae7c0031339726baf960",
     "strongest": "fb51b0e320525ee9988b15358a1f6879fa8c70d95e4d3c939e55f77960d97e14",
 }
 
@@ -815,12 +790,11 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
     product kernels, and for ``decompose F --threshold 0.05`` at
     ``--max-steps 1`` and ``3`` (two steps are taken), recorded when degree-1
     directions became exactly unit rationals (the stereographic snap in
-    ``rho_q``).  ``rho F --q 3 --extra-vars 0`` and ``strongest F`` were
-    recorded before the influence form took its carre du champ from the
-    Hermite raising rule, which must leave them unchanged; ``rho F --q 2``
-    when each degree's form was built on the variables of ``F`` only (its
-    basis dimension went from 10, over one fresh variable, to 6, at the same
-    value).  ``test_decompose.py::
+    ``rho_q``).  ``strongest F`` was recorded before the influence form took
+    its carre du champ from the Hermite raising rule, which must leave it
+    unchanged.  ``rho F --q 2`` and ``rho F --q 3`` were recorded when the
+    ``extra_variables_used`` key left ``rho``: each is the earlier default
+    run's stdout without that key, re-encoded canonically.  ``test_decompose.py::
     test_cli_decomposition_is_exact_and_bounded_in_bits`` checks these
     decompositions for exact reassembly, decoupling and unit directions.
 
@@ -838,7 +812,7 @@ def test_stdout_is_pinned_to_recorded_digests(capsys, tmp_path):
         "decompose_3": ["decompose", str(f_path), "--threshold", "0.05", "--max-steps", "3"],
         "gamma": ["gamma", str(f_path), str(g_path)],
         "rho_2": ["rho", str(f_path), "--q", "2"],
-        "rho_3": ["rho", str(f_path), "--q", "3", "--extra-vars", "0"],
+        "rho_3": ["rho", str(f_path), "--q", "3"],
         "strongest": ["strongest", str(f_path)],
     }
     for name, argv in requests.items():
@@ -930,7 +904,7 @@ def _sampler_request(name: str, tmp_path):
         law, factors = PINNED_LAWS[name.removeprefix("invariance_")]
         p = MultilinearPoly(law, [(frozenset(t), c) for t, c in zip(factors, PINNED_MULTILINEAR_COEFFS)])
         p_path = tmp_path / "p.json"
-        p_path.write_text(p.to_json())
+        p_path.write_text(canonical_json(json_value(p)))
         return ["invariance", str(p_path), "--seed", "9", *common], None
     return ["diagnose", str(f_path), "--seed", "4", *common], None
 
@@ -981,13 +955,13 @@ def test_wide_inputs_are_pinned_to_recorded_digests(capsys, tmp_path, name):
             InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
         )
         path = tmp_path / "walk.json"
-        path.write_text(walk.to_json())
+        path.write_text(canonical_json(json_value(walk)))
         code, out, _ = run_cli(capsys, "invariance", str(path), "--samples", "70000", "--seed", "9",
                                "--workers", "2")
         data = out.encode()
     else:
         path = tmp_path / "wide.json"
-        path.write_text(poly_to_json(_wide_chaos()))
+        path.write_text(canonical_json(json_value(_wide_chaos())))
         target = tmp_path / "wide.samples"
         code, _, _ = run_cli(capsys, "sample", str(path), "--samples", "70000", "--seed", "7",
                              "--stream", "1", "--workers", name[-1], "--output", str(target))
@@ -997,7 +971,7 @@ def test_wide_inputs_are_pinned_to_recorded_digests(capsys, tmp_path, name):
 
 
 def test_sample_output_file_matches_write_sample_file(capsys, poly_file, tmp_path):
-    f = HE2_1 * Fraction(1, 3) + gaussian(2) * gaussian(3)
+    f = HE2_1 * Fraction(1, 3) + hermite_monomial({2: 1, 3: 1})
     path = poly_file("f.json", f)
     cli_out = tmp_path / "cli.samples"
     code, _, _ = run_cli(
@@ -1044,7 +1018,7 @@ def test_sampler_threads_are_capped(capsys, poly_file, tmp_path, monkeypatch, cp
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-    path = poly_file("f.json", HE2_1 + gaussian(2))
+    path = poly_file("f.json", HE2_1 + G2)
     n = str(3 * montecarlo.BLOCK_SIZE - 7)
     wide, serial = tmp_path / "wide.samples", tmp_path / "serial.samples"
     for workers, out in (("64", wide), ("1", serial)):

@@ -17,12 +17,10 @@ from chaoscalc import (
     InputLaw,
     PreconditionError,
     build_ensemble,
-    gaussian,
     hermite_monomial,
     iterate_decomposition,
     moment,
     normality_report,
-    partial_derivative,
     project_chaos,
     rho_q,
     sample,
@@ -30,19 +28,17 @@ from chaoscalc import (
 )
 from chaoscalc.algebra import poly_pow
 
-G1, G2 = gaussian(1), gaussian(2)
+G1, G2 = hermite_monomial({1: 1}), hermite_monomial({2: 1})
 F = G1 * G2
 LAW = InputLaw.gaussian()
 
 ENTRY_POINTS = {
     "hermite_monomial id": lambda bad: hermite_monomial({bad: 1}),
     "hermite_monomial degree": lambda bad: hermite_monomial({1: bad}),
-    "partial_derivative": lambda bad: partial_derivative(F, bad),
     "project_chaos": lambda bad: project_chaos(F, bad),
     "poly_pow": lambda bad: poly_pow(F, bad),
     "moment": lambda bad: moment(F, bad),
     "rho_q q": lambda bad: rho_q(F, bad),
-    "rho_q extra_vars": lambda bad: rho_q(F, 1, bad),
     "iterate threshold": lambda bad: iterate_decomposition(F, bad, 1),
     "strongest threshold": lambda bad: strongest_influence(F, bad),
     "build_ensemble": lambda bad: build_ensemble(LAW, bad),
@@ -62,12 +58,10 @@ ALL = [True, False, 1.5, 2.0, "1", None]
 REFUSED = [
     ("hermite_monomial id", [*ALL, 0]),
     ("hermite_monomial degree", [*ALL, 0]),
-    ("partial_derivative", [*ALL, 0]),
     ("project_chaos", [True, False]),
     ("poly_pow", [True, False]),
     ("moment", [True]),
     ("rho_q q", [True]),
-    ("rho_q extra_vars", [True, False, 1.5, 2.0, "1"]),
     ("iterate threshold", [True, "0.5", None]),
     ("strongest threshold", [True, "0.5", None]),
     ("build_ensemble", [*ALL, -1]),
@@ -93,12 +87,10 @@ ACCEPTED = {
     "hermite_monomial": (
         lambda: list(hermite_monomial({np.int64(3): np.int32(2)}).terms), [((3, 2),)]
     ),
-    "partial_derivative": (lambda: partial_derivative(F, np.int64(1)), G2),
     "project_chaos": (lambda: project_chaos(F + G1, np.int64(2)), F),
     "poly_pow": (lambda: poly_pow(G1, np.int64(2)), G1 * G1),
     "moment": (lambda: moment(F, np.int64(2)), Fraction(1)),
     "rho_q q": (lambda: rho_q(F, np.int64(2)).q, 2),
-    "rho_q extra_vars": (lambda: rho_q(F, 1, np.int64(1)).extra_variables_used, 1),
     "sample seed": (lambda: sample(F, 3, np.int64(1)).seed, 1),
     "sample stream": (lambda: sample(F, 3, 1, stream=np.int64(1)).stream, 1),
     "normality_report seed": (lambda: normality_report(F, 3, np.int64(1)).inputs["seed"], 1),

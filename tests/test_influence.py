@@ -5,7 +5,6 @@ covariance."""
 
 import math
 import random
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,6 @@ from chaoscalc import (
     InputLaw,
     MultilinearPoly,
     PreconditionError,
-    gaussian,
     hermite_monomial,
     inner_product,
     iterate_decomposition,
@@ -44,7 +42,7 @@ from _oracles import (
     rho_1,
 )
 
-G1, G2 = gaussian(1), gaussian(2)
+G1, G2 = hermite_monomial({1: 1}), hermite_monomial({2: 1})
 HE2_1 = hermite_monomial({1: 2})
 
 
@@ -72,13 +70,13 @@ def test_rho_1_examples():
 
 def test_rho_q_constant_is_zero():
     for q in (1, 2, 3):
-        assert rho_q(ChaosPoly.constant(5), q, 2).value == 0.0
+        assert rho_q(ChaosPoly.constant(5), q).value == 0.0
 
 
 def test_rho_q_product_direction_example():
     # top eigenvalue 8 of the degree-2 form over {1, 2}, dimension 3; the
     # padded space over {1, 2, fresh}, dimension 6, adds the degree-1 form's 1
-    result = rho_q(G1 * G2, 2, 1)
+    result = rho_q(G1 * G2, 2)
     assert result.basis_dimension == 3
     assert result.value == pytest.approx(2 * math.sqrt(2), abs=1e-10)
     assert set(result.direction.terms) == set((G1 * G2).terms)
@@ -91,7 +89,7 @@ def test_rho_q_of_he2_has_the_closed_form_at_high_degree(q):
     # derived value: Gamma(He_2, He_q) = 2q He_1 He_{q-1} = 2q (He_q + (q-1) He_{q-2}),
     # so rho_q**2 = 4q**2 (q! + (q-1)**2 (q-2)!) / q! = 4q (2q - 1).  From q = 100 on
     # the form's exact entry and (q!)**2 exceed the float range; at q = 250 so does q!.
-    result = rho_q(HE2_1, q, extra_vars=0)
+    result = influence._degree_influence(HE2_1, q)
     assert result.value == pytest.approx(2 * math.sqrt(q * (2 * q - 1)), rel=1e-12, abs=0)
     assert float(inner_product(result.direction, result.direction)) == pytest.approx(1.0, rel=1e-12)
 
@@ -112,7 +110,7 @@ def test_value_squared_is_top_eigenvalue_of_oracle_form():
         f = random_homogeneous(rng, rng.randint(2, 4), max_vars=3)
         for q in (1, 2):
             result = rho_q(f, q)
-            variables = [*f.variables(), *fresh_ids(f, min(result.extra_variables_used, 1))]
+            variables = [*f.variables(), *fresh_ids(f, min(q - 1, 1))]
             _, qmat = oracle_quadratic_form(f, q, variables)
             top = float(np.max(np.linalg.eigvalsh(qmat)))
             assert result.value**2 == pytest.approx(top, abs=1e-8 * max(1.0, top))
@@ -126,7 +124,7 @@ def test_random_search_oracle_agreement():
         f = random_homogeneous(rng, rng.randint(2, 4), max_vars=3)
         for q in (1, 2):
             result = rho_q(f, q)
-            variables = [*f.variables(), *fresh_ids(f, min(result.extra_variables_used, 1))]
+            variables = [*f.variables(), *fresh_ids(f, min(q - 1, 1))]
             _, qmat = oracle_quadratic_form(f, q, variables)
             best_random, refined = random_search_max(qmat, draws=10_000, seed=rng.randint(0, 10**6))
             assert result.value >= best_random - 1e-9
@@ -138,7 +136,7 @@ def test_monotonicity_in_the_degree():
     rng = random.Random(13)
     for _ in range(12):
         f = random_homogeneous(rng, rng.randint(3, 4), max_vars=3)
-        values = {q: rho_q(f, q, extra_vars=q - 1).value for q in (1, 2)}
+        values = {q: rho_q(f, q).value for q in (1, 2)}
         assert values[1] <= values[2] + 1e-8
 
 
@@ -154,12 +152,11 @@ def test_scale_covariance():
 
 
 def test_extra_variables_never_shrink_the_value():
-    # one fresh variable or two: the same running max over degrees, bit for bit
+    # the padded test space holds the degree's own basis
     rng = random.Random(19)
     for _ in range(6):
         f = random_homogeneous(rng, 4, max_vars=3)
-        values = [rho_q(f, 2, extra).value for extra in (0, 1, 2)]
-        assert values[0] <= values[1] == values[2]
+        assert influence._degree_influence(f, 2).value <= rho_q(f, 2).value
 
 
 def _gamma_ratio(f: ChaosPoly, x: ChaosPoly) -> float:
@@ -170,32 +167,45 @@ def _gamma_ratio(f: ChaosPoly, x: ChaosPoly) -> float:
 
 def test_fresh_variables_give_the_max_over_lower_degrees():
     # rho_q solves each degree on the variables of f and keeps the best; the
-    # oracle assembles the padded form over fresh variables and takes its top
+    # oracle assembles the form padded with one or two fresh variables and takes its top
     rng = random.Random(29)
     for _ in range(24):
         f = random_homogeneous(rng, rng.randint(2, 5), max_vars=3, max_terms=4)
         for q in (1, 2, 3):
+            result = rho_q(f, q)
             for extra in (1, 2):
-                result = rho_q(f, q, extra)
                 _, qmat = oracle_quadratic_form(f, q, [*f.variables(), *fresh_ids(f, extra)])
                 top = math.sqrt(max(float(np.max(np.linalg.eigvalsh(qmat))), 0.0))
                 assert result.value == pytest.approx(top, rel=1e-12, abs=1e-300)
-                assert result.value >= rho_q(f, q, 0).value
-                if result.value:
-                    ratio = _gamma_ratio(f, result.direction)
-                    assert ratio == pytest.approx(result.value, rel=1e-12)
+            assert result.value >= influence._degree_influence(f, q).value
+            if result.value:
+                ratio = _gamma_ratio(f, result.direction)
+                assert ratio == pytest.approx(result.value, rel=1e-12)
+
+
+def test_rho_is_the_running_max_over_the_degrees_own_solves():
+    """f = 29 G_1 - 3 He_3(G_1) + He_5(G_1)/5 has a larger degree-1 influence,
+    sqrt(1027) = 32.05, than degree-2 one, sqrt(782) = 27.96 (see
+    ``test_cli.py::test_rho_running_max_picks_a_lower_degree``), so the paper's
+    degree-2 influence exceeds the degree-2 solve alone."""
+    f = 29 * G1 - 3 * hermite_monomial({1: 3}) + hermite_monomial({1: 5}, Fraction(1, 5))
+    own = [influence._degree_influence(f, q) for q in (1, 2)]
+    assert own[0].value == pytest.approx(math.sqrt(1027), rel=1e-15)
+    assert own[1].value == pytest.approx(math.sqrt(782), rel=1e-15)
+    assert list(own[1].direction.terms) == [((1, 2),)]
+    assert rho_q(f, 2).value == max(own[0].value, own[1].value)
 
 
 def test_basis_cap_error_reports_dimension(monkeypatch):
     # five variables and one fresh one: C(5 + 8, 8) = 1287 monomials of degree 8
-    f = G1 * G2 * gaussian(3) * gaussian(4) * gaussian(5)
+    f = hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
     with pytest.raises(BasisSizeError) as err:
-        rho_q(f, 8, extra_vars=40)
+        rho_q(f, 8)
     assert err.value.dimension > err.value.cap == 512
     # a cap set through the environment is honored too
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "5")
     with pytest.raises(BasisSizeError):
-        rho_q(G1 * G2, 2, 1)
+        rho_q(G1 * G2, 2)
 
 
 def test_basis_count_is_the_binomial_up_to_the_cap():
@@ -218,40 +228,26 @@ def test_basis_count_is_the_binomial_up_to_the_cap():
                 assert ("at least" in str(err.value)) == (err.value.dimension < dim)
 
 
-def test_huge_extra_vars_give_the_one_extra_variable_result_at_once():
-    # no fresh ids are made: any count of fresh variables is one running max
-    f = G1 * G2 + gaussian(3) * gaussian(4)
-    for q in (1, 2, 3):
-        start = time.perf_counter()
-        huge = rho_q(f, q, extra_vars=10**12).to_json_dict()
-        assert time.perf_counter() - start < 1.0
-        assert huge.pop("extra_variables_used") == 10**12
-        one = rho_q(f, q, extra_vars=1).to_json_dict()
-        assert one.pop("extra_variables_used") == 1 and huge == one
-
-
 def test_scan_carries_the_best_degree_forward(monkeypatch):
     # canned single-degree results: degree 1 beats degree 2, degree 3 ties it within
     # TOP_CLUSTER_RTOL and wins as the higher degree, degree 4 falls below
     values = {1: 3.0, 2: 2.0, 3: 3.0 * (1 - 1e-12), 4: 1.0}
 
     def solve(f, q):
-        return InfluenceResult(q, values[q], gaussian(q), 10 * q, 0, eigengap=float(q))
+        return InfluenceResult(q, values[q], hermite_monomial({q: 1}), 10 * q, eigengap=float(q))
 
     monkeypatch.setattr(influence, "_degree_influence", solve)
 
     def scan(top):
         return [
-            (r.q, r.value, r.direction, r.basis_dimension, r.eigengap, r.extra_variables_used)
+            (r.q, r.value, r.direction, r.basis_dimension, r.eigengap)
             for r in influence._influence_scan(G1 * G2, top)
         ]
 
-    best = lambda q, k: (q, values[k], gaussian(k), 10 * k, float(k), q - 1)
-    # q - 1 fresh variables: none at q = 1
+    best = lambda q, k: (q, values[k], hermite_monomial({k: 1}), 10 * k, float(k))
     assert scan(4) == [best(1, 1), best(2, 1), best(3, 3), best(4, 3)]
-    # any count of fresh variables gives the scan's last item
-    padded = rho_q(G1 * G2, 4).to_json_dict()
-    assert rho_q(G1 * G2, 4, 1).to_json_dict() == {**padded, "extra_variables_used": 1}
+    # rho_q is the scan's last item
+    assert rho_q(G1 * G2, 4) == [*influence._influence_scan(G1 * G2, 4)][-1]
 
 
 def test_scans_take_the_first_degree_whose_own_solve_clears_the_threshold():
@@ -309,7 +305,7 @@ def test_each_degree_is_solved_once(monkeypatch):
     for call, count in [
         (lambda: strongest_influence(f, 100.0), 3),  # q = 1, 2, 3 for degree 6
         (lambda: rho_q(f, 3), 3),
-        (lambda: rho_q(f, 3, extra_vars=0), 1),
+        (lambda: rho_q(f, 1), 1),
     ]:
         calls.clear()
         call()
@@ -319,7 +315,7 @@ def test_each_degree_is_solved_once(monkeypatch):
 @pytest.mark.parametrize("raw", ["0", "-5", "many"])
 def test_basis_cap_below_one_or_not_an_integer_is_rejected(monkeypatch, raw):
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", raw)
-    for call in (lambda: rho_q(G1 * G2, 2, 1), lambda: strongest_influence(G1 * G2, 0.5)):
+    for call in (lambda: rho_q(G1 * G2, 2), lambda: strongest_influence(G1 * G2, 0.5)):
         with pytest.raises(PreconditionError, match="CHAOSCALC_MAX_BASIS_DIM must be a positive integer"):
             call()
 
@@ -327,7 +323,7 @@ def test_basis_cap_below_one_or_not_an_integer_is_rejected(monkeypatch, raw):
 def test_strongest_influence_honours_the_basis_cap_at_q_one(monkeypatch):
     f = ChaosPoly.zero()
     for k in range(1, 5):
-        f = f + gaussian(k) * gaussian(k + 1)
+        f = f + hermite_monomial({k: 1, k + 1: 1})
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
     with pytest.raises(BasisSizeError) as err:
         strongest_influence(f, 0.5)
@@ -337,12 +333,12 @@ def test_strongest_influence_honours_the_basis_cap_at_q_one(monkeypatch):
 
 
 def test_basis_cap_env_override(monkeypatch):
-    # at extra_vars >= 1 the count is over one fresh variable: C(2 + 2, 2) = 6
+    # from q = 2 on the count is over one fresh variable: C(2 + 2, 2) = 6; at q = 1 over f's own
     monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
     with pytest.raises(BasisSizeError) as err:
-        rho_q(G1 * G2, 2, 1)
+        rho_q(G1 * G2, 2)
     assert err.value.cap == 4 and err.value.dimension == 6
-    assert rho_q(G1 * G2, 2, 0).basis_dimension == 3
+    assert rho_q(G1 * G2, 1).basis_dimension == 2
 
 
 def test_strongest_influence_examples():
@@ -382,16 +378,13 @@ def test_multilinear_influences_examples():
 
 
 def test_influence_result_json_round_trip_fields():
-    result = rho_q(HE2_1, 1, 0)
+    result = rho_q(HE2_1, 1)
     data = result.to_json_dict()
-    assert set(data) == {
-        "q", "value", "direction", "basis_dimension", "extra_variables_used", "eigengap",
-        "eigen_residual",
-    }
-    assert data["q"] == 1 and data["extra_variables_used"] == 0
+    assert set(data) == {"q", "value", "direction", "basis_dimension", "eigengap", "eigen_residual"}
+    assert data["q"] == 1
     assert data["eigengap"] is None  # one-dimensional basis: nothing outside the top cluster
     assert data["eigen_residual"] == 0.0  # Q = [[4]], v = [1]
-    empty = rho_q(ChaosPoly.constant(5), 1, 0).to_json_dict()
+    empty = rho_q(ChaosPoly.constant(5), 1).to_json_dict()
     assert empty["eigengap"] is None and empty["eigen_residual"] is None
 
 
@@ -417,7 +410,7 @@ def clt_family(n: int) -> ChaosPoly:
 
 
 def test_eigengap_on_a_generic_input():
-    f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + G2 * gaussian(3) * G1
+    f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + hermite_monomial({1: 1, 2: 1, 3: 1})
     for q in (1, 2):
         # the gap is within the form of the degree that attains the max
         result = rho_q(f, q)
@@ -428,7 +421,7 @@ def test_eigengap_on_a_generic_input():
 
 
 def test_eigen_residual_on_a_generic_input():
-    f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + G2 * gaussian(3) * G1
+    f = hermite_monomial({1: 3}) + 2 * G1 * hermite_monomial({2: 2}) + hermite_monomial({1: 1, 2: 1, 3: 1})
     for q in (1, 2):
         result = rho_q(f, q)
         top = result.value**2
@@ -468,15 +461,14 @@ def _assert_snapped(direction: ChaosPoly, f: ChaosPoly) -> None:
 
 def test_degree_one_directions_are_snapped_to_exact_unit_rationals():
     for f in _snap_inputs():
-        for extra in (0, 1):
-            result = rho_q(f, 1, extra)
-            _assert_snapped(result.direction, f)
-            scan = strongest_influence(f, 1e-9)
-            assert scan.q_star == 1 and scan.direction == result.direction
-            _assert_snapped(scan.direction, f)
+        result = rho_q(f, 1)
+        _assert_snapped(result.direction, f)
+        scan = strongest_influence(f, 1e-9)
+        assert scan.q_star == 1 and scan.direction == result.direction
+        _assert_snapped(scan.direction, f)
     # a one-variable basis gives the coordinate itself
     f = hermite_monomial({5: 3}, Fraction(-2, 7))
-    assert rho_q(f, 1, 0).direction == gaussian(5)
+    assert rho_q(f, 1).direction == hermite_monomial({5: 1})
 
 
 def test_eigengap_on_the_clt_family():
@@ -487,7 +479,7 @@ def test_eigengap_on_the_clt_family():
         assert result.eigengap is None and result.to_json_dict()["eigengap"] is None
         assert result.direction == G1
         # q = 2: the symmetric sum of He_2's is the unique top direction for n >= 2
-        result = rho_q(f, 2, 0)
+        result = influence._degree_influence(f, 2)
         if n == 1:
             assert result.eigengap is None
         else:

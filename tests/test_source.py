@@ -81,6 +81,59 @@ def test_every_top_level_definition_is_read_or_exported():
     assert unread_definitions(sources) == []
 
 
+def uncalled_exports(sources: dict[str, str]) -> list[str]:
+    """The functions and constants that ``sources["__init__"]`` re-exports
+    (``from .module import name``) and that no other module of ``sources``
+    (module name -> source) loads, by name or as ``module.name``, as
+    ``module.name``.  Classes are left out: a result type is read, not called."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    loaded = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                loaded.add(f"{node.value.id}.{node.attr}")
+    exported = [
+        (node.module, alias.name)
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    return [
+        f"{module}.{name}"
+        for module, name in exported
+        if (module, name) not in classes and not {name, f"{module}.{name}"} & loaded
+    ]
+
+
+def test_uncalled_exports_are_found():
+    sources = {
+        "__init__": "from .a import LIMIT, Result, run, unused\n",
+        "a": (
+            "LIMIT = 3\nclass Result:\n    pass\ndef unused():\n    return 'unused'\n"
+            "def run(x):\n    return Result() if x < LIMIT else None\n"
+            "def main():\n    return run(1)\n"
+        ),
+    }
+    assert uncalled_exports(sources) == ["a.unused"]
+
+
+def test_every_exported_function_is_run_by_the_package():
+    # the library is what the commands run: an export that no module loads is
+    # a second route, and belongs in tests/_oracles.py
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert uncalled_exports(sources) == []
+
+
 # ``module.name`` alone in a code span, or called in one, with ``chaoscalc.`` optional
 QUALIFIED = re.compile(r"`(?:chaoscalc\.)?(\w+)\.(\w+)[`(]")
 # ``Class.attr`` alone in a code span, or called in one: a capitalised first name
