@@ -35,9 +35,11 @@ consecutive rows of the block's one generator, the same stream a whole-block
 draw reads, and each output row depends on its own draws alone, so the
 chunk size never changes an output bit.
 
-Sample files are text: a header line and one ``repr`` per line.
-``_sample_file_pieces`` formats them ``PIECE_LINES`` lines at a time; it is
-the one writer, behind the ``sample`` command.
+Sample files are text: a header line and one value per line, written as
+``repr`` writes it.  ``_sample_file_pieces`` formats them ``PIECE_LINES``
+lines at a time with ``_kernels.repr_lines``, whose bytes equal ``repr``'s;
+it is the one writer, behind the ``sample`` command.  ``sample`` refuses
+values that overflow float64, so a file never holds ``inf`` or ``nan``.
 ``read_sample_file`` opens a file once.  For a regular file it reads the
 header line itself and converts the body in one call to numpy's C text
 parser, so neither direction holds the whole file's text; a file the parser
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from ._kernels import accumulate_terms
+from ._kernels import accumulate_terms, repr_lines
 from .algebra import (
     ChaosPoly,
     JsonResult,
@@ -261,7 +263,10 @@ def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int)
 
     def job(span):
         block, offset, size = span
-        encoder.evaluate_block(_block_rng(seed, stream, block), out[offset : offset + size])
+        # values that overflow are refused by ``sample``, not warned about; the
+        # error state is per thread, so it is set here
+        with np.errstate(over="ignore", invalid="ignore"):
+            encoder.evaluate_block(_block_rng(seed, stream, block), out[offset : offset + size])
 
     threads = min(workers, -(-n // BLOCK_SIZE), os.cpu_count() or 1)
     if threads > 1:
@@ -280,7 +285,10 @@ def sample(
     stream: int = 0,
     workers: int = 1,
 ) -> SampleSet:
-    """``n`` independent draws of the polynomial, deterministic in (seed, stream)."""
+    """``n`` independent draws of the polynomial, deterministic in (seed, stream).
+
+    Draws whose values overflow float64 are a ``PreconditionError`` that
+    names the first of them."""
     n = as_integer(n, "sample size must be >= 1", 1)
     seed = as_integer(seed, "seed must be an integer")
     stream = as_integer(stream, "stream must be an integer")
@@ -308,6 +316,12 @@ def sample(
     else:
         raise TypeError(f"cannot sample {type(f).__name__}")
     values = _run_blocks(encoder, n, seed, stream, workers)
+    # the min and the max are nan if any value is, and infinite if any is
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        first = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise PreconditionError(
+            f"draw {first} is {float(values[first])!r}: the values overflow float64"
+        )
     return SampleSet(
         values=values,
         seed=seed,
@@ -321,14 +335,15 @@ def sample(
 
 def _sample_file_pieces(sample_set: SampleSet):
     """Sample-file text in pieces: a ``# seed=.. stream=.. generator=..`` header
-    line, then one ``repr`` per line, at most ``PIECE_LINES`` lines a piece."""
+    line, then each value as ``repr`` writes it, one a line, formatted by
+    ``repr_lines`` at most ``PIECE_LINES`` lines a piece."""
     yield (
         f"# seed={sample_set.seed} stream={sample_set.stream} "
         f"generator={sample_set.generator_id}\n"
     )
     values = sample_set.values
     for start in range(0, values.shape[0], PIECE_LINES):
-        yield "\n".join(map(repr, values[start : start + PIECE_LINES].tolist())) + "\n"
+        yield repr_lines(values[start : start + PIECE_LINES])
 
 
 def read_sample_file(path) -> SampleSet:

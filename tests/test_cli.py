@@ -713,6 +713,61 @@ def test_sample_stdout_and_output_bytes_equal_the_oracle_text(capsys, poly_file,
     assert target.read_bytes() == expected
 
 
+# (polynomial, a line that its sample file holds); 1e-9·G_1 writes every
+# line in exponent notation, 1e15·G_1·G_2 reaches 16 digits before the
+# point, and 1e16·G_1·G_2 crosses 1e16, where repr switches notation
+EXPONENT_CASES = {
+    "1e-9-G1": (G1 * Fraction(1, 10**9), re.compile(r"^-?\d(\.\d+)?e-\d\d$", re.M)),
+    "1e15-G1G2": (hermite_monomial({1: 1, 2: 1}) * 10**15, re.compile(r"^-?\d{16}\.\d+$", re.M)),
+    "1e16-G1G2": (hermite_monomial({1: 1, 2: 1}) * 10**16, re.compile(r"^-?\d(\.\d+)?e\+16$", re.M)),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", EXPONENT_CASES)
+def test_sample_far_from_unit_scale_equals_the_oracle_text(capsys, poly_file, tmp_path, case, workers):
+    """Either destination gets the whole-text oracle's bytes for values
+    written in exponent notation and next to the notation switch at 1e16,
+    across two blocks."""
+    f, line = EXPONENT_CASES[case]
+    n = montecarlo.BLOCK_SIZE + 5
+    path = poly_file("f.json", f)
+    argv = ["sample", path, "--samples", str(n), "--seed", "9", "--workers", workers]
+    expected = format_sample_file(sample(f, n, seed=9)).encode()
+    assert line.search(expected.decode())
+    if case == "1e-9-G1":
+        assert len(line.findall(expected.decode())) == n
+    if case == "1e16-G1G2":
+        assert re.search(r"^-?\d{16}\.\d+$", expected.decode(), re.M)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == expected
+    target = tmp_path / "out.samples"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_values_that_overflow_float64_exit_2_without_output(capsys, tmp_path, workers):
+    """``1e308·He_4(G_1)`` and ``1e308·G_1^3 G_2^3`` overflow on most draws:
+    ``sample`` and ``invariance`` exit 2 naming the first draw that is not
+    finite, with no output, no ``--output`` file and no numpy warning,
+    where ``sample`` used to write ``inf`` lines (which ``w2`` refuses)."""
+    poly = tmp_path / "big.json"
+    poly.write_text('{"terms":[{"coeff":"1e308","index":{"1":4}}]}')
+    multilinear = tmp_path / "big-multilinear.json"
+    multilinear.write_text('{"law":{"kind":"gaussian"},"terms":[{"coeff":"1e308","vars":[[1,3],[2,3]]}]}')
+    target = tmp_path / "out.samples"
+    for argv, first in (
+        (["sample", str(poly), "--samples", "200000"], "draw 2 is inf"),
+        (["invariance", str(multilinear), "--samples", "100000"], "draw 18 is -inf"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--workers", workers, "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: {first}: the values overflow float64\n")
+        assert not target.exists()
+
+
 def test_sample_output_memory_is_bounded_by_the_chunk_and_a_piece(poly_file, tmp_path):
     """tracemalloc peak of ``sample --samples 262144 --output`` at one worker.
 
@@ -722,10 +777,15 @@ def test_sample_output_memory_is_bounded_by_the_chunk_and_a_piece(poly_file, tmp
     * while sampling, one chunk table of at most ``CHUNK_CELLS`` float64
       cells (a Gaussian input draws into it, with no temporary) and the
       kernel's product row, ``8·BLOCK_SIZE`` at most;
-    * while writing, one piece of ``PIECE_LINES`` lines: the list of floats
-      (8 + 24 bytes a line), their ``repr`` strings (at most 49 + 24 bytes
-      each), the joined piece and its copy with the last newline (25 bytes
-      a line each), and its encoded bytes (25): under 200 bytes a line;
+    * while writing, one piece of ``PIECE_LINES`` lines, formatted by
+      ``_kernels.repr_lines``.  Its digit search holds at most 17 int64 and
+      three byte-wide work arrays at once (139 bytes a line).  Its layout
+      holds eight int64 arrays (the point, the mask code, the shift and its
+      complement, a table column, a carry, three text words) and the
+      40-byte row matrix, then the matrix, the 40-byte mask and the text
+      (at most 25 bytes a line), then the text as bytes and as the
+      returned piece (25 each); writing encodes the piece once more (25):
+      under 200 bytes a line.  Measured alone, the writer peaked at 149;
     * 256 KiB for the parser, the input and the interpreter's caches.
     The sum of both phases bounds 262144 draws at 6.6 MB.  Measured 4.6 MB.
     The whole text, which the command built before it streamed, is 5.2 MB

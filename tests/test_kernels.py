@@ -1,5 +1,6 @@
-"""Float kernels: term accumulation, the LAPACK eigensolve, and the canonical
-top direction that makes influence output independent of the solver."""
+"""Float kernels: term accumulation, the LAPACK eigensolve, the canonical
+top direction that makes influence output independent of the solver, and the
+text of a float array, checked against ``repr`` itself."""
 
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from chaoscalc import _kernels, hermite_monomial
+from chaoscalc import _kernels, hermite_monomial, montecarlo
 from chaoscalc.algebra import canonical_json, json_value
 from chaoscalc.influence import _top_eigenpair
 
@@ -131,3 +132,87 @@ def test_influence_stdout_is_identical_across_processes(tmp_path):
             for _ in range(2)
         ]
         assert outs[0] and outs[0] == outs[1]
+
+
+def _neighbours(values):
+    """Each value with the floats just below and just above it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def _steps(value, count=64):
+    """``count`` consecutive floats on either side of ``value``."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+_TINY = np.nextafter(0.0, 1.0)  # 2**-1074, the least subnormal
+_MIN_NORMAL = np.finfo(np.float64).tiny  # 2**-1022
+REPR_CASES = {
+    "random-bits": lambda: np.random.default_rng(35).integers(
+        0, 2**64, 10**6, dtype=np.uint64, endpoint=False
+    ).view(np.float64),
+    "powers-of-two": lambda: _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "powers-of-ten": lambda: _neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    "positional-edges": lambda: np.concatenate(
+        [_steps(1e-4), _steps(1e-5), _steps(1e16), _steps(1e15), _steps(1e17)]
+    ),
+    "integers": lambda: np.concatenate(
+        [np.arange(0, 100_000), np.arange(0, 2**53 + 1, 2**53 // 50_000), 2**53 - np.arange(1000)]
+    ).astype(np.float64),
+    "j-times-powers-of-ten": lambda: np.array(
+        [float(f"{j}e{k}") for j in range(1, 1000, 7) for k in range(-330, 310, 3)]
+    ),
+    "subnormal-edges": lambda: np.concatenate(
+        [_TINY * np.arange(1, 2000), _neighbours([_MIN_NORMAL, _MIN_NORMAL - _TINY])]
+    ),
+    "signed-specials": lambda: np.concatenate(
+        [
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+            (np.arange(1, 64, dtype=np.uint64) | np.uint64(0x7FF0_0000_0000_0000)).view(np.float64),
+            (np.arange(1, 64, dtype=np.uint64) | np.uint64(0xFFF0_0000_0000_0000)).view(np.float64),
+        ]
+    ),
+    "empty": lambda: np.empty(0),
+}
+
+
+@pytest.mark.parametrize("case", REPR_CASES)
+def test_repr_lines_writes_what_repr_writes(case):
+    """Bit for bit, with ``repr`` as the oracle: shortest digits, the closest,
+    ties to even, the bounds of an even significand included, the irregular
+    gap below a power of two, both notations and every special value; the
+    negatives of each case too (random bits have both signs already).
+    The kernel sees the values in pieces of the sample writer's size."""
+    values = REPR_CASES[case]()
+    if case != "random-bits":
+        values = np.concatenate([values, -values])
+    piece = montecarlo.PIECE_LINES
+    text = "".join(_kernels.repr_lines(values[i : i + piece]) for i in range(0, values.size, piece))
+    expected = "".join(repr(v) + "\n" for v in values.tolist())
+    if text != expected:
+        got = text.split("\n")
+        bad = next(i for i, line in enumerate(expected.split("\n")) if got[i : i + 1] != [line])
+        pytest.fail(f"{values[bad]!r} ({values[bad:bad + 1].view(np.uint64)[0]:#x}): got {got[bad:bad + 1]}")
+
+
+def test_repr_lines_takes_a_strided_view():
+    values = np.array([0.1, -2.5e-7, 3.0, 1e300, 7.0])
+    assert _kernels.repr_lines(values[::2]) == "0.1\n3.0\n7.0\n"
+
+
+def test_importing_the_cli_leaves_the_repr_tables_unbuilt():
+    """The tables are built on the first ``repr_lines`` call: ``import
+    chaoscalc.cli`` runs for every command, most of which write no sample."""
+    code = (
+        "import chaoscalc.cli\n"
+        "from chaoscalc import _kernels\n"
+        "print(_kernels._repr_tables.cache_info().currsize)\n"
+        "_kernels.repr_lines([1.0])\n"
+        "print(_kernels._repr_tables.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "0\n1\n"
