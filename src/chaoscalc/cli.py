@@ -16,14 +16,15 @@ command: the library's result object (a bare ``ChaosPoly`` for ``gamma`` and
 sample is drawn whole before the first byte is written.  Results go to
 standard output, or to ``--output``; all diagnostics go to standard error.
 Exit codes: 0 success, 2 parse/precondition/input errors or an ``--output``
-file that cannot be written, 3 resource caps exceeded or memory that cannot
-be allocated.
+file or standard output that cannot be written (a reader that closed the
+pipe), 3 resource caps exceeded or memory that cannot be allocated.
 Repeated invocations with identical arguments produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -120,6 +121,25 @@ def _cmd_influences(args) -> dict:
     return {var: {"value": float(x), "exact": str(x)} for var, x in influences.items()}
 
 
+def _write_stdout(pieces) -> None:
+    """Write ``pieces`` to standard output and flush it.
+
+    When that fails (a reader that closed the pipe, say), standard output's
+    file descriptor is pointed at the null device before the error
+    propagates, so the interpreter's own flush at exit cannot fail again.
+    """
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        raise
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -187,6 +207,8 @@ def main(argv=None) -> int:
         if args.output:
             with open(args.output, "w") as handle:
                 handle.writelines(pieces)
+        else:
+            _write_stdout(pieces)
     except BasisSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -196,8 +218,6 @@ def main(argv=None) -> int:
     except (ChaosCalcError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.output:
-        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -1,12 +1,11 @@
 """Reproducible sampling, one-dimensional quadratic-transport comparison, and
 consolidated normality diagnostics.
 
-RNG contract.  The generator is counter-based (numpy's Philox 4x64).  A call
-``sample(f, n, seed, stream)`` partitions the index range into fixed blocks of
-``BLOCK_SIZE`` samples; block ``b`` draws from a Philox generator keyed by the
-pure function
+RNG contract.  A call ``sample(f, n, seed, stream)`` partitions the index
+range into fixed blocks of ``BLOCK_SIZE`` samples; block ``b`` draws from
+numpy's SFC64 generator seeded by the pure function
 
-    key(seed, stream, b) = ((seed mod 2**64) << 64) | ((stream mod 2**32) << 32) | b
+    key(seed, stream, b) = SeedSequence([seed mod 2**64, stream mod 2**32, b])
 
 and the blocks are concatenated in block order.  Workers only parallelize
 block evaluation, on at most ``min(workers, blocks, os.cpu_count())`` threads,
@@ -29,11 +28,11 @@ the rows that hold the row-major draws and then the family's scratch.  A
 sub-chunk has ``max(1, CHUNK_CELLS // width)`` rows, so a thread holds about
 ``CHUNK_CELLS`` values whatever the number of variables, and a process makes
 no new multi-MB array per chunk.  Draws are written into the table as the
-generator's shaped draws would be; only Rademacher signs pass through an
-integer temporary, half a chunk at a time.  Consecutive chunks draw
-consecutive rows of the block's one generator, the same stream a whole-block
-draw reads, and each output row depends on its own draws alone, so the
-chunk size never changes an output bit.
+generator's shaped draws would be; Rademacher signs are unpacked from a
+fixed number of raw words per row, through a byte per sign.  Consecutive
+chunks draw consecutive rows of the block's one generator, the same stream a
+whole-block draw reads, and each output row depends on its own draws alone,
+so the chunk size never changes an output bit.
 
 Sample files are text: a header line and one value per line, written as
 ``repr`` writes it.  ``_sample_file_pieces`` formats them ``PIECE_LINES``
@@ -82,7 +81,7 @@ CHUNK_CELLS = 1 << 18
 PIECE_LINES = 1 << 13
 # file-name endings that np.loadtxt opens through a decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-GENERATOR_ID = "philox4x64-block65536"
+GENERATOR_ID = "sfc64-block65536"
 GAUSSIAN_REFERENCE_STREAM = 2**31 - 1
 
 _MASK64 = (1 << 64) - 1
@@ -106,8 +105,9 @@ class SampleSet:
 
 
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) | ((stream & _MASK32) << 32) | (block & _MASK32)
-    return np.random.Generator(np.random.Philox(key=key))
+    # SeedSequence refuses negative entropy: the masks map every integer to a key
+    key = np.random.SeedSequence([seed & _MASK64, stream & _MASK32, block])
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _blocks(n: int):
@@ -119,17 +119,24 @@ def _blocks(n: int):
 def _law_sampler(law: InputLaw):
     """``draw(rng, out)``: fills ``out`` with draws of ``law`` in C order, tables built once.
 
-    Each kind reads the generator as ``standard_normal``, ``integers``,
-    ``uniform`` or ``random`` of ``out``'s shape would, and rounds the same
-    way (``uniform`` is ``low + (high - low)·u``), so ``out`` holds those bits.
+    Gaussian, uniform and discrete draws read the generator as
+    ``standard_normal``, ``uniform`` or ``random`` of ``out``'s shape would,
+    and round the same way (``uniform`` is ``low + (high - low)·u``), so
+    ``out`` holds those bits.  A Rademacher row of ``v`` signs takes
+    ``ceil(v / 64)`` words of ``bit_generator.random_raw``, whatever the
+    number of rows, so the chunk size never moves a sign: the sign of
+    variable ``j`` is ``2·bit - 1`` for bit ``j mod 64``, least significant
+    first, of the row's word ``j // 64``, the words read little-endian so
+    that the host's byte order does not matter.
     """
     if law.kind == "gaussian":
         return lambda rng, out: rng.standard_normal(out=out)
     if law.kind == "rademacher":
         def draw(rng, out):
-            # half the rows at a time: the int64 draws take at most a quarter of the table
-            for rows in np.array_split(out, 2):
-                np.copyto(rows, rng.integers(0, 2, size=rows.shape))
+            rows, signs = out.shape
+            words = rng.bit_generator.random_raw((rows, -(-signs // 64))).astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, count=signs, bitorder="little")
+            np.copyto(out, bits)
             out *= 2.0
             out -= 1.0
         return draw

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -760,12 +761,81 @@ def test_values_that_overflow_float64_exit_2_without_output(capsys, tmp_path, wo
     multilinear.write_text('{"law":{"kind":"gaussian"},"terms":[{"coeff":"1e308","vars":[[1,3],[2,3]]}]}')
     target = tmp_path / "out.samples"
     for argv, first in (
-        (["sample", str(poly), "--samples", "200000"], "draw 2 is inf"),
-        (["invariance", str(multilinear), "--samples", "100000"], "draw 18 is -inf"),
+        (["sample", str(poly), "--samples", "200000"], "draw 0 is inf"),
+        (["invariance", str(multilinear), "--samples", "100000"], "draw 10 is -inf"),
     ):
         code, out, err = run_cli(capsys, *argv, "--workers", workers, "--output", str(target))
         assert (code, out, err) == (2, "", f"error: {first}: the values overflow float64\n")
         assert not target.exists()
+
+
+def test_seed_and_stream_wrap_to_the_generator_key(capsys, poly_file):
+    """The block key takes ``seed mod 2^64`` and ``stream mod 2^32``, so
+    ``seed + 2^64`` and ``stream + 2^32`` give the same values, and a
+    negative seed or stream (which ``SeedSequence`` would refuse as entropy)
+    is the same as its residue.  The header echoes the seed and stream as
+    given."""
+    path = poly_file("f.json", HE2_1 + G1 * G2)
+
+    def body(seed, stream):
+        code, out, err = run_cli(capsys, "sample", path, "--samples", "1000",
+                                 "--seed", str(seed), "--stream", str(stream))
+        assert (code, err) == (0, "")
+        header, _, values = out.partition("\n")
+        assert header == f"# seed={seed} stream={stream} generator={montecarlo.GENERATOR_ID}"
+        return values
+
+    base = body(5, 3)
+    assert body(5 + 2**64, 3) == base
+    assert body(5, 3 + 2**32) == base
+    assert body(-1, 3) == body(2**64 - 1, 3) != base
+    assert body(5, -1) == body(5, 2**32 - 1) != base
+
+
+def test_w2_reads_sample_files_of_an_earlier_generator(capsys, poly_file, tmp_path):
+    """A file whose header names the previous generator is still a sample file:
+    its values against the same values under the current header are 0 apart."""
+    path = poly_file("g1.json", G1)
+    current = tmp_path / "current.samples"
+    code, _, _ = run_cli(capsys, "sample", path, "--samples", "500", "--output", str(current))
+    assert code == 0
+    header, _, values = current.read_text().partition("\n")
+    assert header.endswith(f"generator={montecarlo.GENERATOR_ID}")
+    earlier = tmp_path / "earlier.samples"
+    earlier.write_text(f"# seed=42 stream=0 generator=philox4x64-block65536\n{values}")
+    code, out, err = run_cli(capsys, "w2", str(earlier), str(current))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"w2": 0.0, "n_a": 500, "n_b": 500}
+
+
+@pytest.mark.parametrize("samples, unbuffered", [(200_000, False), (200_000, True), (10, False)])
+def test_a_closed_standard_output_exits_2_with_one_error_line(poly_file, samples, unbuffered):
+    """A reader that closes the pipe early.  At 200000 draws it leaves after
+    the header, as ``chaoscalc sample F --samples 200000 | head -1`` does,
+    while 4 MB of text still fill the pipe; at 10 draws it leaves before the
+    command starts, so the whole text waits in standard output's buffer
+    (``PYTHONUNBUFFERED`` unset).  The command exits 2 with one ``error:``
+    line, as an unwritable ``--output`` does, and no traceback or
+    ``Exception ignored`` message from the interpreter's own flush at exit."""
+    path = poly_file("he2.json", HE2_1)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "chaoscalc", "sample", path, "--samples", str(samples)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        header = child.stdout.readline() if samples > 10 else None
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait(timeout=120)
+    if header is not None:
+        assert header.startswith(b"# seed=42 stream=0 ")
+    assert child.returncode == 2
+    assert err.decode() == "error: [Errno 32] Broken pipe\n"
 
 
 def test_sample_output_memory_is_bounded_by_the_chunk_and_a_piece(poly_file, tmp_path):
@@ -941,12 +1011,12 @@ PINNED_LAWS = {
 }
 PINNED_MULTILINEAR_COEFFS = [Fraction(1, 7), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
 PINNED_SAMPLER_DIGESTS = {
-    "sample_workers_1": "cba5aeba90c6049836fbe8dc88a8acbf22a6b1c3ca141d33a493196f04dabe6d",
-    "sample_workers_2": "cba5aeba90c6049836fbe8dc88a8acbf22a6b1c3ca141d33a493196f04dabe6d",
-    "invariance_uniform": "3edd7c59013ada1abf461018daafb03a148fd91dee7246fb417ea8034093c1d1",
-    "invariance_rademacher": "138d63eee736973ff5afcde72a286c2ffde0db1f732c73a5b05e47daf2a46af4",
-    "invariance_discrete": "dc42042c6554f01a1d28c3b62853913da0fd0d0c73d2504b48aeab7493cf4acd",
-    "diagnose": "a2084c01b5c2445e620e30b3b9ce135aabdc62a6f39a6f522bfca0786fbb4708",
+    "sample_workers_1": "d7c4e288c8c565af68814b5faff9e44d0e581219a44918668cdb5a79e6edddc2",
+    "sample_workers_2": "d7c4e288c8c565af68814b5faff9e44d0e581219a44918668cdb5a79e6edddc2",
+    "invariance_uniform": "f36a1d37ca4a6819455d3138dcb7a0b534ec352fe0dfb89913bfc29ce44b4df4",
+    "invariance_rademacher": "5a4b4fd1b74c0af7766c97bbbebb8231e202d8a740bc8f53244275ccc5761a5f",
+    "invariance_discrete": "7aac2fc0adff117c4d5d795e43bbb63b3a2013f8e2c6f36e95c5f0df6d103e36",
+    "diagnose": "74fede4f36a1b917ef7f65187612b5919a1394d2d735c1301f0507274b2c51c3",
 }
 
 
@@ -974,8 +1044,8 @@ def test_sampler_output_is_pinned_to_recorded_digests(capsys, tmp_path, name):
     """sha256 of the ``sample`` output file at one and two workers (equal), of
     ``invariance`` stdout over uniform, sign and three-point discrete inputs,
     and of ``diagnose`` stdout (which samples the Gaussian reference), all
-    recorded before the samplers were merged into one encoder.  70000 draws
-    span two blocks.
+    recorded when the block generators became SFC64 and Rademacher signs
+    came from raw words.  70000 draws span two blocks.
 
     The ``diagnose`` digest also depends on the last bits of the eigenvalues
     that numpy's LAPACK returns for its influences.
@@ -988,9 +1058,9 @@ def test_sampler_output_is_pinned_to_recorded_digests(capsys, tmp_path, name):
 
 
 WIDE_DIGESTS = {
-    "invariance_walk": "965826dd71334b2a0de23946c41241b189efa29f70fdb4cee29d4d2a373695cd",
-    "sample_wide_workers_1": "1ec0114698cf690e5042be743d1d10a933d0a58daf66b546730d7ea2a88f7f49",
-    "sample_wide_workers_2": "1ec0114698cf690e5042be743d1d10a933d0a58daf66b546730d7ea2a88f7f49",
+    "invariance_walk": "66e71481067c8d06c17309f7351b3bbe39141c460dfb93a1bb956803bbf68cbf",
+    "sample_wide_workers_1": "1974fc3b742145b9759ee9af90e6f1078daac06e7d8bd11d9e45900c7bf58adb",
+    "sample_wide_workers_2": "1974fc3b742145b9759ee9af90e6f1078daac06e7d8bd11d9e45900c7bf58adb",
 }
 
 
@@ -1008,8 +1078,9 @@ def _wide_chaos() -> ChaosPoly:
 def test_wide_inputs_are_pinned_to_recorded_digests(capsys, tmp_path, name):
     """sha256 of ``invariance`` stdout on the 100-step sign walk, and of the
     ``sample`` file of a 120-variable chaos polynomial at one and two workers
-    (equal), recorded when every chunk had 8192 rows and a stacked factor
-    table.  70000 draws span two blocks."""
+    (equal), recorded when the block generators became SFC64 and Rademacher
+    signs came from raw words (two words a walk row).  70000 draws span two
+    blocks."""
     if name == "invariance_walk":
         walk = MultilinearPoly(
             InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}

@@ -76,20 +76,28 @@ CHUNK_CASES = {
             InputLaw.discrete([-1, 0, 2], [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)]),
         )
     },
+    # 66 signs, so a row takes two raw words; a coefficient per step, so every sign shows
+    "rademacher_wide": MultilinearPoly(
+        InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, k) for k in range(1, 67)}
+    ),
 }
+# table width of each case: its draw columns plus its factor rows
+CHUNK_WIDTHS = {"rademacher_wide": 132}
 
 
 @pytest.mark.parametrize("law", sorted(CHUNK_CASES))
 def test_chunk_size_never_changes_a_sample(monkeypatch, law):
     """Blocks are evaluated in sub-chunks of ``max(1, CHUNK_CELLS // width)``
-    rows, and every case here has width 6 (three draw columns, three factor
-    rows).  Budgets of 6005 and 45 cells (1000 and 7 rows, neither dividing
-    the block) over three blocks, the last of 13 draws, and a budget of 5
-    cells, below one table width, over 64-draw blocks (so one row per chunk
-    stays quick), give the default budget's bits at one and two workers.  The
-    chunk lengths that reach ``accumulate_terms`` are recorded, so each
-    budget is seen to take effect."""
+    rows, and every case here but the wide signs has width 6 (three draw
+    columns, three factor rows).  Budgets of ``1000·width + 5`` and
+    ``7·width + 3`` cells (6005 and 45 at width 6: 1000 and 7 rows, neither
+    dividing the block) over three blocks, the last of 13 draws, and a budget
+    of ``width - 1`` cells, below one table width, over 64-draw blocks (so
+    one row per chunk stays quick), give the default budget's bits at one and
+    two workers.  The chunk lengths that reach ``accumulate_terms`` are
+    recorded, so each budget is seen to take effect."""
     f = CHUNK_CASES[law]
+    width = CHUNK_WIDTHS.get(law, 6)
     lengths = []
 
     def recording(rows, coeffs, term_ptr, term_slots, out):
@@ -98,9 +106,9 @@ def test_chunk_size_never_changes_a_sample(monkeypatch, law):
 
     monkeypatch.setattr(montecarlo, "accumulate_terms", recording)
     cases = [
-        (montecarlo.BLOCK_SIZE, 6005, {1000, 536, 13}),
-        (montecarlo.BLOCK_SIZE, 45, {7, 2, 6}),
-        (64, 5, {1}),
+        (montecarlo.BLOCK_SIZE, 1000 * width + 5, {1000, 536, 13}),
+        (montecarlo.BLOCK_SIZE, 7 * width + 3, {7, 2, 6}),
+        (64, width - 1, {1}),
     ]
     default_cells = montecarlo.CHUNK_CELLS
     for block_size, cells, chunk_lengths in cases:
@@ -115,17 +123,55 @@ def test_chunk_size_never_changes_a_sample(monkeypatch, law):
             assert set(lengths) == chunk_lengths
 
 
+def _sign_rows(rng, rows: int, variables: int) -> np.ndarray:
+    signs = np.empty((rows, variables))
+    montecarlo._law_sampler(InputLaw.rademacher())(rng, signs)
+    return signs
+
+
+def test_rademacher_signs_are_the_bits_of_raw_words():
+    """Against a loop over the words: the sign of variable ``j`` is
+    ``2·bit - 1`` for bit ``j mod 64``, least significant first, of the row's
+    word ``j // 64``, and a row of 130 signs takes three words."""
+    rows, variables = 5, 130
+    words = montecarlo._block_rng(4, 0, 0).bit_generator.random_raw((rows, 3))
+    expected = [
+        [2.0 * ((int(words[r, j // 64]) >> (j % 64)) & 1) - 1 for j in range(variables)]
+        for r in range(rows)
+    ]
+    assert np.array_equal(_sign_rows(montecarlo._block_rng(4, 0, 0), rows, variables), expected)
+
+
+def test_each_rademacher_sign_is_fair_and_reads_its_own_word():
+    """Over 2^17 rows of 130 signs, drawn 8192 rows at a time, the signs at
+    positions 0, 63, 64, 65 and 129 (both ends of a row's first two words and
+    the last sign) each have mean 0 within 5 standard errors (``1/sqrt(n)``).
+    Positions 0 and 64 are bit 0 of two different words, so they differ on
+    some draw; a row that read its first word twice would not."""
+    n, variables, positions = 1 << 17, 130, [0, 63, 64, 65, 129]
+    rng = montecarlo._block_rng(8, 0, 0)
+    signs = np.concatenate([
+        _sign_rows(rng, 8192, variables)[:, positions] for _ in range(n // 8192)
+    ])
+    assert set(np.unique(signs)) == {-1.0, 1.0}
+    assert (np.abs(signs.mean(axis=0)) < 5 / math.sqrt(n)).all()
+    assert not np.array_equal(signs[:, 0], signs[:, 2])
+
+
 def test_walk_sample_memory_is_bounded_by_the_chunk():
     """tracemalloc peak of one block of the 100-step sign walk, and of its
     Gaussian image.  A chunk holds ``CHUNK_CELLS`` float64 table cells (width
     200: 100 draw columns and 100 factor rows, so 1310 rows), at most one
-    temporary the size of its draws (half the cells here: the integer bits
-    behind the signs, or the row-major draws being transposed), and the
-    block's output; that bounds the peak at 3.5 MiB.  Measured 3.2 and
-    2.6 MB; 5.3 and 4.6 MB against 6.5 MiB with 2^19 cells and new draw,
-    column and factor arrays in every chunk; the walk was 26.3 MB with fixed
-    8192-row chunks and a stacked factor table, and 151.3 MB when the block
-    was evaluated whole."""
+    temporary the size of its draws (half the cells here: the row-major draws
+    being transposed; the signs pass through one byte each, an eighth of
+    that, unpacked from two raw SFC64 words a row), and the block's output;
+    that bounds the peak at 3.5 MiB.  Measured 2.8 and 2.6 MB, and 3.6 MB for
+    the walk when it is the first sample of the process (the import of
+    ``numpy.random`` counts then); 3.2 MB for the walk when its signs passed
+    through int64 draws, half a chunk at a time; 5.3 and 4.6 MB against
+    6.5 MiB with 2^19 cells and new draw, column and factor arrays in every
+    chunk; the walk was 26.3 MB with fixed 8192-row chunks and a stacked
+    factor table, and 151.3 MB when the block was evaluated whole."""
     walk = MultilinearPoly(
         InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
     )
@@ -270,22 +316,20 @@ ENSEMBLE_LAWS = {
     "gaussian": InputLaw.gaussian(),
 }
 ENSEMBLE_DIGESTS = {
-    ("uniform", 2): "20e8829035422440a27f66a1fa74a1d4ab8e7a3f8dab100a8902a94703c2dcf8",
-    ("uniform", 3): "edb2d9a4ff956fc56b3e017e912bb4dd52b703a5a6824c2f45e3e049a67c0950",
-    ("discrete", 2): "0d6e21b55f0601ae439ba6be47bf9419ab0db58928bc38e51ab0adacc916df83",
-    ("gaussian", 2): "8128d611e6524e3405276af385cafc245569be50f9a65d0af56c27331968332a",
-    ("gaussian", 3): "8a6e92096ac2134508973e4a8833b1065d935bdbe4eb8c89e452ccc450de076b",
+    ("uniform", 2): "1d5ac7b7c1757a9cc588a7eadd656d8754cdf5e734c35a5189f0f8d0062ddcc4",
+    ("uniform", 3): "e4d3f460dfda6bb35eb1df0b79a9088af972a69cd55878d2f80d3c13c6f178db",
+    ("discrete", 2): "3d7aebdb1d53f996ca45ae44241a66e653e56e3696359db4618489165212ffcd",
+    ("gaussian", 2): "6ae83a04da598af5ed31c88fe16576a789be6d9ac4471f489296279fc8844518",
+    ("gaussian", 3): "1273770e2ee700f3012943b16c84d6d3ff0f5c3e13036e0bb73a823397e900cf",
 }
 
 
 @pytest.mark.parametrize("law, top", sorted(ENSEMBLE_DIGESTS))
 def test_ensemble_samples_are_pinned_to_recorded_digests(law, top):
     """sha256 of the sampled bytes of a multilinear polynomial up to level
-    ``top``, recorded when the ensemble became its exact recurrence.  One
-    variable has only the top level, so its top row is its draws' own; the
-    others have level 1 as well.  The level-2 digests are those of the
-    monomial-coefficient ensemble that came before; 70000 draws span two
-    blocks."""
+    ``top``, recorded when the block generators became SFC64.  One variable
+    has only the top level, so its top row is its draws' own; the others
+    have level 1 as well.  70000 draws span two blocks."""
     p = MultilinearPoly(ENSEMBLE_LAWS[law], {
         frozenset(): Fraction(1, 7),
         frozenset({(1, top)}): Fraction(1, 2),

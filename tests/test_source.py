@@ -165,7 +165,7 @@ def stale_references(text: str) -> list[str]:
     where the module is a ``chaoscalc`` module without an attribute ``name``,
     then ``Class.attr`` where no ``chaoscalc`` module defines a class ``Class``
     with an attribute ``attr``.  The docs name an outside class only with its
-    module (``np.random.Philox``), so an unknown capitalised name is stale."""
+    module (``np.random.SFC64``), so an unknown capitalised name is stale."""
     classes = package_classes()
     return [
         f"{module}.{name}"
@@ -212,3 +212,11 @@ def test_docstring_references_name_what_their_module_defines(module):
 def test_readme_references_name_what_their_module_defines():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     assert stale_references(readme.read_text()) == []
+
+
+def test_readme_contract_names_the_generator():
+    """The README's Reproducibility contract names ``GENERATOR_ID`` verbatim, so
+    a change of generator must change the contract with it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    contract = readme.partition("\n## Reproducibility contract\n")[2].partition("\n## ")[0]
+    assert chaoscalc.montecarlo.GENERATOR_ID in contract
