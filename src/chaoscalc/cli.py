@@ -140,19 +140,12 @@ def _write_stdout(pieces) -> None:
         raise
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 _OUTPUT = ("--output", {"default": None, "help": "write result to a file instead of stdout"})
 _THRESHOLD = ("--threshold", {"type": float, "default": 0.1, "help": "least influence to split on"})
 _MONTE_CARLO = (
     ("--samples", {"type": int, "default": 100_000, "help": "number of draws"}),
     ("--seed", {"type": int, "default": 42, "help": "seed of the random draws"}),
-    ("--workers", {"type": positive_int, "default": 1, "help": "threads; the output is the same"}),
+    ("--workers", {"type": int, "default": 1, "help": "threads; the output is the same"}),
 )
 
 _COMMANDS = (

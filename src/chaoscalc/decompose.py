@@ -337,7 +337,7 @@ def iterate_decomposition(f: ChaosPoly, threshold: float, max_steps: int) -> Ite
 
     Each pass scans q = 1, 2, ... only up to the least degree q* whose
     influence on the current remainder clears ``threshold`` (higher degrees
-    are neither assembled nor checked against the basis cap); as the scan is
+    are neither assembled nor checked against the influence budget); as the scan is
     a running max over degrees, q* is also the least degree whose own solve
     clears it.  Each pass splits along that degree's direction, keeps the
     degree-p part of the level-0 coefficient as the new remainder and books
@@ -370,7 +370,7 @@ def iterate_decomposition(f: ChaosPoly, threshold: float, max_steps: int) -> Ite
         while len(steps) < max_steps and not remainder.is_zero():
             if math.sqrt(float(norm_sq)) < threshold:
                 break
-            scan = _influence_scan(remainder, p // 2)
+            scan = _influence_scan(remainder, p // 2, lazy=True)
             found = next((r for r in scan if r.value >= threshold), None)
             if found is None:
                 break

@@ -17,6 +17,11 @@ Every influence (``rho_q``, ``strongest_influence``, each
 paper's test space: the whole degree-``q`` chaos, padded with fresh
 variables.  The first degree whose running max clears a threshold is the
 first whose own solve clears it, and the item there is that degree's own.
+Each degree's basis is over the variables of ``f`` alone, and one budget
+(``_budgeted_degrees``) caps both its dimension and the scan's work up to it:
+``rho_q``, ``strongest_influence`` and ``montecarlo.normality_report`` check
+every degree they solve before the first solve, and a decomposition step
+checks each degree as it reaches it.
 
 Every entry of ``Q`` is an exact rational, summed on integer numerators and
 rounded once to a float, with powers of two taken out so that high degrees
@@ -288,22 +293,6 @@ def _influence_form(f: ChaosPoly, basis: Sequence[Entries]) -> np.ndarray:
     return form
 
 
-def _basis_dimension(nvars: int, q: int, cap: int) -> int:
-    """``C(q + nvars - 1, q)``, the number of degree-``q`` monomials in ``nvars`` variables.
-
-    The count runs over the degrees ``k <= q`` and stops at the first partial
-    count above ``cap``, a lower bound, so a huge ``q`` or ``nvars`` fails at once.
-    """
-    if nvars <= 1:
-        return nvars
-    dim = 1
-    for k in range(1, q + 1):
-        dim = dim * (nvars - 1 + k) // k
-        if dim > cap:
-            raise BasisSizeError(dim, cap, lower_bound=k < q)
-    return dim
-
-
 def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
     """Degree-``q`` influence over the degree-``q`` monomials of the variables of ``f``.
 
@@ -341,60 +330,55 @@ def _degree_influence(f: ChaosPoly, q: int) -> InfluenceResult:
 def rho_q(f: ChaosPoly, q: int) -> InfluenceResult:
     """The paper's degree-``q`` influence: the last item of ``_influence_scan(f, q)``.
 
-    ``_basis_cap()`` is checked first, over one fresh variable from q = 2 on,
-    so a too-large ``q`` fails before any solve.  A constant is answered at
-    once, for any ``q``.
+    Every degree up to ``q`` is checked against the influence budget
+    (``_budgeted_degrees``) before any solve, so a too-large ``q`` fails at
+    once.  A constant builds no basis and is answered at once, for any ``q``.
     """
     q = as_integer(q, "influence degree must be a positive integer", 1)
-    nvars = len(f.variables())
-    _basis_dimension(nvars + (q > 1), q, _basis_cap())
-    if not nvars:
+    if not f.variables():
         return _degree_influence(f, q)
     *_, result = _influence_scan(f, q)
     return result
 
 
-def _check_scan_work(nvars: int, top: int, cap: int) -> None:
-    """Refuse a scan of degrees 1 .. ``top`` whose work would exceed ``cap**2``.
+def _budgeted_degrees(nvars: int, top: int, cap: int) -> Iterator[int]:
+    """Degrees 1 .. ``top`` of a scan over ``nvars`` variables, each yielded once it fits the budget.
 
-    A degree-``q`` basis monomial costs about ``q**2``: its Gamma is raised
-    ``q`` times (``_hermite_multiples``), on products that grow with ``q``.
-    So the scan's work is ``sum_q q**2 dim_q``, with ``dim_q = C(nvars - 1 +
-    q, q)`` over the variables of ``f``, and it may not exceed ``cap**2``, the
-    entry count of one form at the cap.  Only the degrees the scan can reach
-    count: it stops at the first whose basis, counted as in
-    ``_influence_scan``, exceeds the cap.  The count stops at the first
-    partial sum above ``cap**2``, a lower bound, so a long scan fails at once.
+    Degree ``q`` builds ``dim_q = C(nvars - 1 + q, q)`` monomials
+    (``degree_monomials`` over the variables of ``f``), and each costs about
+    ``q**2``: its Gamma is raised ``q`` times (``_hermite_multiples``), on
+    products that grow with ``q``.  Degree ``q`` is refused when ``dim_q``
+    exceeds ``cap`` or the work ``sum_{q' <= q} q'**2 dim_q'`` exceeds
+    ``cap**2``, the entry count of one form at the cap.  A refusal below
+    ``top`` is a lower bound for the whole scan, so a huge ``top`` fails at once.
     """
-    if not nvars:
-        return  # a constant has an empty basis at every degree
-    work, dim, padded = 0, 1, 1
+    dim, work = 1, 0
     for q in range(1, top + 1):
         dim = dim * (nvars - 1 + q) // q
-        padded = padded * (nvars + q) // q
-        if (padded if q > 1 else dim) > cap:
-            return
+        if dim > cap:
+            raise BasisSizeError(dim, cap, q < top)
         work += q * q * dim
         if work > cap * cap:
             raise BasisSizeError(work, cap * cap, q < top, "influence scan work sum_q q**2 dim_q")
+        yield q
 
 
-def _influence_scan(f: ChaosPoly, top: int) -> Iterator[InfluenceResult]:
+def _influence_scan(f: ChaosPoly, top: int, lazy: bool = False) -> Iterator[InfluenceResult]:
     """``rho_q(f, q)`` for q = 1 .. ``top``, each computed only when consumed.
 
     If ``n`` uses only fresh variables, ``Gamma(f, m n) = n Gamma(f, m)``: a
     space padded with ``q - 1`` of them holds the form of each degree ``<= q``.
-    So each degree is capped (over one fresh variable from q = 2 on) and
-    solved once, and the item is the best so far, the higher degree on a tie
-    within ``TOP_CLUSTER_RTOL``, as its block holds the first padded basis vector.
-    Before the first solve, ``_check_scan_work`` bounds the work of the whole
-    scan by the square of the basis cap.
+    So each degree is solved once, over the variables of ``f``, and the item
+    is the best so far, the higher degree on a tie within
+    ``TOP_CLUSTER_RTOL``, as its block holds the first padded basis vector.
+    Every degree up to ``top`` is checked against the influence budget
+    (``_budgeted_degrees``) before the first solve; with ``lazy``, each
+    degree only when it is reached, so a caller that stops early is never
+    refused a degree beyond it.
     """
-    nvars, cap = len(f.variables()), _basis_cap()
-    _check_scan_work(nvars, top, cap)
+    degrees = _budgeted_degrees(len(f.variables()), top, _basis_cap())
     best: InfluenceResult | None = None
-    for q in range(1, top + 1):
-        _basis_dimension(nvars + (q > 1), q, cap)
+    for q in degrees if lazy else list(degrees):
         result = _degree_influence(f, q)
         if best is None or result.value >= best.value - TOP_CLUSTER_RTOL * max(1.0, best.value):
             best = result

@@ -17,14 +17,15 @@ used by diagnostics is ``sample`` of ``scale * G_1`` on the reserved stream
 Every sampled polynomial goes through one encoder (``_Encoder``): a term table
 over per-variable one-dimensional families, all of them evaluated by one
 monic three-term recurrence (``_recurrence_rows``, the operations of
-``algebra.hermite_values``): Hermite's for chaos polynomials, and for
-multilinear ones the law's own, with the float forms of the ensemble's exact
-coefficients (``build_ensemble``), each wanted row then divided by
-``sqrt(h_k)``.  A block is evaluated in sub-chunks, each drawn,
+``algebra.hermite_values``).  A family is data, its coefficients ``k ->
+(a_k, b_k)`` and optional per-level norms: Hermite's ``(0, k)`` for chaos
+polynomials, and for multilinear ones the law's own, with the float forms of
+the ensemble's exact coefficients (``build_ensemble``), each wanted row then
+divided by ``sqrt(h_k)``.  A block is evaluated in sub-chunks, each drawn,
 tabulated and accumulated into its slice of the output, all in one table
 that the block allocates once and every chunk reuses.  ``width`` counts
 every row of it: the factor rows, which begin as the transposed draws, and
-the rows that hold the row-major draws and then the family's scratch.  A
+the rows that hold the row-major draws and then the recurrence's scratch.  A
 sub-chunk has ``max(1, CHUNK_CELLS // width)`` rows, so a thread holds about
 ``CHUNK_CELLS`` values whatever the number of variables, and a process makes
 no new multi-MB array per chunk.  Draws are written into the table as the
@@ -186,12 +187,7 @@ def _recurrence_rows(x, wanted, table, scratch, coefficients) -> None:
         prev, cur = cur, dest
 
 
-def _hermite_rows(x, wanted, table, scratch) -> None:
-    """Hermite's family: the monic recurrence with ``a_k = 0`` and ``b_k = k``."""
-    _recurrence_rows(x, wanted, table, scratch, lambda k: (0, k))
-
-
-# scratch rows a family may use while the draws' rows are free (``_recurrence_rows``)
+# scratch rows the recurrence uses while the draws' rows are free (``_recurrence_rows``)
 _SCRATCH_ROWS = 3
 
 
@@ -213,13 +209,16 @@ class _Encoder:
 
     So ``width`` is the factor rows plus the larger of the variable count and
     the scratch rows, and a chunk of ``CHUNK_CELLS // width`` rows fills the
-    table.  ``family(x, wanted, table, scratch)`` writes each ``(level, row)``
-    of ``wanted`` (levels >= 2) from the draws row ``x``.
+    table.  Every variable's family is the monic recurrence with
+    ``(a_k, b_k) = coefficients(k)`` (``_recurrence_rows``), which writes each
+    ``(level, row)`` of a plan (levels >= 2) from the draws row; with
+    ``norms``, each such row is then divided by ``norms[level]``.
     """
 
-    def __init__(self, terms, law: InputLaw, family):
+    def __init__(self, terms, law: InputLaw, coefficients, norms=None):
         self.draw = _law_sampler(law)
-        self.family = family
+        self.coefficients = coefficients
+        self.norms = norms
         self.variables = tuple(sorted({v for _, factors in terms for v, _ in factors}))
         pos = {v: i for i, v in enumerate(self.variables)}
         levels: dict[int, list[int]] = {}
@@ -260,7 +259,10 @@ class _Encoder:
         np.copyto(view[:nvars], draws.T)
         scratch = list(view[self.slots : self.slots + _SCRATCH_ROWS])
         for vp, wanted in self.plans:
-            self.family(view[vp], wanted, view, scratch)
+            _recurrence_rows(view[vp], wanted, view, scratch, self.coefficients)
+            if self.norms:
+                for k, row in wanted:
+                    view[row] /= self.norms[k]
         accumulate_terms(view[: self.slots], self.coeffs, self.term_ptr, self.term_slots, out=chunk)
 
 
@@ -302,24 +304,21 @@ def sample(
     workers = as_integer(workers, "worker count must be >= 1", 1)
     if isinstance(f, ChaosPoly):
         terms = f.terms
+        # Hermite's family: a_k = 0 and b_k = k
         encoder = _Encoder(
             [(terms[idx], idx) for idx in sorted(terms, key=_sort_key)],
             InputLaw.gaussian(),
-            _hermite_rows,
+            lambda k: (0, k),
         )
     elif isinstance(f, MultilinearPoly):
         ensemble = build_ensemble(f.law, f.max_level)
         steps = [(float(a), float(b)) for a, b in zip(ensemble.a, ensemble.b)]
+        # T_k = p_k / sqrt(h_k), the monic rows of the law's own recurrence
         norms = [math.sqrt(float(h)) for h in ensemble.norms_sq]
-
-        def ensemble_rows(x, wanted, table, scratch):
-            # T_k = p_k / sqrt(h_k), the monic rows of the law's own recurrence
-            _recurrence_rows(x, wanted, table, scratch, steps.__getitem__)
-            for k, row in wanted:
-                table[row] /= norms[k]
-
         ordered = sorted((len(t), sorted(t), c) for t, c in f.terms.items())
-        encoder = _Encoder([(c, factors) for _, factors, c in ordered], f.law, ensemble_rows)
+        encoder = _Encoder(
+            [(c, factors) for _, factors, c in ordered], f.law, steps.__getitem__, norms
+        )
     else:
         raise TypeError(f"cannot sample {type(f).__name__}")
     values = _run_blocks(encoder, n, seed, stream, workers)

@@ -18,7 +18,8 @@ variables of ``f``; exact rational orthogonal matrices (compositions of
 Pythagorean plane rotations, and the Householder completion of a unit
 vector), random polynomial generators, a random-search plus power-iteration
 maximizer used as the influence oracle, fresh variable ids that pad the
-oracle influence form's test space, and ``substitute_rotation``, an
+oracle influence form's test space, the padded count of the influence cap
+that the library's one budget replaced (``padded_count_refuses``), and ``substitute_rotation``, an
 orthogonal change of coordinates built from ``compose_hermite`` and
 ``ChaosPoly`` products, which rotates test inputs.  The general Wick
 substitution of ``n`` linear forms as memoised products of their powers
@@ -640,6 +641,28 @@ def oracle_quadratic_form(f: ChaosPoly, q: int, variables) -> tuple[list[tuple],
             val = float(raw_inner(gammas[a], gammas[b])) / math.sqrt(weights[a] * weights[b])
             qmat[a, b] = qmat[b, a] = val
     return basis, qmat
+
+
+def padded_count_refuses(nvars: int, top: int, cap: int) -> bool:
+    """Whether the padded count refused a scan of degrees 1 .. ``top`` over ``nvars`` variables.
+
+    The influence cap as it was counted before one budget replaced it: from
+    q = 2 on, each degree's basis over one fresh variable more, ``C(nvars +
+    q, q)``, against ``cap``; and the work ``sum_q q**2 C(nvars - 1 + q, q)``
+    over the degrees before the first whose padded basis exceeded the cap,
+    against ``cap**2``.  A constant was never refused.
+    """
+    if not nvars:
+        return False
+    work = 0
+    for q in range(1, top + 1):
+        dim = math.comb(nvars - 1 + q, q)
+        if (math.comb(nvars + q, q) if q > 1 else dim) > cap:
+            return True
+        work += q * q * dim
+        if work > cap * cap:
+            return True
+    return False
 
 
 def random_search_max(qmat: np.ndarray, draws: int, seed: int) -> tuple[float, float]:

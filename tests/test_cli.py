@@ -138,8 +138,8 @@ def test_diagnose_reports_the_running_max_over_degrees(capsys, poly_file):
 
 def test_rho_scan_work_over_the_cap_exits_3_at_once(capsys, poly_file):
     """``He_2(G_1)`` at ``--q 511`` passes the basis cap at every degree
-    (dimension 1, or 512 with the fresh variable), but its scan would solve 511
-    degrees.  The work sum_q q**2 dim_q first exceeds 512**2 at q = 92:
+    (dimension 1), but its scan would solve 511 degrees.  The work sum_q q**2
+    dim_q first exceeds 512**2 at q = 92:
     92 * 93 * 185 / 6 = 263810, so no degree is solved."""
     path = poly_file("he2.json", HE2_1)
     start = time.perf_counter()
@@ -157,7 +157,7 @@ def test_rho_constant_is_zero(capsys, poly_file):
 
 
 def test_rho_oversized_basis_exits_3(capsys, poly_file):
-    # five variables and one fresh one: C(5 + 9, 9) = 2002 monomials of degree 9
+    # five variables: C(4 + 9, 9) = 715 monomials of degree 9
     path = poly_file("p.json", hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1, 5: 1}))
     code, out, err = run_cli(capsys, "rho", path, "--q", "9")
     assert code == 3 and out == ""
@@ -188,12 +188,53 @@ def test_rho_of_a_constant_at_a_huge_degree_exits_0_at_once(capsys, poly_file):
 
 
 def test_huge_q_exits_3_at_once(capsys, poly_file):
-    # the basis count, over the two variables and one fresh one, stops at the
-    # first partial count above the cap: C(33, 31) = 528
+    # over the two variables dim_q = q + 1, so the work sum_q q**2 (q + 1) first
+    # exceeds 512**2 at q = 32: (32 * 33 / 2)**2 + 32 * 33 * 65 / 6 = 290224
     path = poly_file("p.json", G1 * G2)
     code, out, err = run_cli(capsys, "rho", path, "--q", "20000")
     assert code == 3 and out == ""
-    assert "basis dimension at least 528 exceeds cap 512" in err
+    assert "influence scan work sum_q q**2 dim_q at least 290224 exceeds cap 262144" in err
+
+
+def _cycle(n: int) -> ChaosPoly:
+    """``sum_i G_i G_{i+1}`` over ``n`` variables, indices mod ``n``."""
+    return sum((hermite_monomial({i: 1, i % n + 1: 1}) for i in range(1, n + 1)), ChaosPoly.zero())
+
+
+def test_the_basis_cap_counts_the_variables_of_f_alone(capsys, poly_file):
+    """The degree-2 form of the 31-variable cycle has C(32, 2) = 496 rows,
+    within the cap, so ``rho --q 2`` solves it; with a fresh variable counted
+    the basis would be C(33, 2) = 528.  The 32-variable cycle's own degree-2
+    basis is 528 and is refused."""
+    code, out, err = run_cli(capsys, "rho", poly_file("c31.json", _cycle(31)), "--q", "2")
+    assert code == 0, err
+    assert json.loads(out)["basis_dimension"] == 496
+    code, out, err = run_cli(capsys, "rho", poly_file("c32.json", _cycle(32)), "--q", "2")
+    assert code == 3 and out == ""
+    assert err == "error: basis dimension 528 exceeds cap 512\n"
+
+
+def test_decompose_checks_the_work_only_up_to_q_star(capsys, tmp_path, monkeypatch):
+    """The unit-norm ``c He_184(G_1)`` has dimension 1 at every degree, but a
+    scan to ``p / 2 = 92`` would do work sum_q q**2 = 263810 over 512**2.
+    ``decompose`` reaches only q* = 1 (its influence is sqrt(184)) and splits
+    along ``G_1`` in one step; ``strongest``, which solves every degree, is
+    refused before its first solve."""
+    c = Fraction(1, math.isqrt(math.factorial(184)))
+    path = tmp_path / "f.json"
+    path.write_text(canonical_json(json_value(hermite_monomial({1: 184}, c))))
+    solved = []
+    solve = influence._degree_influence
+    monkeypatch.setattr(influence, "_degree_influence", lambda f, q: solved.append(q) or solve(f, q))
+    code, out, err = run_cli(capsys, "decompose", str(path), "--threshold", "0.5")
+    assert code == 0, err
+    (step,) = json.loads(out)["steps"]
+    assert step["direction"] == {"terms": [{"coeff": "1", "index": {"1": 1}}]}
+    assert solved == [1]
+    solved.clear()
+    code, out, err = run_cli(capsys, "strongest", str(path), "--threshold", "0.5")
+    assert code == 3 and out == "" and solved == []
+    assert err == "error: influence scan work sum_q q**2 dim_q 263810 exceeds cap 262144\n"
 
 
 @pytest.mark.parametrize(
@@ -313,7 +354,7 @@ def test_strongest_honours_the_basis_cap_at_q_one(capsys, poly_file, monkeypatch
 
 def test_decompose_checks_the_basis_cap_only_up_to_q_star(capsys, tmp_path, monkeypatch):
     # three variables, degree 4: the q = 1 basis has dimension 3 and the q = 2
-    # basis (one extra variable) dimension 10; both steps of this input have
+    # basis dimension 6; both steps of this input have
     # q* = 1, so the decomposition never builds the q = 2 basis
     path = tmp_path / "f.json"
     path.write_text(_pinned_json(PINNED_F, unit_norm=True))
@@ -1117,12 +1158,19 @@ def test_sample_output_file_matches_write_sample_file(capsys, poly_file, tmp_pat
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_exits_2(capsys, poly_file, workers):
-    path = poly_file("g1.json", G1)
-    with pytest.raises(SystemExit) as exc:
-        main(["sample", path, "--samples", "10", "--workers", workers])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+def test_workers_below_one_exits_2(capsys, poly_file, tmp_path, workers):
+    # refused by the library's own check, as a bad --samples is, not by the parser
+    walk = tmp_path / "p.json"
+    walk.write_text(canonical_json(json_value(
+        MultilinearPoly(InputLaw.rademacher(), {frozenset({(1, 1), (2, 1)}): 1})
+    )))
+    f = poly_file("f.json", HE2_1 + G1 * G2)
+    target = tmp_path / "out.txt"
+    for command, path in [("sample", f), ("diagnose", f), ("invariance", str(walk))]:
+        argv = [command, path, "--samples", "10", "--workers", workers, "--output", str(target)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and not target.exists()
+        assert err == f"error: worker count must be >= 1, got {workers}\n"
 
 
 class _RecordingPool:

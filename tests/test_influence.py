@@ -27,7 +27,7 @@ from chaoscalc import influence
 from chaoscalc.algebra import _gradients, _numerators
 from chaoscalc.influence import (
     InfluenceResult,
-    _basis_dimension,
+    _budgeted_degrees,
     _influence_form,
     _top_eigenpair,
     degree_monomials,
@@ -37,6 +37,7 @@ from _oracles import (
     fresh_ids,
     generator_carre_du_champ,
     oracle_quadratic_form,
+    padded_count_refuses,
     random_homogeneous,
     random_search_max,
     rho_1,
@@ -197,13 +198,13 @@ def test_rho_is_the_running_max_over_the_degrees_own_solves():
 
 
 def test_basis_cap_error_reports_dimension(monkeypatch):
-    # five variables and one fresh one: C(5 + 8, 8) = 1287 monomials of degree 8
+    # five variables: C(4 + 9, 9) = 715 monomials of degree 9
     f = hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
     with pytest.raises(BasisSizeError) as err:
-        rho_q(f, 8)
+        rho_q(f, 9)
     assert err.value.dimension > err.value.cap == 512
-    # a cap set through the environment is honored too
-    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "5")
+    # a cap set through the environment is honored too: C(2 - 1 + 2, 2) = 3
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "2")
     with pytest.raises(BasisSizeError):
         rho_q(G1 * G2, 2)
 
@@ -214,18 +215,54 @@ def test_basis_count_is_the_binomial_up_to_the_cap():
         {2: 2}, {2: 1, 5: 1}, {2: 1, 9: 1}, {5: 2}, {5: 1, 9: 1}, {9: 2},
     ]
     assert degree_monomials([], 3) == [] and degree_monomials([4, 1], 0) == [()]
-    for nvars in range(8):
+    for nvars in range(9):
         for q in range(1, 7):
             dim = math.comb(q + nvars - 1, q)
             assert dim == len(degree_monomials(list(range(1, nvars + 1)), q))
-            if dim <= 100:
-                assert _basis_dimension(nvars, q, 100) == dim
-            else:
+    for cap in (1, 4, 36, 100, 512):
+        for nvars in range(9):
+            for top in range(1, 13):
+                # the first degree whose basis or cumulative work is over the cap
+                refusal, work = None, 0
+                for q in range(1, top + 1):
+                    dim = math.comb(nvars - 1 + q, q)
+                    work += q * q * dim
+                    if dim > cap:
+                        refusal = (q, dim, cap, "basis dimension")
+                    elif work > cap * cap:
+                        refusal = (q, work, cap * cap, "influence scan work sum_q q**2 dim_q")
+                    if refusal:
+                        break
+                degrees = _budgeted_degrees(nvars, top, cap)
+                if refusal is None:
+                    assert list(degrees) == list(range(1, top + 1))
+                    continue
+                q, count, limit, what = refusal
+                assert [next(degrees) for _ in range(q - 1)] == list(range(1, q))
                 with pytest.raises(BasisSizeError) as err:
-                    _basis_dimension(nvars, q, 100)
-                assert 100 < err.value.dimension <= dim
-                # the count stops early only when the full dimension is larger still
-                assert ("at least" in str(err.value)) == (err.value.dimension < dim)
+                    next(degrees)
+                assert (err.value.dimension, err.value.cap) == (count, limit)
+                # a refusal below the top degree is a lower bound for the whole scan
+                bound = "at least " if q < top else ""
+                assert str(err.value) == f"{what} {bound}{count} exceeds cap {limit}"
+
+
+def test_budget_refuses_no_scan_the_padded_count_ran():
+    """Own counts are at most the padded ones, and the work is summed over no
+    more degrees than a padded refusal covered, so every scan the budget
+    refuses the padded count refused too."""
+    rng = random.Random(37)
+    refused = 0
+    for _ in range(3000):
+        nvars, top, cap = rng.randint(0, 40), rng.randint(1, 120), rng.randint(1, 2000)
+        try:
+            list(_budgeted_degrees(nvars, top, cap))
+        except BasisSizeError:
+            refused += 1
+            assert padded_count_refuses(nvars, top, cap), (nvars, top, cap)
+    assert refused > 1000
+    # the 31-variable cycle at q = 2: 496 own monomials, 528 padded ones
+    assert list(_budgeted_degrees(31, 2, 512)) == [1, 2] and padded_count_refuses(31, 2, 512)
 
 
 def test_scan_carries_the_best_degree_forward(monkeypatch):
@@ -333,11 +370,11 @@ def test_strongest_influence_honours_the_basis_cap_at_q_one(monkeypatch):
 
 
 def test_basis_cap_env_override(monkeypatch):
-    # from q = 2 on the count is over one fresh variable: C(2 + 2, 2) = 6; at q = 1 over f's own
-    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "4")
+    # the count is over f's own variables at every degree: C(2 - 1 + 2, 2) = 3 at q = 2
+    monkeypatch.setenv("CHAOSCALC_MAX_BASIS_DIM", "2")
     with pytest.raises(BasisSizeError) as err:
         rho_q(G1 * G2, 2)
-    assert err.value.cap == 4 and err.value.dimension == 6
+    assert err.value.cap == 2 and err.value.dimension == 3
     assert rho_q(G1 * G2, 1).basis_dimension == 2
 
 

@@ -165,9 +165,9 @@ def test_walk_sample_memory_is_bounded_by_the_chunk():
     temporary the size of its draws (half the cells here: the row-major draws
     being transposed; the signs pass through one byte each, an eighth of
     that, unpacked from two raw SFC64 words a row), and the block's output;
-    that bounds the peak at 3.5 MiB.  Measured 2.8 and 2.6 MB, and 3.6 MB for
-    the walk when it is the first sample of the process (the import of
-    ``numpy.random`` counts then); 3.2 MB for the walk when its signs passed
+    that bounds the peak at 3.5 MiB.  Measured 2.8 and 2.6 MB, after a
+    one-row draw has imported ``numpy.random`` (3.6 MB for the walk when it
+    was the first sample of the process and counted that import); 3.2 MB for the walk when its signs passed
     through int64 draws, half a chunk at a time; 5.3 and 4.6 MB against
     6.5 MiB with 2^19 cells and new draw, column and factor arrays in every
     chunk; the walk was 26.3 MB with fixed 8192-row chunks and a stacked
@@ -176,6 +176,8 @@ def test_walk_sample_memory_is_bounded_by_the_chunk():
         InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
     )
     bound = 8 * (montecarlo.CHUNK_CELLS + montecarlo.CHUNK_CELLS // 2 + montecarlo.BLOCK_SIZE)
+    # a first draw imports numpy.random, which the sampler's peak should not count
+    sample(walk, 1, seed=3)
     for p in (walk, substitute_gaussian(walk)):
         tracemalloc.start()
         try:
@@ -243,7 +245,9 @@ def test_recurrence_rows_round_as_the_scalar_recurrence(levels):
     hermite = hermite_values(x0, levels[-1])
     table = np.zeros((len(levels) + 4, 50))
     table[0] = x0
-    montecarlo._hermite_rows(table[0], [(levels[-1], 1)], table, list(table[-3:]))
+    montecarlo._recurrence_rows(
+        table[0], [(levels[-1], 1)], table, list(table[-3:]), lambda k: (0, k)
+    )
     assert np.array_equal(table[1], hermite[levels[-1]])
 
 
