@@ -42,7 +42,6 @@ from .influence import (
 )
 from .malliavin import (
     gamma_gradient,
-    independence_score,
     ou_generator,
 )
 from .montecarlo import (

@@ -23,7 +23,7 @@ subtracting the other levels from ``f``.
 For directions of degree q >= 2 no such split exists; that path is the
 exact orthogonal projection of a homogeneous ``f`` on the products of
 ``He_l(x)`` with monomials off ``x``'s variables, solved in rationals (see
-``decompose_along``), with residual diagnostics.
+``_fit``), with residual diagnostics.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .algebra import (
 )
 from .errors import PreconditionError, as_integer, as_positive_real, check_unit_norm
 from .influence import _influence_scan, _unit_rational
-from .malliavin import independence_score
+from .malliavin import gamma_gradient
 
 
 @dataclass(frozen=True)
@@ -273,28 +273,35 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     is snapped once to an exactly unit ``step.direction`` next to ``x / |x|``.
 
     q >= 2 needs a homogeneous ``f`` of degree ``p > q`` and ``x`` within
-    1e-8 of unit norm.  The split is the exact orthogonal projection of ``f``
-    on the products ``m * He_l(x)`` where the Hermite monomials ``m`` avoid
-    the variables of ``x`` (so every coefficient decouples from ``x`` by
-    construction): levels l >= 1 allow deg(m) <= p - l q and level 0 allows
-    deg(m) <= p - 1.  ``m`` and ``He_l(x)`` share no variable, so
-    ``<f, m He_l(x)> / m! = <f_m, He_l(x)>``, where ``f_m`` is the part on
-    ``x``'s variables of the terms of ``f`` whose part off them is ``m``: only
-    such ``m`` get a nonzero weight.  The ``He_l(x)`` have distinct degrees
-    ``l q``, so their Gram matrix ``mu`` is positive definite, and each ``m``
-    of degree ``d`` solves its leading block ``mu[:s, :s]``,
-    ``s = 1 + (p - d) // q``, in rationals.  ``fit_rank`` is the dimension of
-    the fitted space.  The residual, orthogonal to that space, is reported
-    through ``remainder_gamma_norm``; the reassembly is generally not ``f``.
+    1e-8 of unit norm.  The split is the exact projection ``_fit``; the step
+    reports the norm of ``Gamma(R, x)`` of its residual ``R``, not ``R``.
     """
     q = homogeneous_degree(x, "direction")
-    x_norm_sq = inner_product(x, x)
     if q == 1:
-        return _split_linear(f, x, x_norm_sq)
+        return _split_linear(f, x, inner_product(x, x))
+    return _fit(f, x, q)[0]
+
+
+def _fit(f: ChaosPoly, x: ChaosPoly, q: int) -> tuple[DecompositionStep, ChaosPoly]:
+    """The split of ``f`` along ``x`` of degree ``q >= 2``, and the degree-p part of its residual.
+
+    The split is the exact orthogonal projection of ``f`` on the products
+    ``m * He_l(x)`` where the Hermite monomials ``m`` avoid the variables of
+    ``x`` (so every coefficient decouples from ``x`` by construction): levels
+    l >= 1 allow deg(m) <= p - l q and level 0 allows deg(m) <= p - 1.  ``m``
+    and ``He_l(x)`` share no variable, so ``<f, m He_l(x)> / m! = <f_m,
+    He_l(x)>``, where ``f_m`` is the part on ``x``'s variables of the terms of
+    ``f`` whose part off them is ``m``: only such ``m`` get a nonzero weight.
+    The ``He_l(x)`` have distinct degrees ``l q``, so their Gram matrix ``mu``
+    is positive definite, and each ``m`` of degree ``d`` solves its leading
+    block ``mu[:s, :s]``, ``s = 1 + (p - d) // q``, in rationals.
+    ``fit_rank`` is the dimension of the fitted space.  One ladder and one
+    reassembly give the residual ``R``, orthogonal to it, and ``Gamma(R, x)``.
+    """
     p = homogeneous_degree(f, "polynomial")
     if q < 1 or q >= p:
         raise PreconditionError(f"direction degree must satisfy 1 <= q < p; got q={q}, p={p}")
-    check_unit_norm(x_norm_sq, 1e-8, "direction")
+    check_unit_norm(inner_product(x, x), 1e-8, "direction")
 
     on_x = set(x.variables())
     hx = [ChaosPoly.constant(1), *hermite_values(x, p // q)[1:]]
@@ -322,14 +329,17 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     fit_rank = 1 + p // q
     if n_free:
         fit_rank = sum(math.comb(n_free + d - 1, d) * (1 + (p - d) // q) for d in range(p))
-    return DecompositionStep(
+    residual = f - _reassemble(coefficients, hx)
+    gamma = gamma_gradient(residual, x)
+    step = DecompositionStep(
         direction=x,
         q=q,
         coefficients=coefficients,
-        remainder_gamma_norm=independence_score(f - _reassemble(coefficients, hx), x),
+        remainder_gamma_norm=math.sqrt(float(inner_product(gamma, gamma))),
         exact=False,
         fit_rank=fit_rank,
     )
+    return step, project_chaos(residual, p)
 
 
 def iterate_decomposition(f: ChaosPoly, threshold: float, max_steps: int) -> IterationTrace:
@@ -345,7 +355,7 @@ def iterate_decomposition(f: ChaosPoly, threshold: float, max_steps: int) -> Ite
     exact q = 1 path the new remainder is ``A_0`` itself: the split
     reassembles the remainder exactly, and its substitution keeps every
     term's degree, so ``A_0`` is homogeneous of degree p.  For q >= 2 the new
-    remainder is the degree-p part of ``remainder - step.reassemble()``, as
+    remainder is the degree-p part of the residual of ``_fit``, as
     the fitted ``A_0`` has degree below p.  On the exact path ``A_0`` is independent of
     the direction ``x``, so the contribution ``r - A_0 = sum_{l>=1} A_l
     He_l(x)`` is orthogonal to it and its squared norm is the drop
@@ -374,11 +384,11 @@ def iterate_decomposition(f: ChaosPoly, threshold: float, max_steps: int) -> Ite
             found = next((r for r in scan if r.value >= threshold), None)
             if found is None:
                 break
-            step = decompose_along(remainder, found.direction)
-            if step.exact:
+            if found.q == 1:
+                step = decompose_along(remainder, found.direction)
                 new_remainder = step.coefficients[0]
             else:
-                new_remainder = project_chaos(remainder - step.reassemble(), p)
+                step, new_remainder = _fit(remainder, found.direction, found.q)
             contribution = remainder - new_remainder
             new_norm_sq = inner_product(new_remainder, new_remainder)
             steps.append(step)

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     ChaosPoly,
+    Entries,
     JsonResult,
     RationalLike,
     _decode_json,
@@ -222,8 +223,10 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
 class MultilinearPoly(JsonResult):
     """Sparse multilinear polynomial over an orthonormal ensemble.
 
-    Terms map a frozenset of ``(variable id, level)`` factors to a rational
-    coefficient; the empty set is the constant term.  A variable appears at
+    Terms map the sorted ``(variable id, level)`` factors, the key
+    ``algebra.Entries`` that ``ChaosPoly`` uses, to a rational coefficient;
+    ``()`` is the constant term.  The constructor takes the factors of a term
+    as any iterable of pairs, a frozenset included.  A variable appears at
     most once per term: the factors are checked as given, so a repeat is
     refused, not merged.  Terms with equal factor sets are summed, but
     ``from_json_dict`` refuses a file that repeats one.  Levels must not
@@ -235,7 +238,7 @@ class MultilinearPoly(JsonResult):
 
     def __init__(self, law: InputLaw, terms: Mapping | Iterable[tuple]):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[frozenset, Fraction] = {}
+        data: dict[Entries, Fraction] = {}
         max_level = 0
         for pos, (factors, coeff) in enumerate(items):
             checked: dict[int, int] = {}
@@ -246,11 +249,13 @@ class MultilinearPoly(JsonResult):
                     raise PreconditionError(f"term {pos}: variable {v} repeats")
                 checked[v] = k
                 max_level = max(max_level, k)
-            factors = frozenset(checked.items())
+            factors = tuple(sorted(checked.items()))
             c = as_fraction(coeff)
             if c:
                 data[factors] = data.get(factors, Fraction(0)) + c
-        self._terms = {t: c for t, c in data.items() if c != 0}
+        # canonical order, factor count then factors: to_json_dict and sample read it
+        order = sorted(data, key=lambda t: (len(t), t))
+        self._terms = {t: data[t] for t in order if data[t]}
         self._max_level = max_level
         self.law = law
         bound = law.level_bound
@@ -261,7 +266,7 @@ class MultilinearPoly(JsonResult):
             )
 
     @property
-    def terms(self) -> Mapping[frozenset, Fraction]:
+    def terms(self) -> Mapping[Entries, Fraction]:
         return dict(self._terms)
 
     @property
@@ -293,14 +298,7 @@ class MultilinearPoly(JsonResult):
         return f"MultilinearPoly({self.law.kind}, {len(self._terms)} terms)"
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for term in sorted(self._terms, key=lambda t: (len(t), sorted(t))):
-            terms.append(
-                {
-                    "coeff": str(self._terms[term]),
-                    "vars": [[v, k] for v, k in sorted(term)],
-                }
-            )
+        terms = [{"coeff": str(c), "vars": list(map(list, t))} for t, c in self._terms.items()]
         return {"law": self.law.to_json_dict(), "terms": terms}
 
     @classmethod
@@ -329,9 +327,9 @@ class MultilinearPoly(JsonResult):
                 if factor[0] in factors:
                     raise ParseError(f"{where}: variable {factor[0]} repeats")
                 factors[factor[0]] = factor[1] if len(factor) == 2 else 1
-            key = frozenset(factors.items())
+            key = tuple(sorted(factors.items()))
             if key in seen:
-                raise ParseError(f"{where}: duplicate term {dict(sorted(key))}")
+                raise ParseError(f"{where}: duplicate term {dict(key)}")
             seen.add(key)
             terms.append((factors.items(), coeff))
         return cls(law, terms)
@@ -352,9 +350,8 @@ def substitute_gaussian(p: MultilinearPoly) -> ChaosPoly:
     """
     out = {}
     for term, coeff in p._terms.items():
-        index = tuple(sorted(term))
-        weight = _weight(index)
-        out[index] = coeff if weight == 1 else coeff * as_fraction(1.0 / math.sqrt(weight))
+        weight = _weight(term)
+        out[term] = coeff if weight == 1 else coeff * as_fraction(1.0 / math.sqrt(weight))
     return ChaosPoly(out)
 
 

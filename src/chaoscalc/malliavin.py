@@ -1,4 +1,4 @@
-"""Ornstein-Uhlenbeck generator, carre du champ, and the independence score.
+"""Ornstein-Uhlenbeck generator and carre du champ.
 
 The carre du champ ``Gamma(f, g)`` is the gradient pairing ``sum_i d_i f d_i g``,
 computed by ``gamma_gradient`` on integer numerators with the general Hermite
@@ -11,8 +11,6 @@ checkers of integration by parts and the identities built on it.
 
 from __future__ import annotations
 
-import math
-
 from .algebra import (
     ChaosPoly,
     Entries,
@@ -20,7 +18,6 @@ from .algebra import (
     _expand_product,
     _gradients,
     _numerators,
-    inner_product,
 )
 
 
@@ -45,12 +42,3 @@ def gamma_gradient(f: ChaosPoly, g: ChaosPoly) -> ChaosPoly:
             totals[entries] = totals.get(entries, 0) + num
     return ChaosPoly._from_numerators(totals, df * dg)
 
-
-def independence_score(f: ChaosPoly, x: ChaosPoly) -> float:
-    """L2 norm of the carre du champ of the pair; 0 iff the pair decouples.
-
-    Small values certify that ``f`` carries (asymptotically) no dependence on
-    ``x``; this is the quantity driving the decomposition stopping rules.
-    """
-    gamma = gamma_gradient(f, x)
-    return math.sqrt(float(inner_product(gamma, gamma)))

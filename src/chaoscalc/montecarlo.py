@@ -315,10 +315,8 @@ def sample(
         steps = [(float(a), float(b)) for a, b in zip(ensemble.a, ensemble.b)]
         # T_k = p_k / sqrt(h_k), the monic rows of the law's own recurrence
         norms = [math.sqrt(float(h)) for h in ensemble.norms_sq]
-        ordered = sorted((len(t), sorted(t), c) for t, c in f.terms.items())
-        encoder = _Encoder(
-            [(c, factors) for _, factors, c in ordered], f.law, steps.__getitem__, norms
-        )
+        # MultilinearPoly keeps its terms in canonical order, the summation order
+        encoder = _Encoder([(c, t) for t, c in f.terms.items()], f.law, steps.__getitem__, norms)
     else:
         raise TypeError(f"cannot sample {type(f).__name__}")
     values = _run_blocks(encoder, n, seed, stream, workers)

@@ -35,9 +35,10 @@ from _oracles import (
     substitute_rotation,
 )
 from chaoscalc import decompose
-from chaoscalc.algebra import _degree, _numerators, canonical_json, json_value
+from chaoscalc.algebra import _degree, _numerators, canonical_json, hermite_values, json_value
 from chaoscalc.decompose import _WIDTH
 from chaoscalc.influence import _unit_rational, degree_monomials
+from test_acceptance import counterexample_family
 from test_cli import PINNED_F, _pinned_json
 
 G1, G2 = hermite_monomial({1: 1}), hermite_monomial({2: 1})
@@ -502,14 +503,45 @@ def test_iterate_matches_reconstruction_oracle(degree, build):
 
 
 def test_iterate_matches_reconstruction_oracle_on_a_quadratic_direction():
-    # rho_1 = 4/5 < 0.9 <= rho_2, so the first step fits along a degree-2 direction
-    f = hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1}, Fraction(3, 5)) + hermite_monomial(
+    # rho_1 = 4/5 < 0.9 <= rho_2, so the first step fits along a degree-2 direction;
+    # each unit-norm counterexample_family(n) / 2 takes one q = 2 step too
+    two_products = hermite_monomial({1: 1, 2: 1, 3: 1, 4: 1}, Fraction(3, 5)) + hermite_monomial(
         {5: 1, 6: 1, 7: 1, 8: 1}, Fraction(4, 5)
     )
-    trace = iterate_decomposition(f, threshold=0.9, max_steps=3)
-    assert trace.steps[0].q == 2 and not trace.steps[0].exact
-    expected = iterate_by_reconstruction(f, 0.9, 3)
-    assert canonical_json(json_value(trace)) == canonical_json(json_value(expected))
+    for f in (two_products, *(counterexample_family(n) / 2 for n in (3, 4, 6))):
+        trace = iterate_decomposition(f, threshold=0.9, max_steps=3)
+        assert trace.steps[0].q == 2 and not trace.steps[0].exact
+        expected = iterate_by_reconstruction(f, 0.9, 3)
+        assert canonical_json(json_value(trace)) == canonical_json(json_value(expected))
+
+
+def test_a_quadratic_step_builds_one_hermite_ladder(monkeypatch):
+    """A q = 2 step of ``iterate_decomposition`` builds ``He_l(x)``, l <= p // q,
+    once: the fit, its residual and the next remainder all read that ladder."""
+    calls = []
+
+    def counting(x, upto):
+        calls.append(upto)
+        return hermite_values(x, upto)
+
+    monkeypatch.setattr(decompose, "hermite_values", counting)
+    trace = iterate_decomposition(counterexample_family(4) / 2, threshold=0.9, max_steps=1)
+    assert [(step.q, step.exact) for step in trace.steps] == [(2, False)]
+    assert calls == [2]
+
+
+def test_every_linear_step_is_split_by_decompose_along(monkeypatch):
+    # a span traced on decompose_along covers every exact step of the iteration
+    splits = []
+
+    def counting(f, x):
+        splits.append(x)
+        return decompose_along(f, x)
+
+    monkeypatch.setattr(decompose, "decompose_along", counting)
+    trace = iterate_decomposition(_exact_unit_input(random.Random(3), 3), threshold=1e-3, max_steps=3)
+    assert len(trace.steps) >= 2 and all(step.q == 1 for step in trace.steps)
+    assert len(splits) == len(trace.steps)
 
 
 def test_cli_decomposition_is_exact_and_bounded_in_bits():

@@ -12,7 +12,6 @@ from chaoscalc import (
     expectation,
     gamma_gradient,
     hermite_monomial,
-    independence_score,
     inner_product,
     ou_generator,
     project_chaos,
@@ -176,10 +175,12 @@ def test_gamma_degree_closure():
         assert gamma.degree <= f.degree + g.degree - 2
 
 
-def test_independence_score_examples():
-    assert independence_score(HE2_1, G2) == 0.0
-    assert independence_score(G1, G1) == 1.0
-    assert independence_score(G1 * G2, G1) == 1.0
+def test_gamma_norm_examples():
+    # ||Gamma(f, x)||^2: He_2(G_1) and G_2 share no variable; Gamma(G_1, G_1) = 1
+    # and Gamma(G_1 G_2, G_1) = G_2, each of squared norm 1
+    for f, x, expected in ((HE2_1, G2, 0), (G1, G1, 1), (G1 * G2, G1, 1)):
+        gamma = gamma_gradient(f, x)
+        assert inner_product(gamma, gamma) == expected
 
 
 def test_identity_report_json():
