@@ -5,21 +5,23 @@ and the text of a float array.
 block of draws (as many rows as fit ``montecarlo.CHUNK_CELLS`` table cells),
 in a fixed operation order that the sample-file bytes depend on.  The
 sampler passes the factor rows as a 2-D view of its chunk table, never a
-copy; the kernel writes into the caller's output slice, reads the term table
-as Python lists and reuses one product buffer, so its per-call overhead and
-working set stay small next to the chunk's arithmetic.  ``jacobi_eigh`` is LAPACK's symmetric eigensolver
+copy, and the term table as the Python lists it builds once per sample; the
+kernel writes into the caller's output slice and reuses one product buffer,
+so its per-call overhead and working set stay small next to the chunk's
+arithmetic.  ``jacobi_eigh`` is LAPACK's symmetric eigensolver
 (``numpy.linalg.eigh``).
 The exact-rational algebra never routes through this module; only float paths
 (sampling, eigensolves, sample-file text) do.  Callers that need a
 solver-independent eigenvector (see ``influence._top_eigenpair``)
 canonicalize it themselves.
 
-``repr_lines`` writes a float64 array as lines of text, each exactly what
-``repr`` writes for the value.  The digits come from Schubfach's
-shortest-digit search (R. Giulietti, "The Schubfach way to render doubles",
-2020), run on whole ``int64`` arrays with its 128-bit products built from
-28-bit limbs; the layout is CPython's ``repr`` layout, assembled in a byte
-matrix that one boolean index compresses.  Its tables are built on first
+``repr_lines`` writes a finite float64 array as lines of text, each exactly
+what ``repr`` writes for the value; it has no text for inf or nan, which
+``sample`` refuses before any value is written.  The digits come from
+Schubfach's shortest-digit search (R. Giulietti, "The Schubfach way to render
+doubles", 2020), run on whole ``int64`` arrays with its 128-bit products built
+from 28-bit limbs; the layout is CPython's ``repr`` layout, assembled in a
+byte matrix that one boolean index compresses.  Its tables are built on first
 use, not at import.
 """
 
@@ -36,16 +38,14 @@ def accumulate_terms(rows, coeffs, term_ptr, term_slots, out):
 
     ``rows`` holds one float64 row per distinct (variable, level) factor, as a
     list of 1-D arrays or a 2-D array; ``term_slots`` flattens the factor
-    lists of all terms and ``term_ptr`` delimits them.  ``out``, one value
+    lists of all terms and ``term_ptr`` delimits them; the three tables are
+    read by index, and as Python lists the per-term loop makes no numpy
+    scalar.  ``out``, one value
     per row position, is filled in place and returned.  It is zeroed first,
     each product is ``rows[first] * coeffs[t]``, times the later factors in
     order, and the terms are added in order, so the bits are fixed by the
     term table alone (and a ``-0.0`` product sums to ``+0.0``).
     """
-    # the tables as Python lists, read once: the per-term loop then makes no numpy scalar
-    coeffs = np.asarray(coeffs, dtype=np.float64).tolist()
-    term_ptr = np.asarray(term_ptr, dtype=np.int64).tolist()
-    term_slots = np.asarray(term_slots, dtype=np.int64).tolist()
     out[...] = 0.0
     prod = np.empty_like(out)
     for t, c in enumerate(coeffs):
@@ -83,11 +83,9 @@ _EXPONENT = 32
 _U64 = np.dtype("<u8")
 # the decimal point position p of 0.d1d2...*10**p is table index p + _POINT_BIAS
 _POINT_BIAS = 330
-# point positions that stand for inf and nan (see _repr_tables)
-_INF_POINT, _NAN_POINT = 400, 410
 # point classes: p + 3 for the positional p = -3..16, then exponent notation
-# with two and with three exponent digits, inf, nan
-_CLASSES = 24
+# with two and with three exponent digits
+_CLASSES = 22
 
 
 class _ReprTables(NamedTuple):
@@ -116,9 +114,7 @@ def _text_size(point_class: int, digits: int) -> int:
     if point_class < 20:
         p = point_class - 3
         return p + 1 + max(digits - p, 1)
-    if point_class < 22:
-        return digits + (digits > 1)
-    return 0
+    return digits + (digits > 1)
 
 
 @cache
@@ -126,11 +122,11 @@ def _repr_tables() -> _ReprTables:
     """The tables of ``repr_lines``, built on its first call."""
     # Search row r serves the doubles of biased exponent r % 2048 whose bounds
     # are regular (r < 2048), or irregular (r >= 2048: significand 2**52, the
-    # gap below half the gap above).  G = 0 in the rows of zero (2048), inf
-    # (4095) and nan (2047), so the search there gives m = 0 and the point
-    # position k + 2, or k + 1 for a nan whose payload is odd.
+    # gap below half the gap above).  G = 0 in the row of zero (2048), so the
+    # search there gives m = 0 and the point position k + 2 = 1.  Rows 2047
+    # and 4095, of inf and nan, are never read.
     exponent = np.zeros((7, 4096), np.int64)
-    exponent[0, [2048, 4095, 2047]] = [-1, _INF_POINT - 2, _NAN_POINT - 2]
+    exponent[0, 2048] = -1
     scaled = {}  # k: (beta, g), shared by the rows of one k
     rows, entries = [*range(2047), *range(2050, 4095)], []
     for row in rows:
@@ -153,17 +149,13 @@ def _repr_tables() -> _ReprTables:
     ascii4 = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
     digits4 = (ascii4 + 48).astype(np.uint8).view("<u4")[:, 0].astype(np.uint64)
     zeros4 = sum((group % 10**j == 0).astype(np.int64) for j in range(1, 5))
-    points = np.arange(-_POINT_BIAS, _NAN_POINT + 1)
+    points = np.arange(-_POINT_BIAS, _POINT_BIAS)
     point_class = np.where(np.abs(points - 1) < 100, 20, 21)
     positional = (points >= -3) & (points <= 16)
     point_class[positional] = points[positional] + 3
     words = np.zeros((points.size, 8), np.uint8)
     for i, p in enumerate(points.tolist()):
         words[i, :6] = list(b"e%+04d\n" % (p - 1))
-    for point, special, text in ((_INF_POINT, 22, b"inf\0\0\n"), (_NAN_POINT, 23, b"nan\0\0\n")):
-        at = slice(point - 1 + _POINT_BIAS, point + 1 + _POINT_BIAS)
-        point_class[at] = special
-        words[at, :6] = list(text)
     insert = np.zeros((7, _CLASSES), np.uint64)
     line_end = np.zeros((_CLASSES, 17, 2), np.int64)
     masks = np.zeros((_CLASSES, 17, 2, _ROW), bool)
@@ -178,15 +170,13 @@ def _repr_tables() -> _ReprTables:
             size = _text_size(cls, digits)
             line_end[cls, digits - 1] = _TEXT + size
             keep = masks[cls, digits - 1]
-            keep[:, _TEXT - 1] = [False, cls != 23]
+            keep[:, _TEXT - 1] = [False, True]
             if cls < 20:
                 keep[:, _TEXT : _TEXT + size + 1] = True
-            elif cls < 22:
+            else:
                 keep[:, _TEXT : _TEXT + size] = True
                 keep[:, [_EXPONENT, _EXPONENT + 1, _EXPONENT + 5]] = True
                 keep[:, _EXPONENT + 2 + (cls == 20) : _EXPONENT + 5] = True
-            else:
-                keep[:, [_EXPONENT, _EXPONENT + 1, _EXPONENT + 2, _EXPONENT + 5]] = True
     return _ReprTables(
         exponent=exponent,
         pow10=np.array([10**j for j in range(18)], np.int64),
@@ -319,13 +309,15 @@ def _shortest(bits: np.ndarray, tables: _ReprTables):
 
 
 def repr_lines(values) -> str:
-    """``"".join(repr(v) + "\\n" for v in values.tolist())`` for a 1-D float64 array.
+    """``"".join(repr(v) + "\\n" for v in values.tolist())`` for a 1-D array of finite float64s.
 
     Each line is what ``repr`` writes: the shortest digits that read back as
     the value, the closest of them with ties to even, in positional notation
     (with a ``.0`` suffix when whole) when the decimal point position lies in
     -3..16, else as ``d[.ddd]e±XX`` with at least two exponent digits; and
-    ``0.0``, ``-0.0``, ``inf``, ``-inf``, or ``nan`` whatever a NaN's sign.
+    ``0.0`` or ``-0.0``.  Infinities and NaNs have no class: ``sample``, the
+    one caller's source, refuses draws that overflow float64, so no sample
+    holds one.
 
     The lines are built in one ``_ROW``-byte row each: the 17 digits as
     ASCII, with the point (or a ``0.000`` prefix) inserted by shifting the

@@ -50,7 +50,7 @@ from .algebra import (
     project_chaos,
 )
 from .errors import PreconditionError, as_integer, as_positive_real, check_unit_norm
-from .influence import _influence_scan, _unit_rational
+from .influence import _influence_scan
 from .malliavin import gamma_gradient
 
 
@@ -216,22 +216,21 @@ def _rank_one_substitute(
     return denom * big_d**top, totals
 
 
-def _split_linear(f: ChaosPoly, x: ChaosPoly, norm_sq: Fraction) -> DecompositionStep:
-    """The split of ``f`` along the linear direction ``x``, of exact squared norm ``norm_sq``.
+def _split_linear(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
+    """The split of ``f`` along the linear direction ``x``, which must be exactly unit.
 
-    The q = 1 branch of ``decompose_along``.  An exactly unit ``x`` is used as
-    it is; any other is normalised in floats and snapped once by
-    ``influence._unit_rational`` (one denominator below ``2**107``;
-    coordinates snapped to 0 leave the direction).  The unit vector is scaled
-    to integers ``m`` over ``d`` and substituted by ``_rank_one_substitute``;
-    the ``X^l`` part of its totals is ``A_l``.
+    The q = 1 branch of ``decompose_along``.  ``x`` is used as it is; an
+    ``x`` whose exact squared norm is not 1 is a ``PreconditionError`` that
+    names that norm.  The unit vector is scaled to integers ``m`` over ``d``
+    and substituted by ``_rank_one_substitute``; the ``X^l`` part of its
+    totals is ``A_l``.
     """
-    check_unit_norm(norm_sq, 1e-12, "direction")
-    variables, unit = zip(*sorted((idx[0][0], c) for idx, c in x._terms.items()))
+    norm_sq = inner_product(x, x)
     if norm_sq != 1:
-        floats = np.array([float(c) for c in unit])
-        snapped = _unit_rational(floats / np.linalg.norm(floats))
-        variables, unit = zip(*((v, c) for v, c in zip(variables, snapped) if c))
+        raise PreconditionError(
+            f"a linear direction must be exactly unit; got squared norm {norm_sq}"
+        )
+    variables, unit = zip(*sorted((idx[0][0], c) for idx, c in x._terms.items()))
     d = math.lcm(*(c.denominator for c in unit))
     m = [c.numerator * (d // c.denominator) for c in unit]
     denom, out = _rank_one_substitute(*_numerators(f._terms), variables, m, d)
@@ -267,10 +266,9 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     """Split ``f`` along a unit direction ``x`` of degree q: ``f ~ sum_l A_l He_l(x)``.
 
     A linear ``x`` splits any ``f`` exactly, mixed degree and constants
-    included (see the module docstring).  Its squared norm must be within
-    1e-12 of 1, or ``PreconditionError``; an exactly unit ``x``, as every
-    q = 1 direction of ``rho_q`` is, is used as it is, and a float-derived one
-    is snapped once to an exactly unit ``step.direction`` next to ``x / |x|``.
+    included (see the module docstring).  Its exact squared norm must be 1,
+    as that of every q = 1 direction of ``rho_q`` and ``strongest_influence``
+    is, or ``PreconditionError``; ``step.direction`` is ``x`` itself.
 
     q >= 2 needs a homogeneous ``f`` of degree ``p > q`` and ``x`` within
     1e-8 of unit norm.  The split is the exact projection ``_fit``; the step
@@ -278,7 +276,7 @@ def decompose_along(f: ChaosPoly, x: ChaosPoly) -> DecompositionStep:
     """
     q = homogeneous_degree(x, "direction")
     if q == 1:
-        return _split_linear(f, x, inner_product(x, x))
+        return _split_linear(f, x)
     return _fit(f, x, q)[0]
 
 

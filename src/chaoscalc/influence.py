@@ -37,8 +37,11 @@ A degree-1 direction is snapped to an exactly unit rational vector
 rounded on the grid ``STEREO_GRID``.  Each coordinate moves by about
 ``2 * 2**-53`` beyond the float vector's own norm error ``|sum v**2 - 1|``,
 at the level of the eigensolve's rounding, and the coordinates share one
-denominator below ``2**107``, so the exact split along the direction
-(``decompose.decompose_along``) needs no rescaling.  Degree ``q >= 2``
+denominator below ``2**107``.  ``_degree_influence`` is the one place a float
+eigenvector becomes an exact linear direction, next to the ``eigen_residual``
+and ``eigengap`` that bound its error: the exact split
+(``decompose.decompose_along``) takes the direction as given and refuses any
+linear direction that is not exactly unit.  Degree ``q >= 2``
 directions are unit for the weighted norm ``sum_a a! c_a**2``, which need not
 have rational points; each coordinate is the exact value of a float, divided
 exactly by a power of two, so none underflows (``_degree_influence``).

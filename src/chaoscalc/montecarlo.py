@@ -40,11 +40,13 @@ Sample files are text: a header line and one value per line, written as
 lines at a time with ``_kernels.repr_lines``, whose bytes equal ``repr``'s;
 it is the one writer, behind the ``sample`` command.  ``sample`` refuses
 values that overflow float64, so a file never holds ``inf`` or ``nan``.
-``read_sample_file`` opens a file once.  For a regular file it reads the
-header line itself and converts the body in one call to numpy's C text
-parser, so neither direction holds the whole file's text; a file the parser
-rejects, and one that is not regular (a pipe), is read whole from that open
-handle by ``_read_by_line``, which reports its first error.
+``read_sample_file`` opens a file once, and a regular file a second time:
+it reads the header line from its own handle and converts the body in one
+call to numpy's C text parser, which opens the path again, so neither
+direction holds the whole file's text.  A file the parser rejects, one that
+changed between the two opens, and one that is not regular (a pipe) are read
+whole from the first handle by ``_read_by_line``, which reports the first
+error.
 """
 
 from __future__ import annotations
@@ -233,17 +235,16 @@ class _Encoder:
         self.slots = len(row_of)
         self.plans = [(vp, [(k, row_of[vp, k]) for k in ks if k > 1])
                       for vp, ks in levels.items() if ks[-1] > 1]
-        self.coeffs = np.array([float(c) for c, _ in terms], dtype=np.float64)
-        self.term_ptr = np.cumsum([0] + [len(factors) for _, factors in terms], dtype=np.int64)
-        self.term_slots = np.array(
-            [row_of[pos[v], k] for _, factors in terms for v, k in factors], dtype=np.int64
-        )
+        # the term table as Python lists, so the kernel's per-term loop makes no numpy scalar
+        self.coeffs = [float(c) for c, _ in terms]
+        self.term_ptr = list(itertools.accumulate((len(factors) for _, factors in terms), initial=0))
+        self.term_slots = [row_of[pos[v], k] for _, factors in terms for v, k in factors]
         self.width = self.slots + max(len(self.variables), _SCRATCH_ROWS if self.plans else 0)
 
     def evaluate_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out`` with one block's values, ``CHUNK_CELLS // width`` rows at a time."""
         if not self.variables:
-            out[:] = self.coeffs.sum()
+            out[:] = sum(self.coeffs)
             return
         step = max(1, CHUNK_CELLS // self.width)
         table = np.empty((self.width, min(step, out.shape[0])))
@@ -353,21 +354,23 @@ def _sample_file_pieces(sample_set: SampleSet):
 def read_sample_file(path) -> SampleSet:
     """Read a sample file: an optional ``#`` header line, then one value per line.
 
-    The file is opened once.  A regular file named by a ``str`` or
-    ``os.PathLike`` path has its header line read from that handle and its
-    body converted in one call to numpy's C text parser (``np.loadtxt`` on
-    the path, which skips blank and whitespace-only lines), with no text,
-    list of lines or list of floats of the whole file held.  Its values are
+    A regular file named by a ``str`` or ``os.PathLike`` path is opened twice:
+    its header line is read from this function's handle, and its body
+    converted in one call to numpy's C text parser by ``np.loadtxt``, which
+    opens the path again and skips blank and whitespace-only lines.  No text,
+    list of lines or list of floats of the whole file is held.  Its values are
     ``float`` of each line, bit for bit.  The result is taken when it is one
     column of finite values and the path still names the file the handle
-    holds, unchanged.  Anything else is read whole from the open handle by
-    ``_read_by_line``, the one error reporter: a bad header field, a blank
-    line 1, a bad value, two values on a line, a byte that does not decode,
-    a NaN or an infinity, a file name that numpy would open through a
-    decompressor, a 0-byte file (an empty sample with the default header
-    fields), and any file that is not regular (a pipe, say) or is named by a
-    bytes path or a file descriptor.  A bad or non-finite value is a
-    ``ParseError`` that names its line, or line 1 for a header field.
+    holds, unchanged: ``_read_regular`` compares its ``_file_version`` before
+    and after the parse.  Any other file is opened once.  Anything else is
+    read whole from the first handle by ``_read_by_line``, the one error
+    reporter: a bad header field, a blank line 1, a bad value, two values on a
+    line, a byte that does not decode, a NaN or an infinity, a file name that
+    numpy would open through a decompressor, a 0-byte file (an empty sample
+    with the default header fields), and any file that is not regular (a pipe,
+    say) or is named by a bytes path or a file descriptor.  A bad or
+    non-finite value is a ``ParseError`` that names its line, or line 1 for a
+    header field.
     """
     with open(path) as handle:
         if isinstance(handle.name, str) and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):

@@ -108,7 +108,7 @@ def test_split_rejects_non_unit_direction():
 
 
 def test_linear_split_refuses_a_direction_off_unit_by_1e_minus_10():
-    # the q = 1 split checks the norm to 1e-12, not to the q >= 2 path's 1e-8
+    # the q = 1 split needs an exactly unit direction, not the q >= 2 path's 1e-8
     scale = 1 + Fraction(1, 10**10)
     with pytest.raises(PreconditionError, match="unit"):
         decompose_along(G1 * G2, scale * G1)
@@ -222,47 +222,55 @@ def test_split_coefficients_match_per_bucket_rotation():
         size = rng.randint(1, 4)
         unit = random_rational_unit(rng, size) if rng.random() < 0.5 else _float_unit(rng, size)
         ids = rng.sample(range(1, max_vars + 1), size) if scatter else range(1, size + 1)
-        direction = {v: c for v, c in zip(ids, unit) if c}
+        direction = dict(sorted((v, c) for v, c in zip(ids, unit) if c))
+        if sum(c * c for c in direction.values()) != 1:
+            # a float unit vector is snapped first, as a degree-1 influence direction is
+            floats = np.array([float(c) for c in direction.values()])
+            snapped = _unit_rational(floats / np.linalg.norm(floats))
+            direction = {v: c for v, c in zip(direction, snapped) if c}
         outside += bool(set(f.variables()) - set(direction))
         step = decompose_along(f, _linear(direction))
-        # a float-derived direction is snapped; the oracle rotates along the snapped one
-        unit = {idx[0][0]: c for idx, c in step.direction.terms.items()}
-        assert list(step.coefficients) == split_by_bucket_rotation(f, unit)
+        assert list(step.coefficients) == split_by_bucket_rotation(f, direction)
     assert outside >= 10
 
 
-def test_near_unit_directions_are_snapped_once_at_the_boundary():
-    # an exactly unit vector is the direction as given; a
-    # float-derived near-unit one comes back exactly unit, on one denominator
-    # below 2**107, within 1e-15 of a / |a| in every coordinate
+def test_linear_split_takes_exact_unit_directions_and_refuses_the_rest():
+    # an exactly unit vector is the step's direction as given; a float-derived
+    # near-unit one, or an exactly unit one scaled by 1 + 2**-60, is refused
+    # with its exact squared norm
     rng = random.Random(59)
-    vectors = [[Fraction(0), Fraction(3, 5), Fraction(4, 5)], [Fraction(-3, 5), Fraction(4, 5)]]
+    exact = [[Fraction(0), Fraction(3, 5), Fraction(4, 5)], [Fraction(-3, 5), Fraction(4, 5)]]
+    near = []
     for size in (1, 2, 3, 4, 5, 6):
-        vectors.append(random_rational_unit(rng, size))
+        exact.append(random_rational_unit(rng, size))
+        near.append([c * (1 + Fraction(1, 2**60)) for c in exact[-1]])
         for _ in range(4):
-            vectors.append(_float_unit(rng, size))
-            vectors.append([-x for x in _float_unit(rng, size)])
-    snapped = 0
-    for a in vectors:
+            near.append(_float_unit(rng, size))
+            near.append([-x for x in _float_unit(rng, size)])
+    refused = 0
+    for a in exact + near:
         f = random_homogeneous(rng, 3, max_vars=len(a) + 1, max_terms=3)
-        given = {v + 1: c for v, c in enumerate(a) if c}
-        x = ChaosPoly({((v, 1),): c for v, c in given.items()})
-        norm_sq = sum(c * c for c in given.values())
-        step = decompose_along(f, x)
+        x = _linear({v + 1: c for v, c in enumerate(a) if c})
+        norm_sq = inner_product(x, x)
         if norm_sq == 1:
+            step = decompose_along(f, x)
             assert step.direction == x
+            assert step.reassemble() == f
             continue
-        snapped += 1
-        coeffs = step.direction.terms.values()
-        assert sum(c * c for c in coeffs) == 1
-        assert math.lcm(*(c.denominator for c in coeffs)) < 2**107
-        norm = math.sqrt(float(norm_sq))
-        for v, c in given.items():
-            target = Fraction(float(c) / norm)
-            assert abs(step.direction.coefficient({v: 1}) - target) <= Fraction(1e-15)
-        assert step.reassemble() == f
-        assert all(gamma_gradient(c, step.direction).is_zero() for c in step.coefficients)
-    assert snapped >= 40
+        refused += 1
+        with pytest.raises(PreconditionError, match=f"unit; got squared norm {norm_sq}$"):
+            decompose_along(f, x)
+    assert refused >= 40
+
+
+def test_every_degree_one_influence_direction_splits_as_given():
+    # the split takes the direction as given because rho_q already snaps it to
+    # an exactly unit vector
+    rng = random.Random(67)
+    for _ in range(30):
+        f = random_homogeneous(rng, rng.randint(2, 4), max_vars=rng.randint(1, 5), max_terms=4)
+        d = rho_q(f, 1).direction
+        assert decompose_along(f, d).direction == d
 
 
 def test_split_parseval_bookkeeping():
