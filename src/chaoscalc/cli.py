@@ -37,11 +37,12 @@ from .malliavin import gamma_gradient, ou_generator
 from .montecarlo import (
     SampleSet,
     _sample_file_pieces,
+    _sorted_values,
+    _w2_sorted,
     invariance_gap,
     normality_report,
     read_sample_file,
     sample,
-    w2_1d,
 )
 
 
@@ -105,9 +106,10 @@ def _read_samples(path: str) -> SampleSet:
 
 
 def _cmd_w2(args) -> dict:
-    a = _load(args.a, _read_samples)
-    b = _load(args.b, _read_samples)
-    return {"w2": w2_1d(a, b), "n_a": len(a), "n_b": len(b)}
+    # each file's sample is dropped once sorted, so at most three sample-sized arrays are held
+    xs = _sorted_values(_load(args.a, _read_samples))
+    ys = _sorted_values(_load(args.b, _read_samples))
+    return {"w2": _w2_sorted(xs, ys), "n_a": xs.size, "n_b": ys.size}
 
 
 def _cmd_invariance(args) -> dict:

@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import (
     ChaosPoly,
     Entries,
-    JsonResult,
     RationalLike,
     _decode_json,
     _parse_coeff,
@@ -127,13 +126,6 @@ class InputLaw:
             Fraction(0),
         )
 
-    def to_json_dict(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.kind == "discrete":
-            data["points"] = [str(p) for p in self.points]
-            data["probabilities"] = [str(p) for p in self.probabilities]
-        return data
-
     @classmethod
     def from_json_dict(cls, data) -> "InputLaw":
         if not isinstance(data, dict) or "kind" not in data:
@@ -220,7 +212,7 @@ def build_ensemble(law: InputLaw, d: int) -> OrthonormalEnsemble:
     return OrthonormalEnsemble(law=law, a=tuple(a), b=tuple(b))
 
 
-class MultilinearPoly(JsonResult):
+class MultilinearPoly:
     """Sparse multilinear polynomial over an orthonormal ensemble.
 
     Terms map the sorted ``(variable id, level)`` factors, the key
@@ -253,7 +245,7 @@ class MultilinearPoly(JsonResult):
             c = as_fraction(coeff)
             if c:
                 data[factors] = data.get(factors, Fraction(0)) + c
-        # canonical order, factor count then factors: to_json_dict and sample read it
+        # canonical order, factor count then factors: sample reads it
         order = sorted(data, key=lambda t: (len(t), t))
         self._terms = {t: data[t] for t in order if data[t]}
         self._max_level = max_level
@@ -284,9 +276,6 @@ class MultilinearPoly(JsonResult):
             (c * c for t, c in self._terms.items() if t), Fraction(0)
         )
 
-    def second_moment(self) -> Fraction:
-        return sum((c * c for c in self._terms.values()), Fraction(0))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPoly)
@@ -296,10 +285,6 @@ class MultilinearPoly(JsonResult):
 
     def __repr__(self) -> str:
         return f"MultilinearPoly({self.law.kind}, {len(self._terms)} terms)"
-
-    def to_json_dict(self) -> dict:
-        terms = [{"coeff": str(c), "vars": list(map(list, t))} for t, c in self._terms.items()]
-        return {"law": self.law.to_json_dict(), "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data) -> "MultilinearPoly":

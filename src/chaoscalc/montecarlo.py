@@ -8,11 +8,13 @@ numpy's SFC64 generator seeded by the pure function
     key(seed, stream, b) = SeedSequence([seed mod 2**64, stream mod 2**32, b])
 
 and the blocks are concatenated in block order.  Workers only parallelize
-block evaluation, on at most ``min(workers, blocks, os.cpu_count())`` threads,
-so output is bit-identical for every worker count, and regenerating with
-equal (seed, stream) reproduces the values exactly.  The Gaussian reference
-used by diagnostics is ``sample`` of ``scale * G_1`` on the reserved stream
-``GAUSSIAN_REFERENCE_STREAM``.
+block evaluation, on at most ``min(workers, blocks, cpus)`` threads, where
+``cpus`` counts the CPUs the process may run on (``os.sched_getaffinity``
+where the platform has it, else ``os.cpu_count()``); thread ``i`` evaluates
+blocks ``i, i + threads, ...``.  So output is bit-identical for every worker
+count, and regenerating with equal (seed, stream) reproduces the values
+exactly.  The Gaussian reference used by diagnostics is ``sample`` of
+``scale * G_1`` on the reserved stream ``GAUSSIAN_REFERENCE_STREAM``.
 
 Every sampled polynomial goes through one encoder (``_Encoder``): a term table
 over per-variable one-dimensional families, all of them evaluated by one
@@ -22,18 +24,20 @@ monic three-term recurrence (``_recurrence_rows``, the operations of
 polynomials, and for multilinear ones the law's own, with the float forms of
 the ensemble's exact coefficients (``build_ensemble``), each wanted row then
 divided by ``sqrt(h_k)``.  A block is evaluated in sub-chunks, each drawn,
-tabulated and accumulated into its slice of the output, all in one table
-that the block allocates once and every chunk reuses.  ``width`` counts
-every row of it: the factor rows, which begin as the transposed draws, and
-the rows that hold the row-major draws and then the recurrence's scratch.  A
-sub-chunk has ``max(1, CHUNK_CELLS // width)`` rows, so a thread holds about
-``CHUNK_CELLS`` values whatever the number of variables, and a process makes
-no new multi-MB array per chunk.  Draws are written into the table as the
-generator's shaped draws would be; Rademacher signs are unpacked from a
-fixed number of raw words per row, through a byte per sign.  Consecutive
-chunks draw consecutive rows of the block's one generator, the same stream a
-whole-block draw reads, and each output row depends on its own draws alone,
-so the chunk size never changes an output bit.
+tabulated and accumulated into its slice of the output, all in its thread's
+table: ``sample`` allocates one table per thread, once per call and in the
+calling thread, and lends it to every chunk of that thread's blocks.
+``width`` counts every row of a table: the factor rows, which begin as the
+transposed draws, and the rows that hold the row-major draws and then the
+recurrence's scratch.  A sub-chunk has ``max(1, CHUNK_CELLS // width)``
+rows, so a thread holds about ``CHUNK_CELLS`` values whatever the number of
+variables, and a process makes no new multi-MB array per chunk or per
+block.  Draws are written into the table as the generator's shaped draws
+would be; Rademacher signs are unpacked from a fixed number of raw words per
+row, through a byte per sign.  Consecutive chunks draw consecutive rows of
+the block's one generator, the same stream a whole-block draw reads, and
+each output row depends on its own draws alone, so the chunk size never
+changes an output bit.
 
 Sample files are text: a header line and one value per line, written as
 ``repr`` writes it.  ``_sample_file_pieces`` formats them ``PIECE_LINES``
@@ -47,6 +51,17 @@ direction holds the whole file's text.  A file the parser rejects, one that
 changed between the two opens, and one that is not regular (a pipe) are read
 whole from the first handle by ``_read_by_line``, which reports the first
 error.
+
+What a request holds, in arrays of ``n`` float64 values (``8·n`` bytes each,
+for ``n`` draws or lines): ``sample`` holds one, its output, besides the
+tables and, while writing, one piece of text.  ``w2`` holds three at most:
+it keeps a sorted copy of each file's values and drops the file's own array,
+so the second file's array and its sorted copy meet only the first file's
+sorted copy, and the transport step (``_w2_sorted``) works in place on the
+two sorted copies.  ``w2_1d`` sorts copies of its inputs and leaves them
+alone, so ``invariance`` (``invariance_gap``) holds four at its peak, the two
+samples and their sorted copies, and ``diagnose`` (``normality_report``)
+five, with the centred copy of the observed sample.
 """
 
 from __future__ import annotations
@@ -111,12 +126,6 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     # SeedSequence refuses negative entropy: the masks map every integer to a key
     key = np.random.SeedSequence([seed & _MASK64, stream & _MASK32, block])
     return np.random.Generator(np.random.SFC64(key))
-
-
-def _blocks(n: int):
-    """(block index, offset, size) tuples covering range(n), made as they are consumed."""
-    for block, offset in enumerate(range(0, n, BLOCK_SIZE)):
-        yield block, offset, min(BLOCK_SIZE, n - offset)
 
 
 def _law_sampler(law: InputLaw):
@@ -198,7 +207,8 @@ class _Encoder:
 
     ``terms`` lists ``(coefficient, ((variable, level), ...))`` in summation
     order, each term's factors in multiplication order.  A block is evaluated
-    in one table of ``width`` rows, allocated once and reused by every chunk:
+    in one table of ``width`` rows (``table``), which the caller allocates and
+    every chunk reuses:
 
     * one row per distinct (variable, level) factor, the rows that
       ``accumulate_terms`` reads as the 2-D view ``table[:slots, :rows]``.
@@ -241,13 +251,17 @@ class _Encoder:
         self.term_slots = [row_of[pos[v], k] for _, factors in terms for v, k in factors]
         self.width = self.slots + max(len(self.variables), _SCRATCH_ROWS if self.plans else 0)
 
-    def evaluate_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` with one block's values, ``CHUNK_CELLS // width`` rows at a time."""
+    def table(self, rows: int) -> np.ndarray:
+        """A table for ``evaluate_block`` on blocks of at most ``rows`` rows:
+        ``width`` rows of ``min(CHUNK_CELLS // width, rows)`` cells."""
+        return np.empty((self.width, min(max(1, CHUNK_CELLS // max(self.width, 1)), rows)))
+
+    def evaluate_block(self, rng: np.random.Generator, out: np.ndarray, table: np.ndarray) -> None:
+        """Fill ``out`` with one block's values, a chunk of ``table``'s row length at a time."""
         if not self.variables:
             out[:] = sum(self.coeffs)
             return
-        step = max(1, CHUNK_CELLS // self.width)
-        table = np.empty((self.width, min(step, out.shape[0])))
+        step = table.shape[1]
         for start in range(0, out.shape[0], step):
             self._evaluate_chunk(rng, table, out[start : start + step])
 
@@ -267,24 +281,37 @@ class _Encoder:
         accumulate_terms(view[: self.slots], self.coeffs, self.term_ptr, self.term_slots, out=chunk)
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one), or ``os.cpu_count()``, which may be ``None``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _run_blocks(encoder: _Encoder, n: int, seed: int, stream: int, workers: int) -> np.ndarray:
     # allocated before any block is scheduled, so an impossible n fails at once
     out = np.empty(n)
+    blocks = -(-n // BLOCK_SIZE)
+    threads = min(workers, blocks, _usable_cpus() or 1)
+    # one table per thread, made here and lent to each of the thread's blocks
+    tables = [encoder.table(min(n, BLOCK_SIZE)) for _ in range(threads)]
 
-    def job(span):
-        block, offset, size = span
+    def job(thread):
         # values that overflow are refused by ``sample``, not warned about; the
         # error state is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
-            encoder.evaluate_block(_block_rng(seed, stream, block), out[offset : offset + size])
+            for block in range(thread, blocks, threads):
+                offset = block * BLOCK_SIZE
+                encoder.evaluate_block(
+                    _block_rng(seed, stream, block), out[offset : offset + BLOCK_SIZE], tables[thread]
+                )
 
-    threads = min(workers, -(-n // BLOCK_SIZE), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(job, _blocks(n)))
+            list(pool.map(job, range(threads)))
     else:
-        for span in _blocks(n):
-            job(span)
+        job(0)
     return out
 
 
@@ -481,13 +508,20 @@ def _parse_field(convert, text: str, lineno: int, what: str):
 
 
 def w2_1d(a: SampleSet | np.ndarray, b: SampleSet | np.ndarray) -> float:
-    """Empirical quadratic transport cost between two one-dimensional samples.
+    """Empirical quadratic transport cost between two one-dimensional samples:
+    ``_w2_sorted`` of sorted copies of both, which are left alone."""
+    return _w2_sorted(_sorted_values(a), _sorted_values(b))
 
-    Sorts both; unequal sizes interpolate the smaller sample's quantile
-    function at the larger sample's plotting positions.
-    """
-    xs = np.sort(np.asarray(a.values if isinstance(a, SampleSet) else a, dtype=np.float64))
-    ys = np.sort(np.asarray(b.values if isinstance(b, SampleSet) else b, dtype=np.float64))
+
+def _sorted_values(s: SampleSet | np.ndarray) -> np.ndarray:
+    """A sorted float64 copy of a sample's values."""
+    return np.sort(np.asarray(s.values if isinstance(s, SampleSet) else s, dtype=np.float64))
+
+
+def _w2_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
+    """The transport cost of two sorted float64 arrays that the caller owns and
+    gives up: the larger is overwritten.  Unequal sizes interpolate the smaller
+    sample's quantile function at the larger sample's plotting positions."""
     if xs.size == 0 or ys.size == 0:
         raise PreconditionError("cannot compare empty sample sets")
     if xs.size != ys.size:
@@ -497,7 +531,7 @@ def w2_1d(a: SampleSet | np.ndarray, b: SampleSet | np.ndarray) -> float:
         pos_large = (np.arange(xs.size) + 0.5) / xs.size
         pos_small = (np.arange(ys.size) + 0.5) / ys.size
         ys = np.interp(pos_large, pos_small, ys)
-    # both are this call's own sorted copies: subtract and square in place
+    # subtract and square in place, in the larger array
     np.subtract(xs, ys, out=xs)
     np.square(xs, out=xs)
     return float(np.sqrt(np.mean(xs)))

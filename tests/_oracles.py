@@ -43,7 +43,11 @@ those names.
 recurrence, a second route to the library's raising rule, and
 ``gram_schmidt_monic`` builds an input law's monic orthogonal polynomials by
 exact Gram-Schmidt on ``1, x, x**2, ...``, the oracle for the three-term
-recurrence that ``build_ensemble`` computes.
+recurrence that ``build_ensemble`` computes.  ``law_json_dict`` and
+``multilinear_json_dict`` write the JSON that ``InputLaw.from_json_dict`` and
+``MultilinearPoly.from_json_dict`` read, and ``multilinear_second_moment`` is
+``E[p**2]`` of an orthonormal ensemble's polynomial, the sum of its squared
+coefficients: the tests' own writers and checks, which no command needs.
 """
 from __future__ import annotations
 
@@ -60,6 +64,7 @@ from chaoscalc import (
     InfluenceResult,
     InputLaw,
     IterationTrace,
+    MultilinearPoly,
     decompose_along,
     expectation,
     gamma_gradient,
@@ -293,6 +298,26 @@ def compose_hermite(level: int, x: ChaosPoly) -> ChaosPoly:
     if level == 0:
         return ChaosPoly.constant(1)
     return hermite_values(x, level)[level]
+
+
+def law_json_dict(law: InputLaw) -> dict:
+    """An input law as the JSON object ``InputLaw.from_json_dict`` reads."""
+    data: dict = {"kind": law.kind}
+    if law.kind == "discrete":
+        data["points"] = [str(p) for p in law.points]
+        data["probabilities"] = [str(p) for p in law.probabilities]
+    return data
+
+
+def multilinear_json_dict(p: MultilinearPoly) -> dict:
+    """A multilinear polynomial as the JSON object ``MultilinearPoly.from_json_dict`` reads."""
+    terms = [{"coeff": str(c), "vars": list(map(list, t))} for t, c in p.terms.items()]
+    return {"law": law_json_dict(p.law), "terms": terms}
+
+
+def multilinear_second_moment(p: MultilinearPoly) -> Fraction:
+    """``E[p**2]``: the sum of the squared coefficients, the constant's included."""
+    return sum((c * c for c in p.terms.values()), Fraction(0))
 
 
 def gram_schmidt_monic(law: InputLaw, d: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:

@@ -38,7 +38,12 @@ from chaoscalc import cli, decompose, influence, montecarlo
 from chaoscalc.algebra import JsonResult, canonical_json, json_value
 from chaoscalc.cli import main
 
-from _oracles import format_sample_file, read_sample_file_whole_text, write_sample_file
+from _oracles import (
+    format_sample_file,
+    multilinear_json_dict,
+    read_sample_file_whole_text,
+    write_sample_file,
+)
 
 G1, G2 = hermite_monomial({1: 1}), hermite_monomial({2: 1})
 HE2_1 = hermite_monomial({1: 2})
@@ -575,7 +580,7 @@ def test_invariance_and_influences_commands(capsys, tmp_path):
         {frozenset({(k, 1)}): Fraction(1, 4) for k in range(1, 17)},
     )
     path = tmp_path / "p.json"
-    path.write_text(canonical_json(json_value(p)))
+    path.write_text(canonical_json(multilinear_json_dict(p)))
     code, out, _ = run_cli(capsys, "invariance", str(path), "--samples", "20000", "--seed", "2")
     assert code == 0
     assert 0 < json.loads(out)["gap"] < 0.3
@@ -591,7 +596,7 @@ def test_impossible_sample_count_exits_3_at_once(capsys, poly_file, tmp_path, co
     if command == "invariance":
         p = MultilinearPoly(InputLaw.rademacher(), {frozenset({(1, 1), (2, 1)}): 1})
         path = tmp_path / "p.json"
-        path.write_text(canonical_json(json_value(p)))
+        path.write_text(canonical_json(multilinear_json_dict(p)))
         path = str(path)
     else:
         path = poly_file("f.json", HE2_1 + G1 * G2)
@@ -918,6 +923,36 @@ def test_sample_output_memory_is_bounded_by_the_chunk_and_a_piece(poly_file, tmp
     assert peak <= bound
 
 
+def test_w2_memory_is_three_samples(capsys, tmp_path):
+    """tracemalloc peak of ``w2`` on two files of ``n = 262144`` lines.
+
+    The command keeps a sorted copy of each file's values and drops the file's
+    own array, so the peak is the larger of
+    * reading the second file: the first file's sorted copy, ``8·n``, and the
+      reader's peak, the array grown by half again and 1 MiB of parser text
+      (``test_sample_file_read_memory_is_flat_in_file_length``): ``20·n + 1 MiB``;
+    * sorting it: the first sorted copy, its array and its sorted copy, three
+      ``8·n`` arrays, ``24·n``; the transport step then works in place;
+    plus 256 KiB for the interpreter's caches.  Both are 6 MiB at this ``n``,
+    so the bound is 6.25 MiB.  Measured 6.00 MiB; 8.00 MiB, four samples,
+    when both files were held and sorted copies made of each."""
+    n = 262144
+    paths = [tmp_path / "a.samples", tmp_path / "b.samples"]
+    for seed, path in enumerate(paths):
+        write_sample_file(sample(HE2_1, n, seed=seed), path)
+    # a first run pays the imports and caches that are not the command's
+    assert main(["w2", str(paths[0]), str(paths[0])]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["w2", *map(str, paths)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["n_b"] == n
+    assert peak <= max(24 * n, 20 * n + 2**20) + 2**18
+
+
 # (index, coefficient) pairs; F is scaled to unit norm by a float factor, as
 # inputs built from float data are, which gives dyadic coefficients
 PINNED_F = [
@@ -1075,7 +1110,7 @@ def _sampler_request(name: str, tmp_path):
         law, factors = PINNED_LAWS[name.removeprefix("invariance_")]
         p = MultilinearPoly(law, [(frozenset(t), c) for t, c in zip(factors, PINNED_MULTILINEAR_COEFFS)])
         p_path = tmp_path / "p.json"
-        p_path.write_text(canonical_json(json_value(p)))
+        p_path.write_text(canonical_json(multilinear_json_dict(p)))
         return ["invariance", str(p_path), "--seed", "9", *common], None
     return ["diagnose", str(f_path), "--seed", "4", *common], None
 
@@ -1127,7 +1162,7 @@ def test_wide_inputs_are_pinned_to_recorded_digests(capsys, tmp_path, name):
             InputLaw.rademacher(), {frozenset({(k, 1)}): Fraction(1, 10) for k in range(1, 101)}
         )
         path = tmp_path / "walk.json"
-        path.write_text(canonical_json(json_value(walk)))
+        path.write_text(canonical_json(multilinear_json_dict(walk)))
         code, out, _ = run_cli(capsys, "invariance", str(path), "--samples", "70000", "--seed", "9",
                                "--workers", "2")
         data = out.encode()
@@ -1161,7 +1196,7 @@ def test_sample_output_file_matches_write_sample_file(capsys, poly_file, tmp_pat
 def test_workers_below_one_exits_2(capsys, poly_file, tmp_path, workers):
     # refused by the library's own check, as a bad --samples is, not by the parser
     walk = tmp_path / "p.json"
-    walk.write_text(canonical_json(json_value(
+    walk.write_text(canonical_json(multilinear_json_dict(
         MultilinearPoly(InputLaw.rademacher(), {frozenset({(1, 1), (2, 1)}): 1})
     )))
     f = poly_file("f.json", HE2_1 + G1 * G2)
@@ -1193,10 +1228,17 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("cpus, expected", [(2, [2]), (8, [3]), (None, [])])
 def test_sampler_threads_are_capped(capsys, poly_file, tmp_path, monkeypatch, cpus, expected):
-    # three blocks at --workers 64: min(64, 3, cpu count) threads, or none
+    # three blocks at --workers 64: min(64, 3, CPUs the process may run on)
+    # threads, however many the machine has; none when that count is unknown
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
     path = poly_file("f.json", HE2_1 + G2)
     n = str(3 * montecarlo.BLOCK_SIZE - 7)
     wide, serial = tmp_path / "wide.samples", tmp_path / "serial.samples"
@@ -1206,3 +1248,9 @@ def test_sampler_threads_are_capped(capsys, poly_file, tmp_path, monkeypatch, cp
         assert code == 0
     assert _RecordingPool.created == expected
     assert wide.read_bytes() == serial.read_bytes()
+
+
+def test_sampler_cpus_are_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 5)
+    assert montecarlo._usable_cpus() == 5

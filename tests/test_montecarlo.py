@@ -8,6 +8,7 @@ import random
 import re
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -189,9 +190,10 @@ def test_walk_sample_memory_is_bounded_by_the_chunk():
 
 
 def test_a_block_fills_one_table_reused_by_every_chunk(monkeypatch):
-    """Each block allocates one table of ``width`` rows, which every chunk of
-    the block reuses, and whose cells stay within ``CHUNK_CELLS``; the factor
-    rows reach ``accumulate_terms`` as one 2-D view of it."""
+    """At one worker, ``sample`` makes one table of ``width`` rows, and every
+    chunk of every block reuses it, the short last block included; its cells
+    stay within ``CHUNK_CELLS``, and the factor rows reach
+    ``accumulate_terms`` as one 2-D view of it."""
     f = CHUNK_CASES["gaussian"]
     tables, kernel_rows = [], []
     evaluate = montecarlo._Encoder._evaluate_chunk
@@ -210,10 +212,31 @@ def test_a_block_fills_one_table_reused_by_every_chunk(monkeypatch):
     sample(f, 2 * montecarlo.BLOCK_SIZE + 13, seed=31, stream=2)
     # 66 chunks per full block, one for the 13 draws
     assert len(tables) == 2 * 66 + 1
-    assert [len({id(t) for t in tables[i : i + 66]}) for i in (0, 66)] == [1, 1]
-    assert tables[0].shape == (6, 1000) and tables[-1].shape == (6, 13)
+    assert len({id(t) for t in tables}) == 1
+    assert tables[0].shape == (6, 1000)
     assert all(np.shares_memory(rows, table) and rows.shape[0] == 3
                for rows, table in zip(kernel_rows, tables))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sample_makes_one_table_per_thread(monkeypatch, workers):
+    """A 4-block ``sample`` makes ``threads`` tables in a call, one per
+    thread, and every block of a thread fills that thread's table: one table
+    at one worker and two at two (with two CPUs to run on), where a table
+    per block would make 4.  The recorder holds every table it sees, so an
+    id that a freed table left behind cannot be counted twice."""
+    tables = []
+    evaluate = montecarlo._Encoder._evaluate_chunk
+
+    def recording_chunk(self, rng, table, chunk):
+        tables.append(table)
+        return evaluate(self, rng, table, chunk)
+
+    monkeypatch.setattr(montecarlo._Encoder, "_evaluate_chunk", recording_chunk)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2, raising=False)
+    sample(CHUNK_CASES["gaussian"], 4 * montecarlo.BLOCK_SIZE, seed=5, workers=workers)
+    # two chunks a block, and the blocks dealt out to the threads in turn
+    assert sorted(Counter(map(id, tables)).values()) == [8 // workers] * workers
 
 
 @pytest.mark.parametrize("levels", [[2], [1, 2], [3], [1, 4], [2, 5, 6], [1, 2, 3, 4, 7]])
